@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigurationError, MajorMinorError
 from .extragradient import (
     ExtragradientConfig,
@@ -64,7 +65,6 @@ _SCHEMA = {
         "gamma": (float, type(None)),
         "n_max": int,
         "tol": float,
-        "averaging": bool,
         "a_scale": float,
         "safety": float,
         "probes": int,
@@ -78,6 +78,23 @@ _SCHEMA = {
 
 _LQ_KEYS = {"c1", "c2", "c3", "g1", "g2", "b", "r1", "r2", "p1", "p2"}
 
+# (section, key, requirement, predicate) checked after defaults are merged;
+# a value of the wrong type is already reported and skipped here
+_RANGES = [
+    ("grid", "steps", ">= 1", lambda v: v >= 1),
+    ("grid", "horizon", "positive", lambda v: v > 0),
+    ("ensemble", "scenarios", ">= 1", lambda v: v >= 1),
+    ("ensemble", "particles", ">= 1", lambda v: v >= 1),
+    ("constants", "sigma", ">= 0", lambda v: v >= 0),
+    ("constants", "sigma0", ">= 0", lambda v: v >= 0),
+    ("basis", "ridge", ">= 0", lambda v: v >= 0),
+    ("extragradient", "gamma", "positive", lambda v: v > 0),
+    ("extragradient", "n_max", ">= 1", lambda v: v >= 1),
+    ("extragradient", "safety", "positive", lambda v: v > 0),
+    ("extragradient", "probes", ">= 2", lambda v: v >= 2),
+    (None, "seed", "in [0, 2**64)", lambda v: 0 <= v < 2**64),
+]
+
 _DEFAULTS = {
     "model": {"kind": "lq", "params": {}},
     "constants": {"sigma": 0.5, "sigma0": 0.5, "discount": 0.0, "clamp_m": None},
@@ -89,7 +106,6 @@ _DEFAULTS = {
         "gamma": None,
         "n_max": 60,
         "tol": 1e-6,
-        "averaging": True,
         "a_scale": 1.0,
         "safety": 0.5,
         "probes": 4,
@@ -138,11 +154,12 @@ def _check_section(name: str, value: dict, schema: dict, violations: list):
             violations.append(f"{name}.{key} has wrong type {type(sub).__name__}")
 
 
-def parse_config(text: str | dict) -> RunConfig:
+def parse_config(text: str | dict, seed: int | None = None) -> RunConfig:
     """Validate and complete a configuration document.
 
     Collects every violation before raising; unknown keys are rejected with
-    a closest-match suggestion.
+    a closest-match suggestion.  A given `seed` replaces the document's seed
+    before validation.
     """
     if isinstance(text, str):
         try:
@@ -154,6 +171,8 @@ def parse_config(text: str | dict) -> RunConfig:
     violations: list[str] = []
     if not isinstance(raw, dict):
         raise ConfigurationError(["config must be a JSON object"])
+    if seed is not None:
+        raw = {**raw, "seed": seed}
     for key, value in raw.items():
         if key not in _SCHEMA:
             violations.append(f"unknown key {key}{_suggest(key, _SCHEMA)}")
@@ -173,7 +192,7 @@ def parse_config(text: str | dict) -> RunConfig:
     for key, value in raw.items():
         if key in merged and isinstance(merged[key], dict) and isinstance(value, dict):
             merged[key].update(value)
-        elif key in merged:
+        elif key in merged and not isinstance(merged[key], dict):
             merged[key] = value
 
     model = merged["model"]
@@ -182,18 +201,11 @@ def parse_config(text: str | dict) -> RunConfig:
     for key in model.get("params", {}):
         if key not in _LQ_KEYS:
             violations.append(f"unknown key model.params.{key}{_suggest(key, _LQ_KEYS)}")
-    if merged["grid"]["steps"] < 1:
-        violations.append(f"grid.steps must be >= 1, got {merged['grid']['steps']}")
-    if not merged["grid"]["horizon"] > 0:
-        violations.append(f"grid.horizon must be positive, got {merged['grid']['horizon']}")
-    if merged["ensemble"]["scenarios"] < 1 or merged["ensemble"]["particles"] < 1:
-        violations.append("ensemble.scenarios and ensemble.particles must be >= 1")
-    for name in ("sigma", "sigma0"):
-        if merged["constants"][name] < 0:
-            violations.append(f"constants.{name} must be >= 0")
-    gamma = merged["extragradient"]["gamma"]
-    if gamma is not None and not gamma > 0:
-        violations.append(f"extragradient.gamma must be positive, got {gamma}")
+    for section, key, requirement, holds in _RANGES:
+        value = merged[section][key] if section else merged[key]
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and not holds(value):
+            name = f"{section}.{key}" if section else key
+            violations.append(f"{name} must be {requirement}, got {value!r}")
     if violations:
         raise ConfigurationError(violations)
     return RunConfig(data=merged)
@@ -273,9 +285,10 @@ def build_problem(config: RunConfig):
 
 def _extragradient_config(config: RunConfig) -> ExtragradientConfig:
     eg = config.data["extragradient"]
+    # no CLI output reads the running averages, so none are accumulated
     return ExtragradientConfig(
-        gamma=eg["gamma"], n_max=eg["n_max"], tol=eg["tol"], averaging=eg["averaging"],
-        A=eg["a_scale"] * np.eye(1), safety=eg["safety"], probes=eg["probes"],
+        gamma=eg["gamma"], n_max=eg["n_max"], tol=eg["tol"], averaging=False,
+        safety=eg["safety"], probes=eg["probes"],
     )
 
 
@@ -289,7 +302,7 @@ def run_solve(config: RunConfig, out_dir: str | Path | None = None, dump_ensembl
     out = Path(out_dir if out_dir is not None else data["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
-        config=data, version="0.1.0", seed=config.seed,
+        config=data, version=__version__, seed=config.seed,
         started_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
     )
     op, grid, noise, init, cs, params, constants = build_problem(config)
@@ -432,7 +445,7 @@ def run_sigma_sweep(config: RunConfig, out_dir: str | Path | None = None) -> int
     path = out / "sweep.csv"
     write_csv(path, header, [[row[h] for h in header] for row in rows])
     manifest = RunManifest(
-        config=data, version="0.1.0", seed=config.seed,
+        config=data, version=__version__, seed=config.seed,
         started_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
         finished_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
     )
@@ -566,9 +579,7 @@ def main(argv=None) -> int:
     parser.add_argument("--dump-ensemble", action="store_true", help="dump the full ensemble CSV")
     args = parser.parse_args(argv)
     try:
-        config = parse_config(Path(args.config).read_text())
-        if args.seed is not None:
-            config.data["seed"] = int(args.seed)
+        config = parse_config(Path(args.config).read_text(), seed=args.seed)
         if args.command == "solve":
             return run_solve(config, args.out, dump_ensemble=args.dump_ensemble)
         if args.command == "verify":

@@ -8,12 +8,12 @@ particle weights and left-endpoint time sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .grids import TimeGrid
+from .grids import TimeGrid, path_array
 
 __all__ = [
     "ControlField",
@@ -31,7 +31,7 @@ class ControlField:
     """Discretized element of the control space: minor controls per
     (scenario, particle, step), major control per (scenario, step)."""
 
-    alpha_x: np.ndarray  # (M_c, P, N_t, d)
+    alpha_x: np.ndarray  # (M_c, P, N_t, d), time-major when package-made
     alpha_q: np.ndarray  # (M_c, N_t, d0)
 
     def __post_init__(self):
@@ -55,15 +55,11 @@ class ControlField:
 
     __rmul__ = __mul__
 
-    def copy(self) -> "ControlField":
-        return ControlField(self.alpha_x.copy(), self.alpha_q.copy())
-
     @staticmethod
     def zeros(n_scenarios: int, n_particles: int, n_steps: int, d: int = 1, d0: int = 1) -> "ControlField":
-        return ControlField(
-            np.zeros((n_scenarios, n_particles, n_steps, d)),
-            np.zeros((n_scenarios, n_steps, d0)),
-        )
+        alpha_x = path_array((n_scenarios, n_particles, n_steps, d))
+        alpha_x[...] = 0.0
+        return ControlField(alpha_x, np.zeros((n_scenarios, n_steps, d0)))
 
 
 @dataclass
@@ -83,12 +79,6 @@ class EnsembleState:
     Zq: np.ndarray  # (M_c, N_t, d0, d0)
     Z: np.ndarray | None = None  # (M_c, P, N_t, d, d+d0)
 
-    def finite(self) -> bool:
-        parts = [self.X, self.U, self.qf, self.qb, self.phi, self.Zphi, self.Zq]
-        if self.Z is not None:
-            parts.append(self.Z)
-        return all(np.all(np.isfinite(p)) for p in parts)
-
 
 @dataclass
 class ScenarioFeatures:
@@ -102,7 +92,6 @@ class ScenarioFeatures:
     m2_x: np.ndarray
     m2_u: np.ndarray
     cross_xu: np.ndarray
-    n_particles: int = field(default=0)
 
 
 def conditional_features(x: np.ndarray, u: np.ndarray | None = None) -> ScenarioFeatures:
@@ -124,13 +113,7 @@ def conditional_features(x: np.ndarray, u: np.ndarray | None = None) -> Scenario
         m2_x=(x * x).mean(axis=1, keepdims=True),
         m2_u=(u * u).mean(axis=1, keepdims=True),
         cross_xu=(x * u).mean(axis=1, keepdims=True),
-        n_particles=x.shape[1],
     )
-
-
-def features_at(state: EnsembleState, t_index: int) -> ScenarioFeatures:
-    """Conditional features of (X, U) at a grid node."""
-    return conditional_features(state.X[:, :, t_index, :], state.U[:, :, t_index, :])
 
 
 def inner_product_T(a: ControlField, b: ControlField, grid: TimeGrid) -> float:
@@ -154,16 +137,6 @@ def inner_product_T(a: ControlField, b: ControlField, grid: TimeGrid) -> float:
 
 def norm_T(a: ControlField, grid: TimeGrid) -> float:
     return float(np.sqrt(max(inner_product_T(a, a, grid), 0.0)))
-
-
-def path_sq_norm(arr: np.ndarray, dt: float, particle_borne: bool) -> float:
-    """Squared ||.||_T of a path array over its first `steps` axis entries.
-
-    arr: (M_c, P, N, ...) when particle_borne else (M_c, N, ...).
-    """
-    total = float(np.sum(arr * arr))
-    denom = arr.shape[0] * (arr.shape[1] if particle_borne else 1)
-    return dt * total / denom
 
 
 def wasserstein2_1d(sample_a: np.ndarray, sample_b: np.ndarray) -> float:

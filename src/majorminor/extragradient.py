@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ensembles import ControlField, conditional_features, inner_product_T
 from .errors import ConfigurationError, SimulationError
-from .grids import NoiseBundle, TimeGrid
+from .grids import NoiseBundle, TimeGrid, path_array
 from .models import PrimedCoefficientSet
 from .solver import (
     InitialCondition,
@@ -47,16 +47,17 @@ class ExtragradientConfig:
     """Step size, caps and averaging switches.
 
     With `gamma` unset the step is safety / L_hat from probe estimation.  The
-    geometric-rate regime additionally wants
-    gamma < min(1/(2 L), eta/L^2); the runner warns, it cannot verify the
-    unknown true constants.
+    geometric-rate regime additionally wants gamma < min(1/(2 L), eta/L^2)
+    for the true constants L and eta.  The runner cannot know them and does
+    not check the step against them; a step that is too large shows only as
+    a divergence report: the residual grew by `divergence_factor` over
+    `divergence_window` iterations, or the iterates left the finite range.
     """
 
     gamma: float | None = None
     n_max: int = 100
     tol: float = 0.0
     averaging: bool = True
-    A: np.ndarray = field(default_factory=lambda: np.eye(1))
     safety: float = 0.5
     probes: int = 4
     probe_seed: int = 123
@@ -122,12 +123,12 @@ class FbsdeOperator:
         return ControlField.zeros(m, p, self.grid.steps, self.init.X0.shape[2], self.init.q0.shape[1])
 
     def random_control(self, rng: np.random.Generator, scale: float = 1.0) -> ControlField:
-        m, p, _ = self.init.X0.shape
+        m, p, d = self.init.X0.shape
         n = self.grid.steps
-        return ControlField(
-            scale * rng.standard_normal((m, p, n, self.init.X0.shape[2])),
-            scale * rng.standard_normal((m, n, self.init.q0.shape[1])),
-        )
+        # draw in (M, P, N, d) order so a seed keeps its probes
+        alpha_x = path_array((m, p, n, d))
+        alpha_x[...] = scale * rng.standard_normal((m, p, n, d))
+        return ControlField(alpha_x, scale * rng.standard_normal((m, n, self.init.q0.shape[1])))
 
 
 def evaluate_v(control: ControlField, op: FbsdeOperator) -> tuple[ControlField, SolveOutput]:
@@ -167,7 +168,6 @@ class ExtragradientReport:
     gamma: float
     final_alpha: object = None
     averages: dict | None = None
-    phi_bar: np.ndarray | None = None
     z_convention: str = (
         "Zphi is the integrand of sqrt(2*sigma0) * int Zphi dW0, equal to the "
         "q-gradient of the major value field"
@@ -223,7 +223,6 @@ def _averaging_payload(op, solve: SolveOutput, alpha_half):
     """Quantities averaged over half-step solves per the convergence bound."""
     if solve is None:
         return {"point": alpha_half}
-    n = op.grid.steps
     return {
         "U": solve.theta_F,  # theta applied to the half-step control
         "p": solve.theta_H,

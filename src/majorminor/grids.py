@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-__all__ = ["TimeGrid", "NoiseBundle", "build_grid", "sample_noise"]
+__all__ = ["TimeGrid", "NoiseBundle", "build_grid", "path_array", "sample_noise"]
 
 
 @dataclass(frozen=True)
@@ -43,25 +43,35 @@ def build_grid(horizon: float, steps: int) -> TimeGrid:
     return TimeGrid(horizon=float(horizon), steps=int(steps), nodes=nodes)
 
 
+def path_array(shape: tuple[int, ...]) -> np.ndarray:
+    """Uninitialized particle path array, indexed (M, P, N, ...) and stored
+    time-major.
+
+    This is the package's one memory-layout convention.  Every array with a
+    (scenario, particle, step) prefix is read and written through its
+    (M, P, N, ...) index order, but the buffer behind it is a C-contiguous
+    (N, M, P, ...) block, so the per-step slab a[:, :, k] that the forward
+    and backward sweeps touch is contiguous, and np.moveaxis(a, 2, 0) gives
+    the time-major buffer without a copy.  Elementwise arithmetic on two such
+    arrays keeps the layout.  Scenario-level paths (no particle axis) stay in
+    plain C order.
+    """
+    m, p, n, *rest = shape
+    return np.moveaxis(np.empty((n, m, p, *rest)), 0, 2)
+
+
 @dataclass(frozen=True)
 class NoiseBundle:
     """Brownian increments for one run.
 
-    dB  : (M_c, P, N_t, d)   idiosyncratic, variance dt per component
+    dB  : (M_c, P, N_t, d)   idiosyncratic, variance dt per component,
+                             time-major (see `path_array`)
     dW0 : (M_c, N_t, d0)     common, shared by every particle of a scenario
     """
 
     dB: np.ndarray
     dW0: np.ndarray
     seed: int
-
-    @property
-    def n_scenarios(self) -> int:
-        return self.dB.shape[0]
-
-    @property
-    def n_particles(self) -> int:
-        return self.dB.shape[1]
 
 
 # Stream tags keep the idiosyncratic and common draws on disjoint Philox keys.
@@ -101,7 +111,7 @@ def sample_noise(
 
     n_steps = grid.steps
     scale = np.sqrt(grid.dt)
-    dB = np.empty((n_scenarios, n_particles, n_steps, d))
+    dB = path_array((n_scenarios, n_particles, n_steps, d))
     dW0 = np.empty((n_scenarios, n_steps, d0))
     half_p = n_particles // 2
     for j in range(n_scenarios):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .ensembles import ControlField, conditional_features, norm_T
 from .errors import OracleBlowUpError, SimulationError
-from .grids import NoiseBundle, TimeGrid, build_grid
+from .grids import NoiseBundle, TimeGrid, build_grid, path_array
 from .models import CoefficientSet, LQParams, ModelConstants, PrimedCoefficientSet
 from .solver import InitialCondition, RegressionBasis, SolveOutput, decoupled_solve
 
@@ -156,11 +156,11 @@ def oracle_induced_control(
     sx = math.sqrt(2.0 * cs.constants.sigma)
     sq = math.sqrt(2.0 * cs.constants.sigma0)
 
-    X = np.empty((m, p, n + 1, d))
+    X = path_array((m, p, n + 1, d))
     qpath = np.empty((m, n + 1, d0))
-    U = np.empty((m, p, n + 1, d))
+    U = path_array((m, p, n + 1, d))
     Zphi = np.empty((m, n, d0))
-    alpha_x = np.empty((m, p, n, d))
+    alpha_x = path_array((m, p, n, d))
     alpha_q = np.empty((m, n, d0))
     X[:, :, 0] = init.X0
     qpath[:, 0] = init.q0

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensembles import ControlField, EnsembleState, conditional_features
-from .errors import ConfigurationError, RegressionError, SimulationError
-from .grids import NoiseBundle, TimeGrid
+from .errors import RegressionError, SimulationError
+from .grids import NoiseBundle, TimeGrid, path_array
 from .models import PrimedCoefficientSet, theta_inverse
 
 __all__ = [
@@ -65,11 +65,6 @@ class RegressionBasis:
 
     quadratic: bool = False
     ridge: float = 1e-8
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        base = ("constant", "x", "q", "mean_x", "mean_u")
-        return base + (("quadratics",) if self.quadratic else ())
 
     def particle_design(self, x: np.ndarray, quadratic: bool | None = None) -> np.ndarray:
         """(M, P, d) -> (M, P, k) design with a leading constant column."""
@@ -187,11 +182,6 @@ def regress_conditional(design: np.ndarray, targets: np.ndarray, ridge: float = 
     return FittedRegression(coef, fitted, resid, leverage)
 
 
-def _fit_scenario(design: np.ndarray, targets: np.ndarray, ridge: float) -> np.ndarray:
-    """Cross-scenario fit; returns fitted values with the target's shape."""
-    return regress_conditional(design, targets, ridge).fitted
-
-
 class _BatchedFitter:
     """Within-scenario least squares with a shared design: the normal
     equations are factored once and reused for every target batch."""
@@ -226,29 +216,6 @@ class _BatchedFitter:
     def loo_residuals(self, targets: np.ndarray) -> np.ndarray:
         resid = targets - self.fit(targets)
         return resid / (1.0 - self.leverage())[:, :, None]
-
-
-def _fit_per_scenario(
-    design: np.ndarray,
-    targets: np.ndarray,
-    ridge: float,
-    return_coef: bool = False,
-    return_loo: bool = False,
-):
-    """Batched within-scenario fits.
-
-    design: (M, P, k); targets: (M, P, m) -> fitted (M, P, m), plus the
-    per-scenario coefficients (M, k, m) or leave-one-out residuals on request.
-    """
-    fitter = _BatchedFitter(design, ridge)
-    coef = fitter.coef(targets)
-    fitted = design @ coef
-    out = [fitted]
-    if return_coef:
-        out.append(coef)
-    if return_loo:
-        out.append((targets - fitted) / (1.0 - fitter.leverage())[:, :, None])
-    return out[0] if len(out) == 1 else tuple(out)
 
 
 @dataclass
@@ -298,6 +265,8 @@ def simulate_forward(
 
     X_{k+1} = X_k - alpha_x_k dt + sqrt(2 sigma) dB_k
     qf_{k+1} = qf_k - alpha_q_k dt + sqrt(2 sigma0) dW0_k
+
+    X is (M_c, P, N_t+1, d) in the time-major layout of `path_array`.
     """
     m, p, n, d = control.alpha_x.shape
     d0 = control.alpha_q.shape[2]
@@ -314,12 +283,15 @@ def simulate_forward(
     sx = math.sqrt(2.0 * consts.sigma)
     sq = math.sqrt(2.0 * consts.sigma0)
     # no state feedback in the drift, so the Euler recursion is a cumsum
-    X = np.empty((m, p, n + 1, d))
+    X = path_array((m, p, n + 1, d))
+    Xt = np.moveaxis(X, 2, 0)
     qf = np.empty((m, n + 1, d0))
-    X[:, :, 0] = init.X0
+    Xt[0] = init.X0
     qf[:, 0] = init.q0
-    np.cumsum(sx * noise.dB - dt * control.alpha_x, axis=2, out=X[:, :, 1:])
-    X[:, :, 1:] += init.X0[:, :, None, :]
+    dBt = np.moveaxis(noise.dB, 2, 0)
+    axt = np.moveaxis(control.alpha_x, 2, 0)
+    np.cumsum(sx * dBt - dt * axt, axis=0, out=Xt[1:])
+    Xt[1:] += init.X0
     np.cumsum(sq * noise.dW0 - dt * control.alpha_q, axis=1, out=qf[:, 1:])
     qf[:, 1:] += init.q0[:, None, :]
     return X, qf
@@ -353,7 +325,6 @@ def solve_backward(
     basis: RegressionBasis,
     grid: TimeGrid,
     compute_z: bool = True,
-    _tm=None,
 ) -> SolveOutput:
     """Backward Euler sweep with per-step regressions.
 
@@ -373,21 +344,22 @@ def solve_backward(
     sq = math.sqrt(2.0 * consts.sigma0)
     ridge = basis.ridge
 
-    # time-major views keep the per-step slabs contiguous
-    if _tm is not None:
-        Xt, dBt, axt = _tm
-    else:
-        Xt = np.ascontiguousarray(np.moveaxis(X, 2, 0))  # (N+1, M, P, d)
-        dBt = _time_major_db(noise)
-        axt = np.ascontiguousarray(np.moveaxis(control.alpha_x, 2, 0))
+    # time-major views keep the per-step slabs contiguous; they copy only
+    # arrays laid out other than by `path_array`
+    Xt = np.ascontiguousarray(np.moveaxis(X, 2, 0))  # (N+1, M, P, d)
+    dBt = np.ascontiguousarray(np.moveaxis(noise.dB, 2, 0))
+    axt = np.ascontiguousarray(np.moveaxis(control.alpha_x, 2, 0))
 
-    Ut = np.empty((n + 1, m, p, d))
+    U = path_array((m, p, n + 1, d))
+    theta_F = path_array((m, p, n, d))
+    Z = path_array((m, p, n, d, d + d0)) if compute_z else None
+    Ut = np.moveaxis(U, 2, 0)
+    thetaF_t = np.moveaxis(theta_F, 2, 0)
+    Zt = np.moveaxis(Z, 2, 0) if compute_z else None
     phi = np.empty((m, n + 1))
     qb = np.empty((m, n + 1, d0))
     Zphi = np.zeros((m, n, d0))
     Zq = np.zeros((m, n, d0, d0))
-    Zt = np.zeros((n, m, p, d, d + d0)) if compute_z else None
-    thetaF_t = np.empty((n, m, p, d))
     theta_H = np.empty((m, n, d0))
 
     feats_T = conditional_features(Xt[n])
@@ -549,10 +521,6 @@ def solve_backward(
             coef_zw = fit_zw.coef
         coef_zb = zb_coef
 
-    # contract layout (scenario, particle, time, dim) as zero-copy views
-    U = np.moveaxis(Ut, 0, 2)
-    theta_F = np.moveaxis(thetaF_t, 0, 2)
-    Z = np.moveaxis(Zt, 0, 2) if compute_z else None
     state = EnsembleState(X=X, U=U, qf=qf, qb=qb, phi=phi, Zphi=Zphi, Zq=Zq, Z=Z)
     if not (
         np.isfinite(U.sum()) and np.isfinite(phi.sum()) and np.isfinite(qb.sum())
@@ -569,14 +537,6 @@ def solve_backward(
     return SolveOutput(state=state, theta_F=theta_F, theta_H=theta_H, diagnostics=diagnostics)
 
 
-def _time_major_db(noise: NoiseBundle) -> np.ndarray:
-    cached = getattr(noise, "_dbt_cache", None)
-    if cached is None:
-        cached = np.ascontiguousarray(np.moveaxis(noise.dB, 2, 0))
-        object.__setattr__(noise, "_dbt_cache", cached)
-    return cached
-
-
 def decoupled_solve(
     control: ControlField,
     primed: PrimedCoefficientSet,
@@ -591,32 +551,8 @@ def decoupled_solve(
     sigma0 = 0 is allowed for degenerate diagnostics: the common-noise
     integrand estimates are simply zero in that case.
 
-    The whole pipeline runs in time-major layout internally; the returned
-    state carries the (scenario, particle, time, dim) contract layout.
+    Inputs in the layout of `path_array` (everything the package allocates)
+    pass through both sweeps without a copy; other layouts are copied to it.
     """
-    m, p, n, d = control.alpha_x.shape
-    d0 = control.alpha_q.shape[2]
-    if noise.dB.shape != (m, p, n, d) or noise.dW0.shape != (m, n, d0):
-        raise SimulationError("noise bundle shape does not match control")
-    if init.X0.shape != (m, p, d) or init.q0.shape != (m, d0):
-        raise SimulationError("initial condition shapes mismatch")
-    _validate_control(control)
-    dt = grid.dt
-    consts = primed.constants
-    sx = math.sqrt(2.0 * consts.sigma)
-    sq = math.sqrt(2.0 * consts.sigma0)
-    dBt = _time_major_db(noise)
-    axt = np.ascontiguousarray(np.moveaxis(control.alpha_x, 2, 0))
-    Xt = np.empty((n + 1, m, p, d))
-    Xt[0] = init.X0
-    np.cumsum(sx * dBt - dt * axt, axis=0, out=Xt[1:])
-    Xt[1:] += init.X0
-    qf = np.empty((m, n + 1, d0))
-    qf[:, 0] = init.q0
-    np.cumsum(sq * noise.dW0 - dt * control.alpha_q, axis=1, out=qf[:, 1:])
-    qf[:, 1:] += init.q0[:, None, :]
-    X = np.moveaxis(Xt, 0, 2)
-    return solve_backward(
-        (X, qf), control, primed, noise, basis, grid, compute_z=compute_z,
-        _tm=(Xt, dBt, axt),
-    )
+    forward = simulate_forward(control, noise, primed, init, grid)
+    return solve_backward(forward, control, primed, noise, basis, grid, compute_z=compute_z)

@@ -218,10 +218,7 @@ def _probe_control(op, rng, scale: float):
     const_q = scale * rng.standard_normal((m, 1, d0))
     from .ensembles import ControlField
 
-    return ControlField(
-        rough.alpha_x + np.broadcast_to(const_x, rough.alpha_x.shape).copy(),
-        rough.alpha_q + np.broadcast_to(const_q, rough.alpha_q.shape).copy(),
-    )
+    return ControlField(rough.alpha_x + const_x, rough.alpha_q + const_q)
 
 
 def check_v_monotonicity(

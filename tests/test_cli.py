@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import majorminor
 from majorminor.cli import (
     RunConfig,
     build_problem,
@@ -79,6 +80,7 @@ def test_lq_solve_artifacts_and_exit(tmp_path):
     assert code == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert set(manifest["files"]) >= {"iterations.csv", "report.json", "snapshot.csv"}
+    assert manifest["version"] == majorminor.__version__
     body = (tmp_path / "iterations.csv").read_text().splitlines()
     assert body[0] == "n,residual,dist_to_oracle,gamma,seconds"
     assert len(body) >= 2
@@ -142,6 +144,34 @@ def test_cli_main_bad_config_exit_one(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"grid": {"steps": 0}}))
     assert main(["solve", "--config", str(cfg_path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "section,key,value,args,message",
+    [
+        (None, "seed", 1, ["--seed", "-1"], "seed must be in [0, 2**64), got -1"),
+        (None, "seed", 2**64, [], "seed must be in [0, 2**64)"),
+        ("basis", "ridge", -1e-3, [], "basis.ridge must be >= 0"),
+        ("extragradient", "safety", -0.5, [], "extragradient.safety must be positive"),
+        ("extragradient", "safety", 0.0, [], "extragradient.safety must be positive"),
+        ("extragradient", "n_max", 0, [], "extragradient.n_max must be >= 1"),
+        ("extragradient", "probes", 1, [], "extragradient.probes must be >= 2"),
+        (None, "grid", 5, [], "grid must be an object"),
+    ],
+    ids=["seed-flag", "seed-config", "ridge", "safety", "safety-zero", "n_max", "probes", "section"],
+)
+def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key, value, args, message):
+    data = json.loads(json.dumps(FAST_LQ))
+    if section is None:
+        data[key] = value
+    else:
+        data.setdefault(section, {})[key] = value
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "run"), *args])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_seed_override(tmp_path):

@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from majorminor.ensembles import ControlField, conditional_features
 from majorminor.errors import RegressionError, SimulationError
-from majorminor.grids import build_grid, sample_noise
+from majorminor.extragradient import FbsdeOperator
+from majorminor.grids import build_grid, path_array, sample_noise
 from majorminor.models import (
     LQParams,
     ModelConstants,
@@ -12,6 +15,7 @@ from majorminor.models import (
     make_zero_model,
     split_q,
 )
+from majorminor.oracle import oracle_induced_control, riccati_oracle
 from majorminor.solver import (
     InitialCondition,
     RegressionBasis,
@@ -209,3 +213,45 @@ def test_sample_initial_deterministic():
     assert np.array_equal(a.q0, b.q0)
     c = sample_initial(3, 5, seed=10, x_mean=0.0, x_std=1.0, q0=1.0, q0_std=0.2)
     assert not np.array_equal(a.X0, c.X0)
+
+
+def test_decoupled_solve_leaves_noise_bundle_unchanged():
+    grid, noise, primed, init = make_setup()
+    decoupled_solve(ControlField.zeros(4, 16, 5), primed, noise, init, RegressionBasis(), grid)
+    assert set(vars(noise)) == {f.name for f in fields(noise)}
+
+
+def test_package_path_arrays_are_time_major():
+    grid, noise, primed, init = make_setup()
+    op = FbsdeOperator(primed, grid, noise, init, RegressionBasis())
+    probe = op.random_control(np.random.default_rng(5), 0.3)
+    sol = riccati_oracle(CONE, primed.constants, grid)
+    oracle_control, _ = oracle_induced_control(sol, primed.base, grid, noise, init)
+    X, _ = simulate_forward(probe, noise, primed, init, grid)
+    arrays = {
+        "sample_noise": noise.dB,
+        "ControlField.zeros": ControlField.zeros(4, 16, 5).alpha_x,
+        "random_control": probe.alpha_x,
+        "oracle_induced_control": oracle_control.alpha_x,
+        "simulate_forward": X,
+    }
+    for name, a in arrays.items():
+        assert np.moveaxis(a, 2, 0).flags.c_contiguous, name
+    # probes keep the (M, P, N, d) draw order of their seed
+    draw = 0.3 * np.random.default_rng(5).standard_normal((4, 16, 5, 1))
+    assert np.array_equal(probe.alpha_x, draw)
+
+
+def test_decoupled_solve_independent_of_control_layout():
+    grid, noise, primed, init = make_setup()
+    rng = np.random.default_rng(11)
+    c_order = ControlField(0.5 * rng.standard_normal((4, 16, 5, 1)), 0.5 * rng.standard_normal((4, 5, 1)))
+    alpha_x = path_array((4, 16, 5, 1))
+    alpha_x[...] = c_order.alpha_x
+    time_major = ControlField(alpha_x, c_order.alpha_q)
+    a, b = (
+        decoupled_solve(c, primed, noise, init, RegressionBasis(), grid) for c in (c_order, time_major)
+    )
+    assert np.array_equal(a.theta_F, b.theta_F) and np.array_equal(a.theta_H, b.theta_H)
+    for name in ("X", "U", "qf", "qb", "phi", "Zphi", "Zq", "Z"):
+        assert np.array_equal(getattr(a.state, name), getattr(b.state, name)), name
