@@ -44,7 +44,6 @@ from .oracle import eval_oracle_field, oracle_induced_control, picard_solve, ric
 from .solver import RegressionBasis, sample_initial
 from .verification import (
     check_coefficient_monotonicity,
-    check_monotonicity_propagation,
     check_pontryagin_residual,
     check_terminal_monotonicity,
     check_v_monotonicity,
@@ -198,9 +197,13 @@ def parse_config(text: str | dict, seed: int | None = None) -> RunConfig:
     model = merged["model"]
     if model["kind"] not in ("lq", "zero"):
         violations.append(f"model.kind must be 'lq' or 'zero', got {model['kind']!r}")
-    for key in model.get("params", {}):
+    # a non-object params is already reported as a wrong type
+    params = model["params"] if isinstance(model["params"], dict) else {}
+    for key, value in params.items():
         if key not in _LQ_KEYS:
             violations.append(f"unknown key model.params.{key}{_suggest(key, _LQ_KEYS)}")
+        elif not isinstance(value, (int, float)) or isinstance(value, bool):
+            violations.append(f"model.params.{key} must be a real number, got {value!r}")
     for section, key, requirement, holds in _RANGES:
         value = merged[section][key] if section else merged[key]
         if isinstance(value, (int, float)) and not isinstance(value, bool) and not holds(value):

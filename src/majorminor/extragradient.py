@@ -160,7 +160,6 @@ class ExtragradientReport:
     gammas: list[float]
     seconds: list[float]
     dist_to_reference: list[float] | None
-    averaged_sq_error: list[float] | None
     lambda_hat: float | None
     r_squared: float | None
     diverged: bool
@@ -183,7 +182,6 @@ class ExtragradientReport:
             "r_squared": self.r_squared,
             "residuals": self.residuals,
             "dist_to_reference": self.dist_to_reference,
-            "averaged_sq_error": self.averaged_sq_error,
             "seconds": self.seconds,
         }
         return json.dumps(payload, indent=2)
@@ -232,31 +230,11 @@ def _averaging_payload(op, solve: SolveOutput, alpha_half):
     }
 
 
-def _averaged_sq_error(op, sums, count, reference) -> float:
-    """||(U, X, (q+p)/2, Zphi) - reference||_T^2 of the running averages."""
-    n = op.grid.steps
-    inv = 1.0 / count
-    du = sums["U"] * inv - reference["U"]
-    dx = sums["X"][:, :, :n, :] * inv - reference["X"][:, :, :n, :]
-    dq = 0.5 * (sums["q"][:, :n, :] + sums["p"]) * inv - reference["qmid"][:, :n, :]
-    dz = sums["Zphi"] * inv - reference["Zphi"]
-    dt = op.grid.dt
-    m, p = du.shape[0], du.shape[1]
-    total = (
-        np.sum(du * du) / (m * p)
-        + np.sum(dx * dx) / (m * p)
-        + np.sum(dq * dq) / m
-        + np.sum(dz * dz) / m
-    )
-    return float(dt * total)
-
-
 def run_extragradient(
     alpha1,
     config: ExtragradientConfig,
     op,
     reference_control=None,
-    reference_processes: dict | None = None,
     lipschitz_hint: float | None = None,
 ) -> ExtragradientReport:
     """Iterate until the residual tolerance, the cap, or divergence.
@@ -279,7 +257,6 @@ def run_extragradient(
     gammas: list[float] = []
     seconds: list[float] = []
     dists: list[float] | None = [] if reference_control is not None else None
-    avg_err: list[float] | None = [] if (config.averaging and reference_processes) else None
     sums = None
     count = 0
     diverged = False
@@ -313,8 +290,6 @@ def run_extragradient(
                 for k_, v in payload.items():
                     sums[k_] += v
             count += 1
-            if avg_err is not None and "U" in sums:
-                avg_err.append(_averaged_sq_error(op, sums, count, reference_processes))
         seconds.append(time.perf_counter() - t0)
         if residual <= config.tol:
             break
@@ -333,7 +308,6 @@ def run_extragradient(
         gammas=gammas,
         seconds=seconds,
         dist_to_reference=dists,
-        averaged_sq_error=avg_err,
         lambda_hat=lam_hat,
         r_squared=r2,
         diverged=diverged,

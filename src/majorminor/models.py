@@ -16,7 +16,7 @@ exact for the shipped linear-quadratic family and keeps evaluation O(P).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np

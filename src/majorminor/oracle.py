@@ -26,7 +26,7 @@ import numpy as np
 
 from .ensembles import ControlField, conditional_features, norm_T
 from .errors import OracleBlowUpError, SimulationError
-from .grids import NoiseBundle, TimeGrid, build_grid, path_array
+from .grids import NoiseBundle, TimeGrid, path_array
 from .models import CoefficientSet, LQParams, ModelConstants, PrimedCoefficientSet
 from .solver import InitialCondition, RegressionBasis, SolveOutput, decoupled_solve
 

@@ -123,99 +123,73 @@ class RegressionBasis:
 
 
 class FittedRegression:
-    """Least-squares fit with ridge; callable on new design rows."""
+    """Least-squares fit with ridge; callable on new design rows.
 
-    def __init__(
-        self,
-        coef: np.ndarray,
-        fitted: np.ndarray,
-        residuals: np.ndarray,
-        leverage: np.ndarray | None = None,
-    ):
+    Leverage, and so `loo_residuals`, is computed on first use only.
+    """
+
+    def __init__(self, design: np.ndarray, gram: np.ndarray, coef: np.ndarray, y: np.ndarray, squeeze: bool):
+        self._design = design
+        self._gram = gram
+        self._leverage = None
+        fitted = design @ coef
+        resid = y - fitted
+        if squeeze:
+            coef, fitted, resid = coef[..., 0], fitted[..., 0], resid[..., 0]
         self.coef = coef
         self.fitted = fitted
-        self.residuals = residuals
-        self.leverage = leverage
+        self.residuals = resid
 
     def __call__(self, design: np.ndarray) -> np.ndarray:
         return design @ self.coef
 
     def loo_residuals(self) -> np.ndarray:
         """Leave-one-out residuals e/(1-h): remove the in-sample absorption
-        of each row's own signal (exact for fixed ridge)."""
-        if self.leverage is None:
-            return self.residuals
-        h = np.clip(self.leverage, 0.0, 0.8)
-        if self.residuals.ndim == 1:
-            return self.residuals / (1.0 - h)
-        return self.residuals / (1.0 - h)[:, None]
+        of each row's own signal (exact for fixed ridge); h is clipped at 0.8."""
+        if self._leverage is None:
+            h = np.einsum("...nk,...nk->...n", self._design @ np.linalg.inv(self._gram), self._design)
+            self._leverage = np.clip(h, 0.0, 0.8)
+        h = self._leverage
+        return self.residuals / (1.0 - (h if self.residuals.ndim == h.ndim else h[..., None]))
 
 
 def regress_conditional(design: np.ndarray, targets: np.ndarray, ridge: float = 1e-8) -> FittedRegression:
     """Ridge-regularized projection of targets onto the feature span.
 
-    design: (n, k); targets: (n,) or (n, m).  With zero ridge a rank-deficient
-    system raises a regression error.
+    design: (..., n, k), where leading axes index independent fits (one per
+    scenario for the within-scenario regressions); targets: (..., n), or
+    (..., n, r) for r targets that share the design, solved in one call.
+    Ridge is relative to the trace of each normal-equation matrix.  With
+    zero ridge a rank-deficient system raises a regression error.
+
+    Coefficients come from `np.linalg.solve` on the normal equations, never
+    from an explicit inverse: near the fixed point the scenario mean of the
+    control is close to affine in the other scenario features, so the
+    cross-scenario normal equations are close to singular, and an inverse
+    applied to the right-hand side moves the late iterates' residuals by
+    about 2e-6 relative.  Leverage enters only through the clipped
+    leave-one-out division, where the inverse keeps the recorded benchmark
+    results within their 1e-6 match and is cheaper than a solve against a
+    (k, n) right-hand side.
     """
     design = np.asarray(design, dtype=float)
     y = np.asarray(targets, dtype=float)
-    squeeze = y.ndim == 1
+    squeeze = y.ndim < design.ndim
     if squeeze:
-        y = y[:, None]
-    gram = design.T @ design
-    lam = ridge * np.trace(gram) / gram.shape[0]
-    if ridge == 0.0 and (
-        design.shape[0] < design.shape[1] or np.linalg.matrix_rank(gram) < gram.shape[0]
-    ):
+        y = y[..., None]
+    # a contiguous transpose lets the stacked products below run in BLAS
+    design_t = np.ascontiguousarray(np.swapaxes(design, -1, -2))
+    gram = design_t @ design
+    k = gram.shape[-1]
+    if ridge == 0.0 and (design.shape[-2] < k or np.any(np.linalg.matrix_rank(gram) < k)):
         raise RegressionError("rank-deficient normal equations without ridge")
-    greg = gram + lam * np.eye(gram.shape[0])
+    lam = ridge * np.trace(gram, axis1=-2, axis2=-1) / k
+    gram = gram + lam[..., None, None] * np.eye(k)
     try:
-        coef = np.linalg.solve(greg, design.T @ y)
-        vt = np.linalg.solve(greg, design.T)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
-        raise RegressionError(str(exc)) from exc
-    leverage = np.einsum("nk,kn->n", design, vt)
-    fitted = design @ coef
-    resid = y - fitted
-    if squeeze:
-        coef, fitted, resid = coef[:, 0], fitted[:, 0], resid[:, 0]
-    return FittedRegression(coef, fitted, resid, leverage)
-
-
-class _BatchedFitter:
-    """Within-scenario least squares with a shared design: the normal
-    equations are factored once and reused for every target batch."""
-
-    def __init__(self, design: np.ndarray, ridge: float):
-        self.design = design
-        dt_ = design.transpose(0, 2, 1)
-        gram = dt_ @ design
-        k = design.shape[2]
-        lam = ridge * np.trace(gram, axis1=1, axis2=2) / k
-        gram = gram + lam[:, None, None] * np.eye(k)
-        try:
-            self.inv = np.linalg.inv(gram)
-        except np.linalg.LinAlgError as exc:
-            raise RegressionError(f"singular within-scenario normal equations: {exc}") from exc
-        self.design_t = dt_
-        self._leverage = None
-
-    def coef(self, targets: np.ndarray) -> np.ndarray:
-        return self.inv @ (self.design_t @ targets)
-
-    def fit(self, targets: np.ndarray) -> np.ndarray:
-        return self.design @ self.coef(targets)
-
-    def leverage(self) -> np.ndarray:
-        if self._leverage is None:
-            vt = self.inv @ self.design_t  # (M, k, P)
-            h = np.einsum("mpk,mkp->mp", self.design, vt)
-            self._leverage = np.clip(h, 0.0, 0.8)
-        return self._leverage
-
-    def loo_residuals(self, targets: np.ndarray) -> np.ndarray:
-        resid = targets - self.fit(targets)
-        return resid / (1.0 - self.leverage())[:, :, None]
+        coef = np.linalg.solve(gram, design_t @ y)
+    except np.linalg.LinAlgError as exc:
+        raise RegressionError(f"singular normal equations: {exc}") from exc
+    return FittedRegression(design, gram, coef, y, squeeze)
 
 
 @dataclass
@@ -368,10 +342,10 @@ def solve_backward(
     phi[:, n] = primed.psi(qf_T, feats_T)[:, 0]
     qb[:, n] = qf[:, n]
 
-    # carriers: quadratic-basis fits used as regression targets
+    # carriers: quadratic-basis fits used as regression targets; the
+    # scenario carrier stacks phi and qb as columns (M, 1 + d0)
     u_carry = Ut[n].copy()
-    phi_carry = phi[:, n].copy()
-    qb_carry = qb[:, n].copy()
+    carry = np.column_stack([phi[:, n], qb[:, n]])
 
     resid_u = np.zeros(n)
     resid_phi = np.zeros(n)
@@ -384,8 +358,7 @@ def solve_backward(
     # integrands the prior is the q-gradient of the previous value-carrier
     # fit (value-level noise, no 1/sqrt(dt) amplification); for the minor
     # integrands it is the previous integrand fit itself.
-    coef_phi_prev = None  # (ks_cv,) carrier-fit coefficients of phi
-    coef_qb_prev = None  # (ks_cv, d0)
+    coef_carry = None  # (ks_cv, 1 + d0) carrier-fit coefficients of (phi, qb)
     coef_zw = None  # (ks, d*d0)
     coef_zb = None  # (M, kp, d*d)
 
@@ -406,64 +379,44 @@ def solve_backward(
         Pcv = basis.particle_design(Xk, quadratic=True)
         if 3 * Pcv.shape[1] > p:
             Pcv = Pcv[:, :, : 1 + d]
-        Pd = Pcv[:, :, : 1 + d] if not basis.quadratic else Pcv
-        fit_d = _BatchedFitter(Pd, ridge)
-        fit_cv = fit_d if Pcv.shape[2] == Pd.shape[2] else _BatchedFitter(Pcv, ridge)
+        Pd = Pcv if basis.quadratic else Pcv[:, :, : 1 + d]
         quad_cv = Scv is not S
 
         # carrier fits at step-k features, needed both for the Z residuals
         # and (via their q-gradients) as integrand priors
-        cv_phi = regress_conditional(Scv, phi_carry, ridge)
-        cv_qb = regress_conditional(Scv, qb_carry, ridge)
-        if coef_phi_prev is None:
+        cv = regress_conditional(Scv, carry, ridge)
+        if coef_carry is None:
             # first backward step: bootstrap the prior from the same-step
             # carrier fit (one O(features/M) in-sample leak, then clean)
-            coef_phi_prev, coef_qb_prev = cv_phi.coef, cv_qb.coef
-        pred_zphi = basis.scenario_q_gradient(coef_phi_prev, qfk, mean_xk, mean_ak, quad_cv)[:, :, 0]
-        pred_zq = sq * basis.scenario_q_gradient(
-            coef_qb_prev, qfk, mean_xk, mean_ak, quad_cv
-        ).transpose(0, 2, 1)
-        hess_phi = basis.scenario_q_hessdiag(coef_phi_prev, d0, d, quad_cv)[:, 0]  # (d0,)
-        hess_qb = basis.scenario_q_hessdiag(coef_qb_prev, d0, d, quad_cv)  # (d0, d0)
+            coef_carry = cv.coef
+        grad = basis.scenario_q_gradient(coef_carry, qfk, mean_xk, mean_ak, quad_cv)
+        pred_zphi = grad[:, :, 0]
+        pred_zq = sq * grad[:, :, 1:].transpose(0, 2, 1)
+        hess = basis.scenario_q_hessdiag(coef_carry, d0, d, quad_cv)  # (d0, 1 + d0)
+        hess_phi, hess_qb = hess[:, 0], hess[:, 1:]
         pred_zw = (S @ coef_zw).reshape(m, d, d0) if coef_zw is not None else np.zeros((m, d, d0))
-        pred_zb = (
-            (Pd @ coef_zb).reshape(m, p, d, d)
-            if coef_zb is not None and coef_zb.shape[1] == Pd.shape[2]
-            else np.zeros((m, p, d, d))
-        )
+        pred_zb = (Pd @ coef_zb).reshape(m, p, d, d) if coef_zb is not None else np.zeros((m, p, d, d))
 
-        # (a) martingale integrands at k from the carrier next values
-        zphi_k = np.zeros((m, d0))
-        zq_k = np.zeros((m, d0, d0))
-        fit_zw = None
-        if consts.sigma0 > 0:
-            chi = (dW0k * dW0k - dt) / dt  # (M, d0), mean-zero given F_k
-            phi_resid = cv_phi.loo_residuals()  # keep each scenario's own signal
-            target = phi_resid[:, None] * dW0k / (sq * dt) - pred_zphi * chi
-            fit_zphi = regress_conditional(S, target, ridge)
-            zphi_k = fit_zphi.fitted
-            se_zphi[k] = float(np.sqrt(np.mean(fit_zphi.residuals**2) * S.shape[1] / m))
-            qb_resid = cv_qb.loo_residuals()
-            zq_target = qb_resid[:, :, None] * dW0k[:, None, :] / dt - pred_zq * chi[:, None, :]
-            fit_zq = regress_conditional(S, zq_target.reshape(m, d0 * d0), ridge)
-            zq_k = fit_zq.fitted.reshape(m, d0, d0)
-        Zphi[:, k] = zphi_k
-        Zq[:, k] = zq_k
-        u_resid = fit_cv.loo_residuals(u_carry)
-        zb_target = (u_resid[:, :, :, None] * dBk[:, :, None, :] / dt).reshape(m, p, d * d)
-        zb_coef = fit_d.coef(zb_target)
-        zb_k = (Pd @ zb_coef).reshape(m, p, d, d)
+        # (a) martingale integrands at k from the carrier next values; the
+        # three scenario-level targets share S and are fitted in one call
+        u_resid = regress_conditional(Pcv, u_carry, ridge).loo_residuals()
         zw_k = np.zeros((m, 1, d, d0))
         if consts.sigma0 > 0:
+            chi = (dW0k * dW0k - dt) / dt  # (M, d0), mean-zero given F_k
+            resid = cv.loo_residuals()  # keep each scenario's own signal
+            zphi_target = resid[:, :1] * dW0k / (sq * dt) - pred_zphi * chi
+            zq_target = resid[:, 1:, None] * dW0k[:, None, :] / dt - pred_zq * chi[:, None, :]
             zw_target = u_resid.mean(axis=1)[:, :, None] * dW0k[:, None, :] / dt - pred_zw * chi[:, None, :]
-            fit_zw = regress_conditional(S, zw_target.reshape(m, d * d0), ridge)
-            zw_k = fit_zw.fitted.reshape(m, 1, d, d0)
-        if compute_z:
-            Zt[k][:, :, :, :d] = zb_k
-            Zt[k][:, :, :, d:] = zw_k
+            z_targets = [zphi_target, zq_target.reshape(m, -1), zw_target.reshape(m, -1)]
+            fit_z = regress_conditional(S, np.concatenate(z_targets, axis=1), ridge)
+            Zphi[:, k] = fit_z.fitted[:, :d0]
+            se_zphi[k] = float(np.sqrt(np.mean(fit_z.residuals[:, :d0] ** 2) * S.shape[1] / m))
+            Zq[:, k] = fit_z.fitted[:, d0 : d0 + d0 * d0].reshape(m, d0, d0)
+            zw_k = fit_z.fitted[:, d0 + d0 * d0 :].reshape(m, 1, d, d0)
+            coef_zw = fit_z.coef[:, d0 + d0 * d0 :]
 
         # (b) invert the pair map at the current (state, Zphi) along the control
-        zk = zphi_k[:, None, :]
+        zk = Zphi[:, k][:, None, :]
         qfk_b = qfk[:, None, :]
         thF, thH = theta_inverse(primed, Xk, qfk_b, zk, ax_k, aq_k[:, None, :])
         thetaF_t[k] = thF
@@ -474,52 +427,51 @@ def solve_backward(
         # at step-k features, so the conditional expectation is exact and
         # only O(sqrt(dt)) target noise remains.  Exposed values fit in the
         # configured basis; carriers refit in the quadratic basis so
-        # curvature survives for the next integrand estimate.
+        # curvature survives for the next integrand estimate.  The particle
+        # integrand target shares Pd with the U target and rides along.
         feats_k = conditional_features(Xk, thF)
         drv_u = primed.Gp(Xk, qfk_b, thH, thF, zk, feats_k)
-        drv_phi = primed.LHp(qfk_b, thH, zk, feats_k)[:, 0] + lam * phi_carry
+        drv_phi = primed.LHp(qfk_b, thH, zk, feats_k)[:, 0] + lam * carry[:, 0]
         drv_qb = primed.Hzp(qfk_b, thH, zk, feats_k)[:, 0]
 
         mart_u = np.einsum("mpij,mpj->mpi", pred_zb, dBk) + np.einsum(
             "mij,mj->mi", pred_zw, dW0k
         )[:, None, :]
         target_u = u_carry + dt * drv_u - mart_u
-        u_coef = fit_d.coef(target_u)
-        Ut[k] = Pd @ u_coef
-        resid_u[k] = float(np.sqrt(np.mean((target_u - Ut[k]) ** 2)))
-        u_carry = Ut[k] if fit_cv is fit_d else fit_cv.fit(target_u)
+        zb_target = (u_resid[:, :, :, None] * dBk[:, :, None, :] / dt).reshape(m, p, d * d)
+        fit_u = regress_conditional(Pd, np.concatenate([target_u, zb_target], axis=2), ridge)
+        Ut[k] = fit_u.fitted[:, :, :d]
+        resid_u[k] = float(np.sqrt(np.mean(fit_u.residuals[:, :, :d] ** 2)))
+        coef_zb = fit_u.coef[:, :, d:]
+        if compute_z:
+            Zt[k][:, :, :, :d] = fit_u.fitted[:, :, d:].reshape(m, p, d, d)
+            Zt[k][:, :, :, d:] = zw_k
+        u_carry = Ut[k] if Pcv.shape[2] == Pd.shape[2] else regress_conditional(Pcv, target_u, ridge).fitted
 
         # chi-square (Ito-level) fluctuations subtracted with the prior
         # curvature: E[dW^2 - dt | F_k] = 0 keeps the targets unbiased
         chi_abs = dW0k * dW0k - dt  # (M, d0)
         target_phi = (
-            phi_carry
+            carry[:, 0]
             + dt * drv_phi
             - sq * np.einsum("mj,mj->m", pred_zphi, dW0k)
             - 0.5 * (2.0 * consts.sigma0) * chi_abs @ hess_phi
         )
-        fit_phi = regress_conditional(S, target_phi, ridge)
-        phi[:, k] = fit_phi.fitted
-        resid_phi[k] = float(np.sqrt(np.mean(fit_phi.residuals**2)))
-        carry_fit_phi = fit_phi if Scv is S else regress_conditional(Scv, target_phi, ridge)
-        phi_carry = carry_fit_phi.fitted
-
         target_qb = (
-            qb_carry
+            carry[:, 1:]
             + dt * drv_qb
             - np.einsum("mij,mj->mi", pred_zq, dW0k)
             - 0.5 * (2.0 * consts.sigma0) * chi_abs @ hess_qb
         )
-        fit_qb = regress_conditional(S, target_qb, ridge)
-        qb[:, k] = fit_qb.fitted
-        resid_qb[k] = float(np.sqrt(np.mean(fit_qb.residuals**2)))
-        carry_fit_qb = fit_qb if Scv is S else regress_conditional(Scv, target_qb, ridge)
-        qb_carry = carry_fit_qb.fitted
-
-        coef_phi_prev, coef_qb_prev = carry_fit_phi.coef, carry_fit_qb.coef
-        if fit_zw is not None:
-            coef_zw = fit_zw.coef
-        coef_zb = zb_coef
+        targets = np.column_stack([target_phi, target_qb])
+        fit_v = regress_conditional(S, targets, ridge)
+        phi[:, k] = fit_v.fitted[:, 0]
+        qb[:, k] = fit_v.fitted[:, 1:]
+        resid_phi[k] = float(np.sqrt(np.mean(fit_v.residuals[:, 0] ** 2)))
+        resid_qb[k] = float(np.sqrt(np.mean(fit_v.residuals[:, 1:] ** 2)))
+        fit_carry = fit_v if Scv is S else regress_conditional(Scv, targets, ridge)
+        carry = fit_carry.fitted
+        coef_carry = fit_carry.coef
 
     state = EnsembleState(X=X, U=U, qf=qf, qb=qb, phi=phi, Zphi=Zphi, Zq=Zq, Z=Z)
     if not (

@@ -471,8 +471,6 @@ def estimate_decoupling_lipschitz(
     Lipschitz constants of the decoupling field in the state (x-shift), the
     major state (q-shift) and the law (spread scaling) directions.
     """
-    from dataclasses import replace as _replace
-
     from .extragradient import run_extragradient
     from .solver import InitialCondition
 

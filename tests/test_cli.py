@@ -157,8 +157,14 @@ def test_cli_main_bad_config_exit_one(tmp_path):
         ("extragradient", "n_max", 0, [], "extragradient.n_max must be >= 1"),
         ("extragradient", "probes", 1, [], "extragradient.probes must be >= 2"),
         (None, "grid", 5, [], "grid must be an object"),
+        ("model", "params", 5, [], "model.params has wrong type int"),
+        ("model", "params", {"c1": "x"}, [], "model.params.c1 must be a real number, got 'x'"),
+        ("model", "params", {"c1": True}, [], "model.params.c1 must be a real number, got True"),
     ],
-    ids=["seed-flag", "seed-config", "ridge", "safety", "safety-zero", "n_max", "probes", "section"],
+    ids=[
+        "seed-flag", "seed-config", "ridge", "safety", "safety-zero", "n_max", "probes", "section",
+        "params-object", "params-string", "params-bool",
+    ],
 )
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key, value, args, message):
     data = json.loads(json.dumps(FAST_LQ))

@@ -2,6 +2,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from majorminor.ensembles import ControlField, conditional_features
 from majorminor.errors import RegressionError, SimulationError
@@ -98,6 +100,72 @@ def test_regress_rank_deficient_without_ridge():
         regress_conditional(design, np.ones(8), ridge=0.0)
     fit = regress_conditional(design, np.ones(8), ridge=1e-8)
     assert np.allclose(fit.fitted, 1.0, atol=1e-6)
+
+
+def random_problem(seed, batch, n, k, r):
+    """Constant column plus Gaussian features, and r Gaussian targets."""
+    rng = np.random.default_rng(seed)
+    design = np.concatenate([np.ones((*batch, n, 1)), rng.standard_normal((*batch, n, k - 1))], axis=-1)
+    return design, rng.standard_normal((*batch, n, r))
+
+
+fit_shapes = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 30),
+    k=st.integers(1, 4),
+    r=st.integers(1, 3),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.integers(1, 4), ridge=st.sampled_from([0.0, 1e-8, 1e-2]), **fit_shapes)
+def test_regress_batched_equals_loop_of_fits(seed, batch, n, k, r, ridge):
+    design, targets = random_problem(seed, (batch,), n, k, r)
+    fit = regress_conditional(design, targets, ridge)
+    loo = fit.loo_residuals()
+    for b in range(batch):
+        one = regress_conditional(design[b], targets[b], ridge)
+        np.testing.assert_allclose(fit.coef[b], one.coef, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(fit.fitted[b], one.fitted, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(loo[b], one.loo_residuals(), rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ridge=st.sampled_from([0.0, 1e-8, 1e-2]), **fit_shapes)
+def test_regress_stacked_columns_equal_single_fits(seed, n, k, r, ridge):
+    design, targets = random_problem(seed, (), n, k, r)
+    fit = regress_conditional(design, targets, ridge)
+    loo = fit.loo_residuals()
+    for j in range(r):
+        one = regress_conditional(design, targets[:, j], ridge)
+        assert one.coef.shape == (k,) and one.residuals.shape == (n,)
+        np.testing.assert_allclose(fit.coef[:, j], one.coef, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(fit.residuals[:, j], one.residuals, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(loo[:, j], one.loo_residuals(), rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**fit_shapes)
+def test_regress_loo_matches_brute_force_without_ridge(seed, n, k, r):
+    design, targets = random_problem(seed, (), n, k, r)
+    loo = regress_conditional(design, targets, ridge=0.0).loo_residuals()
+    leverage = np.einsum("nk,kn->n", design, np.linalg.pinv(design))
+    for i in np.nonzero(leverage < 0.8)[0]:
+        rest = np.arange(n) != i
+        held_out = regress_conditional(design[rest], targets[rest], ridge=0.0)
+        np.testing.assert_allclose(loo[i], targets[i] - held_out(design[i]), rtol=1e-7, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.integers(1, 3), ridge=st.sampled_from([0.0, 1e-8, 1e-2]), **fit_shapes)
+def test_regress_equivariant_under_row_permutation(seed, batch, n, k, r, ridge):
+    design, targets = random_problem(seed, (batch,), n, k, r)
+    perm = np.random.default_rng(seed + 1).permutation(n)
+    fit = regress_conditional(design, targets, ridge)
+    moved = regress_conditional(design[:, perm], targets[:, perm], ridge)
+    np.testing.assert_allclose(moved.coef, fit.coef, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(moved.fitted, fit.fitted[:, perm], rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(moved.loo_residuals(), fit.loo_residuals()[:, perm], rtol=1e-9, atol=1e-12)
 
 
 def test_zero_model_solve_all_zero():
