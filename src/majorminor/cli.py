@@ -1,23 +1,29 @@
 """Command-line entry points: solve, verify, converge, sigma-sweep, oracle.
 
-Configuration is a JSON document with a strict schema: unknown keys are
-rejected (with a suggestion), all violations are reported at once, and every
-run writes a manifest echoing the config, the seed, and a checksum of each
-emitted file.  Re-running a manifest's config and seed reproduces the CSV
-bodies byte for byte: all randomness is derived from the seed, floats are
-written with 17 significant digits, and iteration tables carry no wall-clock
-columns except the explicitly labelled seconds column of the solve report.
+Configuration is a JSON document checked against one table, `_TABLE`, that
+gives each key its default, its accepted types and its range requirement.
+Unknown keys are rejected (with a suggestion), and all violations are
+reported at once, before any output directory exists.  Every command gets
+its output directory from `_run_dir`, which writes `manifest.json` echoing
+the config, the seed, and a checksum of each emitted file.  Re-running a
+manifest's config and seed reproduces the CSV bodies byte for byte: all
+randomness is derived from the seed, floats are written with 17 significant
+digits, and iteration tables carry no wall-clock columns except the
+explicitly labelled seconds column of the solve report.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import difflib
 import hashlib
 import json
 import math
+import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,68 +59,64 @@ from .verification import (
 
 __all__ = ["RunConfig", "RunManifest", "parse_config", "run_solve", "run_sigma_sweep", "main"]
 
-_SCHEMA = {
-    "model": {"kind": str, "params": dict},
-    "constants": {"sigma": float, "sigma0": float, "discount": float, "clamp_m": (float, type(None))},
-    "grid": {"horizon": float, "steps": int},
-    "ensemble": {"scenarios": int, "particles": int},
-    "init": {"x_mean": float, "x_std": float, "q0": float, "q0_std": float},
-    "basis": {"quadratic": bool, "ridge": float},
-    "extragradient": {
-        "gamma": (float, type(None)),
-        "n_max": int,
-        "tol": float,
-        "a_scale": float,
-        "safety": float,
-        "probes": int,
-        "track_oracle": bool,
+
+def _real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_NONNEG = (">= 0", lambda v: v >= 0)
+_POSITIVE = ("positive", lambda v: v > 0)
+_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+_NONNEG_LIST = ("a list of reals >= 0", lambda v: all(_real(x) and x >= 0 for x in v))
+_POSITIVE_LIST = ("a list of positive reals", lambda v: all(_real(x) and x > 0 for x in v))
+
+# The one definition of a valid config.  A leaf is (default, accepted types,
+# requirement or None); a nested dict is a section.  A requirement is
+# (text, predicate) and judges the given value unless it is None or of a
+# wrong type (see `_complete`).
+_TABLE = {
+    "model": {"kind": ("lq", str, None), "params": ({}, dict, None)},
+    "constants": {
+        "sigma": (0.5, float, _NONNEG),
+        "sigma0": (0.5, float, _NONNEG),
+        "discount": (0.0, float, _NONNEG),
+        "clamp_m": (None, (float, type(None)), _POSITIVE),
     },
-    "verification": {"samples": int, "pairs": int, "region_radius": float},
-    "sweep": {"sigma0": list, "horizons": list, "workers": int, "picard_sweeps": int},
-    "seed": int,
-    "output_dir": str,
+    "grid": {"horizon": (1.0, float, _POSITIVE), "steps": (50, int, _AT_LEAST_1)},
+    "ensemble": {"scenarios": (32, int, _AT_LEAST_1), "particles": (500, int, _AT_LEAST_1)},
+    "init": {
+        "x_mean": (1.0, float, None),
+        "x_std": (0.3, float, _NONNEG),
+        "q0": (1.0, float, None),
+        "q0_std": (0.1, float, _NONNEG),
+    },
+    "basis": {"quadratic": (False, bool, None), "ridge": (1e-8, float, _NONNEG)},
+    "extragradient": {
+        "gamma": (None, (float, type(None)), _POSITIVE),
+        "n_max": (60, int, _AT_LEAST_1),
+        "tol": (1e-6, float, _NONNEG),
+        "a_scale": (1.0, float, _POSITIVE),
+        "safety": (0.5, float, _POSITIVE),
+        "probes": (4, int, (">= 2", lambda v: v >= 2)),
+        "track_oracle": (True, bool, None),
+    },
+    "verification": {
+        "samples": (200, int, _AT_LEAST_1),
+        "pairs": (20, int, _AT_LEAST_1),
+        "region_radius": (3.0, float, _POSITIVE),
+    },
+    "sweep": {
+        "sigma0": ([0.5], list, _NONNEG_LIST),
+        "horizons": ([1.0], list, _POSITIVE_LIST),
+        "workers": (1, int, _AT_LEAST_1),
+        "picard_sweeps": (25, int, _AT_LEAST_1),
+    },
+    "seed": (1234, int, ("in [0, 2**64)", lambda v: 0 <= v < 2**64)),
+    "output_dir": ("out", str, None),
 }
 
+# model.params echoes only the keys it is given, so it has no defaults here
 _LQ_KEYS = {"c1", "c2", "c3", "g1", "g2", "b", "r1", "r2", "p1", "p2"}
-
-# (section, key, requirement, predicate) checked after defaults are merged;
-# a value of the wrong type is already reported and skipped here
-_RANGES = [
-    ("grid", "steps", ">= 1", lambda v: v >= 1),
-    ("grid", "horizon", "positive", lambda v: v > 0),
-    ("ensemble", "scenarios", ">= 1", lambda v: v >= 1),
-    ("ensemble", "particles", ">= 1", lambda v: v >= 1),
-    ("constants", "sigma", ">= 0", lambda v: v >= 0),
-    ("constants", "sigma0", ">= 0", lambda v: v >= 0),
-    ("basis", "ridge", ">= 0", lambda v: v >= 0),
-    ("extragradient", "gamma", "positive", lambda v: v > 0),
-    ("extragradient", "n_max", ">= 1", lambda v: v >= 1),
-    ("extragradient", "safety", "positive", lambda v: v > 0),
-    ("extragradient", "probes", ">= 2", lambda v: v >= 2),
-    (None, "seed", "in [0, 2**64)", lambda v: 0 <= v < 2**64),
-]
-
-_DEFAULTS = {
-    "model": {"kind": "lq", "params": {}},
-    "constants": {"sigma": 0.5, "sigma0": 0.5, "discount": 0.0, "clamp_m": None},
-    "grid": {"horizon": 1.0, "steps": 50},
-    "ensemble": {"scenarios": 32, "particles": 500},
-    "init": {"x_mean": 1.0, "x_std": 0.3, "q0": 1.0, "q0_std": 0.1},
-    "basis": {"quadratic": False, "ridge": 1e-8},
-    "extragradient": {
-        "gamma": None,
-        "n_max": 60,
-        "tol": 1e-6,
-        "a_scale": 1.0,
-        "safety": 0.5,
-        "probes": 4,
-        "track_oracle": True,
-    },
-    "verification": {"samples": 200, "pairs": 20, "region_radius": 3.0},
-    "sweep": {"sigma0": [0.5], "horizons": [1.0], "workers": 1, "picard_sweeps": 25},
-    "seed": 1234,
-    "output_dir": "out",
-}
 
 
 @dataclass
@@ -131,26 +133,47 @@ class RunConfig:
         return int(self.data["seed"])
 
 
+def _accepts(types, value) -> bool:
+    types = types if isinstance(types, tuple) else (types,)
+    if isinstance(value, bool):
+        return bool in types
+    return isinstance(value, types) or (float in types and isinstance(value, int))
+
+
 def _suggest(key: str, candidates) -> str:
     match = difflib.get_close_matches(key, list(candidates), n=1)
     return f" (did you mean {match[0]!r}?)" if match else ""
 
 
-def _check_section(name: str, value: dict, schema: dict, violations: list):
-    for key, sub in value.items():
-        if key not in schema:
-            violations.append(f"unknown key {name}.{key}{_suggest(key, schema)}")
-            continue
-        expected = schema[key]
-        if isinstance(expected, dict):
-            if not isinstance(sub, dict):
-                violations.append(f"{name}.{key} must be an object")
-            continue
-        types = expected if isinstance(expected, tuple) else (expected,)
-        if float in types and isinstance(sub, int) and not isinstance(sub, bool):
-            continue
-        if not isinstance(sub, types) or (isinstance(sub, bool) and bool not in types):
-            violations.append(f"{name}.{key} has wrong type {type(sub).__name__}")
+def _complete(given: dict, table: dict, prefix: str, violations: list) -> dict:
+    """The defaults of `table` overridden by `given`, whose keys are checked
+    in document order; violations are appended to `violations`."""
+    out = {
+        key: _complete({}, spec, "", violations) if isinstance(spec, dict) else copy.deepcopy(spec[0])
+        for key, spec in table.items()
+    }
+    for key, value in given.items():
+        name = prefix + key
+        spec = table.get(key)
+        if spec is None:
+            violations.append(f"unknown key {name}{_suggest(key, table)}")
+        elif isinstance(spec, dict):
+            if isinstance(value, dict):
+                out[key] = _complete(value, spec, name + ".", violations)
+            else:
+                violations.append(f"{name} must be an object")
+        else:
+            _, types, requirement = spec
+            out[key] = value
+            accepted = _accepts(types, value)
+            if not accepted:
+                violations.append(f"{name} has wrong type {type(value).__name__}")
+            # a number given to a numeric key is judged even when it has the
+            # wrong type (2.5 for an int), so both faults are listed
+            judged = value is not None and (accepted or (_real(value) and _accepts(types, 1)))
+            if requirement is not None and judged and not requirement[1](value):
+                violations.append(f"{name} must be {requirement[0]}, got {value!r}")
+    return out
 
 
 def parse_config(text: str | dict, seed: int | None = None) -> RunConfig:
@@ -167,34 +190,13 @@ def parse_config(text: str | dict, seed: int | None = None) -> RunConfig:
             raise ConfigurationError([f"config is not valid JSON: {exc}"]) from None
     else:
         raw = text
-    violations: list[str] = []
     if not isinstance(raw, dict):
         raise ConfigurationError(["config must be a JSON object"])
     if seed is not None:
         raw = {**raw, "seed": seed}
-    for key, value in raw.items():
-        if key not in _SCHEMA:
-            violations.append(f"unknown key {key}{_suggest(key, _SCHEMA)}")
-            continue
-        expected = _SCHEMA[key]
-        if isinstance(expected, dict):
-            if isinstance(value, dict):
-                _check_section(key, value, expected, violations)
-            else:
-                violations.append(f"{key} must be an object")
-        else:
-            types = expected if isinstance(expected, tuple) else (expected,)
-            if not isinstance(value, types) or isinstance(value, bool):
-                violations.append(f"{key} has wrong type {type(value).__name__}")
-
-    merged = json.loads(json.dumps(_DEFAULTS))
-    for key, value in raw.items():
-        if key in merged and isinstance(merged[key], dict) and isinstance(value, dict):
-            merged[key].update(value)
-        elif key in merged and not isinstance(merged[key], dict):
-            merged[key] = value
-
-    model = merged["model"]
+    violations: list[str] = []
+    data = _complete(raw, _TABLE, "", violations)
+    model = data["model"]
     if model["kind"] not in ("lq", "zero"):
         violations.append(f"model.kind must be 'lq' or 'zero', got {model['kind']!r}")
     # a non-object params is already reported as a wrong type
@@ -202,16 +204,11 @@ def parse_config(text: str | dict, seed: int | None = None) -> RunConfig:
     for key, value in params.items():
         if key not in _LQ_KEYS:
             violations.append(f"unknown key model.params.{key}{_suggest(key, _LQ_KEYS)}")
-        elif not isinstance(value, (int, float)) or isinstance(value, bool):
+        elif not _real(value):
             violations.append(f"model.params.{key} must be a real number, got {value!r}")
-    for section, key, requirement, holds in _RANGES:
-        value = merged[section][key] if section else merged[key]
-        if isinstance(value, (int, float)) and not isinstance(value, bool) and not holds(value):
-            name = f"{section}.{key}" if section else key
-            violations.append(f"{name} must be {requirement}, got {value!r}")
     if violations:
         raise ConfigurationError(violations)
-    return RunConfig(data=merged)
+    return RunConfig(data=data)
 
 
 @dataclass
@@ -295,79 +292,90 @@ def _extragradient_config(config: RunConfig) -> ExtragradientConfig:
     )
 
 
+@contextmanager
+def _run_dir(config: RunConfig, out_dir: str | Path | None):
+    """The output directory of one command, yielded with the list the command
+    appends its emitted files to; on success `manifest.json` is written with
+    a checksum of each of them."""
+    out = Path(out_dir if out_dir is not None else config["output_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = RunManifest(
+        config=config.data, version=__version__, seed=config.seed,
+        started_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
+    )
+    emitted: list[Path] = []
+    yield out, emitted
+    manifest.finished_at = time.strftime("%Y-%m-%dT%H:%M:%S")
+    for path in emitted:
+        manifest.add_file(path)
+    manifest.write(out / "manifest.json")
+
+
+def _lq_monotonicity(data: dict, params: LQParams, constants: ModelConstants):
+    return lq_monotonicity_data(
+        params, constants, a_scale=data["extragradient"]["a_scale"],
+        region_radius=data["verification"]["region_radius"],
+    )
+
+
 def run_solve(config: RunConfig, out_dir: str | Path | None = None, dump_ensemble: bool = False) -> int:
     """Drive the full pipeline for one instance and write artifacts.
 
     Exit status: 0 when the final residual is at or below tolerance, 2 on a
     divergence report, 1 is reserved for errors (raised to the caller).
     """
-    data = config.data
-    out = Path(out_dir if out_dir is not None else data["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        config=data, version=__version__, seed=config.seed,
-        started_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
-    )
-    op, grid, noise, init, cs, params, constants = build_problem(config)
-    eg_config = _extragradient_config(config)
+    with _run_dir(config, out_dir) as (out, emitted):
+        op, grid, noise, init, cs, params, constants = build_problem(config)
+        eg_config = _extragradient_config(config)
 
-    reference_control = None
-    if params is not None and data["extragradient"]["track_oracle"] and constants.sigma0 > 0:
-        try:
-            sol = riccati_oracle(params, constants, grid)
-            reference_control, _ = oracle_induced_control(sol, cs, grid, noise, init)
-        except MajorMinorError:
-            reference_control = None
+        reference_control = None
+        if params is not None and config["extragradient"]["track_oracle"] and constants.sigma0 > 0:
+            try:
+                sol = riccati_oracle(params, constants, grid)
+                reference_control, _ = oracle_induced_control(sol, cs, grid, noise, init)
+            except MajorMinorError:
+                reference_control = None
 
-    if eg_config.gamma is None:
-        L_hat = estimate_lipschitz_v(op, eg_config.probes, eg_config.probe_seed)
-    else:
-        L_hat = None
-    report = run_extragradient(
-        op.zero(), eg_config, op, reference_control=reference_control, lipschitz_hint=L_hat
-    )
-
-    iter_path = out / "iterations.csv"
-    write_csv(
-        iter_path,
-        ["n", "residual", "dist_to_oracle", "gamma", "seconds"],
-        report.iteration_rows(),
-    )
-    report_path = out / "report.json"
-    report_path.write_text(report.to_json() + "\n")
-
-    solve = op.last_solve
-    snap_rows = []
-    st = solve.state
-    mean_u0 = st.U[:, :, 0, 0].mean(axis=1)
-    mean_x0 = st.X[:, :, 0, 0].mean(axis=1)
-    for j in range(st.phi.shape[0]):
-        snap_rows.append(
-            (j, st.qf[j, 0, 0], mean_x0[j], st.phi[j, 0], st.Zphi[j, 0, 0], st.qb[j, 0, 0], mean_u0[j])
+        L_hat = estimate_lipschitz_v(op, eg_config.probes) if eg_config.gamma is None else None
+        report = run_extragradient(
+            op.zero(), eg_config, op, reference_control=reference_control, lipschitz_hint=L_hat
         )
-    snap_path = out / "snapshot.csv"
-    write_csv(
-        snap_path,
-        ["scenario", "q0", "mean_x0", "phi0", "zphi0", "qb0", "mean_u0"],
-        snap_rows,
-    )
-    emitted = [iter_path, report_path, snap_path]
 
-    if dump_ensemble:
-        rows = []
-        m, p, n1, _ = st.X.shape
-        for j in range(m):
-            for i in range(p):
-                for k in range(n1):
-                    rows.append((j, i, grid.nodes[k], st.X[j, i, k, 0], st.U[j, i, k, 0]))
-        dump_path = out / "ensemble.csv"
-        write_csv(dump_path, ["scenario", "particle", "t", "X", "U"], rows)
-        emitted.append(dump_path)
+        iter_path = out / "iterations.csv"
+        write_csv(
+            iter_path,
+            ["n", "residual", "dist_to_oracle", "gamma", "seconds"],
+            report.iteration_rows(),
+        )
+        report_path = out / "report.json"
+        report_path.write_text(report.to_json() + "\n")
 
-    manifest.finished_at = time.strftime("%Y-%m-%dT%H:%M:%S")
-    for path in emitted:
-        manifest.add_file(path)
-    manifest.write(out / "manifest.json")
+        snap_rows = []
+        st = op.last_solve.state
+        mean_u0 = st.U[:, :, 0, 0].mean(axis=1)
+        mean_x0 = st.X[:, :, 0, 0].mean(axis=1)
+        for j in range(st.phi.shape[0]):
+            snap_rows.append(
+                (j, st.qf[j, 0, 0], mean_x0[j], st.phi[j, 0], st.Zphi[j, 0, 0], st.qb[j, 0, 0], mean_u0[j])
+            )
+        snap_path = out / "snapshot.csv"
+        write_csv(
+            snap_path,
+            ["scenario", "q0", "mean_x0", "phi0", "zphi0", "qb0", "mean_u0"],
+            snap_rows,
+        )
+        emitted += [iter_path, report_path, snap_path]
+
+        if dump_ensemble:
+            rows = []
+            m, p, n1, _ = st.X.shape
+            for j in range(m):
+                for i in range(p):
+                    for k in range(n1):
+                        rows.append((j, i, grid.nodes[k], st.X[j, i, k, 0], st.U[j, i, k, 0]))
+            dump_path = out / "ensemble.csv"
+            write_csv(dump_path, ["scenario", "particle", "t", "X", "U"], rows)
+            emitted.append(dump_path)
 
     if report.diverged:
         return 2
@@ -394,10 +402,7 @@ def _sweep_cell(args):
     try:
         op, grid, noise, init, cs, params, constants = build_problem(config)
         if params is not None:
-            mono = lq_monotonicity_data(
-                params, constants, a_scale=data["extragradient"]["a_scale"],
-                region_radius=data["verification"]["region_radius"],
-            )
+            mono = _lq_monotonicity(data, params, constants)
             if mono.kappa > 0 and mono.beta0 > 0:
                 thresholds = compute_thresholds(mono, constants.discount, grid.horizon)
                 row["sigma0_T"] = thresholds.sigma0_T
@@ -410,9 +415,8 @@ def _sweep_cell(args):
         )
         row["eg_residual"] = report.residuals[-1] if report.residuals else float("nan")
         row["lambda_hat"] = report.lambda_hat if report.lambda_hat is not None else float("nan")
-        basis = RegressionBasis(quadratic=data["basis"]["quadratic"], ridge=data["basis"]["ridge"])
         pic = picard_solve(
-            split_q(cs), grid, noise, init, basis,
+            op.primed, grid, noise, init, op.basis,
             tol=eg_config.tol, max_iter=data["sweep"]["picard_sweeps"],
         )
         row["picard_converged"] = int(pic.converged)
@@ -426,101 +430,88 @@ def run_sigma_sweep(config: RunConfig, out_dir: str | Path | None = None) -> int
     """Volatility x horizon sweep; individual cell failures are recorded and
     the sweep continues."""
     data = config.data
-    out = Path(out_dir if out_dir is not None else data["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     cells = [
         (data, s, t, i, j)
         for i, s in enumerate(data["sweep"]["sigma0"])
         for j, t in enumerate(data["sweep"]["horizons"])
     ]
-    workers = int(data["sweep"].get("workers", 1))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    # a pool starts all its workers at once, so start no more than can be busy
+    workers = min(data["sweep"]["workers"], len(cells), os.cpu_count() or 1)
+    with _run_dir(config, out_dir) as (out, emitted):
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
-    else:
-        rows = [_sweep_cell(cell) for cell in cells]
-    header = [
-        "sigma0", "horizon", "seed", "sigma0_T", "sigma0_star", "eg_converged",
-        "eg_residual", "lambda_hat", "picard_converged", "picard_diverged", "error",
-    ]
-    path = out / "sweep.csv"
-    write_csv(path, header, [[row[h] for h in header] for row in rows])
-    manifest = RunManifest(
-        config=data, version=__version__, seed=config.seed,
-        started_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
-        finished_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
-    )
-    manifest.add_file(path)
-    manifest.write(out / "manifest.json")
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(_sweep_cell, cells))
+        else:
+            rows = [_sweep_cell(cell) for cell in cells]
+        header = [
+            "sigma0", "horizon", "seed", "sigma0_T", "sigma0_star", "eg_converged",
+            "eg_residual", "lambda_hat", "picard_converged", "picard_diverged", "error",
+        ]
+        path = out / "sweep.csv"
+        write_csv(path, header, [[row[h] for h in header] for row in rows])
+        emitted.append(path)
     return 0
 
 
 def run_verify(config: RunConfig, out_dir: str | Path | None = None) -> int:
     """Full certification battery on the configured instance."""
     data = config.data
-    out = Path(out_dir if out_dir is not None else data["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    op, grid, noise, init, cs, params, constants = build_problem(config)
-    samples = data["verification"]["samples"]
-    pairs = data["verification"]["pairs"]
-    seed = config.seed
-    reports = []
-    if params is not None:
-        mono = lq_monotonicity_data(
-            params, constants, a_scale=data["extragradient"]["a_scale"],
-            region_radius=data["verification"]["region_radius"],
-        )
-        beta0 = mono.beta0 if mono.beta0 > 0 else 0.05
-        reports.append(check_terminal_monotonicity(cs, mono.A, beta0, samples=samples, seed=seed))
-        reports.append(check_coefficient_monotonicity(cs, mono.A, samples=samples, seed=seed))
-        if mono.kappa > 0:
-            reports.append(
-                check_coefficient_monotonicity(
-                    cs, mono.A, samples=samples, seed=seed, z_pairs=True,
-                    kappa=mono.kappa, slack=(mono.C_M, mono.K),
-                )
-            )
-            thresholds = compute_thresholds(mono, constants.discount, grid.horizon)
-        else:
-            thresholds = None
-    else:
+    with _run_dir(config, out_dir) as (out, emitted):
+        op, grid, noise, init, cs, params, constants = build_problem(config)
+        samples = data["verification"]["samples"]
+        pairs = data["verification"]["pairs"]
+        seed = config.seed
+        reports = []
         thresholds = None
-    reports.append(check_v_monotonicity(op, pairs=pairs, seed=seed))
+        if params is not None:
+            mono = _lq_monotonicity(data, params, constants)
+            beta0 = mono.beta0 if mono.beta0 > 0 else 0.05
+            reports.append(check_terminal_monotonicity(cs, mono.A, beta0, samples=samples, seed=seed))
+            reports.append(check_coefficient_monotonicity(cs, mono.A, samples=samples, seed=seed))
+            if mono.kappa > 0:
+                reports.append(
+                    check_coefficient_monotonicity(
+                        cs, mono.A, samples=samples, seed=seed, z_pairs=True,
+                        kappa=mono.kappa, slack=(mono.C_M, mono.K),
+                    )
+                )
+                thresholds = compute_thresholds(mono, constants.discount, grid.horizon)
+        reports.append(check_v_monotonicity(op, pairs=pairs, seed=seed))
 
-    eg_config = _extragradient_config(config)
-    report = run_extragradient(op.zero(), eg_config, op)
-    solve = op.last_solve
-    if params is not None and constants.sigma0 > 0:
-        sol = riccati_oracle(params, constants, grid)
-        st = solve.state
-        lip = 0.0
-        for k in range(grid.steps):
-            _, _, z_ref = eval_oracle_field(
-                sol, grid.nodes[k], 0.0, st.qf[:, k, 0], st.X[:, :, k, 0].mean(axis=1)
-            )
-            lip = max(lip, float(np.max(np.abs(z_ref))))
-        reports.append(check_z_bound(solve, lip))
-        residual_scale = max(2.0 * report.residuals[-1], 1e-8) if report.residuals else 1e-8
-        reports.append(check_pontryagin_residual(solve, cs, grid, tol_disc=max(residual_scale, 0.05)))
+        eg_config = _extragradient_config(config)
+        report = run_extragradient(op.zero(), eg_config, op)
+        solve = op.last_solve
+        if params is not None and constants.sigma0 > 0:
+            sol = riccati_oracle(params, constants, grid)
+            st = solve.state
+            lip = 0.0
+            for k in range(grid.steps):
+                _, _, z_ref = eval_oracle_field(
+                    sol, grid.nodes[k], 0.0, st.qf[:, k, 0], st.X[:, :, k, 0].mean(axis=1)
+                )
+                lip = max(lip, float(np.max(np.abs(z_ref))))
+            reports.append(check_z_bound(solve, lip))
+            residual_scale = max(2.0 * report.residuals[-1], 1e-8) if report.residuals else 1e-8
+            reports.append(check_pontryagin_residual(solve, cs, grid, tol_disc=max(residual_scale, 0.05)))
 
-    lines = []
+        payload = {
+            "reports": [json.loads(rep.to_json()) for rep in reports],
+            "thresholds": None
+            if thresholds is None
+            else {
+                "gamma_star": thresholds.gamma_star,
+                "sigma0_T": thresholds.sigma0_T,
+                "sigma0_star": thresholds.sigma0_star,
+                "branch": thresholds.branch,
+            },
+        }
+        path = out / "certification.json"
+        path.write_text(json.dumps(payload, indent=2) + "\n")
+        emitted.append(path)
     for rep in reports:
-        lines.append(f"{'PASS' if rep.passed else 'FAIL'} {rep.name}: margin={rep.margin:.6g} se={rep.se:.6g}")
-    payload = {
-        "reports": [json.loads(rep.to_json()) for rep in reports],
-        "thresholds": None
-        if thresholds is None
-        else {
-            "gamma_star": thresholds.gamma_star,
-            "sigma0_T": thresholds.sigma0_T,
-            "sigma0_star": thresholds.sigma0_star,
-            "branch": thresholds.branch,
-        },
-    }
-    (out / "certification.json").write_text(json.dumps(payload, indent=2) + "\n")
-    print("\n".join(lines))
+        print(f"{'PASS' if rep.passed else 'FAIL'} {rep.name}: margin={rep.margin:.6g} se={rep.se:.6g}")
     return 0 if all(rep.passed for rep in reports) else 2
 
 
@@ -530,42 +521,35 @@ def run_converge(config: RunConfig, out_dir: str | Path | None = None) -> int:
     data = config.data
     if data["model"]["kind"] != "lq":
         raise ConfigurationError(["converge study needs the lq model"])
-    out = Path(out_dir if out_dir is not None else data["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for level in range(3):
-        scaled = json.loads(json.dumps(data))
-        scaled["grid"]["steps"] = data["grid"]["steps"] * 2**level
-        scaled["ensemble"]["particles"] = data["ensemble"]["particles"] * 2**level
-        config_l = RunConfig(data=scaled)
-        op, grid, noise, init, cs, params, constants = build_problem(config_l)
-        sol = riccati_oracle(params, constants, grid)
-        alpha_star, _ = oracle_induced_control(sol, cs, grid, noise, init)
-        v_star = op(alpha_star)
-        rows.append((level, grid.steps, scaled["ensemble"]["particles"], op.norm(v_star)))
-    path = out / "convergence.csv"
-    write_csv(path, ["level", "steps", "particles", "residual_at_oracle"], rows)
+    with _run_dir(config, out_dir) as (out, emitted):
+        rows = []
+        for level in range(3):
+            scaled = json.loads(json.dumps(data))
+            scaled["grid"]["steps"] = data["grid"]["steps"] * 2**level
+            scaled["ensemble"]["particles"] = data["ensemble"]["particles"] * 2**level
+            op, grid, noise, init, cs, params, constants = build_problem(RunConfig(data=scaled))
+            sol = riccati_oracle(params, constants, grid)
+            alpha_star, _ = oracle_induced_control(sol, cs, grid, noise, init)
+            v_star = op(alpha_star)
+            rows.append((level, grid.steps, scaled["ensemble"]["particles"], op.norm(v_star)))
+        path = out / "convergence.csv"
+        write_csv(path, ["level", "steps", "particles", "residual_at_oracle"], rows)
+        emitted.append(path)
     print(f"wrote {path}")
     return 0
 
 
 def run_oracle(config: RunConfig, out_dir: str | Path | None = None) -> int:
     """Export the baseline field coefficients."""
-    data = config.data
-    if data["model"]["kind"] != "lq":
+    if config["model"]["kind"] != "lq":
         raise ConfigurationError(["oracle export needs the lq model"])
-    out = Path(out_dir if out_dir is not None else data["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    _, grid, _, _, cs, params, constants = build_problem(config)
-    sol = riccati_oracle(params, constants, grid)
-    rows = [
-        (t, a, b_u, c_u, k2, k12, kc)
-        for t, a, b_u, c_u, k2, k12, kc in zip(
-            sol.times, sol.a, sol.b_u, sol.c_u, sol.k2, sol.k12, sol.kc
-        )
-    ]
-    path = out / "oracle.csv"
-    write_csv(path, ["t", "a", "b_u", "c_u", "k2", "k12", "kc"], rows)
+    with _run_dir(config, out_dir) as (out, emitted):
+        _, grid, _, _, cs, params, constants = build_problem(config)
+        sol = riccati_oracle(params, constants, grid)
+        rows = zip(sol.times, sol.a, sol.b_u, sol.c_u, sol.k2, sol.k12, sol.kc)
+        path = out / "oracle.csv"
+        write_csv(path, ["t", "a", "b_u", "c_u", "k2", "k12", "kc"], rows)
+        emitted.append(path)
     print(f"wrote {path}")
     return 0
 

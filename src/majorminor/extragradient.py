@@ -41,6 +41,11 @@ __all__ = [
     "estimate_lipschitz_v",
 ]
 
+_PROBE_SEED = 123
+# a run whose residual grew by this factor over this many iterations diverged
+_DIVERGENCE_FACTOR = 10.0
+_DIVERGENCE_WINDOW = 5
+
 
 @dataclass
 class ExtragradientConfig:
@@ -50,8 +55,8 @@ class ExtragradientConfig:
     geometric-rate regime additionally wants gamma < min(1/(2 L), eta/L^2)
     for the true constants L and eta.  The runner cannot know them and does
     not check the step against them; a step that is too large shows only as
-    a divergence report: the residual grew by `divergence_factor` over
-    `divergence_window` iterations, or the iterates left the finite range.
+    a divergence report: the residual grew tenfold over five iterations, or
+    the iterates left the finite range.
     """
 
     gamma: float | None = None
@@ -60,9 +65,6 @@ class ExtragradientConfig:
     averaging: bool = True
     safety: float = 0.5
     probes: int = 4
-    probe_seed: int = 123
-    divergence_factor: float = 10.0
-    divergence_window: int = 5
 
     def __post_init__(self):
         if self.gamma is not None and not (self.gamma > 0):
@@ -86,7 +88,6 @@ class FbsdeOperator:
         init: InitialCondition,
         basis: RegressionBasis,
         A: np.ndarray | None = None,
-        compute_z: bool = False,
     ):
         self.primed = primed
         self.grid = grid
@@ -95,14 +96,13 @@ class FbsdeOperator:
         self.basis = basis
         d0 = init.q0.shape[1]
         self.A = np.atleast_2d(A) if A is not None else np.eye(d0)
-        self.compute_z = compute_z
         self.last_solve: SolveOutput | None = None
         self.evaluations = 0
 
     def __call__(self, control: ControlField) -> ControlField:
         solve = decoupled_solve(
             control, self.primed, self.noise, self.init, self.basis, self.grid,
-            compute_z=self.compute_z,
+            compute_z=False,
         )
         self.last_solve = solve
         self.evaluations += 1
@@ -241,14 +241,14 @@ def run_extragradient(
 
     Maintains running averages over half-step solves, fits the geometric rate
     on the tail half of the residual history, and tracks the distance to a
-    reference control when one is supplied.  Residual growth by the
-    configured factor over the divergence window ends the run with a
-    divergence report instead of an exception.
+    reference control when one is supplied.  Residual growth by
+    `_DIVERGENCE_FACTOR` over `_DIVERGENCE_WINDOW` iterations ends the run
+    with a divergence report instead of an exception.
     """
     gamma = config.gamma
     if gamma is None:
         L_hat = lipschitz_hint if lipschitz_hint is not None else estimate_lipschitz_v(
-            op, config.probes, config.probe_seed
+            op, config.probes
         )
         gamma = config.safety / max(L_hat, 1e-12)
 
@@ -293,8 +293,8 @@ def run_extragradient(
         seconds.append(time.perf_counter() - t0)
         if residual <= config.tol:
             break
-        w = config.divergence_window
-        if len(residuals) > w and residuals[-1] > config.divergence_factor * residuals[-1 - w]:
+        w = _DIVERGENCE_WINDOW
+        if len(residuals) > w and residuals[-1] > _DIVERGENCE_FACTOR * residuals[-1 - w]:
             diverged = True
             break
         alpha = alpha_next
@@ -348,7 +348,7 @@ def recover_phi_bar(op: FbsdeOperator, averages: dict) -> np.ndarray:
 
 
 def estimate_lipschitz_v(
-    op, probes: int = 4, seed: int = 123, scale: float = 1.0, refine: int = 8
+    op, probes: int = 4, seed: int = _PROBE_SEED, scale: float = 1.0, refine: int = 8
 ) -> float:
     """Probe-pair lower bound on the operator's Lipschitz constant.
 

@@ -61,6 +61,11 @@ class ModelConstants:
             problems.append(f"discount must be >= 0, got {self.discount}")
         if not (self.clamp_m > 0):
             problems.append(f"clamp level must be positive, got {self.clamp_m}")
+        # the shipped models and scenario_q_gradient are scalar
+        if self.d != 1:
+            problems.append(f"d must be 1, got {self.d}")
+        if self.d0 != 1:
+            problems.append(f"d0 must be 1, got {self.d0}")
         if problems:
             raise ConfigurationError(problems)
 
@@ -270,8 +275,6 @@ def make_lq_model(
     `region_radius` bounds the state region used for the declared Lipschitz
     constant (quadratic costs are only locally Lipschitz).
     """
-    if constants.d != 1 or constants.d0 != 1:
-        raise ConfigurationError(["the shipped LQ family is scalar: d = d0 = 1"])
     c1, c2, c3 = params.c1, params.c2, params.c3
     g1, g2, b = params.g1, params.g2, params.b
     r1, r2, p1, p2 = params.r1, params.r2, params.p1, params.p2

@@ -212,7 +212,6 @@ def picard_solve(
     basis: RegressionBasis,
     tol: float = 1e-6,
     max_iter: int = 40,
-    compute_z: bool = False,
 ) -> PicardResult:
     """Freeze the coupling from the previous sweep and re-solve.
 
@@ -231,7 +230,7 @@ def picard_solve(
     for sweep in range(1, max_iter + 1):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                solve = decoupled_solve(control, primed, noise, init, basis, grid, compute_z=compute_z)
+                solve = decoupled_solve(control, primed, noise, init, basis, grid, compute_z=False)
         except SimulationError:
             # iterates left the finite range: no contraction at this horizon
             return PicardResult(

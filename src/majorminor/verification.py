@@ -76,6 +76,12 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
+def _require_draws(name: str, count: int) -> None:
+    # with nothing drawn the minimum margin stays at +inf and would pass
+    if count < 1:
+        raise ConfigurationError([f"{name} must be >= 1, got {count}"])
+
+
 def check_terminal_monotonicity(
     cs: CoefficientSet,
     A: np.ndarray,
@@ -90,6 +96,7 @@ def check_terminal_monotonicity(
     Checks <g(X,q,L(X)) - g(Y,q',L(Y)), X - Y> + (q-q').A(q-q')/2
     >= beta0 |psi(q,L(X)) - psi(q',L(Y))|^2 on sampled cloud pairs.
     """
+    _require_draws("samples", samples)
     A = np.atleast_2d(A)
     d, d0 = cs.constants.d, cs.constants.d0
     worst = math.inf
@@ -144,6 +151,7 @@ def check_coefficient_monotonicity(
     against kappa |dX|^2 is verified instead (`slack` = (C_M, K), `kappa`
     required).
     """
+    _require_draws("samples", samples)
     A = np.atleast_2d(A)
     d, d0 = cs.constants.d, cs.constants.d0
     worst = math.inf
@@ -232,6 +240,7 @@ def check_v_monotonicity(
     Reports the minimum inner product <v(a)-v(b), a-b>_T and the minimum
     Rayleigh quotient eta_hat over the sampled pairs.
     """
+    _require_draws("pairs", pairs)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
     dt = op.grid.dt
     worst_ip = math.inf

@@ -1,4 +1,7 @@
+import concurrent.futures
+import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -160,10 +163,25 @@ def test_cli_main_bad_config_exit_one(tmp_path):
         ("model", "params", 5, [], "model.params has wrong type int"),
         ("model", "params", {"c1": "x"}, [], "model.params.c1 must be a real number, got 'x'"),
         ("model", "params", {"c1": True}, [], "model.params.c1 must be a real number, got True"),
+        ("constants", "discount", -1, [], "constants.discount must be >= 0, got -1"),
+        ("constants", "clamp_m", -2, [], "constants.clamp_m must be positive, got -2"),
+        ("init", "x_std", -0.5, [], "init.x_std must be >= 0, got -0.5"),
+        ("init", "q0_std", -0.5, [], "init.q0_std must be >= 0, got -0.5"),
+        ("extragradient", "tol", float("nan"), [], "extragradient.tol must be >= 0, got nan"),
+        ("extragradient", "a_scale", 0.0, [], "extragradient.a_scale must be positive, got 0.0"),
+        ("verification", "samples", 0, [], "verification.samples must be >= 1, got 0"),
+        ("verification", "pairs", 0, [], "verification.pairs must be >= 1, got 0"),
+        ("verification", "region_radius", 0, [], "verification.region_radius must be positive, got 0"),
+        ("sweep", "workers", 0, [], "sweep.workers must be >= 1, got 0"),
+        ("sweep", "picard_sweeps", 0, [], "sweep.picard_sweeps must be >= 1, got 0"),
+        ("sweep", "sigma0", ["a"], [], "sweep.sigma0 must be a list of reals >= 0, got ['a']"),
+        ("sweep", "horizons", [-1], [], "sweep.horizons must be a list of positive reals, got [-1]"),
     ],
     ids=[
         "seed-flag", "seed-config", "ridge", "safety", "safety-zero", "n_max", "probes", "section",
-        "params-object", "params-string", "params-bool",
+        "params-object", "params-string", "params-bool", "discount", "clamp_m", "x_std", "q0_std",
+        "tol-nan", "a_scale", "samples", "pairs", "region_radius", "workers", "picard_sweeps",
+        "sweep-sigma0", "sweep-horizons",
     ],
 )
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key, value, args, message):
@@ -196,3 +214,59 @@ def test_build_problem_shapes():
     assert noise.dB.shape == (12, 64, 10, 1)
     assert init.X0.shape == (12, 64, 1)
     assert params.c1 == 1.0
+
+
+@pytest.mark.parametrize(
+    "command,emitted",
+    [
+        ("solve", {"iterations.csv", "report.json", "snapshot.csv"}),
+        ("verify", {"certification.json"}),
+        ("converge", {"convergence.csv"}),
+        ("sigma-sweep", {"sweep.csv"}),
+        ("oracle", {"oracle.csv"}),
+    ],
+    ids=["solve", "verify", "converge", "sigma-sweep", "oracle"],
+)
+def test_every_command_writes_a_manifest(tmp_path, command, emitted):
+    data = json.loads(json.dumps(FAST_LQ))
+    data["verification"] = {"samples": 8, "pairs": 2}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) in (0, 2)
+    assert {path.name for path in out.iterdir()} == emitted | {"manifest.json"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in emitted
+    }
+    assert manifest["config"] == parse_config(data).data
+    assert manifest["seed"] == 7
+    assert manifest["started_at"] <= manifest["finished_at"]
+
+
+def test_sigma_sweep_pool_size_is_capped(tmp_path, monkeypatch):
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    data = json.loads(json.dumps(FAST_LQ))
+    data["extragradient"]["n_max"] = 2
+    data["sweep"] = {"sigma0": [0.3, 0.6, 0.9], "horizons": [0.5], "workers": 64, "picard_sweeps": 2}
+    config = parse_config(data)
+    for cpus, expected in ((8, [3]), (2, [3, 2]), (1, [3, 2])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert run_sigma_sweep(config, tmp_path / str(cpus)) == 0
+        assert started == expected
+        assert len((tmp_path / str(cpus) / "sweep.csv").read_text().splitlines()) == 4

@@ -259,6 +259,11 @@ def test_constants_validation():
         ModelConstants(sigma=-1.0)
     with pytest.raises(ConfigurationError):
         ModelConstants(clamp_m=0.0)
+    with pytest.raises(ConfigurationError) as err:
+        ModelConstants(sigma=-1.0, d=2, d0=3)
+    assert err.value.violations == [
+        "sigma must be >= 0, got -1.0", "d must be 1, got 2", "d0 must be 1, got 3"
+    ]
 
 
 def test_lq_params_perturbed():

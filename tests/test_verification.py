@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from majorminor.ensembles import ControlField
+from majorminor.errors import ConfigurationError
 from majorminor.extragradient import ExtragradientConfig, FbsdeOperator
 from majorminor.grids import build_grid, sample_noise
 from majorminor.models import (
@@ -275,3 +276,19 @@ def test_reports_serialize():
     rep = check_terminal_monotonicity(cs, np.eye(1), beta0=0.05, samples=10, seed=1)
     text = rep.to_json()
     assert '"terminal_monotonicity"' in text
+
+
+@pytest.mark.parametrize(
+    "check,kwargs",
+    [
+        (check_terminal_monotonicity, {"A": np.eye(1), "beta0": 0.05, "samples": 0}),
+        (check_coefficient_monotonicity, {"A": np.eye(1), "samples": 0}),
+        (check_v_monotonicity, {"pairs": 0}),
+    ],
+    ids=["terminal", "coefficient", "v"],
+)
+def test_checks_reject_an_empty_sample(check, kwargs):
+    # with nothing drawn a check would pass at margin +inf
+    target = small_operator()[0] if check is check_v_monotonicity else make_lq_model(CONE, CONSTANTS)
+    with pytest.raises(ConfigurationError, match="must be >= 1, got 0"):
+        check(target, **kwargs)
