@@ -47,7 +47,7 @@ from .models import (
     split_q,
 )
 from .oracle import eval_oracle_field, oracle_induced_control, picard_solve, riccati_oracle
-from .solver import RegressionBasis, sample_initial
+from .solver import QUADRATIC_MIN_SCENARIOS, RegressionBasis, sample_initial
 from .verification import (
     check_coefficient_monotonicity,
     check_pontryagin_residual,
@@ -206,6 +206,9 @@ def parse_config(text: str | dict, seed: int | None = None) -> RunConfig:
             violations.append(f"unknown key model.params.{key}{_suggest(key, _LQ_KEYS)}")
         elif not _real(value):
             violations.append(f"model.params.{key} must be a real number, got {value!r}")
+    scenarios, need = data["ensemble"]["scenarios"], QUADRATIC_MIN_SCENARIOS
+    if data["basis"]["quadratic"] is True and _real(scenarios) and scenarios < need:
+        violations.append(f"basis.quadratic needs ensemble.scenarios >= {need}, got {scenarios!r}")
     if violations:
         raise ConfigurationError(violations)
     return RunConfig(data=data)
@@ -221,6 +224,7 @@ class RunManifest:
     started_at: str
     finished_at: str = ""
     files: dict = field(default_factory=dict)
+    error: str | None = None
 
     def add_file(self, path: Path):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -234,6 +238,7 @@ class RunManifest:
             "started_at": self.started_at,
             "finished_at": self.finished_at,
             "files": self.files,
+            "error": self.error,
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -295,8 +300,9 @@ def _extragradient_config(config: RunConfig) -> ExtragradientConfig:
 @contextmanager
 def _run_dir(config: RunConfig, out_dir: str | Path | None):
     """The output directory of one command, yielded with the list the command
-    appends its emitted files to; on success `manifest.json` is written with
-    a checksum of each of them."""
+    appends its emitted files to.  When the command returns, `manifest.json`
+    is written with a checksum of each of them; when it fails with a package
+    error, the manifest also records the error, which is then re-raised."""
     out = Path(out_dir if out_dir is not None else config["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
@@ -304,11 +310,18 @@ def _run_dir(config: RunConfig, out_dir: str | Path | None):
         started_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
     )
     emitted: list[Path] = []
-    yield out, emitted
+    failure = None
+    try:
+        yield out, emitted
+    except MajorMinorError as exc:
+        failure = exc
+        manifest.error = str(exc)
     manifest.finished_at = time.strftime("%Y-%m-%dT%H:%M:%S")
     for path in emitted:
         manifest.add_file(path)
     manifest.write(out / "manifest.json")
+    if failure is not None:
+        raise failure
 
 
 def _lq_monotonicity(data: dict, params: LQParams, constants: ModelConstants):

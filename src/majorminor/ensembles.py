@@ -82,22 +82,19 @@ class EnsembleState:
 
 @dataclass
 class ScenarioFeatures:
-    """Conditional empirical moments of (X, U) within each scenario.
+    """The declared conditional moments of (X, U): their within-scenario means.
 
     Arrays are shaped (M_c, 1, d) so they broadcast against particle clouds.
     """
 
     mean_x: np.ndarray
     mean_u: np.ndarray
-    m2_x: np.ndarray
-    m2_u: np.ndarray
-    cross_xu: np.ndarray
 
 
 def conditional_features(x: np.ndarray, u: np.ndarray | None = None) -> ScenarioFeatures:
-    """Within-scenario particle averages at one time slice.
+    """Within-scenario particle means of x and u at one time slice.
 
-    x, u: (M_c, P, d).  When u is omitted the U-moments are zero.
+    x, u: (M_c, P, d).  When u is omitted its mean is zero.
     """
     if x.ndim != 3:
         raise ContractError(f"expected (M,P,d) slice, got shape {x.shape}")
@@ -105,15 +102,7 @@ def conditional_features(x: np.ndarray, u: np.ndarray | None = None) -> Scenario
         raise ConfigurationError(["conditional features need at least one particle"])
     if u is None:
         u = np.zeros_like(x)
-    mean_x = x.mean(axis=1, keepdims=True)
-    mean_u = u.mean(axis=1, keepdims=True)
-    return ScenarioFeatures(
-        mean_x=mean_x,
-        mean_u=mean_u,
-        m2_x=(x * x).mean(axis=1, keepdims=True),
-        m2_u=(u * u).mean(axis=1, keepdims=True),
-        cross_xu=(x * u).mean(axis=1, keepdims=True),
-    )
+    return ScenarioFeatures(mean_x=x.mean(axis=1, keepdims=True), mean_u=u.mean(axis=1, keepdims=True))
 
 
 def inner_product_T(a: ControlField, b: ControlField, grid: TimeGrid) -> float:

@@ -35,13 +35,15 @@ __all__ = [
     "ExtragradientConfig",
     "ExtragradientReport",
     "FbsdeOperator",
-    "evaluate_v",
     "extragradient_step",
     "run_extragradient",
     "estimate_lipschitz_v",
 ]
 
 _PROBE_SEED = 123
+_PROBE_SCALE = 1.0  # standard deviation of the random probe controls
+_PROBE_REFINE = 8  # power-iteration probe pairs after the random ones
+_RATE_TAIL = 0.5  # fraction of the residual history the rate is fitted on
 # a run whose residual grew by this factor over this many iterations diverged
 _DIVERGENCE_FACTOR = 10.0
 _DIVERGENCE_WINDOW = 5
@@ -97,7 +99,6 @@ class FbsdeOperator:
         d0 = init.q0.shape[1]
         self.A = np.atleast_2d(A) if A is not None else np.eye(d0)
         self.last_solve: SolveOutput | None = None
-        self.evaluations = 0
 
     def __call__(self, control: ControlField) -> ControlField:
         solve = decoupled_solve(
@@ -105,7 +106,6 @@ class FbsdeOperator:
             compute_z=False,
         )
         self.last_solve = solve
-        self.evaluations += 1
         n = self.grid.steps
         vx = solve.theta_F - solve.state.U[:, :, :n, :]
         gap_q = solve.theta_H - solve.state.qb[:, :n, :]
@@ -129,12 +129,6 @@ class FbsdeOperator:
         alpha_x = path_array((m, p, n, d))
         alpha_x[...] = scale * rng.standard_normal((m, p, n, d))
         return ControlField(alpha_x, scale * rng.standard_normal((m, n, self.init.q0.shape[1])))
-
-
-def evaluate_v(control: ControlField, op: FbsdeOperator) -> tuple[ControlField, SolveOutput]:
-    """Operator value and the solve that produced it."""
-    value = op(control)
-    return value, op.last_solve
 
 
 def extragradient_step(alpha, gamma: float, op):
@@ -195,14 +189,14 @@ class ExtragradientReport:
         return rows
 
 
-def fit_geometric_rate(residuals, tail_fraction: float = 0.5):
-    """Least-squares log-linear fit over the tail of the residual history.
+def fit_geometric_rate(residuals):
+    """Least-squares log-linear fit over the last `_RATE_TAIL` of the residual history.
 
     Returns (lambda_hat, r_squared); None when fewer than 4 usable points.
     """
     res = np.asarray(residuals, dtype=float)
     res = np.where(res > 0, res, np.nan)
-    start = int(len(res) * (1.0 - tail_fraction))
+    start = int(len(res) * (1.0 - _RATE_TAIL))
     tail = np.log(res[start:])
     keep = np.isfinite(tail)
     if keep.sum() < 4:
@@ -347,17 +341,14 @@ def recover_phi_bar(op: FbsdeOperator, averages: dict) -> np.ndarray:
     return phi
 
 
-def estimate_lipschitz_v(
-    op, probes: int = 4, seed: int = _PROBE_SEED, scale: float = 1.0, refine: int = 8
-) -> float:
+def estimate_lipschitz_v(op, probes: int = 4, seed: int = _PROBE_SEED) -> float:
     """Probe-pair lower bound on the operator's Lipschitz constant.
 
     max over probe pairs of ||v(a) - v(b)|| / ||a - b||.  After the random
-    pairs, further pairs are chosen by power iteration on the difference map
-    (each refinement is one more probe pair aligned with the stiffest
-    direction found so far), which tightens the bound considerably on nearly
-    affine operators.  Still a lower bound; the step rule applies a safety
-    factor on top.
+    pairs, `_PROBE_REFINE` further pairs are chosen by power iteration on the
+    difference map (each one aligned with the stiffest direction found so
+    far), which tightens the bound considerably on nearly affine operators.
+    Still a lower bound; the step rule applies a safety factor on top.
     """
     if probes < 2:
         raise ConfigurationError([f"need at least 2 probes, got {probes}"])
@@ -366,8 +357,8 @@ def estimate_lipschitz_v(
 
     def sample():
         if draw is not None:
-            return draw(rng, scale)
-        return scale * rng.standard_normal(op.dim)
+            return draw(rng, _PROBE_SCALE)
+        return _PROBE_SCALE * rng.standard_normal(op.dim)
 
     points = [sample() for _ in range(probes)]
     values = [op(pt) for pt in points]
@@ -383,12 +374,12 @@ def estimate_lipschitz_v(
                 if ratio > best:
                     best = ratio
                     best_dir = (1.0 / denom) * diff
-    if best_dir is None or refine <= 0:
+    if best_dir is None:
         return best
     base = points[0]
     v_base = values[0]
     direction = best_dir
-    for _ in range(refine):
+    for _ in range(_PROBE_REFINE):
         dv = op(base + direction) - v_base
         norm_dv = np.sqrt(max(op.inner(dv, dv), 0.0))
         if norm_dv <= 1e-14:

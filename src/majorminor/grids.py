@@ -71,7 +71,6 @@ class NoiseBundle:
 
     dB: np.ndarray
     dW0: np.ndarray
-    seed: int
 
 
 # Stream tags keep the idiosyncratic and common draws on disjoint Philox keys.
@@ -94,39 +93,25 @@ def sample_noise(
     d: int = 1,
     d0: int = 1,
     seed: int = 0,
-    antithetic: bool = False,
 ) -> NoiseBundle:
     """Sample Gaussian increments with variance dt for every driver.
 
-    The map seed -> bundle is pure; identical seeds give bit-identical
-    bundles.  With `antithetic` the second half of each scenario's particles
-    mirrors the first half, and odd scenarios mirror even ones.
+    The map seed -> bundle is pure; identical seeds give bit-identical bundles.
     """
     if n_scenarios < 1 or n_particles < 1:
         raise ConfigurationError(
             [f"n_scenarios and n_particles must be >= 1, got ({n_scenarios}, {n_particles})"]
         )
-    if antithetic and (n_particles % 2 or n_scenarios % 2):
-        raise ConfigurationError(["antithetic sampling needs even particle and scenario counts"])
 
     n_steps = grid.steps
     scale = np.sqrt(grid.dt)
     dB = path_array((n_scenarios, n_particles, n_steps, d))
     dW0 = np.empty((n_scenarios, n_steps, d0))
-    half_p = n_particles // 2
     for j in range(n_scenarios):
-        if antithetic and j % 2:
-            dW0[j] = -dW0[j - 1]
-        else:
-            gen0 = _scenario_generator(seed, j, _STREAM_COMMON)
-            dW0[j] = scale * gen0.standard_normal((n_steps, d0))
+        gen0 = _scenario_generator(seed, j, _STREAM_COMMON)
+        dW0[j] = scale * gen0.standard_normal((n_steps, d0))
         gen = _scenario_generator(seed, j, _STREAM_IDIO)
-        if antithetic:
-            block = scale * gen.standard_normal((half_p, n_steps, d))
-            dB[j, :half_p] = block
-            dB[j, half_p:] = -block
-        else:
-            dB[j] = scale * gen.standard_normal((n_particles, n_steps, d))
+        dB[j] = scale * gen.standard_normal((n_particles, n_steps, d))
     dB.setflags(write=False)
     dW0.setflags(write=False)
-    return NoiseBundle(dB=dB, dW0=dW0, seed=int(seed))
+    return NoiseBundle(dB=dB, dW0=dW0)

@@ -9,8 +9,8 @@ Conventions for vectorized evaluation (d, d0 are the state dimensions):
 - conditional-law features            ScenarioFeatures with (M, 1, d) arrays
 - outputs: F, G, g -> (M, P, d); Hz -> (M, 1, d0); LH, psi -> (M, 1)
 
-Measure dependence is restricted to the declared empirical moments, which is
-exact for the shipped linear-quadratic family and keeps evaluation O(P).
+Measure dependence is restricted to the declared moments, the scenario means
+of X and U: exact for the shipped linear-quadratic family, and O(P) to evaluate.
 """
 
 from __future__ import annotations
@@ -176,6 +176,9 @@ def split_q(cs: CoefficientSet) -> PrimedCoefficientSet:
     return PrimedCoefficientSet(base=cs)
 
 
+_THETA_DAMPING = 0.5  # strong monotonicity / Lipschitz ratio of the pair map
+
+
 def theta_inverse(
     primed: PrimedCoefficientSet,
     X: np.ndarray,
@@ -185,14 +188,12 @@ def theta_inverse(
     alpha_q: np.ndarray,
     tol: float = 1e-10,
     max_iter: int = 400,
-    rho: float = 0.5,
 ):
     """Invert (U, qb) -> (F', DzH')(X, U, p, qb, z, law(X, U)) at a target.
 
     Returns (U, qb) with F' = alpha_x and DzH' = alpha_q.  Uses the model's
-    closed form when available, otherwise a damped fixed point on the strongly
-    monotone map (F', DzH'/2); `rho` is the damping from the strong
-    monotonicity / Lipschitz ratio.
+    closed form when available, otherwise a fixed point on the strongly
+    monotone map (F', DzH'/2), damped by `_THETA_DAMPING`.
     """
     base = primed.base
     if base.theta is not None:
@@ -209,8 +210,8 @@ def theta_inverse(
         res = math.sqrt(float(np.mean(rx * rx)) + float(np.mean(rq * rq)))
         if res <= tol:
             return U, qb
-        U -= rho * rx
-        qb -= rho * rq
+        U -= _THETA_DAMPING * rx
+        qb -= _THETA_DAMPING * rq
     raise InversionError(f"theta inversion stalled at residual {res:.3e}", residual=res)
 
 
@@ -246,10 +247,6 @@ class LQParams:
     r2: float = 0.0
     p1: float = 0.0
     p2: float = 0.0
-
-    def perturbed(self, eps: float) -> "LQParams":
-        """Every parameter shifted by eps (stability experiments)."""
-        return LQParams(**{k: getattr(self, k) + eps for k in self.__dataclass_fields__})
 
 
 def _make_lq_theta(b: float):
@@ -383,7 +380,6 @@ class MonotonicityData:
     C_M: float
     C_H: float
     delta: float
-    C_coef: float
     omega: Callable[[float], float] = lambda m: 0.0
     K: Callable[[float], float] = lambda m: 0.0
 
@@ -450,7 +446,6 @@ def lq_monotonicity_data(
         C_M=c_slack * cs.c_coef**2 if math.isfinite(c_slack) else 0.0,
         C_H=C_H,
         delta=0.0,
-        C_coef=cs.c_coef,
         omega=cs.omega,
         K=(lambda m, _c=c_slack: _c * float(m) ** 2) if math.isfinite(c_slack) else (lambda m: 0.0),
     )

@@ -20,7 +20,7 @@ that gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,9 +55,6 @@ class RiccatiSolution:
     k12: np.ndarray
     kc: np.ndarray
     k0: np.ndarray
-    params: LQParams
-    constants: ModelConstants
-    stats: dict = field(default_factory=dict)
 
     def coefficients_at(self, t):
         t = np.asarray(t, dtype=float)
@@ -107,19 +104,7 @@ def riccati_oracle(
         if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > _BLOW_UP_LIMIT:
             raise OracleBlowUpError(times[i - 1])
         tables[:, i - 1] = y
-    return RiccatiSolution(
-        times=times,
-        a=tables[0],
-        b_u=tables[1],
-        c_u=tables[2],
-        k2=tables[3],
-        k12=tables[4],
-        kc=tables[5],
-        k0=tables[6],
-        params=params,
-        constants=constants,
-        stats={"refine": refine, "ode_steps": n, "max_abs_coeff": float(np.max(np.abs(tables)))},
-    )
+    return RiccatiSolution(times, *tables)  # rows in field order a, b_u, ..., k0
 
 
 def eval_oracle_field(sol: RiccatiSolution, t, x, q, mbar):

@@ -7,17 +7,18 @@ each scenario on functions of the particle state; scenario-borne quantities
 (phi, qb and their integrands) regress across scenarios on common features,
 which keeps them adapted to the common filtration by construction.
 
-The backward sweep carries two versions of every backward quantity: the
-values fitted in the configured basis (the exposed conditional-expectation
-estimates) and carrier values fitted in an always-quadratic enrichment of
-that basis.  Regression targets are built from the carriers: feeding the
-exposed fits back into targets would erase any structure outside the
-projection span (for a value function with curvature, the next step's
+The backward sweep carries two versions of every scenario-level backward
+quantity: the values fitted in the configured basis (the exposed
+conditional-expectation estimates) and carrier values fitted in a quadratic
+enrichment of that basis.  Regression targets are built from the carriers:
+feeding the exposed fits back into targets would erase any structure outside
+the projection span (for a value function with curvature, the next step's
 integrand estimate would collapse to the cloud-center tangent), while raw
 pathwise carriers would recycle their accumulated martingale noise into the
 increment-weighted estimators at a 1/sqrt(dt) amplification.  The quadratic
 carrier keeps the curvature and resets the noise at every step; it is exact
-for the linear-quadratic family.
+for the linear-quadratic family.  Below `QUADRATIC_MIN_SCENARIOS` scenarios
+the scenario carrier stays affine.  Particle fits, U included, are affine in x.
 
 Martingale integrands use the increment-weighted estimator with a regressed
 conditional mean subtracted first.  The subtraction never biases the
@@ -38,11 +39,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensembles import ControlField, EnsembleState, conditional_features
-from .errors import RegressionError, SimulationError
+from .errors import ConfigurationError, RegressionError, SimulationError
 from .grids import NoiseBundle, TimeGrid, path_array
 from .models import PrimedCoefficientSet, theta_inverse
 
 __all__ = [
+    "QUADRATIC_MIN_SCENARIOS",
     "RegressionBasis",
     "SolveOutput",
     "InitialCondition",
@@ -54,25 +56,28 @@ __all__ = [
 ]
 
 
+# Cross-scenario fits in the quadratic scenario design (8 features) need at
+# least three scenarios per feature; with fewer the sweep runs to garbage.
+QUADRATIC_MIN_SCENARIOS = 24
+
+
 @dataclass(frozen=True)
 class RegressionBasis:
     """Feature policy for the conditional-expectation regressions.
 
-    Affine features: constant, x for particle fits; constant, q, mean_x,
-    mean_u for scenario fits.  `quadratic` adds the squared and cross terms.
+    Particle fits are affine in x (constant, x).  Scenario fits use constant,
+    q, mean_x, mean_u; `quadratic` adds the squared and cross terms to the
+    scenario fits only and needs `QUADRATIC_MIN_SCENARIOS` (24) scenarios.
     Ridge is relative to the trace scale of the normal equations.
     """
 
     quadratic: bool = False
     ridge: float = 1e-8
 
-    def particle_design(self, x: np.ndarray, quadratic: bool | None = None) -> np.ndarray:
-        """(M, P, d) -> (M, P, k) design with a leading constant column."""
+    def particle_design(self, x: np.ndarray) -> np.ndarray:
+        """(M, P, d) -> (M, P, 1 + d) affine design."""
         m, p, _ = x.shape
-        cols = [np.ones((m, p, 1)), x]
-        if self.quadratic if quadratic is None else quadratic:
-            cols.append(x * x)
-        return np.concatenate(cols, axis=-1)
+        return np.concatenate([np.ones((m, p, 1)), x], axis=-1)
 
     def scenario_design(
         self, q: np.ndarray, mean_x: np.ndarray, mean_u: np.ndarray, quadratic: bool | None = None
@@ -83,43 +88,17 @@ class RegressionBasis:
             cols.extend([q * q, mean_x * mean_x, q * mean_x, q * mean_u])
         return np.concatenate(cols, axis=-1)
 
-    def scenario_q_gradient(
-        self,
-        coef: np.ndarray,
-        q: np.ndarray,
-        mean_x: np.ndarray,
-        mean_u: np.ndarray,
-        quadratic: bool,
-    ) -> np.ndarray:
-        """Gradient in q of a fitted scenario function.
 
-        coef: (k, n_out) from a scenario fit; returns (M, d0, n_out).  The
-        quadratic feature products are elementwise, so the gradient keeps a
-        diagonal layout (exact for the scalar family).
-        """
-        m, d0 = q.shape
-        coef = coef if coef.ndim == 2 else coef[:, None]
-        n_out = coef.shape[1]
-        d = mean_x.shape[1]
-        grad = np.empty((m, d0, n_out))
-        for i in range(d0):
-            g = np.tile(coef[1 + i], (m, 1))
-            if quadratic:
-                base = 1 + d0 + 2 * d
-                g = g + 2.0 * q[:, i : i + 1] * coef[base + i]
-                if d == d0:
-                    g = g + mean_x[:, i : i + 1] * coef[base + d0 + d + i]
-                    g = g + mean_u[:, i : i + 1] * coef[base + d0 + d + d0 + i]
-            grad[:, i] = g
-        return grad
-
-    def scenario_q_hessdiag(self, coef: np.ndarray, d0: int, d: int, quadratic: bool) -> np.ndarray:
-        """Diagonal second q-derivatives of a fitted scenario function: (d0, n_out)."""
-        coef = coef if coef.ndim == 2 else coef[:, None]
-        if not quadratic:
-            return np.zeros((d0, coef.shape[1]))
-        base = 1 + d0 + 2 * d
-        return 2.0 * coef[base : base + d0]
+def _scenario_q_derivatives(coef: np.ndarray, q: np.ndarray, mean_x: np.ndarray, mean_u: np.ndarray):
+    """q-gradient (M, d0, n_out) and constant second q-derivative (d0, n_out)
+    of a scenario fit with coef (k, n_out), for d = d0 = 1; k = 4 is the
+    affine design, k = 8 the quadratic one."""
+    grad = np.tile(coef[1], (q.shape[0], 1))
+    if coef.shape[0] == 4:
+        return grad[:, None], np.zeros((1, coef.shape[1]))
+    # summed left to right, in the order of the quadratic columns
+    grad = grad + 2.0 * q * coef[4] + mean_x * coef[6] + mean_u * coef[7]
+    return grad[:, None], 2.0 * coef[4:5]
 
 
 class FittedRegression:
@@ -310,6 +289,8 @@ def solve_backward(
     """
     X, qf = forward
     m, p, n1, d = X.shape
+    if basis.quadratic and m < QUADRATIC_MIN_SCENARIOS:
+        raise ConfigurationError([f"a quadratic basis needs >= {QUADRATIC_MIN_SCENARIOS} scenarios, got {m}"])
     n = n1 - 1
     d0 = qf.shape[2]
     dt = grid.dt
@@ -317,6 +298,9 @@ def solve_backward(
     lam = consts.discount
     sq = math.sqrt(2.0 * consts.sigma0)
     ridge = basis.ridge
+    # the carrier design is quadratic: S itself for a quadratic basis, an
+    # enriched S when there are enough scenarios, else the affine S
+    enrich_cv = not basis.quadratic and m >= QUADRATIC_MIN_SCENARIOS
 
     # time-major views keep the per-step slabs contiguous; they copy only
     # arrays laid out other than by `path_array`
@@ -342,9 +326,8 @@ def solve_backward(
     phi[:, n] = primed.psi(qf_T, feats_T)[:, 0]
     qb[:, n] = qf[:, n]
 
-    # carriers: quadratic-basis fits used as regression targets; the
-    # scenario carrier stacks phi and qb as columns (M, 1 + d0)
-    u_carry = Ut[n].copy()
+    # scenario carrier: quadratic-basis fits of phi and qb used as
+    # regression targets, stacked as columns (M, 1 + d0)
     carry = np.column_stack([phi[:, n], qb[:, n]])
 
     resid_u = np.zeros(n)
@@ -373,14 +356,8 @@ def solve_backward(
         mean_ak = ax_k.mean(axis=1)
 
         S = basis.scenario_design(qfk, mean_xk, mean_ak)
-        Scv = basis.scenario_design(qfk, mean_xk, mean_ak, quadratic=True)
-        if 3 * Scv.shape[1] > m:
-            Scv = S  # too few scenarios for the enriched control variate
-        Pcv = basis.particle_design(Xk, quadratic=True)
-        if 3 * Pcv.shape[1] > p:
-            Pcv = Pcv[:, :, : 1 + d]
-        Pd = Pcv if basis.quadratic else Pcv[:, :, : 1 + d]
-        quad_cv = Scv is not S
+        Scv = basis.scenario_design(qfk, mean_xk, mean_ak, quadratic=True) if enrich_cv else S
+        P = basis.particle_design(Xk)
 
         # carrier fits at step-k features, needed both for the Z residuals
         # and (via their q-gradients) as integrand priors
@@ -389,17 +366,17 @@ def solve_backward(
             # first backward step: bootstrap the prior from the same-step
             # carrier fit (one O(features/M) in-sample leak, then clean)
             coef_carry = cv.coef
-        grad = basis.scenario_q_gradient(coef_carry, qfk, mean_xk, mean_ak, quad_cv)
+        grad, hess = _scenario_q_derivatives(coef_carry, qfk, mean_xk, mean_ak)
         pred_zphi = grad[:, :, 0]
         pred_zq = sq * grad[:, :, 1:].transpose(0, 2, 1)
-        hess = basis.scenario_q_hessdiag(coef_carry, d0, d, quad_cv)  # (d0, 1 + d0)
         hess_phi, hess_qb = hess[:, 0], hess[:, 1:]
         pred_zw = (S @ coef_zw).reshape(m, d, d0) if coef_zw is not None else np.zeros((m, d, d0))
-        pred_zb = (Pd @ coef_zb).reshape(m, p, d, d) if coef_zb is not None else np.zeros((m, p, d, d))
+        pred_zb = (P @ coef_zb).reshape(m, p, d, d) if coef_zb is not None else np.zeros((m, p, d, d))
 
-        # (a) martingale integrands at k from the carrier next values; the
-        # three scenario-level targets share S and are fitted in one call
-        u_resid = regress_conditional(Pcv, u_carry, ridge).loo_residuals()
+        # (a) martingale integrands at k from the next U and the next scenario
+        # carriers; the three scenario-level targets share S and are fitted
+        # in one call
+        u_resid = regress_conditional(P, Ut[k + 1], ridge).loo_residuals()
         zw_k = np.zeros((m, 1, d, d0))
         if consts.sigma0 > 0:
             chi = (dW0k * dW0k - dt) / dt  # (M, d0), mean-zero given F_k
@@ -426,9 +403,9 @@ def solve_backward(
         # subtraction coefficients are step-(k+1) fitted functions evaluated
         # at step-k features, so the conditional expectation is exact and
         # only O(sqrt(dt)) target noise remains.  Exposed values fit in the
-        # configured basis; carriers refit in the quadratic basis so
+        # configured basis; scenario carriers refit in the quadratic basis so
         # curvature survives for the next integrand estimate.  The particle
-        # integrand target shares Pd with the U target and rides along.
+        # integrand target shares P with the U target and rides along.
         feats_k = conditional_features(Xk, thF)
         drv_u = primed.Gp(Xk, qfk_b, thH, thF, zk, feats_k)
         drv_phi = primed.LHp(qfk_b, thH, zk, feats_k)[:, 0] + lam * carry[:, 0]
@@ -437,16 +414,15 @@ def solve_backward(
         mart_u = np.einsum("mpij,mpj->mpi", pred_zb, dBk) + np.einsum(
             "mij,mj->mi", pred_zw, dW0k
         )[:, None, :]
-        target_u = u_carry + dt * drv_u - mart_u
+        target_u = Ut[k + 1] + dt * drv_u - mart_u
         zb_target = (u_resid[:, :, :, None] * dBk[:, :, None, :] / dt).reshape(m, p, d * d)
-        fit_u = regress_conditional(Pd, np.concatenate([target_u, zb_target], axis=2), ridge)
+        fit_u = regress_conditional(P, np.concatenate([target_u, zb_target], axis=2), ridge)
         Ut[k] = fit_u.fitted[:, :, :d]
         resid_u[k] = float(np.sqrt(np.mean(fit_u.residuals[:, :, :d] ** 2)))
         coef_zb = fit_u.coef[:, :, d:]
         if compute_z:
             Zt[k][:, :, :, :d] = fit_u.fitted[:, :, d:].reshape(m, p, d, d)
             Zt[k][:, :, :, d:] = zw_k
-        u_carry = Ut[k] if Pcv.shape[2] == Pd.shape[2] else regress_conditional(Pcv, target_u, ridge).fitted
 
         # chi-square (Ito-level) fluctuations subtracted with the prior
         # curvature: E[dW^2 - dt | F_k] = 0 keeps the targets unbiased
@@ -479,13 +455,7 @@ def solve_backward(
         and np.isfinite(Zphi.sum()) and np.isfinite(X.sum())
     ):
         raise SimulationError("backward sweep produced non-finite values")
-    diagnostics = {
-        "resid_u": resid_u,
-        "resid_phi": resid_phi,
-        "resid_qb": resid_qb,
-        "se_zphi": se_zphi,
-        "max_abs_zphi": float(np.max(np.abs(Zphi))) if n else 0.0,
-    }
+    diagnostics = {"resid_u": resid_u, "resid_phi": resid_phi, "resid_qb": resid_qb, "se_zphi": se_zphi}
     return SolveOutput(state=state, theta_F=theta_F, theta_H=theta_H, diagnostics=diagnostics)
 
 

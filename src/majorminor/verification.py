@@ -63,10 +63,17 @@ class CertificationReport:
         return json.dumps(self.__dict__, indent=2, default=default)
 
 
-def sample_cloud(rng: np.random.Generator, n_particles: int, d: int, spread: float = 1.5) -> np.ndarray:
+# sampling of the hypothesis checks: particles per cloud, and the half-width
+# of the cloud centers, also the standard deviation of the sampled q and z
+_CLOUD_PARTICLES = 256
+_SPREAD = 1.5
+_PAIR_SCALE = 0.7  # scale of the v-monotonicity probe controls
+
+
+def sample_cloud(rng: np.random.Generator, n_particles: int, d: int) -> np.ndarray:
     """Two-component Gaussian mixture with random centers and scales; the
     documented sampling distribution of the hypothesis checks."""
-    centers = rng.uniform(-spread, spread, (2, d))
+    centers = rng.uniform(-_SPREAD, _SPREAD, (2, d))
     scales = rng.uniform(0.3, 1.0, (2, 1))
     comp = rng.integers(0, 2, n_particles)
     return centers[comp] + scales[comp] * rng.standard_normal((n_particles, d))
@@ -87,9 +94,7 @@ def check_terminal_monotonicity(
     A: np.ndarray,
     beta0: float,
     samples: int = 200,
-    n_particles: int = 256,
     seed: int = 0,
-    q_spread: float = 1.5,
 ) -> CertificationReport:
     """Joint monotonicity of the terminal pair (g, psi).
 
@@ -104,10 +109,10 @@ def check_terminal_monotonicity(
     witness = None
     for i in range(samples):
         rng = _sample_rng(seed, i)
-        X = sample_cloud(rng, n_particles, d)[None]
-        Y = sample_cloud(rng, n_particles, d)[None]
-        q = rng.normal(0.0, q_spread, (1, 1, d0))
-        qp = rng.normal(0.0, q_spread, (1, 1, d0))
+        X = sample_cloud(rng, _CLOUD_PARTICLES, d)[None]
+        Y = sample_cloud(rng, _CLOUD_PARTICLES, d)[None]
+        q = rng.normal(0.0, _SPREAD, (1, 1, d0))
+        qp = rng.normal(0.0, _SPREAD, (1, 1, d0))
         fx = conditional_features(X)
         fy = conditional_features(Y)
         pair = np.sum((cs.g(X, q, fx) - cs.g(Y, qp, fy)) * (X - Y), axis=-1)[0]
@@ -115,7 +120,7 @@ def check_terminal_monotonicity(
         quad = 0.5 * float(dq @ A @ dq)
         dpsi = float(cs.psi(q, fx)[0, 0] - cs.psi(qp, fy)[0, 0])
         margin = float(pair.mean()) + quad - beta0 * dpsi * dpsi
-        se = float(pair.std(ddof=1) / math.sqrt(n_particles))
+        se = float(pair.std(ddof=1) / math.sqrt(_CLOUD_PARTICLES))
         if margin < worst:
             worst, worst_se = margin, se
             witness = {"sample": i, "q": q.ravel().tolist(), "q_prime": qp.ravel().tolist(), "margin": margin}
@@ -135,13 +140,10 @@ def check_coefficient_monotonicity(
     cs: CoefficientSet,
     A: np.ndarray,
     samples: int = 200,
-    n_particles: int = 256,
     seed: int = 0,
     z_pairs: bool = False,
     kappa: float | None = None,
     slack: tuple[float, "callable"] | None = None,
-    q_spread: float = 1.5,
-    z_spread: float = 1.5,
 ) -> CertificationReport:
     """Joint monotonicity of the coefficient triple (G, F, A DzH).
 
@@ -160,14 +162,11 @@ def check_coefficient_monotonicity(
     used = 0
     for i in range(samples):
         rng = _sample_rng(seed, 1_000_000 + i)
-        X = sample_cloud(rng, n_particles, d)[None]
-        Y = sample_cloud(rng, n_particles, d)[None]
-        U = sample_cloud(rng, n_particles, d)[None]
-        V = sample_cloud(rng, n_particles, d)[None]
-        q = rng.normal(0.0, q_spread, (1, 1, d0))
-        qp = rng.normal(0.0, q_spread, (1, 1, d0))
-        z = rng.normal(0.0, z_spread, (1, 1, d0))
-        zp = rng.normal(0.0, z_spread, (1, 1, d0)) if z_pairs else z
+        X, Y, U, V = (sample_cloud(rng, _CLOUD_PARTICLES, d)[None] for _ in range(4))
+        q = rng.normal(0.0, _SPREAD, (1, 1, d0))
+        qp = rng.normal(0.0, _SPREAD, (1, 1, d0))
+        z = rng.normal(0.0, _SPREAD, (1, 1, d0))
+        zp = rng.normal(0.0, _SPREAD, (1, 1, d0)) if z_pairs else z
         fxu = conditional_features(X, U)
         fyv = conditional_features(Y, V)
         dg = np.sum((cs.G(X, q, U, z, fxu) - cs.G(Y, qp, V, zp, fyv)) * (X - Y), axis=-1)[0]
@@ -179,7 +178,7 @@ def check_coefficient_monotonicity(
         if den < 1e-12:
             continue  # degenerate pair policy
         used += 1
-        se_lhs = float((dg + df).std(ddof=1) / math.sqrt(n_particles))
+        se_lhs = float((dg + df).std(ddof=1) / math.sqrt(_CLOUD_PARTICLES))
         if z_pairs:
             c_m, K = slack if slack is not None else (0.0, lambda m: 0.0)
             zmin = min(float(np.linalg.norm(z)), float(np.linalg.norm(zp)))
@@ -233,7 +232,6 @@ def check_v_monotonicity(
     op,
     pairs: int = 20,
     seed: int = 0,
-    scale: float = 0.7,
 ) -> CertificationReport:
     """Monotonicity of the control-space operator on random control pairs.
 
@@ -248,8 +246,8 @@ def check_v_monotonicity(
     eta_hat = math.inf
     witness = None
     for i in range(pairs):
-        a = _probe_control(op, rng, scale)
-        b = _probe_control(op, rng, scale)
+        a = _probe_control(op, rng, _PAIR_SCALE)
+        b = _probe_control(op, rng, _PAIR_SCALE)
         va = op(a)
         vb = op(b)
         diff = a - b
@@ -284,7 +282,6 @@ def check_z_bound(
     solve: SolveOutput,
     lip_q_phi: float,
     tol_rel: float = 0.05,
-    reg_se: float | None = None,
 ) -> CertificationReport:
     """|Zphi| bounded by the Lipschitz constant of the major value field.
 
@@ -292,7 +289,7 @@ def check_z_bound(
     max |Zphi| <= lip_q_phi * (1 + tol_rel) + 3 * regression SE.
     """
     max_z = float(np.max(np.abs(solve.state.Zphi))) if solve.state.Zphi.size else 0.0
-    se = float(reg_se) if reg_se is not None else float(np.max(solve.diagnostics.get("se_zphi", [0.0])))
+    se = float(np.max(solve.diagnostics.get("se_zphi", [0.0])))
     bound = lip_q_phi * (1.0 + tol_rel) + 3.0 * se
     margin = bound - max_z
     return CertificationReport(
@@ -370,19 +367,26 @@ def compute_thresholds(data: MonotonicityData, lam: float, horizon: float) -> Th
 
     gamma* = (2/kappa) C_H^2 (|A| + beta0); beta*(t) = beta0 e^{(2 lam - gamma*) t};
     sigma0_T = omega^2(m_T)/(4 gamma*) + (C_M + K(m_T))/beta*(T) with
-    m_T = sqrt(|A|/beta*(T)).  The horizon-free threshold exists on two
-    branches: lam >= gamma*/2, or lam > 0 with delta < 1 (the smallness
-    condition solved by bisection); otherwise it is reported as not
-    computable.
+    m_T = sqrt(|A|/beta*(T)).  Where beta*(T) leaves the float range the
+    formula's limits are returned: sigma0_T = inf when it underflows to 0,
+    and sigma0_T at beta*(T) = inf when it overflows.  The horizon-free
+    threshold exists on two branches: lam >= gamma*/2, or lam > 0 with
+    delta < 1 (the smallness condition solved by bisection); otherwise it is
+    reported as not computable.
     """
     data.validate_monotone()
     norm_A = data.norm_A
     gamma_star = (2.0 / data.kappa) * data.C_H**2 * (norm_A + data.beta0)
     decay = 2.0 * lam - gamma_star
-    beta_T = data.beta0 * math.exp(decay * horizon)
+    try:
+        beta_T = data.beta0 * math.exp(decay * horizon)
+    except OverflowError:
+        beta_T = math.inf
 
     def sigma0_at(beta: float, first_factor: float) -> float:
-        m = math.sqrt(norm_A / beta) if beta > 0 else math.inf
+        if beta == 0.0:
+            return math.inf
+        m = math.sqrt(norm_A / beta)
         w = data.omega(m)
         first = 0.0 if w == 0.0 else (math.inf if first_factor == 0.0 else w**2 / first_factor)
         return first + (data.C_M + data.K(m)) / beta

@@ -1,8 +1,9 @@
 """The benchmark's contract with the package, checked in the package's suite.
 
-`bench/spans.py` wraps package functions by (owner, attribute) and the
-benchmark workloads unpack the 7-tuple of `cli.build_problem`; a rename here
-would otherwise surface only in the slow `bench/selftest.py`.
+`bench/spans.py` wraps package functions by (owner, attribute) and reads the
+arrays of a solve, and the benchmark workloads unpack the 7-tuple of
+`cli.build_problem`; a rename or deletion here would otherwise surface only
+in the slow `bench/selftest.py`.
 """
 
 import importlib.util
@@ -12,6 +13,7 @@ from pathlib import Path
 import majorminor
 import majorminor.cli
 from majorminor.cli import build_problem, parse_config
+from majorminor.solver import decoupled_solve
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -34,3 +36,10 @@ def test_every_traced_binding_exists(monkeypatch):
 def test_build_problem_returns_seven_items():
     config = parse_config({"grid": {"steps": 2}, "ensemble": {"scenarios": 2, "particles": 4}})
     assert len(build_problem(config)) == 7
+
+
+def test_solve_info_reads_a_solve(monkeypatch):
+    config = parse_config({"grid": {"steps": 2}, "ensemble": {"scenarios": 2, "particles": 4}})
+    op, grid, noise, init, _, _, _ = build_problem(config)
+    solve = decoupled_solve(op.zero(), op.primed, noise, init, op.basis, grid)
+    assert load_spans(monkeypatch)._solve_info(solve)["mb"] > 0

@@ -176,12 +176,13 @@ def test_cli_main_bad_config_exit_one(tmp_path):
         ("sweep", "picard_sweeps", 0, [], "sweep.picard_sweeps must be >= 1, got 0"),
         ("sweep", "sigma0", ["a"], [], "sweep.sigma0 must be a list of reals >= 0, got ['a']"),
         ("sweep", "horizons", [-1], [], "sweep.horizons must be a list of positive reals, got [-1]"),
+        ("basis", "quadratic", True, [], "basis.quadratic needs ensemble.scenarios >= 24, got 12"),
     ],
     ids=[
         "seed-flag", "seed-config", "ridge", "safety", "safety-zero", "n_max", "probes", "section",
         "params-object", "params-string", "params-bool", "discount", "clamp_m", "x_std", "q0_std",
         "tol-nan", "a_scale", "samples", "pairs", "region_radius", "workers", "picard_sweeps",
-        "sweep-sigma0", "sweep-horizons",
+        "sweep-sigma0", "sweep-horizons", "quadratic-scenarios",
     ],
 )
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key, value, args, message):
@@ -242,6 +243,24 @@ def test_every_command_writes_a_manifest(tmp_path, command, emitted):
     assert manifest["config"] == parse_config(data).data
     assert manifest["seed"] == 7
     assert manifest["started_at"] <= manifest["finished_at"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run overflows on purpose
+def test_failed_command_leaves_a_manifest_with_the_error(tmp_path, capsys):
+    data = json.loads(json.dumps(FAST_LQ))
+    data["model"]["params"]["r1"] = -5.0
+    data["grid"]["horizon"] = 8.0
+    data["ensemble"] = {"scenarios": 4, "particles": 16}
+    data["extragradient"]["n_max"] = 3
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 1
+    error = capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == {}
+    assert manifest["error"] and f"error: {manifest['error']}" in error
 
 
 def test_sigma_sweep_pool_size_is_capped(tmp_path, monkeypatch):

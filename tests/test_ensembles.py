@@ -24,14 +24,12 @@ def test_conditional_features_constant_cloud():
     x = np.full((3, 5, 1), 2.0)
     feats = conditional_features(x)
     assert np.allclose(feats.mean_x, 2.0)
-    assert np.allclose(feats.m2_x, 4.0)
 
 
 def test_conditional_features_two_particles():
     x = np.array([[[0.0], [4.0]]])
     feats = conditional_features(x)
     assert feats.mean_x[0, 0, 0] == pytest.approx(2.0)
-    assert feats.m2_x[0, 0, 0] == pytest.approx(8.0)
 
 
 def test_conditional_features_clt():

@@ -7,7 +7,6 @@ from majorminor.extragradient import (
     ExtragradientConfig,
     FbsdeOperator,
     estimate_lipschitz_v,
-    evaluate_v,
     extragradient_step,
     fit_geometric_rate,
     recover_phi_bar,
@@ -137,11 +136,14 @@ def test_oracle_start_residual_small_and_monotone_pairs():
     sol = riccati_oracle(CONE, constants, grid)
     cs = make_lq_model(CONE, constants)
     alpha_star, _ = oracle_induced_control(sol, cs, grid, noise, init)
-    v_star, solve = evaluate_v(alpha_star, op)
+    v_star = op(alpha_star)
     res = op.norm(v_star)
     scale = op.norm(alpha_star)
     assert res < 0.25 * scale  # coarse-grid discretization floor
-    assert solve is op.last_solve
+    solve = op.last_solve  # the solve behind v_star
+    assert np.array_equal(v_star.alpha_x, solve.theta_F - solve.state.U[:, :, : grid.steps])
+    quad = FbsdeOperator(op.primed, grid, noise, init, RegressionBasis(quadratic=True))
+    assert quad.norm(quad(alpha_star)) < 0.25 * scale  # the quadratic basis keeps the floor
 
     # monotonicity on random pairs: <v(a)-v(b), a-b> >= -3 SE
     rng = np.random.default_rng(5)

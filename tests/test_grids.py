@@ -75,16 +75,6 @@ def test_moments_pooled_normality():
     assert abs(pooled.mean()) < 3.0 / np.sqrt(pooled.size)
 
 
-def test_antithetic_mirrors_and_centers():
-    grid = build_grid(1.0, 5)
-    bundle = sample_noise(grid, 4, 8, seed=11, antithetic=True)
-    assert np.array_equal(bundle.dB[:, :4], -bundle.dB[:, 4:])
-    assert np.allclose(bundle.dB.mean(axis=1), 0.0)
-    assert np.array_equal(bundle.dW0[1], -bundle.dW0[0])
-    with pytest.raises(ConfigurationError):
-        sample_noise(grid, 4, 7, seed=11, antithetic=True)
-
-
 def test_rejects_empty_ensemble():
     grid = build_grid(1.0, 2)
     with pytest.raises(ConfigurationError):

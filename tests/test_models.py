@@ -250,7 +250,7 @@ def test_monotonicity_data_validation():
     with pytest.raises(ConfigurationError):
         MonotonicityData(
             A=np.array([[0.0, 1.0], [0.5, 0.0]]), kappa=1.0, beta0=1.0,
-            C_M=0.0, C_H=0.0, delta=0.0, C_coef=1.0,
+            C_M=0.0, C_H=0.0, delta=0.0,
         )
 
 
@@ -264,9 +264,3 @@ def test_constants_validation():
     assert err.value.violations == [
         "sigma must be >= 0, got -1.0", "d must be 1, got 2", "d0 must be 1, got 3"
     ]
-
-
-def test_lq_params_perturbed():
-    shifted = CONE.perturbed(0.01)
-    assert shifted.c1 == pytest.approx(1.01)
-    assert shifted.r2 == pytest.approx(0.01)

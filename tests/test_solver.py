@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from majorminor.ensembles import ControlField, conditional_features
-from majorminor.errors import RegressionError, SimulationError
+from majorminor.errors import ConfigurationError, RegressionError, SimulationError
 from majorminor.extragradient import FbsdeOperator
 from majorminor.grids import build_grid, path_array, sample_noise
 from majorminor.models import (
@@ -19,6 +19,7 @@ from majorminor.models import (
 )
 from majorminor.oracle import oracle_induced_control, riccati_oracle
 from majorminor.solver import (
+    QUADRATIC_MIN_SCENARIOS,
     InitialCondition,
     RegressionBasis,
     decoupled_solve,
@@ -260,6 +261,13 @@ def test_clamp_respected_by_coefficient_evaluations():
     init = sample_initial(8, 32, seed=2, x_mean=1.0, x_std=0.5, q0=2.0)
     decoupled_solve(ControlField.zeros(8, 32, 6), primed, noise, init, RegressionBasis(), grid)
     assert seen and max(seen) <= 0.05 + 1e-15
+
+
+def test_quadratic_basis_needs_enough_scenarios():
+    grid, noise, primed, init = make_setup(m=12)
+    basis = RegressionBasis(quadratic=True)
+    with pytest.raises(ConfigurationError, match=f">= {QUADRATIC_MIN_SCENARIOS} scenarios, got 12"):
+        decoupled_solve(ControlField.zeros(12, 16, 5), primed, noise, init, basis, grid)
 
 
 def test_lq_affine_basis_residuals_at_noise_floor():

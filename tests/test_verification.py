@@ -165,7 +165,7 @@ def test_monotonicity_propagation_coupled_runs():
 
 def test_thresholds_trivial_collapse():
     data = MonotonicityData(
-        A=np.eye(1), kappa=1.0, beta0=1.0, C_M=0.0, C_H=0.0, delta=0.0, C_coef=1.0,
+        A=np.eye(1), kappa=1.0, beta0=1.0, C_M=0.0, C_H=0.0, delta=0.0,
         omega=lambda m: 0.0, K=lambda m: 0.0,
     )
     rep = compute_thresholds(data, lam=0.0, horizon=1.0)
@@ -175,7 +175,7 @@ def test_thresholds_trivial_collapse():
 
 def test_thresholds_gamma_star_arithmetic():
     data = MonotonicityData(
-        A=np.eye(1), kappa=1.0, beta0=1.0, C_M=0.0, C_H=1.0, delta=0.0, C_coef=1.0,
+        A=np.eye(1), kappa=1.0, beta0=1.0, C_M=0.0, C_H=1.0, delta=0.0,
         omega=lambda m: 0.0, K=lambda m: 0.0,
     )
     rep = compute_thresholds(data, lam=0.0, horizon=1.0)
@@ -185,7 +185,7 @@ def test_thresholds_gamma_star_arithmetic():
 
 def test_thresholds_branch_one():
     data = MonotonicityData(
-        A=np.eye(1), kappa=1.0, beta0=1.0, C_M=0.5, C_H=1.0, delta=0.0, C_coef=1.0,
+        A=np.eye(1), kappa=1.0, beta0=1.0, C_M=0.5, C_H=1.0, delta=0.0,
         omega=lambda m: float(m), K=lambda m: 0.1 * float(m) ** 2,
     )
     rep = compute_thresholds(data, lam=3.0, horizon=2.0)
@@ -198,7 +198,7 @@ def test_thresholds_branch_one():
 
 def test_thresholds_branch_two_bisection():
     data = MonotonicityData(
-        A=np.eye(1), kappa=1.0, beta0=1.0, C_M=0.2, C_H=2.0, delta=0.5, C_coef=1.0,
+        A=np.eye(1), kappa=1.0, beta0=1.0, C_M=0.2, C_H=2.0, delta=0.5,
         omega=lambda m: float(m), K=lambda m: 0.0,
     )
     rep = compute_thresholds(data, lam=1.0, horizon=4.0)
@@ -225,7 +225,7 @@ def test_thresholds_branch_two_bisection():
 def test_thresholds_monotone_in_kappa_and_cm():
     def make(kappa, c_m):
         return MonotonicityData(
-            A=np.eye(1), kappa=kappa, beta0=0.5, C_M=c_m, C_H=1.0, delta=0.0, C_coef=1.0,
+            A=np.eye(1), kappa=kappa, beta0=0.5, C_M=c_m, C_H=1.0, delta=0.0,
             omega=lambda m: float(m), K=lambda m: 0.0,
         )
 
@@ -234,6 +234,19 @@ def test_thresholds_monotone_in_kappa_and_cm():
     harder = compute_thresholds(make(1.0, 1.0), lam=0.0, horizon=1.0)
     assert stronger.sigma0_T <= base.sigma0_T
     assert harder.sigma0_T >= base.sigma0_T
+
+
+@pytest.mark.parametrize(
+    "r1,discount,horizon,beta_star_T,sigma0_T",
+    [(-5.0, 0.0, 8.0, 0.0, math.inf), (0.0, 400.0, 1.0, math.inf, 0.0)],
+    ids=["underflow", "overflow"],
+)
+def test_thresholds_at_the_ends_of_the_float_range(r1, discount, horizon, beta_star_T, sigma0_T):
+    constants = ModelConstants(sigma=0.5, sigma0=0.5, discount=discount)
+    data = lq_monotonicity_data(LQParams(c1=1.0, c3=0.5, g1=1.0, b=1.0, p1=1.0, r1=r1), constants)
+    rep = compute_thresholds(data, lam=discount, horizon=horizon)
+    assert rep.beta_star_T == beta_star_T
+    assert rep.sigma0_T == sigma0_T
 
 
 def test_pontryagin_residual_oracle_vs_perturbed():
