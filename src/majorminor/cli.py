@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, MajorMinorError
+from .errors import ConfigurationError, MajorMinorError, SimulationError
 from .extragradient import (
     ExtragradientConfig,
     FbsdeOperator,
@@ -478,6 +478,24 @@ def run_verify(config: RunConfig, out_dir: str | Path | None = None) -> int:
         seed = config.seed
         reports = []
         thresholds = None
+
+        def certify(error: str | None = None) -> None:
+            payload = {
+                "reports": [json.loads(rep.to_json()) for rep in reports],
+                "thresholds": None
+                if thresholds is None
+                else {
+                    "gamma_star": thresholds.gamma_star,
+                    "sigma0_T": thresholds.sigma0_T,
+                    "sigma0_star": thresholds.sigma0_star,
+                    "branch": thresholds.branch,
+                },
+                "error": error,
+            }
+            path = out / "certification.json"
+            path.write_text(json.dumps(payload, indent=2) + "\n")
+            emitted.append(path)
+
         if params is not None:
             mono = _lq_monotonicity(data, params, constants)
             beta0 = mono.beta0 if mono.beta0 > 0 else 0.05
@@ -491,10 +509,14 @@ def run_verify(config: RunConfig, out_dir: str | Path | None = None) -> int:
                     )
                 )
                 thresholds = compute_thresholds(mono, constants.discount, grid.horizon)
-        reports.append(check_v_monotonicity(op, pairs=pairs, seed=seed))
-
-        eg_config = _extragradient_config(config)
-        report = run_extragradient(op.zero(), eg_config, op)
+        # a solve that blows up ends the battery, not the certificate: what
+        # was computed before it is written with the error, then re-raised
+        try:
+            reports.append(check_v_monotonicity(op, pairs=pairs, seed=seed))
+            report = run_extragradient(op.zero(), _extragradient_config(config), op)
+        except SimulationError as exc:
+            certify(str(exc))
+            raise
         solve = op.last_solve
         if params is not None and constants.sigma0 > 0:
             sol = riccati_oracle(params, constants, grid)
@@ -508,21 +530,7 @@ def run_verify(config: RunConfig, out_dir: str | Path | None = None) -> int:
             reports.append(check_z_bound(solve, lip))
             residual_scale = max(2.0 * report.residuals[-1], 1e-8) if report.residuals else 1e-8
             reports.append(check_pontryagin_residual(solve, cs, grid, tol_disc=max(residual_scale, 0.05)))
-
-        payload = {
-            "reports": [json.loads(rep.to_json()) for rep in reports],
-            "thresholds": None
-            if thresholds is None
-            else {
-                "gamma_star": thresholds.gamma_star,
-                "sigma0_T": thresholds.sigma0_T,
-                "sigma0_star": thresholds.sigma0_star,
-                "branch": thresholds.branch,
-            },
-        }
-        path = out / "certification.json"
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        emitted.append(path)
+        certify()
     for rep in reports:
         print(f"{'PASS' if rep.passed else 'FAIL'} {rep.name}: margin={rep.margin:.6g} se={rep.se:.6g}")
     return 0 if all(rep.passed for rep in reports) else 2

@@ -29,6 +29,16 @@ control variate, prior*((dW)^2 - dt)/dt with the prior taken from the step
 k+1 fit (independent of the step-k increment, hence still unbiased), removes
 the O(1) chi-square fluctuation of the weighted estimator and leaves
 O(sqrt(dt)) target noise.
+
+The within-scenario fits (the leave-one-out fit of the next U, and the fit
+of the U target with the minor-integrand target) share the affine design
+[1, x] of one step, and d = 1, so `AffineDesign` solves them in closed form
+from per-scenario sums on (M, P) slabs, with the ridge, the leverage clip
+and the rank check of `regress_conditional`.  Everything of a step that
+depends on the forward pass only (the scenario means of X and of the
+control, the scenario designs, and the sums of x and x^2) is computed for
+all steps before the sweep, in O(N M k) memory; nothing particle-sized is
+kept across steps.  The cross-scenario fits stay with `regress_conditional`.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ from .models import PrimedCoefficientSet, theta_inverse
 __all__ = [
     "QUADRATIC_MIN_SCENARIOS",
     "RegressionBasis",
+    "AffineDesign",
     "SolveOutput",
     "InitialCondition",
     "sample_initial",
@@ -65,25 +76,22 @@ QUADRATIC_MIN_SCENARIOS = 24
 class RegressionBasis:
     """Feature policy for the conditional-expectation regressions.
 
-    Particle fits are affine in x (constant, x).  Scenario fits use constant,
-    q, mean_x, mean_u; `quadratic` adds the squared and cross terms to the
-    scenario fits only and needs `QUADRATIC_MIN_SCENARIOS` (24) scenarios.
-    Ridge is relative to the trace scale of the normal equations.
+    Particle fits are affine in x (constant, x) and solved in closed form by
+    `AffineDesign`.  Scenario fits use constant, q, mean_x, mean_u;
+    `quadratic` adds the squared and cross terms to the scenario fits only
+    and needs `QUADRATIC_MIN_SCENARIOS` (24) scenarios.  Ridge is relative to
+    the trace scale of the normal equations.
     """
 
     quadratic: bool = False
     ridge: float = 1e-8
 
-    def particle_design(self, x: np.ndarray) -> np.ndarray:
-        """(M, P, d) -> (M, P, 1 + d) affine design."""
-        m, p, _ = x.shape
-        return np.concatenate([np.ones((m, p, 1)), x], axis=-1)
-
     def scenario_design(
         self, q: np.ndarray, mean_x: np.ndarray, mean_u: np.ndarray, quadratic: bool | None = None
     ) -> np.ndarray:
-        """Per-scenario features (M, k); q is (M, d0), means are (M, d)."""
-        cols = [np.ones((q.shape[0], 1)), q, mean_x, mean_u]
+        """Per-scenario features (..., M, k); q is (..., M, d0), means are
+        (..., M, d).  Leading axes (the steps of a whole path) carry through."""
+        cols = [np.ones(q.shape[:-1] + (1,)), q, mean_x, mean_u]
         if self.quadratic if quadratic is None else quadratic:
             cols.extend([q * q, mean_x * mean_x, q * mean_x, q * mean_u])
         return np.concatenate(cols, axis=-1)
@@ -135,9 +143,10 @@ class FittedRegression:
 def regress_conditional(design: np.ndarray, targets: np.ndarray, ridge: float = 1e-8) -> FittedRegression:
     """Ridge-regularized projection of targets onto the feature span.
 
-    design: (..., n, k), where leading axes index independent fits (one per
-    scenario for the within-scenario regressions); targets: (..., n), or
-    (..., n, r) for r targets that share the design, solved in one call.
+    design: (..., n, k), where leading axes index independent fits;
+    targets: (..., n), or (..., n, r) for r targets that share the design,
+    solved in one call.  The backward sweep uses it for the cross-scenario
+    fits; its within-scenario fits go through `AffineDesign`.
     Ridge is relative to the trace of each normal-equation matrix.  With
     zero ridge a rank-deficient system raises a regression error.
 
@@ -169,6 +178,72 @@ def regress_conditional(design: np.ndarray, targets: np.ndarray, ridge: float = 
     except np.linalg.LinAlgError as exc:
         raise RegressionError(f"singular normal equations: {exc}") from exc
     return FittedRegression(design, gram, coef, y, squeeze)
+
+
+class AffineDesign:
+    """The affine design [1, x] of the within-scenario fits (d = 1), solved
+    in closed form from per-scenario sums.
+
+    x: (..., n), one fit per leading index (a scenario's particles along n).
+    The sums over n of x and x^2 may be passed in when the caller has them
+    for many steps at once.  Everything else follows `regress_conditional` on
+    the same design: the ridge lam = ridge * (n + sum x^2) / 2 is relative to
+    the trace of the normal equations, leverage is clipped at 0.8, and with
+    zero ridge a rank-deficient fit (n < 2, or x constant to rounding, by the
+    tolerance of `np.linalg.matrix_rank` with the trace for the largest
+    singular value) raises a regression error.  On 2-D slabs this makes a
+    few passes over x and y where the generic routine loops over a
+    (..., n, 2) design.
+    """
+
+    def __init__(
+        self, x: np.ndarray, ridge: float, sum_x: np.ndarray | None = None, sum_xx: np.ndarray | None = None
+    ):
+        n = x.shape[-1]
+        sum_x = x.sum(axis=-1) if sum_x is None else sum_x
+        sum_xx = np.einsum("...n,...n->...", x, x) if sum_xx is None else sum_xx
+        trace = n + sum_xx
+        if ridge == 0.0:
+            # det = n * spread; rank < 2 when det <= 2 eps trace^2
+            spread = np.square(x - (sum_x / max(n, 1))[..., None]).sum(axis=-1)
+            if n < 2 or np.any(spread <= 2.0 * np.finfo(float).eps * trace**2 / n):
+                raise RegressionError("rank-deficient normal equations without ridge")
+        lam = 0.5 * ridge * trace
+        self.x = x
+        # the ridged normal equations [[g00, g01], [g01, g11]] and their determinant
+        self._g00 = n + lam
+        self._g01 = sum_x
+        self._g11 = sum_xx + lam
+        self._det = self._g00 * self._g11 - sum_x * sum_x
+
+    def coef(self, y: np.ndarray) -> np.ndarray:
+        """Coefficients (..., 2) of the fit of y (..., n)."""
+        sum_y = y.sum(axis=-1)
+        sum_xy = np.einsum("...n,...n->...", self.x, y)
+        coef = np.empty(sum_y.shape + (2,))
+        coef[..., 0] = (self._g11 * sum_y - self._g01 * sum_xy) / self._det
+        coef[..., 1] = (self._g00 * sum_xy - self._g01 * sum_y) / self._det
+        return coef
+
+    def __call__(self, coef: np.ndarray) -> np.ndarray:
+        """Fitted values (..., n) of coefficients (..., 2)."""
+        fitted = coef[..., 1:] * self.x
+        fitted += coef[..., :1]
+        return fitted
+
+    def loo_residuals(self, y: np.ndarray) -> np.ndarray:
+        """Leave-one-out residuals e/(1-h) of the fit of y, as in
+        `FittedRegression.loo_residuals`; h is clipped at 0.8."""
+        # h = (g11 - 2 g01 x + g00 x^2) / det, by Horner in one buffer
+        h = self._g00[..., None] * self.x
+        h -= 2.0 * self._g01[..., None]
+        h *= self.x
+        h += self._g11[..., None]
+        h /= self._det[..., None]
+        np.clip(h, 0.0, 0.8, out=h)
+        resid = y - self(self.coef(y))
+        resid /= 1.0 - h
+        return resid
 
 
 @dataclass
@@ -235,15 +310,19 @@ def simulate_forward(
     consts = primed.constants
     sx = math.sqrt(2.0 * consts.sigma)
     sq = math.sqrt(2.0 * consts.sigma0)
-    # no state feedback in the drift, so the Euler recursion is a cumsum
+    # no state feedback in the drift, so the Euler recursion is a running
+    # sum of the increments, accumulated in place and shifted by X0 at the end
     X = path_array((m, p, n + 1, d))
     Xt = np.moveaxis(X, 2, 0)
     qf = np.empty((m, n + 1, d0))
     Xt[0] = init.X0
     qf[:, 0] = init.q0
-    dBt = np.moveaxis(noise.dB, 2, 0)
     axt = np.moveaxis(control.alpha_x, 2, 0)
-    np.cumsum(sx * dBt - dt * axt, axis=0, out=Xt[1:])
+    np.multiply(np.moveaxis(noise.dB, 2, 0), sx, out=Xt[1:])
+    for k in range(n):
+        Xt[k + 1] -= dt * axt[k]
+        if k:
+            Xt[k + 1] += Xt[k]
     Xt[1:] += init.X0
     np.cumsum(sq * noise.dW0 - dt * control.alpha_q, axis=1, out=qf[:, 1:])
     qf[:, 1:] += init.q0[:, None, :]
@@ -319,6 +398,18 @@ def solve_backward(
     Zphi = np.zeros((m, n, d0))
     Zq = np.zeros((m, n, d0, d0))
     theta_H = np.empty((m, n, d0))
+    # d = 1: the particle arithmetic runs on (M, P) slabs of these views
+    x, u, dB = Xt[..., 0], Ut[..., 0], dBt[..., 0]
+
+    # step geometry: everything that depends on the forward pass only, for
+    # all steps at once; O(N M k) memory, no (N, M, P) temporaries
+    sum_x = x[:n].sum(axis=2)  # (N, M)
+    sum_xx = np.einsum("kmp,kmp->km", x[:n], x[:n])
+    q_steps = np.moveaxis(qf[:, :n], 1, 0)  # (N, M, d0)
+    mean_x = (sum_x / p)[..., None]  # (N, M, d)
+    mean_a = axt.mean(axis=2)
+    S = basis.scenario_design(q_steps, mean_x, mean_a)  # (N, M, k)
+    Scv = basis.scenario_design(q_steps, mean_x, mean_a, quadratic=True) if enrich_cv else S
 
     feats_T = conditional_features(Xt[n])
     qf_T = qf[:, n][:, None, :]
@@ -343,51 +434,45 @@ def solve_backward(
     # integrands it is the previous integrand fit itself.
     coef_carry = None  # (ks_cv, 1 + d0) carrier-fit coefficients of (phi, qb)
     coef_zw = None  # (ks, d*d0)
-    coef_zb = None  # (M, kp, d*d)
+    coef_zb = None  # (M, 2) particle coefficients of the minor integrand
 
     for k in range(n - 1, -1, -1):
         Xk = Xt[k]
         qfk = qf[:, k]
-        ax_k = axt[k]
         aq_k = control.alpha_q[:, k]
-        dBk = dBt[k]
         dW0k = noise.dW0[:, k]
-        mean_xk = Xk.mean(axis=1)
-        mean_ak = ax_k.mean(axis=1)
-
-        S = basis.scenario_design(qfk, mean_xk, mean_ak)
-        Scv = basis.scenario_design(qfk, mean_xk, mean_ak, quadratic=True) if enrich_cv else S
-        P = basis.particle_design(Xk)
+        Sk = S[k]
+        P = AffineDesign(x[k], ridge, sum_x[k], sum_xx[k])
 
         # carrier fits at step-k features, needed both for the Z residuals
         # and (via their q-gradients) as integrand priors
-        cv = regress_conditional(Scv, carry, ridge)
+        cv = regress_conditional(Scv[k], carry, ridge)
         if coef_carry is None:
             # first backward step: bootstrap the prior from the same-step
             # carrier fit (one O(features/M) in-sample leak, then clean)
             coef_carry = cv.coef
-        grad, hess = _scenario_q_derivatives(coef_carry, qfk, mean_xk, mean_ak)
+        grad, hess = _scenario_q_derivatives(coef_carry, q_steps[k], mean_x[k], mean_a[k])
         pred_zphi = grad[:, :, 0]
         pred_zq = sq * grad[:, :, 1:].transpose(0, 2, 1)
         hess_phi, hess_qb = hess[:, 0], hess[:, 1:]
-        pred_zw = (S @ coef_zw).reshape(m, d, d0) if coef_zw is not None else np.zeros((m, d, d0))
-        pred_zb = (P @ coef_zb).reshape(m, p, d, d) if coef_zb is not None else np.zeros((m, p, d, d))
+        pred_zw = (Sk @ coef_zw).reshape(m, d, d0) if coef_zw is not None else np.zeros((m, d, d0))
+        pred_zb = P(coef_zb) if coef_zb is not None else 0.0
 
         # (a) martingale integrands at k from the next U and the next scenario
         # carriers; the three scenario-level targets share S and are fitted
         # in one call
-        u_resid = regress_conditional(P, Ut[k + 1], ridge).loo_residuals()
+        u_resid = P.loo_residuals(u[k + 1])
         zw_k = np.zeros((m, 1, d, d0))
         if consts.sigma0 > 0:
             chi = (dW0k * dW0k - dt) / dt  # (M, d0), mean-zero given F_k
             resid = cv.loo_residuals()  # keep each scenario's own signal
             zphi_target = resid[:, :1] * dW0k / (sq * dt) - pred_zphi * chi
             zq_target = resid[:, 1:, None] * dW0k[:, None, :] / dt - pred_zq * chi[:, None, :]
-            zw_target = u_resid.mean(axis=1)[:, :, None] * dW0k[:, None, :] / dt - pred_zw * chi[:, None, :]
+            zw_target = u_resid.mean(axis=1)[:, None, None] * dW0k[:, None, :] / dt - pred_zw * chi[:, None, :]
             z_targets = [zphi_target, zq_target.reshape(m, -1), zw_target.reshape(m, -1)]
-            fit_z = regress_conditional(S, np.concatenate(z_targets, axis=1), ridge)
+            fit_z = regress_conditional(Sk, np.concatenate(z_targets, axis=1), ridge)
             Zphi[:, k] = fit_z.fitted[:, :d0]
-            se_zphi[k] = float(np.sqrt(np.mean(fit_z.residuals[:, :d0] ** 2) * S.shape[1] / m))
+            se_zphi[k] = float(np.sqrt(np.mean(fit_z.residuals[:, :d0] ** 2) * Sk.shape[1] / m))
             Zq[:, k] = fit_z.fitted[:, d0 : d0 + d0 * d0].reshape(m, d0, d0)
             zw_k = fit_z.fitted[:, d0 + d0 * d0 :].reshape(m, 1, d, d0)
             coef_zw = fit_z.coef[:, d0 + d0 * d0 :]
@@ -395,7 +480,7 @@ def solve_backward(
         # (b) invert the pair map at the current (state, Zphi) along the control
         zk = Zphi[:, k][:, None, :]
         qfk_b = qfk[:, None, :]
-        thF, thH = theta_inverse(primed, Xk, qfk_b, zk, ax_k, aq_k[:, None, :])
+        thF, thH = theta_inverse(primed, Xk, qfk_b, zk, axt[k], aq_k[:, None, :])
         thetaF_t[k] = thF
         theta_H[:, k] = thH[:, 0]
 
@@ -405,23 +490,24 @@ def solve_backward(
         # only O(sqrt(dt)) target noise remains.  Exposed values fit in the
         # configured basis; scenario carriers refit in the quadratic basis so
         # curvature survives for the next integrand estimate.  The particle
-        # integrand target shares P with the U target and rides along.
+        # integrand target shares P with the U target.
         feats_k = conditional_features(Xk, thF)
-        drv_u = primed.Gp(Xk, qfk_b, thH, thF, zk, feats_k)
+        drv_u = primed.Gp(Xk, qfk_b, thH, thF, zk, feats_k)[..., 0]
         drv_phi = primed.LHp(qfk_b, thH, zk, feats_k)[:, 0] + lam * carry[:, 0]
         drv_qb = primed.Hzp(qfk_b, thH, zk, feats_k)[:, 0]
 
-        mart_u = np.einsum("mpij,mpj->mpi", pred_zb, dBk) + np.einsum(
-            "mij,mj->mi", pred_zw, dW0k
-        )[:, None, :]
-        target_u = Ut[k + 1] + dt * drv_u - mart_u
-        zb_target = (u_resid[:, :, :, None] * dBk[:, :, None, :] / dt).reshape(m, p, d * d)
-        fit_u = regress_conditional(P, np.concatenate([target_u, zb_target], axis=2), ridge)
-        Ut[k] = fit_u.fitted[:, :, :d]
-        resid_u[k] = float(np.sqrt(np.mean(fit_u.residuals[:, :, :d] ** 2)))
-        coef_zb = fit_u.coef[:, :, d:]
+        mart_u = pred_zb * dB[k] + (pred_zw[:, 0, 0] * dW0k[:, 0])[:, None]
+        target_u = dt * drv_u
+        target_u += u[k + 1]
+        target_u -= mart_u
+        u[k] = P(P.coef(target_u))
+        fit_resid = np.subtract(target_u, u[k], out=target_u)
+        resid_u[k] = math.sqrt(np.vdot(fit_resid, fit_resid) / fit_resid.size)
+        zb_target = np.multiply(u_resid, dB[k], out=u_resid)
+        zb_target /= dt
+        coef_zb = P.coef(zb_target)
         if compute_z:
-            Zt[k][:, :, :, :d] = fit_u.fitted[:, :, d:].reshape(m, p, d, d)
+            Zt[k][:, :, 0, 0] = P(coef_zb)
             Zt[k][:, :, :, d:] = zw_k
 
         # chi-square (Ito-level) fluctuations subtracted with the prior
@@ -440,12 +526,12 @@ def solve_backward(
             - 0.5 * (2.0 * consts.sigma0) * chi_abs @ hess_qb
         )
         targets = np.column_stack([target_phi, target_qb])
-        fit_v = regress_conditional(S, targets, ridge)
+        fit_v = regress_conditional(Sk, targets, ridge)
         phi[:, k] = fit_v.fitted[:, 0]
         qb[:, k] = fit_v.fitted[:, 1:]
         resid_phi[k] = float(np.sqrt(np.mean(fit_v.residuals[:, 0] ** 2)))
         resid_qb[k] = float(np.sqrt(np.mean(fit_v.residuals[:, 1:] ** 2)))
-        fit_carry = fit_v if Scv is S else regress_conditional(Scv, targets, ridge)
+        fit_carry = fit_v if Scv is S else regress_conditional(Scv[k], targets, ridge)
         carry = fit_carry.fitted
         coef_carry = fit_carry.coef
 

@@ -359,7 +359,15 @@ class ThresholdReport:
     branch: str
 
     def beta_star(self, t: float) -> float:
-        return self.beta0 * math.exp(self.decay_rate * t)
+        return _beta_star(self.beta0, self.decay_rate, t)
+
+
+def _beta_star(beta0: float, decay: float, t: float) -> float:
+    """beta0 e^{decay t}, inf where `math.exp` overflows."""
+    try:
+        return beta0 * math.exp(decay * t)
+    except OverflowError:
+        return math.inf
 
 
 def compute_thresholds(data: MonotonicityData, lam: float, horizon: float) -> ThresholdReport:
@@ -378,10 +386,7 @@ def compute_thresholds(data: MonotonicityData, lam: float, horizon: float) -> Th
     norm_A = data.norm_A
     gamma_star = (2.0 / data.kappa) * data.C_H**2 * (norm_A + data.beta0)
     decay = 2.0 * lam - gamma_star
-    try:
-        beta_T = data.beta0 * math.exp(decay * horizon)
-    except OverflowError:
-        beta_T = math.inf
+    beta_T = _beta_star(data.beta0, decay, horizon)
 
     def sigma0_at(beta: float, first_factor: float) -> float:
         if beta == 0.0:

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -261,6 +262,29 @@ def test_failed_command_leaves_a_manifest_with_the_error(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["files"] == {}
     assert manifest["error"] and f"error: {manifest['error']}" in error
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the probe solves overflow on purpose
+def test_verify_keeps_its_certificate_when_a_solve_fails(tmp_path, capsys):
+    data = json.loads(json.dumps(FAST_LQ))
+    data["model"]["params"]["r1"] = -5.0
+    data["grid"]["horizon"] = 8.0
+    data["ensemble"] = {"scenarios": 4, "particles": 16}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 1
+    error = capsys.readouterr().err
+    cert = json.loads((out / "certification.json").read_text())
+    assert [r["name"] for r in cert["reports"]] == [
+        "terminal_monotonicity", "coefficient_monotonicity", "coefficient_monotonicity_zpair",
+    ]
+    assert cert["thresholds"]["sigma0_T"] == math.inf
+    assert "non-finite" in cert["error"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == cert["error"] and f"error: {cert['error']}" in error
+    digest = hashlib.sha256((out / "certification.json").read_bytes()).hexdigest()
+    assert manifest["files"] == {"certification.json": digest}
 
 
 def test_sigma_sweep_pool_size_is_capped(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import fields
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from majorminor.cli import build_problem, parse_config
 from majorminor.ensembles import ControlField, conditional_features
 from majorminor.errors import ConfigurationError, RegressionError, SimulationError
 from majorminor.extragradient import FbsdeOperator
@@ -20,6 +22,7 @@ from majorminor.models import (
 from majorminor.oracle import oracle_induced_control, riccati_oracle
 from majorminor.solver import (
     QUADRATIC_MIN_SCENARIOS,
+    AffineDesign,
     InitialCondition,
     RegressionBasis,
     decoupled_solve,
@@ -167,6 +170,36 @@ def test_regress_equivariant_under_row_permutation(seed, batch, n, k, r, ridge):
     np.testing.assert_allclose(moved.coef, fit.coef, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(moved.fitted, fit.fitted[:, perm], rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(moved.loo_residuals(), fit.loo_residuals()[:, perm], rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    batch=st.integers(1, 4),
+    n=st.integers(4, 40),
+    shift=st.floats(-3.0, 3.0),
+    spread=st.floats(0.1, 3.0),
+    ridge=st.sampled_from([0.0, 1e-8, 1e-2]),
+)
+def test_affine_design_matches_regress_conditional(seed, batch, n, shift, spread, ridge):
+    rng = np.random.default_rng(seed)
+    x = shift + spread * rng.standard_normal((batch, n))
+    y = rng.standard_normal() * x + rng.standard_normal((batch, n))
+    ref = regress_conditional(np.stack([np.ones_like(x), x], axis=-1), y, ridge)
+    tol = dict(rtol=1e-10, atol=1e-10 * np.abs(y).max())
+    # the solver passes the sums it computed for all steps at once
+    for design in (AffineDesign(x, ridge), AffineDesign(x, ridge, x.sum(axis=-1), (x * x).sum(axis=-1))):
+        coef = design.coef(y)
+        np.testing.assert_allclose(coef, ref.coef, **tol)
+        np.testing.assert_allclose(design(coef), ref.fitted, **tol)
+        np.testing.assert_allclose(design.loo_residuals(y), ref.loo_residuals(), **tol)
+
+
+@settings(max_examples=30, deadline=None)
+@given(value=st.floats(-1e3, 1e3), n=st.integers(1, 40))
+def test_affine_design_rank_deficient_without_ridge(value, n):
+    with pytest.raises(RegressionError):
+        AffineDesign(np.full((3, n), value), ridge=0.0)
 
 
 def test_zero_model_solve_all_zero():
@@ -331,3 +364,37 @@ def test_decoupled_solve_independent_of_control_layout():
     assert np.array_equal(a.theta_F, b.theta_F) and np.array_equal(a.theta_H, b.theta_H)
     for name in ("X", "U", "qf", "qb", "phi", "Zphi", "Zq", "Z"):
         assert np.array_equal(getattr(a.state, name), getattr(b.state, name)), name
+
+
+# v at the 12x64x10 cone config, seed 1234, recorded before the within-scenario
+# fits became closed-form: both block norms, then v.alpha_x at [0,0,0,0],
+# [5,17,9,0], [11,63,4,0] and v.alpha_q at [0,0,0], [7,9,0]
+GOLDEN_V = {
+    "zero": (
+        172.69050115530268, 31.75750241642191, -1.8687472468757214, -0.8331898357941444,
+        -1.5027521190169995, -0.8663264878131446, -2.449911729785598,
+    ),
+    "random": (
+        195.47752953709147, 89.2173332538159, -1.7857200739837635, -1.479579136772469,
+        -1.4135624455433862, -4.910651694176658, 0.061640194651006064,
+    ),
+}
+
+
+@pytest.mark.parametrize("start", sorted(GOLDEN_V))
+def test_operator_matches_recorded_values(start):
+    doc = {
+        "model": {"kind": "lq", "params": {"c1": 1.0, "c3": 0.5, "g1": 1.0, "b": 1.0, "p1": 1.0}},
+        "grid": {"steps": 10},
+        "ensemble": {"scenarios": 12, "particles": 64},
+        "seed": 1234,
+    }
+    op = build_problem(parse_config(json.dumps(doc)))[0]
+    alpha = op.zero() if start == "zero" else op.random_control(np.random.default_rng(0))
+    v = op(alpha)
+    got = (
+        np.linalg.norm(v.alpha_x), np.linalg.norm(v.alpha_q),
+        v.alpha_x[0, 0, 0, 0], v.alpha_x[5, 17, 9, 0], v.alpha_x[11, 63, 4, 0],
+        v.alpha_q[0, 0, 0], v.alpha_q[7, 9, 0],
+    )
+    np.testing.assert_allclose(got, GOLDEN_V[start], rtol=1e-9, atol=0)

@@ -247,6 +247,7 @@ def test_thresholds_at_the_ends_of_the_float_range(r1, discount, horizon, beta_s
     rep = compute_thresholds(data, lam=discount, horizon=horizon)
     assert rep.beta_star_T == beta_star_T
     assert rep.sigma0_T == sigma0_T
+    assert rep.beta_star(horizon) == beta_star_T
 
 
 def test_pontryagin_residual_oracle_vs_perturbed():
