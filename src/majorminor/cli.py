@@ -2,8 +2,9 @@
 
 Configuration is a JSON document checked against one table, `_TABLE`, that
 gives each key its default, its accepted types and its range requirement.
-Unknown keys are rejected (with a suggestion), and all violations are
-reported at once, before any output directory exists.  Every command gets
+Every number given must be finite, since JSON parsing lets NaN and Infinity
+through.  Unknown keys are rejected (with a suggestion), and all violations
+are reported at once, before any output directory exists.  Every command gets
 its output directory from `_run_dir`, which writes `manifest.json` echoing
 the config, the seed, and a checksum of each emitted file.  Re-running a
 manifest's config and seed reproduces the CSV bodies byte for byte: all
@@ -62,6 +63,15 @@ __all__ = ["RunConfig", "RunManifest", "parse_config", "run_solve", "run_sigma_s
 
 def _real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _non_finite(name: str, value) -> list[str]:
+    """Violations for a non-finite real, or non-finite reals in a list."""
+    if isinstance(value, list):
+        return [v for i, x in enumerate(value) for v in _non_finite(f"{name}[{i}]", x)]
+    if _real(value) and not math.isfinite(value):
+        return [f"{name} must be finite, got {value!r}"]
+    return []
 
 
 _NONNEG = (">= 0", lambda v: v >= 0)
@@ -168,6 +178,7 @@ def _complete(given: dict, table: dict, prefix: str, violations: list) -> dict:
             accepted = _accepts(types, value)
             if not accepted:
                 violations.append(f"{name} has wrong type {type(value).__name__}")
+            violations.extend(_non_finite(name, value))
             # a number given to a numeric key is judged even when it has the
             # wrong type (2.5 for an int), so both faults are listed
             judged = value is not None and (accepted or (_real(value) and _accepts(types, 1)))
@@ -206,6 +217,8 @@ def parse_config(text: str | dict, seed: int | None = None) -> RunConfig:
             violations.append(f"unknown key model.params.{key}{_suggest(key, _LQ_KEYS)}")
         elif not _real(value):
             violations.append(f"model.params.{key} must be a real number, got {value!r}")
+        else:
+            violations.extend(_non_finite(f"model.params.{key}", value))
     scenarios, need = data["ensemble"]["scenarios"], QUADRATIC_MIN_SCENARIOS
     if data["basis"]["quadratic"] is True and _real(scenarios) and scenarios < need:
         violations.append(f"basis.quadratic needs ensemble.scenarios >= {need}, got {scenarios!r}")
@@ -271,20 +284,14 @@ def build_problem(config: RunConfig):
         params = LQParams(**data["model"]["params"])
         cs = make_lq_model(params, constants, region_radius=data["verification"]["region_radius"])
     grid = build_grid(data["grid"]["horizon"], data["grid"]["steps"])
-    noise = sample_noise(
-        grid, data["ensemble"]["scenarios"], data["ensemble"]["particles"],
-        d=constants.d, d0=constants.d0, seed=config.seed,
-    )
+    noise = sample_noise(grid, data["ensemble"]["scenarios"], data["ensemble"]["particles"], seed=config.seed)
     init = sample_initial(
         data["ensemble"]["scenarios"], data["ensemble"]["particles"], seed=config.seed,
         x_mean=data["init"]["x_mean"], x_std=data["init"]["x_std"],
         q0=data["init"]["q0"], q0_std=data["init"]["q0_std"],
-        d=constants.d, d0=constants.d0,
     )
     basis = RegressionBasis(quadratic=data["basis"]["quadratic"], ridge=data["basis"]["ridge"])
-    eg = data["extragradient"]
-    A = eg["a_scale"] * np.eye(constants.d0)
-    op = FbsdeOperator(split_q(cs), grid, noise, init, basis, A=A)
+    op = FbsdeOperator(split_q(cs), grid, noise, init, basis, a=data["extragradient"]["a_scale"])
     return op, grid, noise, init, cs, params, constants
 
 
@@ -365,11 +372,11 @@ def run_solve(config: RunConfig, out_dir: str | Path | None = None, dump_ensembl
 
         snap_rows = []
         st = op.last_solve.state
-        mean_u0 = st.U[:, :, 0, 0].mean(axis=1)
-        mean_x0 = st.X[:, :, 0, 0].mean(axis=1)
+        mean_u0 = st.U[:, :, 0].mean(axis=1)
+        mean_x0 = st.X[:, :, 0].mean(axis=1)
         for j in range(st.phi.shape[0]):
             snap_rows.append(
-                (j, st.qf[j, 0, 0], mean_x0[j], st.phi[j, 0], st.Zphi[j, 0, 0], st.qb[j, 0, 0], mean_u0[j])
+                (j, st.qf[j, 0], mean_x0[j], st.phi[j, 0], st.Zphi[j, 0], st.qb[j, 0], mean_u0[j])
             )
         snap_path = out / "snapshot.csv"
         write_csv(
@@ -381,11 +388,11 @@ def run_solve(config: RunConfig, out_dir: str | Path | None = None, dump_ensembl
 
         if dump_ensemble:
             rows = []
-            m, p, n1, _ = st.X.shape
+            m, p, n1 = st.X.shape
             for j in range(m):
                 for i in range(p):
                     for k in range(n1):
-                        rows.append((j, i, grid.nodes[k], st.X[j, i, k, 0], st.U[j, i, k, 0]))
+                        rows.append((j, i, grid.nodes[k], st.X[j, i, k], st.U[j, i, k]))
             dump_path = out / "ensemble.csv"
             write_csv(dump_path, ["scenario", "particle", "t", "X", "U"], rows)
             emitted.append(dump_path)
@@ -499,12 +506,12 @@ def run_verify(config: RunConfig, out_dir: str | Path | None = None) -> int:
         if params is not None:
             mono = _lq_monotonicity(data, params, constants)
             beta0 = mono.beta0 if mono.beta0 > 0 else 0.05
-            reports.append(check_terminal_monotonicity(cs, mono.A, beta0, samples=samples, seed=seed))
-            reports.append(check_coefficient_monotonicity(cs, mono.A, samples=samples, seed=seed))
+            reports.append(check_terminal_monotonicity(cs, mono.a, beta0, samples=samples, seed=seed))
+            reports.append(check_coefficient_monotonicity(cs, mono.a, samples=samples, seed=seed))
             if mono.kappa > 0:
                 reports.append(
                     check_coefficient_monotonicity(
-                        cs, mono.A, samples=samples, seed=seed, z_pairs=True,
+                        cs, mono.a, samples=samples, seed=seed, z_pairs=True,
                         kappa=mono.kappa, slack=(mono.C_M, mono.K),
                     )
                 )
@@ -524,7 +531,7 @@ def run_verify(config: RunConfig, out_dir: str | Path | None = None) -> int:
             lip = 0.0
             for k in range(grid.steps):
                 _, _, z_ref = eval_oracle_field(
-                    sol, grid.nodes[k], 0.0, st.qf[:, k, 0], st.X[:, :, k, 0].mean(axis=1)
+                    sol, grid.nodes[k], 0.0, st.qf[:, k], st.X[:, :, k].mean(axis=1)
                 )
                 lip = max(lip, float(np.max(np.abs(z_ref))))
             reports.append(check_z_bound(solve, lip))

@@ -28,16 +28,17 @@ __all__ = [
 
 @dataclass
 class ControlField:
-    """Discretized element of the control space: minor controls per
-    (scenario, particle, step), major control per (scenario, step)."""
+    """Discretized element of the control space: scalar minor controls per
+    (scenario, particle, step), shaped (M, P, N), and the scalar major
+    control per (scenario, step), shaped (M, N)."""
 
-    alpha_x: np.ndarray  # (M_c, P, N_t, d), time-major when package-made
-    alpha_q: np.ndarray  # (M_c, N_t, d0)
+    alpha_x: np.ndarray  # (M_c, P, N_t), time-major when package-made
+    alpha_q: np.ndarray  # (M_c, N_t)
 
     def __post_init__(self):
-        if self.alpha_x.ndim != 4 or self.alpha_q.ndim != 3:
+        if self.alpha_x.ndim != 3 or self.alpha_q.ndim != 2:
             raise ContractError(
-                f"control shapes must be (M,P,N,d) and (M,N,d0), got "
+                f"control shapes must be (M,P,N) and (M,N), got "
                 f"{self.alpha_x.shape} and {self.alpha_q.shape}"
             )
         if self.alpha_x.shape[0] != self.alpha_q.shape[0] or self.alpha_x.shape[2] != self.alpha_q.shape[1]:
@@ -56,35 +57,36 @@ class ControlField:
     __rmul__ = __mul__
 
     @staticmethod
-    def zeros(n_scenarios: int, n_particles: int, n_steps: int, d: int = 1, d0: int = 1) -> "ControlField":
-        alpha_x = path_array((n_scenarios, n_particles, n_steps, d))
+    def zeros(n_scenarios: int, n_particles: int, n_steps: int) -> "ControlField":
+        alpha_x = path_array((n_scenarios, n_particles, n_steps))
         alpha_x[...] = 0.0
-        return ControlField(alpha_x, np.zeros((n_scenarios, n_steps, d0)))
+        return ControlField(alpha_x, np.zeros((n_scenarios, n_steps)))
 
 
 @dataclass
 class EnsembleState:
     """Time-indexed particle clouds and per-scenario paths of one solve.
 
-    Scenario-level quantities (qf, qb, phi, Zphi, Zq) carry no particle axis;
-    they are adapted to the common filtration by construction.
+    States are scalar.  Particle paths are time-major (see `path_array`);
+    scenario-level quantities (qf, qb, phi, Zphi, Zq) carry no particle axis,
+    so they are adapted to the common filtration by construction.
     """
 
-    X: np.ndarray  # (M_c, P, N_t+1, d)
-    U: np.ndarray  # (M_c, P, N_t+1, d)
-    qf: np.ndarray  # (M_c, N_t+1, d0)
-    qb: np.ndarray  # (M_c, N_t+1, d0)
+    X: np.ndarray  # (M_c, P, N_t+1)
+    U: np.ndarray  # (M_c, P, N_t+1)
+    qf: np.ndarray  # (M_c, N_t+1)
+    qb: np.ndarray  # (M_c, N_t+1)
     phi: np.ndarray  # (M_c, N_t+1)
-    Zphi: np.ndarray  # (M_c, N_t, d0)
-    Zq: np.ndarray  # (M_c, N_t, d0, d0)
-    Z: np.ndarray | None = None  # (M_c, P, N_t, d, d+d0)
+    Zphi: np.ndarray  # (M_c, N_t)
+    Zq: np.ndarray  # (M_c, N_t)
+    Z: np.ndarray | None = None  # (M_c, P, N_t, 2): the dB and dW0 integrands of U
 
 
 @dataclass
 class ScenarioFeatures:
     """The declared conditional moments of (X, U): their within-scenario means.
 
-    Arrays are shaped (M_c, 1, d) so they broadcast against particle clouds.
+    Arrays are shaped (M_c, 1) so they broadcast against particle clouds.
     """
 
     mean_x: np.ndarray
@@ -94,10 +96,10 @@ class ScenarioFeatures:
 def conditional_features(x: np.ndarray, u: np.ndarray | None = None) -> ScenarioFeatures:
     """Within-scenario particle means of x and u at one time slice.
 
-    x, u: (M_c, P, d).  When u is omitted its mean is zero.
+    x, u: (M_c, P).  When u is omitted its mean is zero.
     """
-    if x.ndim != 3:
-        raise ContractError(f"expected (M,P,d) slice, got shape {x.shape}")
+    if x.ndim != 2:
+        raise ContractError(f"expected (M,P) slice, got shape {x.shape}")
     if x.shape[1] == 0:
         raise ConfigurationError(["conditional features need at least one particle"])
     if u is None:
@@ -119,8 +121,8 @@ def inner_product_T(a: ControlField, b: ControlField, grid: TimeGrid) -> float:
         )
     if a.alpha_x.shape[2] != grid.steps:
         raise ContractError("control step axis does not match the grid")
-    part = np.einsum("mpkd,mpkd->", a.alpha_x, b.alpha_x) / (a.alpha_x.shape[0] * a.alpha_x.shape[1])
-    scen = np.einsum("mkd,mkd->", a.alpha_q, b.alpha_q) / a.alpha_q.shape[0]
+    part = np.einsum("mpk,mpk->", a.alpha_x, b.alpha_x) / (a.alpha_x.shape[0] * a.alpha_x.shape[1])
+    scen = np.einsum("mk,mk->", a.alpha_q, b.alpha_q) / a.alpha_q.shape[0]
     return float(grid.dt * (part + scen))
 
 

@@ -3,7 +3,10 @@
 For a control alpha the decoupled system is solved, the pair inverse is read
 off, and the operator value is
 
-    v(alpha) = blockdiag(I, A/2) . (theta(X, qf, Zphi)(alpha) - (U, qb)).
+    v(alpha) = (theta_F(alpha) - U, (a/2) (theta_H(alpha) - qb)),
+
+with theta = (theta_F, theta_H) the pair inverse at (X, qf, Zphi) and a > 0
+the weight of the major block.
 
 Its zero is the control induced by the coupled solution, so the stopping rule
 is the residual norm, not iterate movement.  The iteration kernel only needs
@@ -89,15 +92,14 @@ class FbsdeOperator:
         noise: NoiseBundle,
         init: InitialCondition,
         basis: RegressionBasis,
-        A: np.ndarray | None = None,
+        a: float = 1.0,
     ):
         self.primed = primed
         self.grid = grid
         self.noise = noise
         self.init = init
         self.basis = basis
-        d0 = init.q0.shape[1]
-        self.A = np.atleast_2d(A) if A is not None else np.eye(d0)
+        self.a = a
         self.last_solve: SolveOutput | None = None
 
     def __call__(self, control: ControlField) -> ControlField:
@@ -107,10 +109,9 @@ class FbsdeOperator:
         )
         self.last_solve = solve
         n = self.grid.steps
-        vx = solve.theta_F - solve.state.U[:, :, :n, :]
-        gap_q = solve.theta_H - solve.state.qb[:, :n, :]
-        vq = 0.5 * np.einsum("ij,mkj->mki", self.A, gap_q)
-        return ControlField(vx, vq)
+        vx = solve.theta_F - solve.state.U[:, :, :n]
+        gap_q = solve.theta_H - solve.state.qb[:, :n]
+        return ControlField(vx, 0.5 * (self.a * gap_q))
 
     def inner(self, a: ControlField, b: ControlField) -> float:
         return inner_product_T(a, b, self.grid)
@@ -119,16 +120,16 @@ class FbsdeOperator:
         return float(np.sqrt(max(self.inner(a, a), 0.0)))
 
     def zero(self) -> ControlField:
-        m, p, _ = self.init.X0.shape
-        return ControlField.zeros(m, p, self.grid.steps, self.init.X0.shape[2], self.init.q0.shape[1])
+        m, p = self.init.X0.shape
+        return ControlField.zeros(m, p, self.grid.steps)
 
     def random_control(self, rng: np.random.Generator, scale: float = 1.0) -> ControlField:
-        m, p, d = self.init.X0.shape
+        m, p = self.init.X0.shape
         n = self.grid.steps
-        # draw in (M, P, N, d) order so a seed keeps its probes
-        alpha_x = path_array((m, p, n, d))
-        alpha_x[...] = scale * rng.standard_normal((m, p, n, d))
-        return ControlField(alpha_x, scale * rng.standard_normal((m, n, self.init.q0.shape[1])))
+        # draw in (M, P, N) order so a seed keeps its probes
+        alpha_x = path_array((m, p, n))
+        alpha_x[...] = scale * rng.standard_normal((m, p, n))
+        return ControlField(alpha_x, scale * rng.standard_normal((m, n)))
 
 
 def extragradient_step(alpha, gamma: float, op):
@@ -151,7 +152,6 @@ class ExtragradientReport:
     """Per-iteration trail of one run plus the fitted geometric rate."""
 
     residuals: list[float]
-    gammas: list[float]
     seconds: list[float]
     dist_to_reference: list[float] | None
     lambda_hat: float | None
@@ -185,7 +185,7 @@ class ExtragradientReport:
         rows = []
         for i, res in enumerate(self.residuals):
             dist = self.dist_to_reference[i] if self.dist_to_reference else float("nan")
-            rows.append((i + 1, res, dist, self.gammas[i], self.seconds[i]))
+            rows.append((i + 1, res, dist, self.gamma, self.seconds[i]))
         return rows
 
 
@@ -248,7 +248,6 @@ def run_extragradient(
 
     alpha = alpha1
     residuals: list[float] = []
-    gammas: list[float] = []
     seconds: list[float] = []
     dists: list[float] | None = [] if reference_control is not None else None
     sums = None
@@ -265,14 +264,12 @@ def run_extragradient(
             diverged = True
             seconds.append(time.perf_counter() - t0)
             residuals.append(float("inf"))
-            gammas.append(gamma)
             if dists is not None:
                 dists.append(float("nan"))
             break
         half_solve = getattr(op, "last_solve", None)
         residual = float(np.sqrt(max(op.inner(v_n, v_n), 0.0)))
         residuals.append(residual)
-        gammas.append(gamma)
         if dists is not None:
             diff = alpha - reference_control
             dists.append(float(np.sqrt(max(op.inner(diff, diff), 0.0))))
@@ -299,7 +296,6 @@ def run_extragradient(
         averages = {k: v / count for k, v in sums.items()}
     return ExtragradientReport(
         residuals=residuals,
-        gammas=gammas,
         seconds=seconds,
         dist_to_reference=dists,
         lambda_hat=lam_hat,
@@ -325,7 +321,7 @@ def recover_phi_bar(op: FbsdeOperator, averages: dict) -> np.ndarray:
         averages["U"], averages["p"], averages["q"], averages["X"], averages["Zphi"],
     )
     m = q_bar.shape[0]
-    qmid_T = q_bar[:, n][:, None, :]
+    qmid_T = q_bar[:, n][:, None]
     feats_T = conditional_features(X_bar[:, :, n])
     phi = np.empty((m, n + 1))
     phi[:, n] = primed.psi(qmid_T, feats_T)[:, 0]
@@ -333,10 +329,10 @@ def recover_phi_bar(op: FbsdeOperator, averages: dict) -> np.ndarray:
     for k in range(n - 1, -1, -1):
         qmid = 0.5 * (q_bar[:, k] + p_bar[:, k])
         feats = conditional_features(X_bar[:, :, k], U_bar[:, :, k])
-        drv = primed.base.LH(qmid[:, None, :], Z_bar[:, k][:, None, :], feats)[:, 0]
+        drv = primed.base.LH(qmid[:, None], Z_bar[:, k][:, None], feats)[:, 0]
         drv = drv + consts.discount * phi[:, k + 1]
-        target = phi[:, k + 1] + dt * drv - sq * np.einsum("mj,mj->m", Z_bar[:, k], op.noise.dW0[:, k])
-        S = basis.scenario_design(qmid, X_bar[:, :, k, :].mean(axis=1), U_bar[:, :, k, :].mean(axis=1))
+        target = phi[:, k + 1] + dt * drv - sq * (Z_bar[:, k] * op.noise.dW0[:, k])
+        S = basis.scenario_design(qmid, X_bar[:, :, k].mean(axis=1), U_bar[:, :, k].mean(axis=1))
         phi[:, k] = regress_conditional(S, target, basis.ridge).fitted
     return phi
 

@@ -44,17 +44,18 @@ def build_grid(horizon: float, steps: int) -> TimeGrid:
 
 
 def path_array(shape: tuple[int, ...]) -> np.ndarray:
-    """Uninitialized particle path array, indexed (M, P, N, ...) and stored
+    """Uninitialized particle path array, indexed (M, P, N) and stored
     time-major.
 
-    This is the package's one memory-layout convention.  Every array with a
-    (scenario, particle, step) prefix is read and written through its
-    (M, P, N, ...) index order, but the buffer behind it is a C-contiguous
-    (N, M, P, ...) block, so the per-step slab a[:, :, k] that the forward
-    and backward sweeps touch is contiguous, and np.moveaxis(a, 2, 0) gives
-    the time-major buffer without a copy.  Elementwise arithmetic on two such
-    arrays keeps the layout.  Scenario-level paths (no particle axis) stay in
-    plain C order.
+    This is the package's one memory-layout convention.  States are scalar,
+    so a particle path is (M, P, N): it is read and written in that index
+    order, but the buffer behind it is a C-contiguous (N, M, P) block, so the
+    per-step slab a[:, :, k] that the forward and backward sweeps touch is
+    contiguous, and np.moveaxis(a, 2, 0) gives the time-major buffer without
+    a copy.  Elementwise arithmetic on two such arrays keeps the layout.  A
+    trailing axis (the two integrand components of `EnsembleState.Z`) rides
+    along after N.  Scenario-level paths (M, N) have no particle axis and
+    stay in plain C order.
     """
     m, p, n, *rest = shape
     return np.moveaxis(np.empty((n, m, p, *rest)), 0, 2)
@@ -64,9 +65,9 @@ def path_array(shape: tuple[int, ...]) -> np.ndarray:
 class NoiseBundle:
     """Brownian increments for one run.
 
-    dB  : (M_c, P, N_t, d)   idiosyncratic, variance dt per component,
-                             time-major (see `path_array`)
-    dW0 : (M_c, N_t, d0)     common, shared by every particle of a scenario
+    dB  : (M_c, P, N_t)   idiosyncratic, variance dt, time-major (see
+                          `path_array`)
+    dW0 : (M_c, N_t)      common, shared by every particle of a scenario
     """
 
     dB: np.ndarray
@@ -90,8 +91,6 @@ def sample_noise(
     grid: TimeGrid,
     n_scenarios: int,
     n_particles: int,
-    d: int = 1,
-    d0: int = 1,
     seed: int = 0,
 ) -> NoiseBundle:
     """Sample Gaussian increments with variance dt for every driver.
@@ -105,13 +104,13 @@ def sample_noise(
 
     n_steps = grid.steps
     scale = np.sqrt(grid.dt)
-    dB = path_array((n_scenarios, n_particles, n_steps, d))
-    dW0 = np.empty((n_scenarios, n_steps, d0))
+    dB = path_array((n_scenarios, n_particles, n_steps))
+    dW0 = np.empty((n_scenarios, n_steps))
     for j in range(n_scenarios):
         gen0 = _scenario_generator(seed, j, _STREAM_COMMON)
-        dW0[j] = scale * gen0.standard_normal((n_steps, d0))
+        dW0[j] = scale * gen0.standard_normal(n_steps)
         gen = _scenario_generator(seed, j, _STREAM_IDIO)
-        dB[j] = scale * gen.standard_normal((n_particles, n_steps, d))
+        dB[j] = scale * gen.standard_normal((n_particles, n_steps))
     dB.setflags(write=False)
     dW0.setflags(write=False)
     return NoiseBundle(dB=dB, dW0=dW0)

@@ -2,12 +2,13 @@
 Lipschitz inverse used to parametrize the decoupled system.
 
 A `CoefficientSet` carries the six maps (F, G, Hz, LH, g, psi) plus constants.
-Conventions for vectorized evaluation (d, d0 are the state dimensions):
+States are scalar (minor and major state dimension 1).  Conventions for
+vectorized evaluation:
 
-- particle-borne args: x, u           shape (M, P, d)
-- scenario-borne args: q, z           shape (M, 1, d0)
-- conditional-law features            ScenarioFeatures with (M, 1, d) arrays
-- outputs: F, G, g -> (M, P, d); Hz -> (M, 1, d0); LH, psi -> (M, 1)
+- particle-borne args: x, u           shape (M, P)
+- scenario-borne args: q, z           shape (M, 1)
+- conditional-law features            ScenarioFeatures with (M, 1) arrays
+- outputs: F, G, g -> (M, P); Hz, LH, psi -> (M, 1)
 
 Measure dependence is restricted to the declared moments, the scenario means
 of X and U: exact for the shipped linear-quadratic family, and O(P) to evaluate.
@@ -42,13 +43,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModelConstants:
-    """Volatilities, discount, dimensions and clamp level of one instance."""
+    """Volatilities, discount and clamp level of one instance."""
 
     sigma: float = 0.5
     sigma0: float = 0.5
     discount: float = 0.0  # coefficient of the phi term in the major driver
-    d: int = 1
-    d0: int = 1
     clamp_m: float = math.inf
 
     def __post_init__(self):
@@ -61,11 +60,6 @@ class ModelConstants:
             problems.append(f"discount must be >= 0, got {self.discount}")
         if not (self.clamp_m > 0):
             problems.append(f"clamp level must be positive, got {self.clamp_m}")
-        # the shipped models and scenario_q_gradient are scalar
-        if self.d != 1:
-            problems.append(f"d must be 1, got {self.d}")
-        if self.d0 != 1:
-            problems.append(f"d0 must be 1, got {self.d0}")
         if problems:
             raise ConfigurationError(problems)
 
@@ -74,10 +68,11 @@ class ModelConstants:
 class CoefficientSet:
     """The coefficient tuple of one major-minor instance.
 
-    `theta`, when provided, is the closed-form inverse of the pair map
-    (U, qb) -> (F', DzH') at frozen (X, qf, z); otherwise a damped fixed
-    point is used.  `grad_alpha_L` exposes the control-gradient of the minor
-    Lagrangian for optimality-residual checks.
+    The z clamp level is `constants.clamp_m`.  `theta`, when provided, is
+    the closed-form inverse of the pair map (U, qb) -> (F', DzH') at frozen
+    (X, qf, z); otherwise a damped fixed point is used.  `grad_alpha_L`
+    exposes the control-gradient of the minor Lagrangian for
+    optimality-residual checks.
     """
 
     F: Callable
@@ -89,10 +84,8 @@ class CoefficientSet:
     constants: ModelConstants
     c_coef: float = 1.0
     omega: Callable[[float], float] = lambda m: 0.0
-    clamp_m: float = math.inf
     theta: Callable | None = None
     grad_alpha_L: Callable | None = None
-    name: str = "custom"
 
 
 def eval_coefficients(cs: CoefficientSet, x, q, u, z, feats: ScenarioFeatures):
@@ -133,7 +126,6 @@ def clamp_coefficients(cs: CoefficientSet, level: float) -> CoefficientSet:
         G=lambda x, q, u, z, f: G(x, q, u, clip(z), f),
         Hz=lambda q, z, f: Hz(q, clip(z), f),
         LH=lambda q, z, f: LH(q, clip(z), f),
-        clamp_m=float(level),
         constants=replace(cs.constants, clamp_m=float(level)),
     )
 
@@ -222,7 +214,7 @@ def theta_inverse(
 
 @dataclass(frozen=True)
 class LQParams:
-    """Scalar linear-quadratic family (d = d0 = 1).
+    """Scalar linear-quadratic family.
 
     Minor players: Lagrangian |alpha|^2/2 + state costs, so the optimal drift
     is the costate itself:
@@ -234,7 +226,7 @@ class LQParams:
         LH = -z^2/2 - r1*q^2/2 - r2*q*mean_x
         psi = p1*q^2/2 + p2*q*mean_x
     The cone b > 0, c1 + c3 > 0, g1 > 0 (with p1 > 0) is jointly monotone for
-    A = a*I with suitable a > 0; the verification module measures it.
+    a suitable weight a > 0; the verification module measures it.
     """
 
     c1: float = 0.0
@@ -254,7 +246,8 @@ def _make_lq_theta(b: float):
     # b*(p+qb)/2 + clamp(z) = alpha_q; the b = 0 family is degenerate in q
     # and returns the forward copy.
     def theta(base, X, p, z, alpha_x, alpha_q):
-        zc = z if math.isinf(base.clamp_m) else np.clip(z, -base.clamp_m, base.clamp_m)
+        clamp_m = base.constants.clamp_m
+        zc = z if math.isinf(clamp_m) else np.clip(z, -clamp_m, clamp_m)
         if b == 0.0:
             qb = np.array(np.broadcast_to(p, np.broadcast_shapes(p.shape, alpha_q.shape)), copy=True)
         else:
@@ -286,17 +279,13 @@ def make_lq_model(
         return b * q + z
 
     def LH(q, z, f):
-        return (
-            -0.5 * np.sum(z * z, axis=-1)
-            - 0.5 * r1 * np.sum(q * q, axis=-1)
-            - r2 * np.sum(q * f.mean_x, axis=-1)
-        )
+        return -0.5 * (z * z) - 0.5 * r1 * (q * q) - r2 * (q * f.mean_x)
 
     def g(x, q, f):
         return g1 * x + g2 * q
 
     def psi(q, f):
-        return 0.5 * p1 * np.sum(q * q, axis=-1) + p2 * np.sum(q * f.mean_x, axis=-1)
+        return 0.5 * p1 * (q * q) + p2 * (q * f.mean_x)
 
     R = float(region_radius)
     c_coef = max(
@@ -320,10 +309,8 @@ def make_lq_model(
         constants=constants,
         c_coef=c_coef,
         omega=lambda m: float(m),
-        clamp_m=constants.clamp_m,
         theta=_make_lq_theta(b),
         grad_alpha_L=lambda x, q, a, f: a,
-        name="lq",
     )
     if math.isfinite(constants.clamp_m):
         cs = clamp_coefficients(cs, constants.clamp_m)
@@ -337,11 +324,8 @@ def make_zero_model(constants: ModelConstants | None = None) -> CoefficientSet:
     def zero_particle(x, q, u, z, f):
         return np.zeros(np.broadcast_shapes(x.shape, u.shape))
 
-    def zero_scen_vec(q, z, f):
-        return np.zeros_like(q)
-
     def zero_scen(q, z, f):
-        return np.zeros(q.shape[:-1])
+        return np.zeros_like(q)
 
     def theta(base, X, p, z, ax, aq):
         # The pair map vanishes identically; only the zero target is
@@ -351,16 +335,15 @@ def make_zero_model(constants: ModelConstants | None = None) -> CoefficientSet:
     return CoefficientSet(
         F=zero_particle,
         G=zero_particle,
-        Hz=zero_scen_vec,
+        Hz=zero_scen,
         LH=zero_scen,
         g=lambda x, q, f: np.zeros_like(x),
-        psi=lambda q, f: np.zeros(q.shape[:-1]),
+        psi=lambda q, f: np.zeros_like(q),
         constants=constants,
         c_coef=0.0,
         omega=lambda m: 0.0,
         theta=theta,
         grad_alpha_L=lambda x, q, a, f: a,
-        name="zero",
     )
 
 
@@ -372,9 +355,10 @@ def make_zero_model(constants: ModelConstants | None = None) -> CoefficientSet:
 @dataclass(frozen=True)
 class MonotonicityData:
     """Constants of the joint monotonicity inequalities and the growth
-    functions feeding the volatility thresholds."""
+    functions feeding the volatility thresholds; `a` weighs the major-state
+    terms of the inequalities."""
 
-    A: np.ndarray
+    a: float
     kappa: float
     beta0: float
     C_M: float
@@ -384,16 +368,8 @@ class MonotonicityData:
     K: Callable[[float], float] = lambda m: 0.0
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        object.__setattr__(self, "A", A)
-        if not np.allclose(A, A.T):
-            raise ConfigurationError(["A must be symmetric"])
         if not (0.0 <= self.delta <= 1.0):
             raise ConfigurationError([f"delta must lie in [0,1], got {self.delta}"])
-
-    @property
-    def norm_A(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.A))))
 
     def validate_monotone(self):
         if self.kappa <= 0 or self.beta0 <= 0:
@@ -408,7 +384,8 @@ def lq_monotonicity_data(
     a_scale: float = 1.0,
     region_radius: float = 3.0,
 ) -> MonotonicityData:
-    """Analytic monotonicity constants of an LQ instance for A = a_scale*I.
+    """Analytic monotonicity constants of an LQ instance for the weight
+    a = a_scale.
 
     kappa is half the smallest Rayleigh quotient of the joint coefficient
     form (the other half absorbs the z cross terms; see `K`/`C_M` below),
@@ -440,7 +417,7 @@ def lq_monotonicity_data(
     C_H = (abs(params.r1) + 2.0 * abs(params.r2)) * R
     c_slack = (2.0 + a) ** 2 / kappa_eq if kappa_eq > 0 else math.inf
     return MonotonicityData(
-        A=a * np.eye(constants.d0),
+        a=a,
         kappa=0.5 * kappa_eq,
         beta0=beta0,
         C_M=c_slack * cs.c_coef**2 if math.isfinite(c_slack) else 0.0,

@@ -133,26 +133,24 @@ def oracle_induced_control(
     Returns the control and the induced paths (X, q, U, Zphi) for reuse as a
     reference in convergence studies.
     """
-    m, p, _ = init.X0.shape
+    m, p = init.X0.shape
     n = grid.steps
-    d = init.X0.shape[2]
-    d0 = init.q0.shape[1]
     dt = grid.dt
     sx = math.sqrt(2.0 * cs.constants.sigma)
     sq = math.sqrt(2.0 * cs.constants.sigma0)
 
-    X = path_array((m, p, n + 1, d))
-    qpath = np.empty((m, n + 1, d0))
-    U = path_array((m, p, n + 1, d))
-    Zphi = np.empty((m, n, d0))
-    alpha_x = path_array((m, p, n, d))
-    alpha_q = np.empty((m, n, d0))
+    X = path_array((m, p, n + 1))
+    qpath = np.empty((m, n + 1))
+    U = path_array((m, p, n + 1))
+    Zphi = np.empty((m, n))
+    alpha_x = path_array((m, p, n))
+    alpha_q = np.empty((m, n))
     X[:, :, 0] = init.X0
     qpath[:, 0] = init.q0
     for k in range(n + 1):
         t = grid.nodes[k]
         xk = X[:, :, k]
-        qk = qpath[:, k][:, None, :]
+        qk = qpath[:, k][:, None]
         mbar = xk.mean(axis=1, keepdims=True)
         u_k, _, z_k = eval_oracle_field(sol, t, xk, qk, mbar)
         U[:, :, k] = u_k
@@ -207,9 +205,9 @@ def picard_solve(
     three consecutive sweeps.
     """
     cs = primed.base
-    m, p, _ = init.X0.shape
+    m, p = init.X0.shape
     n = grid.steps
-    control = ControlField.zeros(m, p, n, init.X0.shape[2], init.q0.shape[1])
+    control = ControlField.zeros(m, p, n)
     distances: list[float] = []
     solve = None
     for sweep in range(1, max_iter + 1):
@@ -228,8 +226,8 @@ def picard_solve(
         for k in range(n):
             xk = st.X[:, :, k]
             uk = st.U[:, :, k]
-            qmid = 0.5 * (st.qf[:, k] + st.qb[:, k])[:, None, :]
-            zk = st.Zphi[:, k][:, None, :]
+            qmid = 0.5 * (st.qf[:, k] + st.qb[:, k])[:, None]
+            zk = st.Zphi[:, k][:, None]
             feats = conditional_features(xk, uk)
             alpha_x[:, :, k] = cs.F(xk, qmid, uk, zk, feats)
             alpha_q[:, k] = cs.Hz(qmid, zk, feats)[:, 0]

@@ -1,5 +1,7 @@
 """Decoupled forward-backward solves for a frozen control field.
 
+States are scalar: particle paths are (M, P, N) in the time-major layout of
+`path_array`, and scenario paths are (M, N).
 Forward: explicit Euler for the state clouds driven by the control.
 Backward: least-squares Monte Carlo, one regression sweep per step.
 Particle-borne quantities (U and its martingale integrand) regress within
@@ -32,7 +34,7 @@ O(sqrt(dt)) target noise.
 
 The within-scenario fits (the leave-one-out fit of the next U, and the fit
 of the U target with the minor-integrand target) share the affine design
-[1, x] of one step, and d = 1, so `AffineDesign` solves them in closed form
+[1, x] of one step, so `AffineDesign` solves them in closed form
 from per-scenario sums on (M, P) slabs, with the ridge, the leverage clip
 and the rank check of `regress_conditional`.  Everything of a step that
 depends on the forward pass only (the scenario means of X and of the
@@ -89,24 +91,24 @@ class RegressionBasis:
     def scenario_design(
         self, q: np.ndarray, mean_x: np.ndarray, mean_u: np.ndarray, quadratic: bool | None = None
     ) -> np.ndarray:
-        """Per-scenario features (..., M, k); q is (..., M, d0), means are
-        (..., M, d).  Leading axes (the steps of a whole path) carry through."""
-        cols = [np.ones(q.shape[:-1] + (1,)), q, mean_x, mean_u]
+        """Per-scenario features (..., M, k); q and the means are (..., M).
+        Leading axes (the steps of a whole path) carry through."""
+        cols = [np.ones(q.shape), q, mean_x, mean_u]
         if self.quadratic if quadratic is None else quadratic:
             cols.extend([q * q, mean_x * mean_x, q * mean_x, q * mean_u])
-        return np.concatenate(cols, axis=-1)
+        return np.stack(cols, axis=-1)
 
 
 def _scenario_q_derivatives(coef: np.ndarray, q: np.ndarray, mean_x: np.ndarray, mean_u: np.ndarray):
-    """q-gradient (M, d0, n_out) and constant second q-derivative (d0, n_out)
-    of a scenario fit with coef (k, n_out), for d = d0 = 1; k = 4 is the
+    """q-gradient (M, n_out) and constant second q-derivative (n_out,) of a
+    scenario fit with coef (k, n_out) at q and means (M,); k = 4 is the
     affine design, k = 8 the quadratic one."""
     grad = np.tile(coef[1], (q.shape[0], 1))
     if coef.shape[0] == 4:
-        return grad[:, None], np.zeros((1, coef.shape[1]))
+        return grad, np.zeros(coef.shape[1])
     # summed left to right, in the order of the quadratic columns
-    grad = grad + 2.0 * q * coef[4] + mean_x * coef[6] + mean_u * coef[7]
-    return grad[:, None], 2.0 * coef[4:5]
+    grad = grad + 2.0 * q[:, None] * coef[4] + mean_x[:, None] * coef[6] + mean_u[:, None] * coef[7]
+    return grad, 2.0 * coef[4]
 
 
 class FittedRegression:
@@ -181,7 +183,7 @@ def regress_conditional(design: np.ndarray, targets: np.ndarray, ridge: float = 
 
 
 class AffineDesign:
-    """The affine design [1, x] of the within-scenario fits (d = 1), solved
+    """The affine design [1, x] of the within-scenario fits, solved
     in closed form from per-scenario sums.
 
     x: (..., n), one fit per leading index (a scenario's particles along n).
@@ -251,8 +253,8 @@ class InitialCondition:
     """Admissible initial condition: a particle cloud X0 and a common-noise
     measurable q0 per scenario."""
 
-    X0: np.ndarray  # (M_c, P, d)
-    q0: np.ndarray  # (M_c, d0)
+    X0: np.ndarray  # (M_c, P)
+    q0: np.ndarray  # (M_c,)
 
 
 _STREAM_INIT_X = 2
@@ -267,18 +269,16 @@ def sample_initial(
     x_std: float = 1.0,
     q0: float = 0.0,
     q0_std: float = 0.0,
-    d: int = 1,
-    d0: int = 1,
 ) -> InitialCondition:
     """i.i.d. Gaussian X0 cloud; q0 deterministic unless q0_std > 0."""
     key_x = np.array([np.uint64(seed), np.uint64(_STREAM_INIT_X << 32)], dtype=np.uint64)
     key_q = np.array([np.uint64(seed), np.uint64(_STREAM_INIT_Q << 32)], dtype=np.uint64)
     gen_x = np.random.Generator(np.random.Philox(key=key_x))
     gen_q = np.random.Generator(np.random.Philox(key=key_q))
-    X0 = x_mean + x_std * gen_x.standard_normal((n_scenarios, n_particles, d))
-    q = np.full((n_scenarios, d0), float(q0))
+    X0 = x_mean + x_std * gen_x.standard_normal((n_scenarios, n_particles))
+    q = np.full(n_scenarios, float(q0))
     if q0_std > 0:
-        q = q + q0_std * gen_q.standard_normal((n_scenarios, d0))
+        q = q + q0_std * gen_q.standard_normal(n_scenarios)
     return InitialCondition(X0=X0, q0=q)
 
 
@@ -294,15 +294,15 @@ def simulate_forward(
     X_{k+1} = X_k - alpha_x_k dt + sqrt(2 sigma) dB_k
     qf_{k+1} = qf_k - alpha_q_k dt + sqrt(2 sigma0) dW0_k
 
-    X is (M_c, P, N_t+1, d) in the time-major layout of `path_array`.
+    X is (M_c, P, N_t+1) in the time-major layout of `path_array`, qf is
+    (M_c, N_t+1).
     """
-    m, p, n, d = control.alpha_x.shape
-    d0 = control.alpha_q.shape[2]
-    if noise.dB.shape != (m, p, n, d) or noise.dW0.shape != (m, n, d0):
+    m, p, n = control.alpha_x.shape
+    if noise.dB.shape != (m, p, n) or noise.dW0.shape != (m, n):
         raise SimulationError(
             f"noise bundle shape {noise.dB.shape}/{noise.dW0.shape} does not match control"
         )
-    if init.X0.shape != (m, p, d) or init.q0.shape != (m, d0):
+    if init.X0.shape != (m, p) or init.q0.shape != (m,):
         raise SimulationError(f"initial condition shapes {init.X0.shape}/{init.q0.shape} mismatch")
     _validate_control(control)
 
@@ -312,9 +312,9 @@ def simulate_forward(
     sq = math.sqrt(2.0 * consts.sigma0)
     # no state feedback in the drift, so the Euler recursion is a running
     # sum of the increments, accumulated in place and shifted by X0 at the end
-    X = path_array((m, p, n + 1, d))
+    X = path_array((m, p, n + 1))
     Xt = np.moveaxis(X, 2, 0)
-    qf = np.empty((m, n + 1, d0))
+    qf = np.empty((m, n + 1))
     Xt[0] = init.X0
     qf[:, 0] = init.q0
     axt = np.moveaxis(control.alpha_x, 2, 0)
@@ -325,15 +325,15 @@ def simulate_forward(
             Xt[k + 1] += Xt[k]
     Xt[1:] += init.X0
     np.cumsum(sq * noise.dW0 - dt * control.alpha_q, axis=1, out=qf[:, 1:])
-    qf[:, 1:] += init.q0[:, None, :]
+    qf[:, 1:] += init.q0[:, None]
     return X, qf
 
 
 def _validate_control(control: ControlField) -> None:
     if np.isfinite(control.alpha_x.sum()) and np.isfinite(control.alpha_q.sum()):
         return
-    finite_x = np.isfinite(control.alpha_x).all(axis=(0, 1, 3))
-    finite_q = np.isfinite(control.alpha_q).all(axis=(0, 2))
+    finite_x = np.isfinite(control.alpha_x).all(axis=(0, 1))
+    finite_q = np.isfinite(control.alpha_q).all(axis=0)
     bad = np.nonzero(~(finite_x & finite_q))[0]
     raise SimulationError("non-finite drift", step=int(bad[0]) if bad.size else None)
 
@@ -344,8 +344,8 @@ class SolveOutput:
     (theta_F, theta_H), and per-step regression diagnostics."""
 
     state: EnsembleState
-    theta_F: np.ndarray  # (M_c, P, N_t, d)
-    theta_H: np.ndarray  # (M_c, N_t, d0)
+    theta_F: np.ndarray  # (M_c, P, N_t)
+    theta_H: np.ndarray  # (M_c, N_t)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -367,11 +367,10 @@ def solve_backward(
     slices are set from (g, psi) exactly.
     """
     X, qf = forward
-    m, p, n1, d = X.shape
+    m, p, n1 = X.shape
     if basis.quadratic and m < QUADRATIC_MIN_SCENARIOS:
         raise ConfigurationError([f"a quadratic basis needs >= {QUADRATIC_MIN_SCENARIOS} scenarios, got {m}"])
     n = n1 - 1
-    d0 = qf.shape[2]
     dt = grid.dt
     consts = primed.constants
     lam = consts.discount
@@ -381,44 +380,42 @@ def solve_backward(
     # enriched S when there are enough scenarios, else the affine S
     enrich_cv = not basis.quadratic and m >= QUADRATIC_MIN_SCENARIOS
 
-    # time-major views keep the per-step slabs contiguous; they copy only
-    # arrays laid out other than by `path_array`
-    Xt = np.ascontiguousarray(np.moveaxis(X, 2, 0))  # (N+1, M, P, d)
-    dBt = np.ascontiguousarray(np.moveaxis(noise.dB, 2, 0))
+    # time-major views keep the per-step (M, P) slabs contiguous; they copy
+    # only arrays laid out other than by `path_array`
+    x = np.ascontiguousarray(np.moveaxis(X, 2, 0))  # (N+1, M, P)
+    dB = np.ascontiguousarray(np.moveaxis(noise.dB, 2, 0))
     axt = np.ascontiguousarray(np.moveaxis(control.alpha_x, 2, 0))
 
-    U = path_array((m, p, n + 1, d))
-    theta_F = path_array((m, p, n, d))
-    Z = path_array((m, p, n, d, d + d0)) if compute_z else None
-    Ut = np.moveaxis(U, 2, 0)
+    U = path_array((m, p, n + 1))
+    theta_F = path_array((m, p, n))
+    Z = path_array((m, p, n, 2)) if compute_z else None
+    u = np.moveaxis(U, 2, 0)
     thetaF_t = np.moveaxis(theta_F, 2, 0)
     Zt = np.moveaxis(Z, 2, 0) if compute_z else None
     phi = np.empty((m, n + 1))
-    qb = np.empty((m, n + 1, d0))
-    Zphi = np.zeros((m, n, d0))
-    Zq = np.zeros((m, n, d0, d0))
-    theta_H = np.empty((m, n, d0))
-    # d = 1: the particle arithmetic runs on (M, P) slabs of these views
-    x, u, dB = Xt[..., 0], Ut[..., 0], dBt[..., 0]
+    qb = np.empty((m, n + 1))
+    Zphi = np.zeros((m, n))
+    Zq = np.zeros((m, n))
+    theta_H = np.empty((m, n))
 
     # step geometry: everything that depends on the forward pass only, for
     # all steps at once; O(N M k) memory, no (N, M, P) temporaries
     sum_x = x[:n].sum(axis=2)  # (N, M)
     sum_xx = np.einsum("kmp,kmp->km", x[:n], x[:n])
-    q_steps = np.moveaxis(qf[:, :n], 1, 0)  # (N, M, d0)
-    mean_x = (sum_x / p)[..., None]  # (N, M, d)
+    q_steps = np.moveaxis(qf[:, :n], 1, 0)  # (N, M)
+    mean_x = sum_x / p
     mean_a = axt.mean(axis=2)
     S = basis.scenario_design(q_steps, mean_x, mean_a)  # (N, M, k)
     Scv = basis.scenario_design(q_steps, mean_x, mean_a, quadratic=True) if enrich_cv else S
 
-    feats_T = conditional_features(Xt[n])
-    qf_T = qf[:, n][:, None, :]
-    Ut[n] = primed.g(Xt[n], qf_T, feats_T)
+    feats_T = conditional_features(x[n])
+    qf_T = qf[:, n][:, None]
+    u[n] = primed.g(x[n], qf_T, feats_T)
     phi[:, n] = primed.psi(qf_T, feats_T)[:, 0]
     qb[:, n] = qf[:, n]
 
     # scenario carrier: quadratic-basis fits of phi and qb used as
-    # regression targets, stacked as columns (M, 1 + d0)
+    # regression targets, stacked as columns (M, 2)
     carry = np.column_stack([phi[:, n], qb[:, n]])
 
     resid_u = np.zeros(n)
@@ -432,14 +429,12 @@ def solve_backward(
     # integrands the prior is the q-gradient of the previous value-carrier
     # fit (value-level noise, no 1/sqrt(dt) amplification); for the minor
     # integrands it is the previous integrand fit itself.
-    coef_carry = None  # (ks_cv, 1 + d0) carrier-fit coefficients of (phi, qb)
-    coef_zw = None  # (ks, d*d0)
+    coef_carry = None  # (ks_cv, 2) carrier-fit coefficients of (phi, qb)
+    coef_zw = None  # (ks,)
     coef_zb = None  # (M, 2) particle coefficients of the minor integrand
 
     for k in range(n - 1, -1, -1):
-        Xk = Xt[k]
         qfk = qf[:, k]
-        aq_k = control.alpha_q[:, k]
         dW0k = noise.dW0[:, k]
         Sk = S[k]
         P = AffineDesign(x[k], ridge, sum_x[k], sum_xx[k])
@@ -452,35 +447,33 @@ def solve_backward(
             # carrier fit (one O(features/M) in-sample leak, then clean)
             coef_carry = cv.coef
         grad, hess = _scenario_q_derivatives(coef_carry, q_steps[k], mean_x[k], mean_a[k])
-        pred_zphi = grad[:, :, 0]
-        pred_zq = sq * grad[:, :, 1:].transpose(0, 2, 1)
-        hess_phi, hess_qb = hess[:, 0], hess[:, 1:]
-        pred_zw = (Sk @ coef_zw).reshape(m, d, d0) if coef_zw is not None else np.zeros((m, d, d0))
+        pred_zphi = grad[:, 0]
+        pred_zq = sq * grad[:, 1]
+        pred_zw = Sk @ coef_zw if coef_zw is not None else 0.0
         pred_zb = P(coef_zb) if coef_zb is not None else 0.0
 
         # (a) martingale integrands at k from the next U and the next scenario
         # carriers; the three scenario-level targets share S and are fitted
         # in one call
         u_resid = P.loo_residuals(u[k + 1])
-        zw_k = np.zeros((m, 1, d, d0))
+        zw_k = 0.0
         if consts.sigma0 > 0:
-            chi = (dW0k * dW0k - dt) / dt  # (M, d0), mean-zero given F_k
+            chi = (dW0k * dW0k - dt) / dt  # mean-zero given F_k
             resid = cv.loo_residuals()  # keep each scenario's own signal
-            zphi_target = resid[:, :1] * dW0k / (sq * dt) - pred_zphi * chi
-            zq_target = resid[:, 1:, None] * dW0k[:, None, :] / dt - pred_zq * chi[:, None, :]
-            zw_target = u_resid.mean(axis=1)[:, None, None] * dW0k[:, None, :] / dt - pred_zw * chi[:, None, :]
-            z_targets = [zphi_target, zq_target.reshape(m, -1), zw_target.reshape(m, -1)]
-            fit_z = regress_conditional(Sk, np.concatenate(z_targets, axis=1), ridge)
-            Zphi[:, k] = fit_z.fitted[:, :d0]
-            se_zphi[k] = float(np.sqrt(np.mean(fit_z.residuals[:, :d0] ** 2) * Sk.shape[1] / m))
-            Zq[:, k] = fit_z.fitted[:, d0 : d0 + d0 * d0].reshape(m, d0, d0)
-            zw_k = fit_z.fitted[:, d0 + d0 * d0 :].reshape(m, 1, d, d0)
-            coef_zw = fit_z.coef[:, d0 + d0 * d0 :]
+            zphi_target = resid[:, 0] * dW0k / (sq * dt) - pred_zphi * chi
+            zq_target = resid[:, 1] * dW0k / dt - pred_zq * chi
+            zw_target = u_resid.mean(axis=1) * dW0k / dt - pred_zw * chi
+            fit_z = regress_conditional(Sk, np.column_stack([zphi_target, zq_target, zw_target]), ridge)
+            Zphi[:, k] = fit_z.fitted[:, 0]
+            se_zphi[k] = float(np.sqrt(np.mean(fit_z.residuals[:, 0] ** 2) * Sk.shape[1] / m))
+            Zq[:, k] = fit_z.fitted[:, 1]
+            zw_k = fit_z.fitted[:, 2:]
+            coef_zw = fit_z.coef[:, 2]
 
         # (b) invert the pair map at the current (state, Zphi) along the control
-        zk = Zphi[:, k][:, None, :]
-        qfk_b = qfk[:, None, :]
-        thF, thH = theta_inverse(primed, Xk, qfk_b, zk, axt[k], aq_k[:, None, :])
+        zk = Zphi[:, k][:, None]
+        qfk_b = qfk[:, None]
+        thF, thH = theta_inverse(primed, x[k], qfk_b, zk, axt[k], control.alpha_q[:, k][:, None])
         thetaF_t[k] = thF
         theta_H[:, k] = thH[:, 0]
 
@@ -491,12 +484,12 @@ def solve_backward(
         # configured basis; scenario carriers refit in the quadratic basis so
         # curvature survives for the next integrand estimate.  The particle
         # integrand target shares P with the U target.
-        feats_k = conditional_features(Xk, thF)
-        drv_u = primed.Gp(Xk, qfk_b, thH, thF, zk, feats_k)[..., 0]
+        feats_k = conditional_features(x[k], thF)
+        drv_u = primed.Gp(x[k], qfk_b, thH, thF, zk, feats_k)
         drv_phi = primed.LHp(qfk_b, thH, zk, feats_k)[:, 0] + lam * carry[:, 0]
         drv_qb = primed.Hzp(qfk_b, thH, zk, feats_k)[:, 0]
 
-        mart_u = pred_zb * dB[k] + (pred_zw[:, 0, 0] * dW0k[:, 0])[:, None]
+        mart_u = pred_zb * dB[k] + (pred_zw * dW0k)[:, None]
         target_u = dt * drv_u
         target_u += u[k + 1]
         target_u -= mart_u
@@ -507,30 +500,30 @@ def solve_backward(
         zb_target /= dt
         coef_zb = P.coef(zb_target)
         if compute_z:
-            Zt[k][:, :, 0, 0] = P(coef_zb)
-            Zt[k][:, :, :, d:] = zw_k
+            Zt[k][..., 0] = P(coef_zb)
+            Zt[k][..., 1] = zw_k
 
         # chi-square (Ito-level) fluctuations subtracted with the prior
         # curvature: E[dW^2 - dt | F_k] = 0 keeps the targets unbiased
-        chi_abs = dW0k * dW0k - dt  # (M, d0)
+        chi_abs = dW0k * dW0k - dt
         target_phi = (
             carry[:, 0]
             + dt * drv_phi
-            - sq * np.einsum("mj,mj->m", pred_zphi, dW0k)
-            - 0.5 * (2.0 * consts.sigma0) * chi_abs @ hess_phi
+            - sq * (pred_zphi * dW0k)
+            - 0.5 * (2.0 * consts.sigma0) * chi_abs * hess[0]
         )
         target_qb = (
-            carry[:, 1:]
+            carry[:, 1]
             + dt * drv_qb
-            - np.einsum("mij,mj->mi", pred_zq, dW0k)
-            - 0.5 * (2.0 * consts.sigma0) * chi_abs @ hess_qb
+            - pred_zq * dW0k
+            - 0.5 * (2.0 * consts.sigma0) * chi_abs * hess[1]
         )
         targets = np.column_stack([target_phi, target_qb])
         fit_v = regress_conditional(Sk, targets, ridge)
         phi[:, k] = fit_v.fitted[:, 0]
-        qb[:, k] = fit_v.fitted[:, 1:]
+        qb[:, k] = fit_v.fitted[:, 1]
         resid_phi[k] = float(np.sqrt(np.mean(fit_v.residuals[:, 0] ** 2)))
-        resid_qb[k] = float(np.sqrt(np.mean(fit_v.residuals[:, 1:] ** 2)))
+        resid_qb[k] = float(np.sqrt(np.mean(fit_v.residuals[:, 1] ** 2)))
         fit_carry = fit_v if Scv is S else regress_conditional(Scv[k], targets, ridge)
         carry = fit_carry.fitted
         coef_carry = fit_carry.coef

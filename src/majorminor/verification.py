@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import conditional_features
+from .ensembles import ControlField, conditional_features
 from .errors import ConfigurationError
+from .extragradient import run_extragradient
 from .grids import TimeGrid
 from .models import CoefficientSet, MonotonicityData
-from .solver import SolveOutput
+from .solver import InitialCondition, SolveOutput
 
 __all__ = [
     "CertificationReport",
@@ -70,13 +71,13 @@ _SPREAD = 1.5
 _PAIR_SCALE = 0.7  # scale of the v-monotonicity probe controls
 
 
-def sample_cloud(rng: np.random.Generator, n_particles: int, d: int) -> np.ndarray:
+def sample_cloud(rng: np.random.Generator, n_particles: int) -> np.ndarray:
     """Two-component Gaussian mixture with random centers and scales; the
     documented sampling distribution of the hypothesis checks."""
-    centers = rng.uniform(-_SPREAD, _SPREAD, (2, d))
-    scales = rng.uniform(0.3, 1.0, (2, 1))
+    centers = rng.uniform(-_SPREAD, _SPREAD, 2)
+    scales = rng.uniform(0.3, 1.0, 2)
     comp = rng.integers(0, 2, n_particles)
-    return centers[comp] + scales[comp] * rng.standard_normal((n_particles, d))
+    return centers[comp] + scales[comp] * rng.standard_normal(n_particles)
 
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -91,33 +92,31 @@ def _require_draws(name: str, count: int) -> None:
 
 def check_terminal_monotonicity(
     cs: CoefficientSet,
-    A: np.ndarray,
+    a: float,
     beta0: float,
     samples: int = 200,
     seed: int = 0,
 ) -> CertificationReport:
     """Joint monotonicity of the terminal pair (g, psi).
 
-    Checks <g(X,q,L(X)) - g(Y,q',L(Y)), X - Y> + (q-q').A(q-q')/2
+    Checks <g(X,q,L(X)) - g(Y,q',L(Y)), X - Y> + a (q-q')^2/2
     >= beta0 |psi(q,L(X)) - psi(q',L(Y))|^2 on sampled cloud pairs.
     """
     _require_draws("samples", samples)
-    A = np.atleast_2d(A)
-    d, d0 = cs.constants.d, cs.constants.d0
     worst = math.inf
     worst_se = 0.0
     witness = None
     for i in range(samples):
         rng = _sample_rng(seed, i)
-        X = sample_cloud(rng, _CLOUD_PARTICLES, d)[None]
-        Y = sample_cloud(rng, _CLOUD_PARTICLES, d)[None]
-        q = rng.normal(0.0, _SPREAD, (1, 1, d0))
-        qp = rng.normal(0.0, _SPREAD, (1, 1, d0))
+        X = sample_cloud(rng, _CLOUD_PARTICLES)[None]
+        Y = sample_cloud(rng, _CLOUD_PARTICLES)[None]
+        q = rng.normal(0.0, _SPREAD, (1, 1))
+        qp = rng.normal(0.0, _SPREAD, (1, 1))
         fx = conditional_features(X)
         fy = conditional_features(Y)
-        pair = np.sum((cs.g(X, q, fx) - cs.g(Y, qp, fy)) * (X - Y), axis=-1)[0]
+        pair = ((cs.g(X, q, fx) - cs.g(Y, qp, fy)) * (X - Y))[0]
         dq = (q - qp)[0, 0]
-        quad = 0.5 * float(dq @ A @ dq)
+        quad = 0.5 * float(dq * a * dq)
         dpsi = float(cs.psi(q, fx)[0, 0] - cs.psi(qp, fy)[0, 0])
         margin = float(pair.mean()) + quad - beta0 * dpsi * dpsi
         se = float(pair.std(ddof=1) / math.sqrt(_CLOUD_PARTICLES))
@@ -138,14 +137,14 @@ def check_terminal_monotonicity(
 
 def check_coefficient_monotonicity(
     cs: CoefficientSet,
-    A: np.ndarray,
+    a: float,
     samples: int = 200,
     seed: int = 0,
     z_pairs: bool = False,
     kappa: float | None = None,
     slack: tuple[float, "callable"] | None = None,
 ) -> CertificationReport:
-    """Joint monotonicity of the coefficient triple (G, F, A DzH).
+    """Joint monotonicity of the coefficient triple (G, F, a DzH).
 
     With z_pairs=False this estimates kappa_hat, the smallest Rayleigh
     quotient of the shared-z form; pass means kappa_hat >= -3 SE.  With
@@ -154,27 +153,25 @@ def check_coefficient_monotonicity(
     required).
     """
     _require_draws("samples", samples)
-    A = np.atleast_2d(A)
-    d, d0 = cs.constants.d, cs.constants.d0
     worst = math.inf
     worst_se = 0.0
     witness = None
     used = 0
     for i in range(samples):
         rng = _sample_rng(seed, 1_000_000 + i)
-        X, Y, U, V = (sample_cloud(rng, _CLOUD_PARTICLES, d)[None] for _ in range(4))
-        q = rng.normal(0.0, _SPREAD, (1, 1, d0))
-        qp = rng.normal(0.0, _SPREAD, (1, 1, d0))
-        z = rng.normal(0.0, _SPREAD, (1, 1, d0))
-        zp = rng.normal(0.0, _SPREAD, (1, 1, d0)) if z_pairs else z
+        X, Y, U, V = (sample_cloud(rng, _CLOUD_PARTICLES)[None] for _ in range(4))
+        q = rng.normal(0.0, _SPREAD, (1, 1))
+        qp = rng.normal(0.0, _SPREAD, (1, 1))
+        z = rng.normal(0.0, _SPREAD, (1, 1))
+        zp = rng.normal(0.0, _SPREAD, (1, 1)) if z_pairs else z
         fxu = conditional_features(X, U)
         fyv = conditional_features(Y, V)
-        dg = np.sum((cs.G(X, q, U, z, fxu) - cs.G(Y, qp, V, zp, fyv)) * (X - Y), axis=-1)[0]
-        df = np.sum((cs.F(X, q, U, z, fxu) - cs.F(Y, qp, V, zp, fyv)) * (U - V), axis=-1)[0]
+        dg = ((cs.G(X, q, U, z, fxu) - cs.G(Y, qp, V, zp, fyv)) * (X - Y))[0]
+        df = ((cs.F(X, q, U, z, fxu) - cs.F(Y, qp, V, zp, fyv)) * (U - V))[0]
         dhz = (cs.Hz(q, z, fxu) - cs.Hz(qp, zp, fyv))[0, 0]
         dq = (q - qp)[0, 0]
-        lhs = float(dg.mean()) + float(df.mean()) + float((A @ dhz) @ dq)
-        den = float(np.mean(np.sum((X - Y) ** 2, -1)) + np.mean(np.sum((U - V) ** 2, -1)) + dq @ dq)
+        lhs = float(dg.mean()) + float(df.mean()) + float(a * dhz * dq)
+        den = float(np.mean((X - Y) ** 2) + np.mean((U - V) ** 2) + dq * dq)
         if den < 1e-12:
             continue  # degenerate pair policy
         used += 1
@@ -219,12 +216,9 @@ def _probe_control(op, rng, scale: float):
     the constant part excites the compositional structure.
     """
     rough = op.random_control(rng, 0.4 * scale)
-    m, p, n, d = rough.alpha_x.shape
-    d0 = rough.alpha_q.shape[2]
-    const_x = scale * rng.standard_normal((m, p, 1, d))
-    const_q = scale * rng.standard_normal((m, 1, d0))
-    from .ensembles import ControlField
-
+    m, p, _ = rough.alpha_x.shape
+    const_x = scale * rng.standard_normal((m, p, 1))
+    const_q = scale * rng.standard_normal((m, 1))
     return ControlField(rough.alpha_x + const_x, rough.alpha_q + const_q)
 
 
@@ -256,8 +250,8 @@ def check_v_monotonicity(
         if denom < 1e-12:
             continue
         per_scen = dt * (
-            (dv.alpha_x * diff.alpha_x).mean(axis=1).sum(axis=(1, 2))
-            + (dv.alpha_q * diff.alpha_q).sum(axis=(1, 2))
+            (dv.alpha_x * diff.alpha_x).mean(axis=1).sum(axis=1)
+            + (dv.alpha_q * diff.alpha_q).sum(axis=1)
         )
         ip = float(per_scen.mean())
         se = float(per_scen.std(ddof=1) / math.sqrt(per_scen.size))
@@ -307,25 +301,24 @@ def check_z_bound(
 def check_monotonicity_propagation(
     solve1: SolveOutput,
     solve2: SolveOutput,
-    A: np.ndarray,
+    a: float,
     beta_schedule,
     grid: TimeGrid,
 ) -> CertificationReport:
     """Propagated quantity along two coupled solves from distinct starts.
 
-    V_s = <U1-U2, X1-X2> + (q1-q2).A(q1-q2)/2 - beta(T-s) |phi1-phi2|^2
+    V_s = <U1-U2, X1-X2> + a (q1-q2)^2/2 - beta(T-s) |phi1-phi2|^2
     must satisfy E[V_s] >= 0 up to Monte Carlo error at every grid node.
     """
-    A = np.atleast_2d(A)
     s1, s2 = solve1.state, solve2.state
     n = grid.steps
     ev = np.zeros(n + 1)
     se = np.zeros(n + 1)
     for k in range(n + 1):
-        du_dx = np.sum((s1.U[:, :, k] - s2.U[:, :, k]) * (s1.X[:, :, k] - s2.X[:, :, k]), axis=-1)
+        du_dx = (s1.U[:, :, k] - s2.U[:, :, k]) * (s1.X[:, :, k] - s2.X[:, :, k])
         pair = du_dx.mean(axis=1)
         dq = s1.qf[:, k] - s2.qf[:, k]
-        quad = 0.5 * np.einsum("mi,ij,mj->m", dq, A, dq)
+        quad = 0.5 * (dq * a * dq)
         dphi = s1.phi[:, k] - s2.phi[:, k]
         beta = float(beta_schedule(grid.horizon - grid.nodes[k]))
         v = pair + quad - beta * dphi * dphi
@@ -373,9 +366,9 @@ def _beta_star(beta0: float, decay: float, t: float) -> float:
 def compute_thresholds(data: MonotonicityData, lam: float, horizon: float) -> ThresholdReport:
     """Volatility thresholds from the monotonicity constants.
 
-    gamma* = (2/kappa) C_H^2 (|A| + beta0); beta*(t) = beta0 e^{(2 lam - gamma*) t};
+    gamma* = (2/kappa) C_H^2 (|a| + beta0); beta*(t) = beta0 e^{(2 lam - gamma*) t};
     sigma0_T = omega^2(m_T)/(4 gamma*) + (C_M + K(m_T))/beta*(T) with
-    m_T = sqrt(|A|/beta*(T)).  Where beta*(T) leaves the float range the
+    m_T = sqrt(|a|/beta*(T)).  Where beta*(T) leaves the float range the
     formula's limits are returned: sigma0_T = inf when it underflows to 0,
     and sigma0_T at beta*(T) = inf when it overflows.  The horizon-free
     threshold exists on two branches: lam >= gamma*/2, or lam > 0 with
@@ -383,15 +376,15 @@ def compute_thresholds(data: MonotonicityData, lam: float, horizon: float) -> Th
     reported as not computable.
     """
     data.validate_monotone()
-    norm_A = data.norm_A
-    gamma_star = (2.0 / data.kappa) * data.C_H**2 * (norm_A + data.beta0)
+    abs_a = abs(data.a)
+    gamma_star = (2.0 / data.kappa) * data.C_H**2 * (abs_a + data.beta0)
     decay = 2.0 * lam - gamma_star
     beta_T = _beta_star(data.beta0, decay, horizon)
 
     def sigma0_at(beta: float, first_factor: float) -> float:
         if beta == 0.0:
             return math.inf
-        m = math.sqrt(norm_A / beta)
+        m = math.sqrt(abs_a / beta)
         w = data.omega(m)
         first = 0.0 if w == 0.0 else (math.inf if first_factor == 0.0 else w**2 / first_factor)
         return first + (data.C_M + data.K(m)) / beta
@@ -404,9 +397,9 @@ def compute_thresholds(data: MonotonicityData, lam: float, horizon: float) -> Th
         sigma0_star = sigma0_at(data.beta0, 2.0 * lam)
         branch = "strong discount (lam >= gamma*/2)"
     elif lam > 0 and data.delta < 1.0:
-        # largest beta with beta C_H^2 (1 + (|A|/beta)^delta) / (4 lam) <= kappa/2
+        # largest beta with beta C_H^2 (1 + (|a|/beta)^delta) / (4 lam) <= kappa/2
         def small_enough(beta: float) -> bool:
-            m = math.sqrt(norm_A / beta)
+            m = math.sqrt(abs_a / beta)
             return beta * data.C_H**2 * (1.0 + m ** (2.0 * data.delta)) / (4.0 * lam) <= data.kappa / 2.0
 
         hi = data.beta0
@@ -457,9 +450,9 @@ def check_pontryagin_residual(
     total = 0.0
     for k in range(n):
         feats = conditional_features(st.X[:, :, k], solve.theta_F[:, :, k])
-        grad = cs.grad_alpha_L(st.X[:, :, k], st.qf[:, k][:, None, :], solve.theta_F[:, :, k], feats)
+        grad = cs.grad_alpha_L(st.X[:, :, k], st.qf[:, k][:, None], solve.theta_F[:, :, k], feats)
         diff = st.U[:, :, k] - grad
-        total += float(np.mean(np.sum(diff * diff, axis=-1)))
+        total += float(np.mean(diff * diff))
     residual = math.sqrt(grid.dt * total)
     passed = residual <= tol_disc
     return CertificationReport(
@@ -489,8 +482,6 @@ def estimate_decoupling_lipschitz(
     Lipschitz constants of the decoupling field in the state (x-shift), the
     major state (q-shift) and the law (spread scaling) directions.
     """
-    from .extragradient import run_extragradient
-    from .solver import InitialCondition
 
     def converged_solve(init):
         op = make_operator(init)
@@ -506,14 +497,12 @@ def estimate_decoupling_lipschitz(
     shifted_law = converged_solve(widened)
 
     def u0_dist(a, b):
-        return float(np.sqrt(np.mean(np.sum((a.state.U[:, :, 0] - b.state.U[:, :, 0]) ** 2, -1))))
+        return float(np.sqrt(np.mean((a.state.U[:, :, 0] - b.state.U[:, :, 0]) ** 2)))
 
     def phi0_dist(a, b):
         return float(np.sqrt(np.mean((a.state.phi[:, 0] - b.state.phi[:, 0]) ** 2)))
 
-    law_shift = float(
-        np.sqrt(np.mean(np.sum((widened.X0 - init_base.X0) ** 2, -1)))
-    )
+    law_shift = float(np.sqrt(np.mean((widened.X0 - init_base.X0) ** 2)))
     return {
         "lip_x_u": u0_dist(shifted_x, base) / dx,
         "lip_x_phi": phi0_dist(shifted_x, base) / dx,
@@ -530,12 +519,10 @@ def search_scalar_A(
     samples: int = 60,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Grid search for A = a I maximizing the coefficient Rayleigh bound."""
+    """Grid search for the weight a maximizing the coefficient Rayleigh bound."""
     best_a, best_kappa = None, -math.inf
     for a in candidates:
-        rep = check_coefficient_monotonicity(
-            cs, a * np.eye(cs.constants.d0), samples=samples, seed=seed
-        )
+        rep = check_coefficient_monotonicity(cs, a, samples=samples, seed=seed)
         if rep.extras["kappa_hat"] > best_kappa:
             best_a, best_kappa = a, rep.extras["kappa_hat"]
     return float(best_a), float(best_kappa)

@@ -178,12 +178,22 @@ def test_cli_main_bad_config_exit_one(tmp_path):
         ("sweep", "sigma0", ["a"], [], "sweep.sigma0 must be a list of reals >= 0, got ['a']"),
         ("sweep", "horizons", [-1], [], "sweep.horizons must be a list of positive reals, got [-1]"),
         ("basis", "quadratic", True, [], "basis.quadratic needs ensemble.scenarios >= 24, got 12"),
+        # JSON parsing accepts NaN and +-Infinity; every number must be finite
+        ("grid", "horizon", math.inf, [], "grid.horizon must be finite, got inf"),
+        ("constants", "sigma", math.inf, [], "constants.sigma must be finite, got inf"),
+        ("init", "x_mean", math.nan, [], "init.x_mean must be finite, got nan"),
+        ("model", "params", {"c1": math.nan}, [], "model.params.c1 must be finite, got nan"),
+        ("basis", "ridge", math.inf, [], "basis.ridge must be finite, got inf"),
+        ("sweep", "sigma0", [0.5, math.inf], [], "sweep.sigma0[1] must be finite, got inf"),
+        ("extragradient", "tol", math.inf, [], "extragradient.tol must be finite, got inf"),
+        ("verification", "region_radius", math.inf, [], "verification.region_radius must be finite, got inf"),
     ],
     ids=[
         "seed-flag", "seed-config", "ridge", "safety", "safety-zero", "n_max", "probes", "section",
         "params-object", "params-string", "params-bool", "discount", "clamp_m", "x_std", "q0_std",
         "tol-nan", "a_scale", "samples", "pairs", "region_radius", "workers", "picard_sweeps",
-        "sweep-sigma0", "sweep-horizons", "quadratic-scenarios",
+        "sweep-sigma0", "sweep-horizons", "quadratic-scenarios", "horizon-inf", "sigma-inf",
+        "x_mean-nan", "params-nan", "ridge-inf", "sweep-sigma0-inf", "tol-inf", "region_radius-inf",
     ],
 )
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key, value, args, message):
@@ -213,8 +223,8 @@ def test_cli_seed_override(tmp_path):
 def test_build_problem_shapes():
     config = parse_config(json.dumps(FAST_LQ))
     op, grid, noise, init, cs, params, constants = build_problem(config)
-    assert noise.dB.shape == (12, 64, 10, 1)
-    assert init.X0.shape == (12, 64, 1)
+    assert noise.dB.shape == (12, 64, 10)
+    assert init.X0.shape == (12, 64)
     assert params.c1 == 1.0
 
 

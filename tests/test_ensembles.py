@@ -16,32 +16,32 @@ from majorminor.grids import build_grid, sample_noise
 
 def constant_control(value_x, value_q, m=2, p=3, n=4):
     return ControlField(
-        np.full((m, p, n, 1), value_x), np.full((m, n, 1), value_q)
+        np.full((m, p, n), value_x), np.full((m, n), value_q)
     )
 
 
 def test_conditional_features_constant_cloud():
-    x = np.full((3, 5, 1), 2.0)
+    x = np.full((3, 5), 2.0)
     feats = conditional_features(x)
     assert np.allclose(feats.mean_x, 2.0)
 
 
 def test_conditional_features_two_particles():
-    x = np.array([[[0.0], [4.0]]])
+    x = np.array([[0.0, 4.0]])
     feats = conditional_features(x)
-    assert feats.mean_x[0, 0, 0] == pytest.approx(2.0)
+    assert feats.mean_x[0, 0] == pytest.approx(2.0)
 
 
 def test_conditional_features_clt():
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((1, 10_000, 1))
+    x = rng.standard_normal((1, 10_000))
     feats = conditional_features(x)
-    assert abs(feats.mean_x[0, 0, 0]) <= 3.0 / np.sqrt(10_000)
+    assert abs(feats.mean_x[0, 0]) <= 3.0 / np.sqrt(10_000)
 
 
 def test_conditional_features_empty_cloud():
     with pytest.raises(ConfigurationError):
-        conditional_features(np.zeros((2, 0, 1)))
+        conditional_features(np.zeros((2, 0)))
 
 
 def test_inner_product_constant_one():
@@ -66,9 +66,9 @@ def test_inner_product_brownian_energy():
     grid = build_grid(1.0, 64)
     bundle = sample_noise(grid, 512, 1, seed=5)
     w = np.cumsum(bundle.dW0, axis=1) - bundle.dW0  # left endpoints W_{t_k}
-    a = ControlField(np.zeros((512, 1, 64, 1)), w)
+    a = ControlField(np.zeros((512, 1, 64)), w)
     value = inner_product_T(a, a, grid)
-    per_scenario = grid.dt * (w[:, :, 0] ** 2).sum(axis=1)
+    per_scenario = grid.dt * (w**2).sum(axis=1)
     se = per_scenario.std(ddof=1) / np.sqrt(512)
     bias = 0.5 * grid.dt  # left-endpoint quadrature of int t dt
     assert abs(value - 0.5) <= 3 * se + bias
@@ -78,9 +78,9 @@ def test_inner_product_scenario_broadcast_consistency():
     # a scenario path contributes identically with or without a particle axis
     grid = build_grid(1.0, 4)
     rng = np.random.default_rng(1)
-    path = rng.standard_normal((3, 4, 1))
-    as_scen = ControlField(np.zeros((3, 7, 4, 1)), path)
-    as_part = ControlField(np.broadcast_to(path[:, None], (3, 7, 4, 1)).copy(), np.zeros((3, 4, 1)))
+    path = rng.standard_normal((3, 4))
+    as_scen = ControlField(np.zeros((3, 7, 4)), path)
+    as_part = ControlField(np.broadcast_to(path[:, None], (3, 7, 4)).copy(), np.zeros((3, 4)))
     assert inner_product_T(as_scen, as_scen, grid) == pytest.approx(
         inner_product_T(as_part, as_part, grid)
     )

@@ -124,7 +124,7 @@ def test_zero_model_operator_vanishes_at_zero():
     primed = split_q(make_zero_model(constants))
     grid = build_grid(1.0, 4)
     noise = sample_noise(grid, 1, 1, seed=0)
-    init = InitialCondition(X0=np.full((1, 1, 1), 0.7), q0=np.full((1, 1), -0.4))
+    init = InitialCondition(X0=np.full((1, 1), 0.7), q0=np.full(1, -0.4))
     op = FbsdeOperator(primed, grid, noise, init, RegressionBasis())
     v0 = op(ControlField.zeros(1, 1, 4))
     assert op.norm(v0) <= 1e-7  # ridge floor of the scenario fits
@@ -154,7 +154,7 @@ def test_oracle_start_residual_small_and_monotone_pairs():
         ip = op.inner(va - vb, a - b)
         # scenario-level Monte Carlo standard error of the inner product
         diff_x = (va.alpha_x - vb.alpha_x) * (a.alpha_x - b.alpha_x)
-        per_scen = diff_x.mean(axis=(1, 3)).sum(axis=1) * grid.dt
+        per_scen = diff_x.mean(axis=1).sum(axis=1) * grid.dt
         se = float(per_scen.std(ddof=1) / np.sqrt(per_scen.size))
         assert ip >= -3 * se
 

@@ -44,8 +44,8 @@ def test_common_increment_shared_within_scenario():
     grid = build_grid(1.0, 4)
     bundle = sample_noise(grid, 2, 6, seed=1)
     # one dW0 path per scenario, no particle axis
-    assert bundle.dW0.shape == (2, 4, 1)
-    assert bundle.dB.shape == (2, 6, 4, 1)
+    assert bundle.dW0.shape == (2, 4)
+    assert bundle.dB.shape == (2, 6, 4)
 
 
 def test_sample_variance_matches_dt():

@@ -25,11 +25,11 @@ CONE = LQParams(c1=1.0, c3=0.5, g1=1.0, b=1.0, p1=1.0)
 
 
 def point(x=0.0, q=0.0, u=0.0, z=0.0, mean_x=0.0, m=1, p=1):
-    xs = np.full((m, p, 1), x)
-    us = np.full((m, p, 1), u)
-    qs = np.full((m, 1, 1), q)
-    zs = np.full((m, 1, 1), z)
-    feats = conditional_features(np.full((m, p, 1), mean_x), us)
+    xs = np.full((m, p), x)
+    us = np.full((m, p), u)
+    qs = np.full((m, 1), q)
+    zs = np.full((m, 1), z)
+    feats = conditional_features(np.full((m, p), mean_x), us)
     return xs, qs, us, zs, feats
 
 
@@ -44,7 +44,7 @@ def test_lq_hz_affine():
     cs = make_lq_model(LQParams(b=1.0), ModelConstants())
     x, q, u, z, feats = point(q=2.0, z=0.3)
     _, _, Hz, _ = eval_coefficients(cs, x, q, u, z, feats)
-    assert Hz[0, 0, 0] == pytest.approx(2.3)
+    assert Hz[0, 0] == pytest.approx(2.3)
 
 
 def test_lq_lh_value():
@@ -57,9 +57,9 @@ def test_lq_lh_value():
 def test_lq_terminal_maps():
     cs = make_lq_model(LQParams(g1=1.0), ModelConstants())
     x, q, u, z, feats = point(x=1.7)
-    assert cs.g(x, q, feats)[0, 0, 0] == pytest.approx(1.7)
+    assert cs.g(x, q, feats)[0, 0] == pytest.approx(1.7)
     cs0 = make_lq_model(LQParams(), ModelConstants())
-    assert cs0.g(x, q, feats)[0, 0, 0] == 0.0
+    assert cs0.g(x, q, feats)[0, 0] == 0.0
     assert cs0.psi(q, feats)[0, 0] == 0.0
 
 
@@ -80,7 +80,7 @@ def test_clamp_boundary_and_agreement():
     clamped = clamp_coefficients(cs, 1.0)
     x, q, u, z, feats = point(q=0.0, z=5.0)
     _, _, Hz, _ = eval_coefficients(clamped, x, q, u, z, feats)
-    assert Hz[0, 0, 0] == pytest.approx(1.0)
+    assert Hz[0, 0] == pytest.approx(1.0)
     # agreement region: |z| <= M
     for zval in (-0.9, 0.0, 0.7):
         x, q, u, z, feats = point(q=0.4, z=zval)
@@ -115,16 +115,16 @@ def test_split_q_midpoint_arithmetic():
     cs = make_lq_model(LQParams(b=1.0), ModelConstants())
     primed = split_q(cs)
     x, qf, u, z, feats = point(q=0.0, z=0.0)
-    qb = np.full((1, 1, 1), 4.0)
-    assert primed.Hzp(qf, qb, z, feats)[0, 0, 0] == pytest.approx(2.0)
+    qb = np.full((1, 1), 4.0)
+    assert primed.Hzp(qf, qb, z, feats)[0, 0] == pytest.approx(2.0)
 
 
 def test_split_q_f_ignores_backward_copy_when_q_free():
     cs = make_lq_model(LQParams(), ModelConstants())  # F = u, no q dependence
     primed = split_q(cs)
     x, qf, u, z, feats = point(u=0.7)
-    out1 = primed.Fp(x, qf, np.full((1, 1, 1), 5.0), u, z, feats)
-    out2 = primed.Fp(x, qf, np.full((1, 1, 1), -5.0), u, z, feats)
+    out1 = primed.Fp(x, qf, np.full((1, 1), 5.0), u, z, feats)
+    out2 = primed.Fp(x, qf, np.full((1, 1), -5.0), u, z, feats)
     assert np.allclose(out1, out2)
 
 
@@ -132,11 +132,11 @@ def test_theta_lq_minor_identity():
     cs = make_lq_model(CONE, ModelConstants())
     primed = split_q(cs)
     rng = np.random.default_rng(0)
-    X = rng.standard_normal((2, 5, 1))
-    ax = rng.standard_normal((2, 5, 1))
-    p = rng.standard_normal((2, 1, 1))
-    z = rng.standard_normal((2, 1, 1))
-    aq = rng.standard_normal((2, 1, 1))
+    X = rng.standard_normal((2, 5))
+    ax = rng.standard_normal((2, 5))
+    p = rng.standard_normal((2, 1))
+    z = rng.standard_normal((2, 1))
+    aq = rng.standard_normal((2, 1))
     U, qb = theta_inverse(primed, X, p, z, ax, aq)
     assert np.allclose(U, ax)
 
@@ -145,11 +145,11 @@ def test_theta_lq_major_solves_midpoint():
     cs = make_lq_model(LQParams(b=1.0), ModelConstants())
     primed = split_q(cs)
     x, p, u, z, feats = point(q=0.0, z=0.0)
-    aq = np.full((1, 1, 1), 1.0)
+    aq = np.full((1, 1), 1.0)
     _, qb = theta_inverse(primed, x, p, z, x, aq)
-    assert qb[0, 0, 0] == pytest.approx(2.0)
+    assert qb[0, 0] == pytest.approx(2.0)
     # forward evaluation of DzH' reproduces the target
-    assert primed.Hzp(p, qb, z, feats)[0, 0, 0] == pytest.approx(1.0)
+    assert primed.Hzp(p, qb, z, feats)[0, 0] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("closed_form", [True, False])
@@ -160,7 +160,7 @@ def test_theta_round_trip_random_points(closed_form):
             **{
                 **{k: getattr(cs, k) for k in (
                     "F", "G", "Hz", "LH", "g", "psi", "constants", "c_coef",
-                    "omega", "clamp_m", "grad_alpha_L", "name",
+                    "omega", "grad_alpha_L",
                 )},
                 "theta": None,
             }
@@ -169,11 +169,11 @@ def test_theta_round_trip_random_points(closed_form):
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(100):
-        X = rng.standard_normal((1, 8, 1))
-        ax = rng.standard_normal((1, 8, 1))
-        p = rng.standard_normal((1, 1, 1))
-        z = rng.uniform(-4, 4, (1, 1, 1))  # inside the clamp region
-        aq = rng.standard_normal((1, 1, 1))
+        X = rng.standard_normal((1, 8))
+        ax = rng.standard_normal((1, 8))
+        p = rng.standard_normal((1, 1))
+        z = rng.uniform(-4, 4, (1, 1))  # inside the clamp region
+        aq = rng.standard_normal((1, 1))
         U, qb = theta_inverse(primed, X, p, z, ax, aq, tol=1e-11)
         feats = conditional_features(X, U)
         rx = primed.Fp(X, p, qb, U, z, feats) - ax
@@ -188,7 +188,7 @@ def test_theta_fallback_reports_non_convergence():
         **{
             **{k: getattr(cs, k) for k in (
                 "F", "G", "Hz", "LH", "g", "psi", "constants", "c_coef",
-                "omega", "clamp_m", "grad_alpha_L", "name",
+                "omega", "grad_alpha_L",
             )},
             "theta": None,
         }
@@ -196,7 +196,7 @@ def test_theta_fallback_reports_non_convergence():
     primed = split_q(cs)
     x, p, u, z, feats = point()
     with pytest.raises(InversionError) as err:
-        theta_inverse(primed, x, p, z, x, np.full((1, 1, 1), 1.0), max_iter=1, tol=0.0)
+        theta_inverse(primed, x, p, z, x, np.full((1, 1), 1.0), max_iter=1, tol=0.0)
     assert err.value.residual is not None
 
 
@@ -204,7 +204,7 @@ def test_zero_model_theta_zero_target():
     cs = make_zero_model()
     primed = split_q(cs)
     x, p, u, z, feats = point(q=1.3)
-    U, qb = theta_inverse(primed, x, p, z, np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))
+    U, qb = theta_inverse(primed, x, p, z, np.zeros((1, 1)), np.zeros((1, 1)))
     assert np.all(U == 0.0)
     assert np.allclose(qb, p)
 
@@ -222,10 +222,10 @@ def test_declared_lipschitz_ratio_bound():
     rng = np.random.default_rng(3)
     bound_violation = 0.0
     for _ in range(1000):
-        xa, xb = rng.uniform(-3, 3, (2, 1, 6, 1))
-        ua, ub = rng.uniform(-3, 3, (2, 1, 6, 1))
-        qa, qb = rng.uniform(-3, 3, (2, 1, 1, 1))
-        za, zb = rng.uniform(-3, 3, (2, 1, 1, 1))
+        xa, xb = rng.uniform(-3, 3, (2, 1, 6))
+        ua, ub = rng.uniform(-3, 3, (2, 1, 6))
+        qa, qb = rng.uniform(-3, 3, (2, 1, 1))
+        za, zb = rng.uniform(-3, 3, (2, 1, 1))
         fa = conditional_features(xa, ua)
         fb = conditional_features(xb, ub)
         va = eval_coefficients(cs, xa, qa, ua, za, fa)
@@ -237,7 +237,7 @@ def test_declared_lipschitz_ratio_bound():
                 np.max(np.abs(xa - xb)) + np.max(np.abs(qa - qb)) + np.max(np.abs(ua - ub))
                 + np.max(np.abs(za - zb)) + w2
             )
-            limit = cs.c_coef + cs.omega(max(abs(za[0, 0, 0]), abs(zb[0, 0, 0]))) + 1e-9
+            limit = cs.c_coef + cs.omega(max(abs(za[0, 0]), abs(zb[0, 0]))) + 1e-9
             bound_violation = max(bound_violation, num / den - limit)
     assert bound_violation <= 0.0
 
@@ -246,12 +246,9 @@ def test_monotonicity_data_validation():
     data = lq_monotonicity_data(CONE, ModelConstants())
     data.validate_monotone()
     assert data.kappa > 0 and data.beta0 > 0
-    assert data.norm_A == pytest.approx(1.0)
+    assert data.a == pytest.approx(1.0)
     with pytest.raises(ConfigurationError):
-        MonotonicityData(
-            A=np.array([[0.0, 1.0], [0.5, 0.0]]), kappa=1.0, beta0=1.0,
-            C_M=0.0, C_H=0.0, delta=0.0,
-        )
+        MonotonicityData(a=1.0, kappa=1.0, beta0=1.0, C_M=0.0, C_H=0.0, delta=2.0)
 
 
 def test_constants_validation():
@@ -260,7 +257,7 @@ def test_constants_validation():
     with pytest.raises(ConfigurationError):
         ModelConstants(clamp_m=0.0)
     with pytest.raises(ConfigurationError) as err:
-        ModelConstants(sigma=-1.0, d=2, d0=3)
-    assert err.value.violations == [
-        "sigma must be >= 0, got -1.0", "d must be 1, got 2", "d0 must be 1, got 3"
-    ]
+        ModelConstants(sigma=-1.0, clamp_m=0.0)
+    assert err.value.violations == ["sigma must be >= 0, got -1.0", "clamp level must be positive, got 0.0"]
+    with pytest.raises(TypeError):  # states are scalar: there is no dimension to set
+        ModelConstants(d=1)

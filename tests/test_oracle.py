@@ -107,7 +107,7 @@ def test_lq_feedback_matches_oracle_state_mean():
     init = sample_initial(16, 800, seed=4, x_mean=1.0, x_std=0.3, q0=1.0)
     control, paths = oracle_induced_control(sol, cs, grid, noise, init)
     # ODE for the ensemble means: dm/dt = -((a+c_u) m + b_u q), dq baseline
-    mbar = paths["X"].mean(axis=(0, 1))[:, 0]
+    mbar = paths["X"].mean(axis=(0, 1))
     a, b_u, c_u, k2, k12, _, _ = sol.coefficients_at(grid.nodes)
     m_ode = np.empty_like(mbar)
     q_ode = np.empty_like(mbar)
@@ -117,7 +117,7 @@ def test_lq_feedback_matches_oracle_state_mean():
         q_ode[k + 1] = q_ode[k] - ((CONE.b + k2[k]) * q_ode[k] + k12[k] * m_ode[k]) * grid.dt
     mc_se = 0.3 / np.sqrt(16 * 800)
     assert np.max(np.abs(mbar - m_ode)) < 3 * mc_se + 2 * grid.dt
-    qbar = paths["q"].mean(axis=0)[:, 0]
+    qbar = paths["q"].mean(axis=0)
     q_se = np.sqrt(2 * 0.5 * grid.nodes + 1e-12) / np.sqrt(16)
     assert np.max(np.abs(qbar - q_ode) - 3 * q_se) < 2 * grid.dt
 
@@ -148,11 +148,11 @@ def test_picard_cross_validates_oracle_short_horizon():
     assert res.converged
     sol = riccati_oracle(CONE, constants, grid)
     st = res.solve.state
-    mbar0 = st.X[:, :, 0, 0].mean(axis=1)
-    u_ref, phi_ref, _ = eval_oracle_field(sol, 0.0, st.X[:, :, 0, 0], st.qf[:, 0, 0][:, None], mbar0[:, None])
-    u_err = np.abs(st.U[:, :, 0, 0] - u_ref)
+    mbar0 = st.X[:, :, 0].mean(axis=1)
+    u_ref, phi_ref, _ = eval_oracle_field(sol, 0.0, st.X[:, :, 0], st.qf[:, 0][:, None], mbar0[:, None])
+    u_err = np.abs(st.U[:, :, 0] - u_ref)
     phi_err = np.abs(st.phi[:, 0] - phi_ref[:, 0])
-    u_se = st.U[:, :, 0, 0].std() / np.sqrt(m)
+    u_se = st.U[:, :, 0].std() / np.sqrt(m)
     phi_se = st.phi[:, 0].std() / np.sqrt(m) + 1e-4
     assert np.mean(u_err) < 1e-3 + 3 * u_se
     assert np.mean(phi_err) < 1e-3 + 3 * phi_se

@@ -56,7 +56,7 @@ def test_forward_zero_control_zero_noise_constant():
 def test_forward_constant_drift_exact_mean():
     grid, noise, primed, init = make_setup(m=8, p=64, n=10)
     c = 0.37
-    control = ControlField(np.full((8, 64, 10, 1), c), np.zeros((8, 10, 1)))
+    control = ControlField(np.full((8, 64, 10), c), np.zeros((8, 10)))
     X, _ = simulate_forward(control, noise, primed, init, grid)
     # Euler is exact for constant drift; the Brownian increments average out
     # exactly in the ensemble mean only in expectation, so subtract them.
@@ -66,10 +66,10 @@ def test_forward_constant_drift_exact_mean():
 
 def test_forward_rejects_non_finite_control():
     grid, noise, primed, init = make_setup()
-    alpha_x = np.zeros((4, 16, 5, 1))
-    alpha_x[0, 0, 3, 0] = np.nan
+    alpha_x = np.zeros((4, 16, 5))
+    alpha_x[0, 0, 3] = np.nan
     with pytest.raises(SimulationError) as err:
-        simulate_forward(ControlField(alpha_x, np.zeros((4, 5, 1))), noise, primed, init, grid)
+        simulate_forward(ControlField(alpha_x, np.zeros((4, 5))), noise, primed, init, grid)
     assert err.value.step == 3
 
 
@@ -221,7 +221,7 @@ def test_martingale_phi_recovers_forward_copy():
     cs = CoefficientSet(
         F=zero.F, G=zero.G, Hz=zero.Hz, LH=zero.LH,
         g=zero.g,
-        psi=lambda q, f: np.sum(q, axis=-1),
+        psi=lambda q, f: q.copy(),
         constants=constants, theta=zero.theta,
     )
     grid, noise, primed, init = make_setup(m=512, p=4, n=4, model=cs)
@@ -231,11 +231,11 @@ def test_martingale_phi_recovers_forward_copy():
     # which scales like sqrt(2 sigma0 dt) * sqrt(k_features / M) per step
     per_step = np.sqrt(2 * 0.5 * grid.dt) * np.sqrt(4 / 512)
     tol = 5 * per_step * np.sqrt(grid.steps)
-    assert np.max(np.abs(out.state.phi - out.state.qf[:, :, 0])) < tol
+    assert np.max(np.abs(out.state.phi - out.state.qf)) < tol
     # in-sample regression slopes carry O(1/sqrt(M)) noise per step, and the
     # chi-square control variate has no prior at the terminal step
     assert abs(out.state.Zphi.mean() - 1.0) < 0.05
-    assert np.abs(out.state.Zphi.mean(axis=(0, 2)) - 1.0).max() < 0.15
+    assert np.abs(out.state.Zphi.mean(axis=0) - 1.0).max() < 0.15
     assert np.abs(out.state.Zphi - 1.0).max() < 0.6
 
 
@@ -247,7 +247,7 @@ def test_gaussian_projection_affine_terminal():
     grid, noise, primed, init = make_setup(m=4, p=4000, n=10, model=cs)
     control = ControlField.zeros(4, 4000, 10)
     out = decoupled_solve(control, primed, noise, init, RegressionBasis(), grid)
-    err = np.abs(out.state.U[:, :, 0, 0] - 0.8 * out.state.X[:, :, 0, 0])
+    err = np.abs(out.state.U[:, :, 0] - 0.8 * out.state.X[:, :, 0])
     assert err.max() < 0.8 * 10 * 3.0 / np.sqrt(4000)
 
 
@@ -256,8 +256,8 @@ def test_terminal_consistency_exact():
     control = ControlField.zeros(4, 16, 5)
     out = decoupled_solve(control, primed, noise, init, RegressionBasis(), grid)
     feats = conditional_features(out.state.X[:, :, -1])
-    g_val = primed.g(out.state.X[:, :, -1], out.state.qf[:, -1][:, None, :], feats)
-    psi_val = primed.psi(out.state.qf[:, -1][:, None, :], feats)[:, 0]
+    g_val = primed.g(out.state.X[:, :, -1], out.state.qf[:, -1][:, None], feats)
+    psi_val = primed.psi(out.state.qf[:, -1][:, None], feats)[:, 0]
     assert np.array_equal(out.state.U[:, :, -1], g_val)
     assert np.array_equal(out.state.phi[:, -1], psi_val)
     assert np.array_equal(out.state.qb[:, -1], out.state.qf[:, -1])
@@ -267,10 +267,10 @@ def test_scenario_quantities_have_no_particle_axis():
     grid, noise, primed, init = make_setup()
     out = decoupled_solve(ControlField.zeros(4, 16, 5), primed, noise, init, RegressionBasis(), grid)
     assert out.state.phi.shape == (4, 6)
-    assert out.state.qb.shape == (4, 6, 1)
-    assert out.state.Zphi.shape == (4, 5, 1)
-    assert out.state.Zq.shape == (4, 5, 1, 1)
-    assert out.theta_H.shape == (4, 5, 1)
+    assert out.state.qb.shape == (4, 6)
+    assert out.state.Zphi.shape == (4, 5)
+    assert out.state.Zq.shape == (4, 5)
+    assert out.theta_H.shape == (4, 5)
 
 
 def test_clamp_respected_by_coefficient_evaluations():
@@ -346,16 +346,16 @@ def test_package_path_arrays_are_time_major():
     }
     for name, a in arrays.items():
         assert np.moveaxis(a, 2, 0).flags.c_contiguous, name
-    # probes keep the (M, P, N, d) draw order of their seed
-    draw = 0.3 * np.random.default_rng(5).standard_normal((4, 16, 5, 1))
+    # probes keep the (M, P, N) draw order of their seed
+    draw = 0.3 * np.random.default_rng(5).standard_normal((4, 16, 5))
     assert np.array_equal(probe.alpha_x, draw)
 
 
 def test_decoupled_solve_independent_of_control_layout():
     grid, noise, primed, init = make_setup()
     rng = np.random.default_rng(11)
-    c_order = ControlField(0.5 * rng.standard_normal((4, 16, 5, 1)), 0.5 * rng.standard_normal((4, 5, 1)))
-    alpha_x = path_array((4, 16, 5, 1))
+    c_order = ControlField(0.5 * rng.standard_normal((4, 16, 5)), 0.5 * rng.standard_normal((4, 5)))
+    alpha_x = path_array((4, 16, 5))
     alpha_x[...] = c_order.alpha_x
     time_major = ControlField(alpha_x, c_order.alpha_q)
     a, b = (
@@ -367,8 +367,8 @@ def test_decoupled_solve_independent_of_control_layout():
 
 
 # v at the 12x64x10 cone config, seed 1234, recorded before the within-scenario
-# fits became closed-form: both block norms, then v.alpha_x at [0,0,0,0],
-# [5,17,9,0], [11,63,4,0] and v.alpha_q at [0,0,0], [7,9,0]
+# fits became closed-form: both block norms, then v.alpha_x at [0,0,0],
+# [5,17,9], [11,63,4] and v.alpha_q at [0,0], [7,9]
 GOLDEN_V = {
     "zero": (
         172.69050115530268, 31.75750241642191, -1.8687472468757214, -0.8331898357941444,
@@ -377,6 +377,20 @@ GOLDEN_V = {
     "random": (
         195.47752953709147, 89.2173332538159, -1.7857200739837635, -1.479579136772469,
         -1.4135624455433862, -4.910651694176658, 0.061640194651006064,
+    ),
+}
+
+
+# the solve behind that v, recorded before the states became scalar: the
+# norms of U, phi, qb, Zphi, Zq, theta_F and theta_H
+GOLDEN_SOLVE = {
+    "zero": (
+        177.20622456950844, 18.128645603030176, 13.920538777973121, 26.209108547678795,
+        12.489186595494616, 0.0, 56.894813183529735,
+    ),
+    "random": (
+        179.69641737887275, 204.42926627993498, 14.597975115554583, 89.4181547101618,
+        15.000251112324575, 87.75298951416634, 179.63968636046636,
     ),
 }
 
@@ -394,7 +408,11 @@ def test_operator_matches_recorded_values(start):
     v = op(alpha)
     got = (
         np.linalg.norm(v.alpha_x), np.linalg.norm(v.alpha_q),
-        v.alpha_x[0, 0, 0, 0], v.alpha_x[5, 17, 9, 0], v.alpha_x[11, 63, 4, 0],
-        v.alpha_q[0, 0, 0], v.alpha_q[7, 9, 0],
+        v.alpha_x[0, 0, 0], v.alpha_x[5, 17, 9], v.alpha_x[11, 63, 4],
+        v.alpha_q[0, 0], v.alpha_q[7, 9],
     )
     np.testing.assert_allclose(got, GOLDEN_V[start], rtol=1e-9, atol=0)
+    solve = op.last_solve
+    st = solve.state
+    blocks = (st.U, st.phi, st.qb, st.Zphi, st.Zq, solve.theta_F, solve.theta_H)
+    np.testing.assert_allclose([np.linalg.norm(b) for b in blocks], GOLDEN_SOLVE[start], rtol=1e-9, atol=0)

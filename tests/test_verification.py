@@ -35,7 +35,7 @@ CONSTANTS = ModelConstants(sigma=0.5, sigma0=0.5)
 
 def test_terminal_monotonicity_cone_passes():
     cs = make_lq_model(CONE, CONSTANTS)
-    rep = check_terminal_monotonicity(cs, np.eye(1), beta0=0.05, samples=100, seed=1)
+    rep = check_terminal_monotonicity(cs, 1.0, beta0=0.05, samples=100, seed=1)
     assert rep.passed
     assert rep.witness is None
 
@@ -44,11 +44,11 @@ def test_terminal_monotonicity_diagonal_zero():
     cs = make_lq_model(CONE, CONSTANTS)
     # identical pair: both sides vanish
     rng = np.random.default_rng(0)
-    X = rng.standard_normal((1, 64, 1))
+    X = rng.standard_normal((1, 64))
     from majorminor.ensembles import conditional_features
 
     fx = conditional_features(X)
-    q = np.zeros((1, 1, 1))
+    q = np.zeros((1, 1))
     pair = np.sum((cs.g(X, q, fx) - cs.g(X, q, fx)) * (X - X), axis=-1)
     assert float(pair.sum()) == 0.0
     assert float(cs.psi(q, fx)[0, 0] - cs.psi(q, fx)[0, 0]) == 0.0
@@ -56,21 +56,21 @@ def test_terminal_monotonicity_diagonal_zero():
 
 def test_terminal_monotonicity_flipped_fails_with_witness():
     flipped = make_lq_model(LQParams(c1=1.0, c3=0.5, g1=-2.0, b=1.0, p1=1.0), CONSTANTS)
-    rep = check_terminal_monotonicity(flipped, np.eye(1), beta0=0.05, samples=100, seed=1)
+    rep = check_terminal_monotonicity(flipped, 1.0, beta0=0.05, samples=100, seed=1)
     assert not rep.passed
     assert rep.witness is not None and "sample" in rep.witness
 
 
 def test_coefficient_monotonicity_cone():
     cs = make_lq_model(CONE, CONSTANTS)
-    rep = check_coefficient_monotonicity(cs, np.eye(1), samples=100, seed=2)
+    rep = check_coefficient_monotonicity(cs, 1.0, samples=100, seed=2)
     assert rep.passed
     assert rep.extras["kappa_hat"] > 0
 
 
 def test_coefficient_monotonicity_flipped_b():
     cs = make_lq_model(LQParams(c1=1.0, c3=0.5, g1=1.0, b=-1.0, p1=1.0), CONSTANTS)
-    rep = check_coefficient_monotonicity(cs, np.eye(1), samples=100, seed=2)
+    rep = check_coefficient_monotonicity(cs, 1.0, samples=100, seed=2)
     assert not rep.passed
     assert rep.extras["kappa_hat"] < 0
     assert rep.witness is not None
@@ -81,7 +81,7 @@ def test_coefficient_monotonicity_zpair_slack():
     cs = make_lq_model(CONE, CONSTANTS)
     rep = check_coefficient_monotonicity(
         cs,
-        data.A,
+        data.a,
         samples=100,
         seed=3,
         z_pairs=True,
@@ -141,7 +141,7 @@ def test_z_bound_clamped_model():
 def test_monotonicity_propagation_identical_ics():
     op, grid, noise, init, constants = small_operator(m=24)
     out = decoupled_solve(ControlField.zeros(24, 128, 10), op.primed, noise, init, RegressionBasis(), grid)
-    rep = check_monotonicity_propagation(out, out, np.eye(1), lambda t: 0.05, grid)
+    rep = check_monotonicity_propagation(out, out, 1.0, lambda t: 0.05, grid)
     assert rep.passed
     assert np.allclose(rep.extras["ev"], 0.0)
 
@@ -159,13 +159,13 @@ def test_monotonicity_propagation_coupled_runs():
     out2 = decoupled_solve(ctl2, op.primed, noise, init2, RegressionBasis(), grid)
     data = lq_monotonicity_data(CONE, constants)
     thresholds = compute_thresholds(data, constants.discount, grid.horizon)
-    rep = check_monotonicity_propagation(out1, out2, data.A, thresholds.beta_star, grid)
+    rep = check_monotonicity_propagation(out1, out2, data.a, thresholds.beta_star, grid)
     assert rep.passed
 
 
 def test_thresholds_trivial_collapse():
     data = MonotonicityData(
-        A=np.eye(1), kappa=1.0, beta0=1.0, C_M=0.0, C_H=0.0, delta=0.0,
+        a=1.0, kappa=1.0, beta0=1.0, C_M=0.0, C_H=0.0, delta=0.0,
         omega=lambda m: 0.0, K=lambda m: 0.0,
     )
     rep = compute_thresholds(data, lam=0.0, horizon=1.0)
@@ -175,7 +175,7 @@ def test_thresholds_trivial_collapse():
 
 def test_thresholds_gamma_star_arithmetic():
     data = MonotonicityData(
-        A=np.eye(1), kappa=1.0, beta0=1.0, C_M=0.0, C_H=1.0, delta=0.0,
+        a=1.0, kappa=1.0, beta0=1.0, C_M=0.0, C_H=1.0, delta=0.0,
         omega=lambda m: 0.0, K=lambda m: 0.0,
     )
     rep = compute_thresholds(data, lam=0.0, horizon=1.0)
@@ -185,20 +185,20 @@ def test_thresholds_gamma_star_arithmetic():
 
 def test_thresholds_branch_one():
     data = MonotonicityData(
-        A=np.eye(1), kappa=1.0, beta0=1.0, C_M=0.5, C_H=1.0, delta=0.0,
+        a=1.0, kappa=1.0, beta0=1.0, C_M=0.5, C_H=1.0, delta=0.0,
         omega=lambda m: float(m), K=lambda m: 0.1 * float(m) ** 2,
     )
     rep = compute_thresholds(data, lam=3.0, horizon=2.0)
     assert rep.gamma_star == pytest.approx(4.0)
     assert "strong discount" in rep.branch
-    # independent evaluation of the branch formula at beta0 = 1, |A| = 1
+    # independent evaluation of the branch formula at beta0 = 1, |a| = 1
     expected = 1.0 / (2 * 3.0) + (0.5 + 0.1) / 1.0
     assert rep.sigma0_star == pytest.approx(expected)
 
 
 def test_thresholds_branch_two_bisection():
     data = MonotonicityData(
-        A=np.eye(1), kappa=1.0, beta0=1.0, C_M=0.2, C_H=2.0, delta=0.5,
+        a=1.0, kappa=1.0, beta0=1.0, C_M=0.2, C_H=2.0, delta=0.5,
         omega=lambda m: float(m), K=lambda m: 0.0,
     )
     rep = compute_thresholds(data, lam=1.0, horizon=4.0)
@@ -225,7 +225,7 @@ def test_thresholds_branch_two_bisection():
 def test_thresholds_monotone_in_kappa_and_cm():
     def make(kappa, c_m):
         return MonotonicityData(
-            A=np.eye(1), kappa=kappa, beta0=0.5, C_M=c_m, C_H=1.0, delta=0.0,
+            a=1.0, kappa=kappa, beta0=0.5, C_M=c_m, C_H=1.0, delta=0.0,
             omega=lambda m: float(m), K=lambda m: 0.0,
         )
 
@@ -287,7 +287,7 @@ def test_estimate_decoupling_lipschitz_matches_oracle_slope():
 
 def test_reports_serialize():
     cs = make_lq_model(CONE, CONSTANTS)
-    rep = check_terminal_monotonicity(cs, np.eye(1), beta0=0.05, samples=10, seed=1)
+    rep = check_terminal_monotonicity(cs, 1.0, beta0=0.05, samples=10, seed=1)
     text = rep.to_json()
     assert '"terminal_monotonicity"' in text
 
@@ -295,8 +295,8 @@ def test_reports_serialize():
 @pytest.mark.parametrize(
     "check,kwargs",
     [
-        (check_terminal_monotonicity, {"A": np.eye(1), "beta0": 0.05, "samples": 0}),
-        (check_coefficient_monotonicity, {"A": np.eye(1), "samples": 0}),
+        (check_terminal_monotonicity, {"a": 1.0, "beta0": 0.05, "samples": 0}),
+        (check_coefficient_monotonicity, {"a": 1.0, "samples": 0}),
         (check_v_monotonicity, {"pairs": 0}),
     ],
     ids=["terminal", "coefficient", "v"],
