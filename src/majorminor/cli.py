@@ -37,6 +37,7 @@ from .extragradient import (
     FbsdeOperator,
     estimate_lipschitz_v,
     run_extragradient,
+    run_lockstep,
 )
 from .grids import build_grid, sample_noise
 from .models import (
@@ -406,49 +407,77 @@ def _cell_seed(seed: int, i: int, j: int) -> int:
     return (seed * 1000003 + i * 101 + j * 10007) % (2**31 - 1)
 
 
-def _sweep_cell(args):
-    base, sigma0, horizon, i, j = args
-    data = json.loads(json.dumps(base))
-    data["constants"]["sigma0"] = sigma0
-    data["grid"]["horizon"] = horizon
-    data["seed"] = _cell_seed(base["seed"], i, j)
-    config = RunConfig(data=data)
-    row = {
-        "sigma0": sigma0, "horizon": horizon, "seed": config.seed,
-        "sigma0_T": float("nan"), "sigma0_star": float("nan"),
-        "eg_converged": 0, "eg_residual": float("nan"), "lambda_hat": float("nan"),
-        "picard_converged": 0, "picard_diverged": 0, "error": "",
-    }
+def _csv_text(exc: MajorMinorError) -> str:
+    return str(exc).replace(",", ";")
+
+
+def _sweep_rows(cells) -> list[dict]:
+    """The rows of a group of sweep cells, in cell order.
+
+    Each cell is built when `run_lockstep` asks for its job, so only the
+    cells live there hold their problems; its EG run goes through
+    `run_lockstep`, and its Picard solve runs once that EG run has ended.
+    A package error ends its cell only: it is recorded and the sweep goes on.
+    """
+    rows: list[dict] = []
+    problems = {}
+
+    def jobs():
+        for index, (base, sigma0, horizon, i, j) in enumerate(cells):
+            data = json.loads(json.dumps(base))
+            data["constants"]["sigma0"] = sigma0
+            data["grid"]["horizon"] = horizon
+            data["seed"] = _cell_seed(base["seed"], i, j)
+            config = RunConfig(data=data)
+            row = {
+                "sigma0": sigma0, "horizon": horizon, "seed": config.seed,
+                "sigma0_T": float("nan"), "sigma0_star": float("nan"),
+                "eg_converged": 0, "eg_residual": float("nan"), "lambda_hat": float("nan"),
+                "picard_converged": 0, "picard_diverged": 0, "error": "",
+            }
+            rows.append(row)
+            try:
+                op, grid, noise, init, cs, params, constants = build_problem(config)
+                if params is not None:
+                    mono = _lq_monotonicity(data, params, constants)
+                    if mono.kappa > 0 and mono.beta0 > 0:
+                        thresholds = compute_thresholds(mono, constants.discount, grid.horizon)
+                        row["sigma0_T"] = thresholds.sigma0_T
+                        if thresholds.sigma0_star is not None:
+                            row["sigma0_star"] = thresholds.sigma0_star
+                eg_config = _extragradient_config(config)
+            except MajorMinorError as exc:
+                row["error"] = _csv_text(exc)
+                continue
+            problems[index] = (op, eg_config.tol, data["sweep"]["picard_sweeps"])
+            yield index, op.zero(), eg_config, op
+
+    for index, report in run_lockstep(jobs()):
+        _finish_row(rows[index], report, *problems.pop(index))
+    return rows
+
+
+def _finish_row(row: dict, report, op: FbsdeOperator, tol: float, picard_sweeps: int) -> None:
+    """Fill a cell's row from its EG outcome, then run its Picard solve."""
+    if isinstance(report, MajorMinorError):
+        row["error"] = _csv_text(report)
+        return
+    row["eg_converged"] = int(not report.diverged and report.residuals and report.residuals[-1] <= tol)
+    row["eg_residual"] = report.residuals[-1] if report.residuals else float("nan")
+    row["lambda_hat"] = report.lambda_hat if report.lambda_hat is not None else float("nan")
     try:
-        op, grid, noise, init, cs, params, constants = build_problem(config)
-        if params is not None:
-            mono = _lq_monotonicity(data, params, constants)
-            if mono.kappa > 0 and mono.beta0 > 0:
-                thresholds = compute_thresholds(mono, constants.discount, grid.horizon)
-                row["sigma0_T"] = thresholds.sigma0_T
-                if thresholds.sigma0_star is not None:
-                    row["sigma0_star"] = thresholds.sigma0_star
-        eg_config = _extragradient_config(config)
-        report = run_extragradient(op.zero(), eg_config, op)
-        row["eg_converged"] = int(
-            not report.diverged and report.residuals and report.residuals[-1] <= eg_config.tol
-        )
-        row["eg_residual"] = report.residuals[-1] if report.residuals else float("nan")
-        row["lambda_hat"] = report.lambda_hat if report.lambda_hat is not None else float("nan")
-        pic = picard_solve(
-            op.primed, grid, noise, init, op.basis,
-            tol=eg_config.tol, max_iter=data["sweep"]["picard_sweeps"],
-        )
-        row["picard_converged"] = int(pic.converged)
-        row["picard_diverged"] = int(pic.diverged)
+        pic = picard_solve(op.primed, op.grid, op.noise, op.init, op.basis, tol=tol, max_iter=picard_sweeps)
     except MajorMinorError as exc:
-        row["error"] = str(exc).replace(",", ";")
-    return row
+        row["error"] = _csv_text(exc)
+        return
+    row["picard_converged"] = int(pic.converged)
+    row["picard_diverged"] = int(pic.diverged)
 
 
 def run_sigma_sweep(config: RunConfig, out_dir: str | Path | None = None) -> int:
     """Volatility x horizon sweep; individual cell failures are recorded and
-    the sweep continues."""
+    the sweep continues.  With more than one worker, each worker process
+    runs one contiguous group of cells through `_sweep_rows`."""
     data = config.data
     cells = [
         (data, s, t, i, j)
@@ -461,10 +490,11 @@ def run_sigma_sweep(config: RunConfig, out_dir: str | Path | None = None) -> int
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
+            groups = [cells[g * len(cells) // workers : (g + 1) * len(cells) // workers] for g in range(workers)]
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_sweep_cell, cells))
+                rows = [row for group in pool.map(_sweep_rows, groups) for row in group]
         else:
-            rows = [_sweep_cell(cell) for cell in cells]
+            rows = _sweep_rows(cells)
         header = [
             "sigma0", "horizon", "seed", "sigma0_T", "sigma0_star", "eg_converged",
             "eg_residual", "lambda_hat", "picard_converged", "picard_diverged", "error",

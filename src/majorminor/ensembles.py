@@ -30,19 +30,22 @@ __all__ = [
 class ControlField:
     """Discretized element of the control space: scalar minor controls per
     (scenario, particle, step), shaped (M, P, N), and the scalar major
-    control per (scenario, step), shaped (M, N)."""
+    control per (scenario, step), shaped (M, N).  A stack of controls for
+    the instances of a stacked solve carries a leading instance axis on both:
+    (B, M, P, N) and (B, M, N)."""
 
-    alpha_x: np.ndarray  # (M_c, P, N_t), time-major when package-made
-    alpha_q: np.ndarray  # (M_c, N_t)
+    alpha_x: np.ndarray  # ([B,] M_c, P, N_t), time-major when package-made
+    alpha_q: np.ndarray  # ([B,] M_c, N_t)
 
     def __post_init__(self):
-        if self.alpha_x.ndim != 3 or self.alpha_q.ndim != 2:
+        if self.alpha_x.ndim not in (3, 4) or self.alpha_q.ndim != self.alpha_x.ndim - 1:
             raise ContractError(
-                f"control shapes must be (M,P,N) and (M,N), got "
+                f"control shapes must be ([B,]M,P,N) and ([B,]M,N), got "
                 f"{self.alpha_x.shape} and {self.alpha_q.shape}"
             )
-        if self.alpha_x.shape[0] != self.alpha_q.shape[0] or self.alpha_x.shape[2] != self.alpha_q.shape[1]:
-            raise ContractError("scenario/step axes of alpha_x and alpha_q disagree")
+        x, q = self.alpha_x.shape, self.alpha_q.shape
+        if x[:-2] != q[:-1] or x[-1] != q[-1]:
+            raise ContractError("instance/scenario/step axes of alpha_x and alpha_q disagree")
 
     # Vector-space operations used by the iteration kernels.
     def __add__(self, other: "ControlField") -> "ControlField":
@@ -69,7 +72,8 @@ class EnsembleState:
 
     States are scalar.  Particle paths are time-major (see `path_array`);
     scenario-level quantities (qf, qb, phi, Zphi, Zq) carry no particle axis,
-    so they are adapted to the common filtration by construction.
+    so they are adapted to the common filtration by construction.  The state
+    of a stacked solve carries a leading instance axis on every array.
     """
 
     X: np.ndarray  # (M_c, P, N_t+1)
@@ -102,9 +106,11 @@ def conditional_features(x: np.ndarray, u: np.ndarray | None = None) -> Scenario
         raise ContractError(f"expected (M,P) slice, got shape {x.shape}")
     if x.shape[1] == 0:
         raise ConfigurationError(["conditional features need at least one particle"])
-    if u is None:
-        u = np.zeros_like(x)
-    return ScenarioFeatures(mean_x=x.mean(axis=1, keepdims=True), mean_u=u.mean(axis=1, keepdims=True))
+    # a sum divided by the count is np.mean without its per-call overhead,
+    # which dominates on small clouds
+    p = x.shape[1]
+    mean_u = np.zeros((x.shape[0], 1)) if u is None else np.add.reduce(u, axis=1, keepdims=True) / p
+    return ScenarioFeatures(mean_x=np.add.reduce(x, axis=1, keepdims=True) / p, mean_u=mean_u)
 
 
 def inner_product_T(a: ControlField, b: ControlField, grid: TimeGrid) -> float:

@@ -1,4 +1,5 @@
-"""The monotone residual operator on controls and the extragradient loop.
+"""The monotone residual operator on controls, the extragradient loop, and
+`run_lockstep`, which runs many independent loops as stacked solves.
 
 For a control alpha the decoupled system is solved, the pair inverse is read
 off, and the operator value is
@@ -12,10 +13,24 @@ Its zero is the control induced by the coupled solution, so the stopping rule
 is the residual norm, not iterate movement.  The iteration kernel only needs
 points with vector arithmetic and an operator exposing `inner`, which lets
 synthetic operators exercise it without any FBSDE machinery.
+
+Plans.  The extragradient loop and the Lipschitz probes are written as
+generator plans: a plan yields what it needs evaluated, a control (one
+value of v) or a step request (one iteration: a trial and a corrected
+value), is sent back the value, or has the package error of the failed solve
+thrown in at the yield, and returns its result.  `run_extragradient` and
+`estimate_lipschitz_v` drive their plan alone: each control goes to
+`op(control)` and each step to `extragradient_step`, in the order a plain
+loop would call them.  `run_lockstep` drives the plans of many independent
+instances at once: each round it takes one evaluation from every live plan
+and solves those of alike instances as one stacked solve along a leading
+instance axis (`evaluate_many`), which gives every instance the same bits as
+its own solve would.  Per instance, both ways produce the same reports.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import time
 from dataclasses import dataclass
@@ -23,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import ControlField, conditional_features, inner_product_T
-from .errors import ConfigurationError, SimulationError
+from .errors import ConfigurationError, MajorMinorError, SimulationError
 from .grids import NoiseBundle, TimeGrid, path_array
 from .models import PrimedCoefficientSet
 from .solver import (
@@ -38,9 +53,14 @@ __all__ = [
     "ExtragradientConfig",
     "ExtragradientReport",
     "FbsdeOperator",
+    "LipschitzEstimate",
+    "LOCKSTEP_BYTES",
+    "evaluate_many",
     "extragradient_step",
     "run_extragradient",
+    "run_lockstep",
     "estimate_lipschitz_v",
+    "solve_stacked",
 ]
 
 _PROBE_SEED = 123
@@ -82,7 +102,8 @@ class FbsdeOperator:
     """The residual operator of one problem instance.
 
     Calling it returns v(alpha) as a ControlField; the solve behind the last
-    evaluation is cached on `last_solve` for diagnostics.
+    call is cached on `last_solve` for diagnostics.  `evaluate_many` also
+    evaluates operators in stacked solves, which do not touch `last_solve`.
     """
 
     def __init__(
@@ -108,10 +129,19 @@ class FbsdeOperator:
             compute_z=False,
         )
         self.last_solve = solve
+        return self.value_in(solve)
+
+    def value_in(self, solve: SolveOutput, slot: tuple = ()) -> ControlField:
+        """v of this instance from a solve of it: the whole solve, or the
+        instance at `slot` of a stacked one."""
         n = self.grid.steps
-        vx = solve.theta_F - solve.state.U[:, :, :n]
-        gap_q = solve.theta_H - solve.state.qb[:, :n]
+        vx = solve.theta_F[slot] - solve.state.U[slot][..., :n]
+        gap_q = solve.theta_H[slot] - solve.state.qb[slot][..., :n]
         return ControlField(vx, 0.5 * (self.a * gap_q))
+
+    def stack_key(self) -> tuple:
+        """Operators with equal keys can be evaluated in one stacked solve."""
+        return (self.init.X0.shape, self.grid.steps, self.basis, self.primed.constants.sigma0 > 0)
 
     def inner(self, a: ControlField, b: ControlField) -> float:
         return inner_product_T(a, b, self.grid)
@@ -132,24 +162,135 @@ class FbsdeOperator:
         return ControlField(alpha_x, scale * rng.standard_normal((m, n)))
 
 
+def solve_stacked(ops: list[FbsdeOperator], controls: list[ControlField]) -> SolveOutput:
+    """One decoupled solve of many instances along a leading instance axis.
+
+    The operators must share a `stack_key`; their controls, noise and initial
+    conditions are copied into stacked arrays in the layout of `path_array`.
+    """
+    b = len(ops)
+    m, p = ops[0].init.X0.shape
+    n = ops[0].grid.steps
+    alpha_x = path_array((b, m, p, n))
+    dB = path_array((b, m, p, n))
+    for i, (op, control) in enumerate(zip(ops, controls)):
+        alpha_x[i] = control.alpha_x
+        dB[i] = op.noise.dB
+    control = ControlField(alpha_x, np.array([c.alpha_q for c in controls]))
+    noise = NoiseBundle(dB=dB, dW0=np.array([op.noise.dW0 for op in ops]))
+    init = InitialCondition(X0=np.array([op.init.X0 for op in ops]), q0=np.array([op.init.q0 for op in ops]))
+    return decoupled_solve(
+        control, [op.primed for op in ops], noise, init, ops[0].basis, [op.grid for op in ops],
+        compute_z=False,
+    )
+
+
+def evaluate_many(ops: list[FbsdeOperator], controls: list[ControlField]) -> list:
+    """v of each operator at its control, or the package error its solve
+    raised.
+
+    Two or more go through one stacked solve.  If that raises, each is
+    solved again on its own, so every instance gets exactly the value or the
+    error of its own solve; one goes through `op(control)`.
+    """
+    if len(ops) > 1:
+        try:
+            solve = solve_stacked(ops, controls)
+        except MajorMinorError:
+            pass
+        else:
+            return [op.value_in(solve, (i,)) for i, op in enumerate(ops)]
+    values = []
+    for op, control in zip(ops, controls):
+        try:
+            values.append(op(control))
+        except MajorMinorError as exc:
+            values.append(exc)
+    return values
+
+
+@dataclass(frozen=True)
+class _Step:
+    """Plan request for one extragradient iteration from alpha with step gamma."""
+
+    alpha: object
+    gamma: float
+
+
+def _step_plan(alpha, gamma: float):
+    """Plan of one iteration: the trial and the corrected evaluation."""
+    if not gamma > 0:
+        raise ConfigurationError([f"gamma must be positive, got {gamma}"])
+    v_n = yield alpha
+    alpha_half = alpha - gamma * v_n
+    v_half = yield alpha_half
+    return alpha_half, alpha - gamma * v_half, v_n, v_half
+
+
+def _resume(plan, reply):
+    """Send a plan the value it asked for, or throw in the error its
+    evaluation raised; returns the plan's next request."""
+    return plan.throw(reply) if isinstance(reply, MajorMinorError) else plan.send(reply)
+
+
+def _drive(plan, op):
+    """Run a plan to its end alone, serving its requests in order: a control
+    with op(control), a step with `extragradient_step`."""
+    reply = None
+    while True:
+        try:
+            request = _resume(plan, reply)
+        except StopIteration as stop:
+            return stop.value
+        reply = None
+        try:
+            if isinstance(request, _Step):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    reply = extragradient_step(request.alpha, request.gamma, op)
+            else:
+                reply = op(request)
+        except MajorMinorError as exc:
+            reply = exc
+
+
+def _evaluations(plan):
+    """The plan with each step request replaced by its two evaluations, so
+    that it asks for controls only."""
+    reply = None
+    while True:
+        try:
+            request = _resume(plan, reply)
+        except StopIteration as stop:
+            return stop.value
+        reply = None
+        try:
+            if isinstance(request, _Step):
+                reply = yield from _step_plan(request.alpha, request.gamma)
+            else:
+                reply = yield request
+        except MajorMinorError as exc:
+            reply = exc
+
+
 def extragradient_step(alpha, gamma: float, op):
     """One trial step and one corrected step.
 
     Returns (alpha_half, alpha_next, v_at_alpha, v_at_half): exactly two
     operator evaluations.
     """
-    if not gamma > 0:
-        raise ConfigurationError([f"gamma must be positive, got {gamma}"])
-    v_n = op(alpha)
-    alpha_half = alpha - gamma * v_n
-    v_half = op(alpha_half)
-    alpha_next = alpha - gamma * v_half
-    return alpha_half, alpha_next, v_n, v_half
+    return _drive(_step_plan(alpha, gamma), op)
 
 
 @dataclass
 class ExtragradientReport:
-    """Per-iteration trail of one run plus the fitted geometric rate."""
+    """Per-iteration trail of one run plus the fitted geometric rate.
+
+    `stop_reason` says why the run ended: "tol", "n_max", "residual_growth"
+    (the divergence window) or "non_finite" (a solve left the finite range).
+    `evaluations` counts the operator values the run used: "probe", those
+    behind `L_hat`, and "iterate", two per completed iteration (an iteration
+    whose solve failed adds none).
+    """
 
     residuals: list[float]
     seconds: list[float]
@@ -159,6 +300,9 @@ class ExtragradientReport:
     diverged: bool
     iterations: int
     gamma: float
+    stop_reason: str
+    evaluations: dict
+    L_hat: float | None
     final_alpha: object = None
     averages: dict | None = None
     z_convention: str = (
@@ -170,7 +314,10 @@ class ExtragradientReport:
         payload = {
             "z_convention": self.z_convention,
             "gamma": self.gamma,
+            "L_hat": self.L_hat,
             "iterations": self.iterations,
+            "stop_reason": self.stop_reason,
+            "evaluations": self.evaluations,
             "diverged": self.diverged,
             "lambda_hat": self.lambda_hat,
             "r_squared": self.r_squared,
@@ -187,6 +334,10 @@ class ExtragradientReport:
             dist = self.dist_to_reference[i] if self.dist_to_reference else float("nan")
             rows.append((i + 1, res, dist, self.gamma, self.seconds[i]))
         return rows
+
+
+def _norm(op, a) -> float:
+    return float(np.sqrt(max(op.inner(a, a), 0.0)))
 
 
 def fit_geometric_rate(residuals):
@@ -224,6 +375,89 @@ def _averaging_payload(op, solve: SolveOutput, alpha_half):
     }
 
 
+def _extragradient_plan(alpha1, config: ExtragradientConfig, op, reference_control=None, lipschitz_hint=None):
+    """The extragradient loop as a plan (see the module docstring); returns
+    its `ExtragradientReport`.  Without a step size or a hint it probes
+    first."""
+    gamma = config.gamma
+    L_hat = None
+    probe_evals = 0
+    if gamma is None:
+        if lipschitz_hint is None:
+            lipschitz_hint = yield from _lipschitz_plan(op, config.probes, _PROBE_SEED)
+        L_hat = float(lipschitz_hint)
+        probe_evals = getattr(lipschitz_hint, "evaluations", 0)
+        gamma = config.safety / max(L_hat, 1e-12)
+
+    alpha = alpha1
+    del alpha1  # the plan holds the current iterate only, see the end of the loop
+    residuals: list[float] = []
+    seconds: list[float] = []
+    dists: list[float] | None = [] if reference_control is not None else None
+    sums = None
+    count = 0
+    stop = "n_max"
+    completed = 0
+
+    for _ in range(config.n_max):
+        t0 = time.perf_counter()
+        try:
+            alpha_half, alpha_next, v_n, v_half = yield _Step(alpha, gamma)
+        except SimulationError:
+            # iterates left the finite range: report divergence, not a crash
+            stop = "non_finite"
+            seconds.append(time.perf_counter() - t0)
+            residuals.append(float("inf"))
+            if dists is not None:
+                dists.append(float("nan"))
+            break
+        completed += 1
+        residual = _norm(op, v_n)
+        residuals.append(residual)
+        if dists is not None:
+            dists.append(_norm(op, alpha - reference_control))
+        if config.averaging:
+            payload = _averaging_payload(op, getattr(op, "last_solve", None), alpha_half)
+            if sums is None:
+                sums = {k: np.array(v, copy=True) for k, v in payload.items()}
+            else:
+                for k_, v in payload.items():
+                    sums[k_] += v
+            count += 1
+        seconds.append(time.perf_counter() - t0)
+        if residual <= config.tol:
+            stop = "tol"
+            break
+        w = _DIVERGENCE_WINDOW
+        if len(residuals) > w and residuals[-1] > _DIVERGENCE_FACTOR * residuals[-1 - w]:
+            stop = "residual_growth"
+            break
+        alpha = alpha_next
+        # hold no values of this iteration while the next one is evaluated:
+        # `run_lockstep` keeps many plans live at once
+        del alpha_half, alpha_next, v_n, v_half
+
+    lam_hat, r2 = fit_geometric_rate(residuals)
+    averages = None
+    if sums is not None and count:
+        averages = {k: v / count for k, v in sums.items()}
+    return ExtragradientReport(
+        residuals=residuals,
+        seconds=seconds,
+        dist_to_reference=dists,
+        lambda_hat=lam_hat,
+        r_squared=r2,
+        diverged=stop in ("residual_growth", "non_finite"),
+        iterations=len(residuals),
+        gamma=gamma,
+        stop_reason=stop,
+        evaluations={"probe": probe_evals, "iterate": 2 * completed},
+        L_hat=L_hat,
+        final_alpha=alpha,
+        averages=averages,
+    )
+
+
 def run_extragradient(
     alpha1,
     config: ExtragradientConfig,
@@ -237,75 +471,13 @@ def run_extragradient(
     on the tail half of the residual history, and tracks the distance to a
     reference control when one is supplied.  Residual growth by
     `_DIVERGENCE_FACTOR` over `_DIVERGENCE_WINDOW` iterations ends the run
-    with a divergence report instead of an exception.
+    with a divergence report instead of an exception, and so does a solve
+    that leaves the finite range.  Without a step size or a hint it probes
+    first with `estimate_lipschitz_v`.
     """
-    gamma = config.gamma
-    if gamma is None:
-        L_hat = lipschitz_hint if lipschitz_hint is not None else estimate_lipschitz_v(
-            op, config.probes
-        )
-        gamma = config.safety / max(L_hat, 1e-12)
-
-    alpha = alpha1
-    residuals: list[float] = []
-    seconds: list[float] = []
-    dists: list[float] | None = [] if reference_control is not None else None
-    sums = None
-    count = 0
-    diverged = False
-
-    for n_it in range(1, config.n_max + 1):
-        t0 = time.perf_counter()
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                alpha_half, alpha_next, v_n, v_half = extragradient_step(alpha, gamma, op)
-        except SimulationError:
-            # iterates left the finite range: report divergence, not a crash
-            diverged = True
-            seconds.append(time.perf_counter() - t0)
-            residuals.append(float("inf"))
-            if dists is not None:
-                dists.append(float("nan"))
-            break
-        half_solve = getattr(op, "last_solve", None)
-        residual = float(np.sqrt(max(op.inner(v_n, v_n), 0.0)))
-        residuals.append(residual)
-        if dists is not None:
-            diff = alpha - reference_control
-            dists.append(float(np.sqrt(max(op.inner(diff, diff), 0.0))))
-        if config.averaging:
-            payload = _averaging_payload(op, half_solve, alpha_half)
-            if sums is None:
-                sums = {k: np.array(v, copy=True) for k, v in payload.items()}
-            else:
-                for k_, v in payload.items():
-                    sums[k_] += v
-            count += 1
-        seconds.append(time.perf_counter() - t0)
-        if residual <= config.tol:
-            break
-        w = _DIVERGENCE_WINDOW
-        if len(residuals) > w and residuals[-1] > _DIVERGENCE_FACTOR * residuals[-1 - w]:
-            diverged = True
-            break
-        alpha = alpha_next
-
-    lam_hat, r2 = fit_geometric_rate(residuals)
-    averages = None
-    if sums is not None and count:
-        averages = {k: v / count for k, v in sums.items()}
-    return ExtragradientReport(
-        residuals=residuals,
-        seconds=seconds,
-        dist_to_reference=dists,
-        lambda_hat=lam_hat,
-        r_squared=r2,
-        diverged=diverged,
-        iterations=len(residuals),
-        gamma=gamma,
-        final_alpha=alpha,
-        averages=averages,
-    )
+    if config.gamma is None and lipschitz_hint is None:
+        lipschitz_hint = estimate_lipschitz_v(op, config.probes)
+    return _drive(_extragradient_plan(alpha1, config, op, reference_control, lipschitz_hint), op)
 
 
 def recover_phi_bar(op: FbsdeOperator, averages: dict) -> np.ndarray:
@@ -337,27 +509,38 @@ def recover_phi_bar(op: FbsdeOperator, averages: dict) -> np.ndarray:
     return phi
 
 
-def estimate_lipschitz_v(op, probes: int = 4, seed: int = _PROBE_SEED) -> float:
-    """Probe-pair lower bound on the operator's Lipschitz constant.
+class LipschitzEstimate(float):
+    """The probe bound L_hat, carrying the number of operator evaluations
+    the probes took in `evaluations`."""
 
-    max over probe pairs of ||v(a) - v(b)|| / ||a - b||.  After the random
-    pairs, `_PROBE_REFINE` further pairs are chosen by power iteration on the
-    difference map (each one aligned with the stiffest direction found so
-    far), which tightens the bound considerably on nearly affine operators.
-    Still a lower bound; the step rule applies a safety factor on top.
-    """
+    def __new__(cls, value: float, evaluations: int = 0):
+        self = super().__new__(cls, value)
+        self.evaluations = evaluations
+        return self
+
+
+def _lipschitz_plan(op, probes: int, seed: int):
+    """The probes of `estimate_lipschitz_v` as a plan (see the module
+    docstring); returns a `LipschitzEstimate`."""
     if probes < 2:
         raise ConfigurationError([f"need at least 2 probes, got {probes}"])
     rng = np.random.default_rng(seed)
     draw = getattr(op, "random_control", None)
 
-    def sample():
+    def sample(gen):
         if draw is not None:
-            return draw(rng, _PROBE_SCALE)
-        return _PROBE_SCALE * rng.standard_normal(op.dim)
+            return draw(gen, _PROBE_SCALE)
+        return _PROBE_SCALE * gen.standard_normal(op.dim)
 
-    points = [sample() for _ in range(probes)]
-    values = [op(pt) for pt in points]
+    # each point is drawn again from a copy of the generator once all are
+    # evaluated, so a plan holds no point while the others are:
+    # `run_lockstep` keeps many plans live at once
+    starts, values = [], []
+    for _ in range(probes):
+        starts.append(copy.deepcopy(rng))
+        values.append((yield sample(rng)))
+    points = [sample(start) for start in starts]
+    evaluations = probes
     best = 0.0
     best_dir = None
     for i in range(probes):
@@ -371,15 +554,141 @@ def estimate_lipschitz_v(op, probes: int = 4, seed: int = _PROBE_SEED) -> float:
                     best = ratio
                     best_dir = (1.0 / denom) * diff
     if best_dir is None:
-        return best
+        return LipschitzEstimate(best, evaluations)
     base = points[0]
     v_base = values[0]
     direction = best_dir
+    # the refinement needs the first probe only; `run_lockstep` keeps many
+    # plans live at once
+    del points, values, diff, dv, best_dir
     for _ in range(_PROBE_REFINE):
-        dv = op(base + direction) - v_base
+        dv = (yield base + direction) - v_base
+        evaluations += 1
         norm_dv = np.sqrt(max(op.inner(dv, dv), 0.0))
         if norm_dv <= 1e-14:
             break
         best = max(best, float(norm_dv))  # ||direction|| = 1
         direction = (1.0 / norm_dv) * dv
-    return best
+    return LipschitzEstimate(best, evaluations)
+
+
+def estimate_lipschitz_v(op, probes: int = 4, seed: int = _PROBE_SEED) -> LipschitzEstimate:
+    """Probe-pair lower bound on the operator's Lipschitz constant.
+
+    max over probe pairs of ||v(a) - v(b)|| / ||a - b||.  After the random
+    pairs, `_PROBE_REFINE` further pairs are chosen by power iteration on the
+    difference map (each one aligned with the stiffest direction found so
+    far), which tightens the bound considerably on nearly affine operators.
+    Still a lower bound; the step rule applies a safety factor on top.
+    """
+    return _drive(_lipschitz_plan(op, probes, seed), op)
+
+
+# Bytes the live instances of `run_lockstep` may hold together, counted at
+# `_PATHS_PER_INSTANCE` paths of (M, P, N+1) doubles each: three 12x64x10
+# instances (0.74 MB each) and a single 32x500x50 one (72 MB; the CLI
+# default), which then runs through op(control) exactly as a solo run does.
+# Memory bounds the stack, not speed: each live instance adds about 0.7 MB of
+# peak RSS at 12x64x10, where a 12-cell sweep takes about two thirds of its
+# serial CPU time with three live instances and under half with twelve.
+LOCKSTEP_BYTES = 2_400_000
+# what one live instance holds at its peak: up to four controls of its plan,
+# its noise, and its share of a stacked solve (control and noise copies,
+# state, pair inverse, value)
+_PATHS_PER_INSTANCE = 11
+
+
+def _instance_bytes(op: FbsdeOperator) -> int:
+    m, p = op.init.X0.shape
+    return 8 * m * p * (op.grid.steps + 1) * _PATHS_PER_INSTANCE
+
+
+class _Live:
+    """One run of `run_lockstep`: its plan and the request it waits on, or
+    its outcome once the plan has ended."""
+
+    def __init__(self, key, op: FbsdeOperator, plan):
+        self.key = key
+        self.op = op
+        self.plan = plan
+        self.bytes = _instance_bytes(op)
+        self.request = None
+        self.outcome = None
+
+    def resume(self, reply) -> bool:
+        """Hand the plan its reply; True once the plan has ended, with its
+        report or the package error it raised as the outcome."""
+        try:
+            self.request = _resume(self.plan, reply)
+            return False
+        except StopIteration as stop:
+            self.outcome = stop.value
+        except MajorMinorError as exc:
+            self.outcome = exc
+        self.op = self.plan = self.request = None
+        return True
+
+
+def _start(job) -> _Live:
+    """The run of a `run_lockstep` job, advanced to its first request."""
+    key, alpha1, config, op = job
+    run = _Live(key, op, _evaluations(_extragradient_plan(alpha1, config, op)))
+    # stacked evaluations leave op.last_solve alone, and the running averages read it
+    run.resume(ConfigurationError(["lockstep runs keep no running averages"]) if config.averaging else None)
+    return run
+
+
+def run_lockstep(jobs):
+    """Run independent extragradient solves in lockstep.
+
+    jobs: iterable of (key, alpha1, config, op), each solved as
+    `run_extragradient(alpha1, config, op)` would solve it, probes included,
+    to the same numbers.  Yields (key, outcome) as each run ends, the
+    outcome being its `ExtragradientReport` or the package error the run
+    raised.  Jobs are taken one at a time, while the live instances fit in
+    `LOCKSTEP_BYTES` together (one is always admitted), so a caller may
+    build each job's problem as it is asked for.  Each round gathers one
+    request per live run and evaluates the runs of one `stack_key` with
+    `evaluate_many`: the budget bounds the live set, so it bounds every stack
+    too.  Stacked evaluations do not set `op.last_solve`, so a config that
+    asks for running averages is refused.
+    """
+    pending = iter(jobs)
+    waiting = None
+    live: list[_Live] = []
+    used = 0
+    while True:
+        # a job is asked for only when the live set has room left, so at
+        # most one waits built while it does not fit
+        while not live or used < LOCKSTEP_BYTES:
+            waiting = waiting or next(pending, None)
+            if waiting is None or (live and used + _instance_bytes(waiting[3]) > LOCKSTEP_BYTES):
+                break
+            run = _start(waiting)
+            waiting = None
+            if run.outcome is not None:
+                yield run.key, run.outcome
+                continue
+            live.append(run)
+            used += run.bytes
+        if not live:
+            return
+        ended = _round(live)
+        live = [run for run in live if run not in ended]
+        used = sum(run.bytes for run in live)
+        for run in ended:
+            yield run.key, run.outcome
+
+
+def _round(live: list[_Live]) -> list[_Live]:
+    """Evaluate the request of every live run, one `evaluate_many` per
+    `stack_key`, and hand each run its value; returns the runs that ended."""
+    stacks: dict = {}
+    for run in live:
+        stacks.setdefault(run.op.stack_key(), []).append(run)
+    ended = []
+    for stack in stacks.values():
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = evaluate_many([run.op for run in stack], [run.request for run in stack])
+        ended += [run for run, value in zip(stack, values) if run.resume(value)]
+    return ended

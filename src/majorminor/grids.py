@@ -51,14 +51,15 @@ def path_array(shape: tuple[int, ...]) -> np.ndarray:
     so a particle path is (M, P, N): it is read and written in that index
     order, but the buffer behind it is a C-contiguous (N, M, P) block, so the
     per-step slab a[:, :, k] that the forward and backward sweeps touch is
-    contiguous, and np.moveaxis(a, 2, 0) gives the time-major buffer without
+    contiguous, and np.moveaxis(a, -1, 0) gives the time-major buffer without
     a copy.  Elementwise arithmetic on two such arrays keeps the layout.  A
-    trailing axis (the two integrand components of `EnsembleState.Z`) rides
-    along after N.  Scenario-level paths (M, N) have no particle axis and
-    stay in plain C order.
+    leading instance axis (a stack of solves, see `solver`) rides before M:
+    (B, M, P, N) is stored as (N, B, M, P), so a step's slab of the whole
+    stack is contiguous too.  Scenario-level paths (M, N) have no particle
+    axis and stay in plain C order.
     """
-    m, p, n, *rest = shape
-    return np.moveaxis(np.empty((n, m, p, *rest)), 0, 2)
+    *lead, n = shape
+    return np.moveaxis(np.empty((n, *lead)), 0, -1)
 
 
 @dataclass(frozen=True)

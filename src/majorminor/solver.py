@@ -38,9 +38,24 @@ of the U target with the minor-integrand target) share the affine design
 from per-scenario sums on (M, P) slabs, with the ridge, the leverage clip
 and the rank check of `regress_conditional`.  Everything of a step that
 depends on the forward pass only (the scenario means of X and of the
-control, the scenario designs, and the sums of x and x^2) is computed for
-all steps before the sweep, in O(N M k) memory; nothing particle-sized is
-kept across steps.  The cross-scenario fits stay with `regress_conditional`.
+control, the scenario designs, the sums of x and x^2, and the cross-scenario
+normal equations with their leverage, set up by `NormalEquations`) is
+computed for all steps before the sweep, in O(N M k) memory, so a step only
+solves its normal equations; nothing particle-sized is kept across steps.
+
+Instance axis.  `simulate_forward`, `solve_backward` and `decoupled_solve`
+also solve a stack of independent instances of one size in one sweep: the
+control, the noise and the initial condition carry a leading instance axis
+B, and `primed` and `grid` are sequences with one entry per instance.
+Particle path arrays of a stack keep the time-major storage of `path_array`,
+(N, B, M, P), so each step's slab of the whole stack is contiguous; dt,
+sigma, sigma0 and the discount become per-instance arrays that broadcast
+against it.  The cross-scenario fits and `AffineDesign` run on the whole
+stack; the model callbacks, `theta_inverse` and `conditional_features` are
+called once per instance on its own (M, P) slab, so the model API is that of
+one instance.  A single instance is the case without the leading axis, and
+per instance a stacked solve gives the same bits as a solo one.  The
+instances of a stack must agree on whether sigma0 is zero.
 """
 
 from __future__ import annotations
@@ -51,7 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensembles import ControlField, EnsembleState, conditional_features
-from .errors import ConfigurationError, RegressionError, SimulationError
+from .errors import ConfigurationError, ContractError, RegressionError, SimulationError
 from .grids import NoiseBundle, TimeGrid, path_array
 from .models import PrimedCoefficientSet, theta_inverse
 
@@ -59,6 +74,7 @@ __all__ = [
     "QUADRATIC_MIN_SCENARIOS",
     "RegressionBasis",
     "AffineDesign",
+    "NormalEquations",
     "SolveOutput",
     "InitialCondition",
     "sample_initial",
@@ -100,15 +116,93 @@ class RegressionBasis:
 
 
 def _scenario_q_derivatives(coef: np.ndarray, q: np.ndarray, mean_x: np.ndarray, mean_u: np.ndarray):
-    """q-gradient (M, n_out) and constant second q-derivative (n_out,) of a
-    scenario fit with coef (k, n_out) at q and means (M,); k = 4 is the
-    affine design, k = 8 the quadratic one."""
-    grad = np.tile(coef[1], (q.shape[0], 1))
-    if coef.shape[0] == 4:
-        return grad, np.zeros(coef.shape[1])
+    """q-gradient (..., M, n_out), or (..., 1, n_out) where it is the same
+    for every scenario, and constant second q-derivative (..., n_out) of a
+    scenario fit with coef (..., k, n_out) at q and means (..., M); k = 4 is
+    the affine design, k = 8 the quadratic one."""
+    grad = coef[..., None, 1, :]  # constant across scenarios: (..., 1, n_out) broadcasts
+    if coef.shape[-2] == 4:
+        return grad, np.zeros_like(coef[..., 1, :])
     # summed left to right, in the order of the quadratic columns
-    grad = grad + 2.0 * q[:, None] * coef[4] + mean_x[:, None] * coef[6] + mean_u[:, None] * coef[7]
-    return grad, 2.0 * coef[4]
+    grad = (
+        grad
+        + 2.0 * q[..., None] * coef[..., None, 4, :]
+        + mean_x[..., None] * coef[..., None, 6, :]
+        + mean_u[..., None] * coef[..., None, 7, :]
+    )
+    return grad, 2.0 * coef[..., 4, :]
+
+
+def _mean(a: np.ndarray) -> np.ndarray:
+    """np.mean over the last axis, without its per-call overhead (same bits)."""
+    return np.add.reduce(a, axis=-1) / a.shape[-1]
+
+
+def _columns(*cols: np.ndarray) -> np.ndarray:
+    """np.stack(cols, axis=-1), without its per-call overhead."""
+    out = np.empty(cols[0].shape + (len(cols),))
+    for j, col in enumerate(cols):
+        out[..., j] = col
+    return out
+
+
+class NormalEquations:
+    """The ridged normal equations of one design, set up once for many fits.
+
+    design: (..., n, k), where leading axes index independent designs (the
+    steps of a backward sweep, the instances of a stack).  The contiguous
+    transpose, the ridged Gram matrices and, on first use, the clipped
+    leverage are computed for every leading index in one batched call;
+    `fit` then only solves one of them against its targets.  Ridge is
+    relative to the trace of each Gram matrix.  With zero ridge a
+    rank-deficient design raises a regression error.
+
+    Coefficients come from `np.linalg.solve` on the normal equations, never
+    from an explicit inverse: near the fixed point the scenario mean of the
+    control is close to affine in the other scenario features, so the
+    cross-scenario normal equations are close to singular, and an inverse
+    applied to the right-hand side moves the late iterates' residuals by
+    about 2e-6 relative.  Leverage enters only through the clipped
+    leave-one-out division, where the inverse keeps the recorded benchmark
+    results within their 1e-6 match and is cheaper than a solve against a
+    (k, n) right-hand side.  Batched products and solves give each leading
+    index the same bits as its own call would.
+    """
+
+    def __init__(self, design: np.ndarray, ridge: float = 1e-8):
+        design = np.asarray(design, dtype=float)
+        self.design = design
+        # a contiguous transpose lets the stacked products below run in BLAS
+        self.design_t = np.ascontiguousarray(np.swapaxes(design, -1, -2))
+        gram = self.design_t @ design
+        k = gram.shape[-1]
+        if ridge == 0.0 and (design.shape[-2] < k or np.any(np.linalg.matrix_rank(gram) < k)):
+            raise RegressionError("rank-deficient normal equations without ridge")
+        lam = ridge * np.trace(gram, axis1=-2, axis2=-1) / k
+        self.gram = gram + lam[..., None, None] * np.eye(k)
+        self._leverage = None
+
+    def leverage(self) -> np.ndarray:
+        """Leverage (..., n) of every row of every design, clipped at 0.8."""
+        if self._leverage is None:
+            h = np.einsum("...nk,...nk->...n", self.design @ np.linalg.inv(self.gram), self.design)
+            self._leverage = np.clip(h, 0.0, 0.8)
+        return self._leverage
+
+    def fit(self, targets: np.ndarray, index: tuple = ()) -> "FittedRegression":
+        """Fit of targets on the design at `index`, a tuple of leading
+        indices (all of them by default): targets (..., n), or (..., n, r)
+        for r targets that share the design, solved in one call."""
+        design = self.design[index]
+        y = np.asarray(targets, dtype=float)
+        squeeze = y.ndim < design.ndim
+        if squeeze:
+            y = y[..., None]
+        try:
+            coef = np.linalg.solve(self.gram[index], self.design_t[index] @ y)
+        except np.linalg.LinAlgError as exc:
+            raise RegressionError(f"singular normal equations: {exc}") from exc
+        return FittedRegression(self, index, coef, y, squeeze)
 
 
 class FittedRegression:
@@ -117,11 +211,10 @@ class FittedRegression:
     Leverage, and so `loo_residuals`, is computed on first use only.
     """
 
-    def __init__(self, design: np.ndarray, gram: np.ndarray, coef: np.ndarray, y: np.ndarray, squeeze: bool):
-        self._design = design
-        self._gram = gram
-        self._leverage = None
-        fitted = design @ coef
+    def __init__(self, equations: NormalEquations, index: tuple, coef: np.ndarray, y: np.ndarray, squeeze: bool):
+        self._equations = equations
+        self._index = index
+        fitted = equations.design[index] @ coef
         resid = y - fitted
         if squeeze:
             coef, fitted, resid = coef[..., 0], fitted[..., 0], resid[..., 0]
@@ -135,51 +228,21 @@ class FittedRegression:
     def loo_residuals(self) -> np.ndarray:
         """Leave-one-out residuals e/(1-h): remove the in-sample absorption
         of each row's own signal (exact for fixed ridge); h is clipped at 0.8."""
-        if self._leverage is None:
-            h = np.einsum("...nk,...nk->...n", self._design @ np.linalg.inv(self._gram), self._design)
-            self._leverage = np.clip(h, 0.0, 0.8)
-        h = self._leverage
+        h = self._equations.leverage()[self._index]
         return self.residuals / (1.0 - (h if self.residuals.ndim == h.ndim else h[..., None]))
 
 
 def regress_conditional(design: np.ndarray, targets: np.ndarray, ridge: float = 1e-8) -> FittedRegression:
-    """Ridge-regularized projection of targets onto the feature span.
+    """Ridge-regularized projection of targets onto the feature span: the
+    set-up of `NormalEquations` plus one solve.
 
     design: (..., n, k), where leading axes index independent fits;
-    targets: (..., n), or (..., n, r) for r targets that share the design,
-    solved in one call.  The backward sweep uses it for the cross-scenario
-    fits; its within-scenario fits go through `AffineDesign`.
-    Ridge is relative to the trace of each normal-equation matrix.  With
-    zero ridge a rank-deficient system raises a regression error.
-
-    Coefficients come from `np.linalg.solve` on the normal equations, never
-    from an explicit inverse: near the fixed point the scenario mean of the
-    control is close to affine in the other scenario features, so the
-    cross-scenario normal equations are close to singular, and an inverse
-    applied to the right-hand side moves the late iterates' residuals by
-    about 2e-6 relative.  Leverage enters only through the clipped
-    leave-one-out division, where the inverse keeps the recorded benchmark
-    results within their 1e-6 match and is cheaper than a solve against a
-    (k, n) right-hand side.
+    targets: (..., n), or (..., n, r) for r targets that share the design.
+    The backward sweep sets up its cross-scenario designs once per sweep
+    with `NormalEquations`; its within-scenario fits go through
+    `AffineDesign`.
     """
-    design = np.asarray(design, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    squeeze = y.ndim < design.ndim
-    if squeeze:
-        y = y[..., None]
-    # a contiguous transpose lets the stacked products below run in BLAS
-    design_t = np.ascontiguousarray(np.swapaxes(design, -1, -2))
-    gram = design_t @ design
-    k = gram.shape[-1]
-    if ridge == 0.0 and (design.shape[-2] < k or np.any(np.linalg.matrix_rank(gram) < k)):
-        raise RegressionError("rank-deficient normal equations without ridge")
-    lam = ridge * np.trace(gram, axis1=-2, axis2=-1) / k
-    gram = gram + lam[..., None, None] * np.eye(k)
-    try:
-        coef = np.linalg.solve(gram, design_t @ y)
-    except np.linalg.LinAlgError as exc:
-        raise RegressionError(f"singular normal equations: {exc}") from exc
-    return FittedRegression(design, gram, coef, y, squeeze)
+    return NormalEquations(design, ridge).fit(targets)
 
 
 class AffineDesign:
@@ -251,10 +314,10 @@ class AffineDesign:
 @dataclass
 class InitialCondition:
     """Admissible initial condition: a particle cloud X0 and a common-noise
-    measurable q0 per scenario."""
+    measurable q0 per scenario (with a leading instance axis for a stack)."""
 
-    X0: np.ndarray  # (M_c, P)
-    q0: np.ndarray  # (M_c,)
+    X0: np.ndarray  # ([B,] M_c, P)
+    q0: np.ndarray  # ([B,] M_c)
 
 
 _STREAM_INIT_X = 2
@@ -282,6 +345,34 @@ def sample_initial(
     return InitialCondition(X0=X0, q0=q)
 
 
+def _instances(control: ControlField, primed, grid):
+    """Slots, coefficient sets and grids of the instances of a solve.
+
+    A control with alpha_x (M, P, N) is one instance, whose slot () indexes
+    its arrays whole.  A leading axis B makes a stack: instance i has the
+    slot (i,) and takes primed[i] and grid[i].
+    """
+    if control.alpha_x.ndim == 3:
+        return [()], [primed], [grid]
+    b = control.alpha_x.shape[0]
+    primed, grid = list(primed), list(grid)
+    if len(primed) != b or len(grid) != b:
+        raise ContractError(
+            f"a stack of {b} instances needs {b} coefficient sets and grids, got {len(primed)} and {len(grid)}"
+        )
+    return [(i,) for i in range(b)], primed, grid
+
+
+def _per_instance(values: list[float], stacked: bool):
+    """Per-instance scalars in the two shapes they broadcast in, against
+    (..., M) and against (..., M, P) or (..., M, N): one instance keeps its
+    float, a stack gets (B, 1) and (B, 1, 1) arrays."""
+    if not stacked:
+        return values[0], values[0]
+    col = np.asarray(values, dtype=float)[:, None]
+    return col, col[:, :, None]
+
+
 def simulate_forward(
     control: ControlField,
     noise: NoiseBundle,
@@ -295,58 +386,72 @@ def simulate_forward(
     qf_{k+1} = qf_k - alpha_q_k dt + sqrt(2 sigma0) dW0_k
 
     X is (M_c, P, N_t+1) in the time-major layout of `path_array`, qf is
-    (M_c, N_t+1).
+    (M_c, N_t+1).  A stack (see the module docstring) adds a leading
+    instance axis to both; `primed` and `grid` are then one per instance.
     """
-    m, p, n = control.alpha_x.shape
-    if noise.dB.shape != (m, p, n) or noise.dW0.shape != (m, n):
+    slots, primeds, grids = _instances(control, primed, grid)
+    *lead, m, p, n = control.alpha_x.shape
+    if noise.dB.shape != control.alpha_x.shape or noise.dW0.shape != control.alpha_q.shape:
         raise SimulationError(
             f"noise bundle shape {noise.dB.shape}/{noise.dW0.shape} does not match control"
         )
-    if init.X0.shape != (m, p) or init.q0.shape != (m,):
+    if init.X0.shape != (*lead, m, p) or init.q0.shape != (*lead, m):
         raise SimulationError(f"initial condition shapes {init.X0.shape}/{init.q0.shape} mismatch")
     _validate_control(control)
 
-    dt = grid.dt
-    consts = primed.constants
-    sx = math.sqrt(2.0 * consts.sigma)
-    sq = math.sqrt(2.0 * consts.sigma0)
+    stacked = bool(lead)
+    _, dt = _per_instance([g.dt for g in grids], stacked)
+    _, sx = _per_instance([math.sqrt(2.0 * pr.constants.sigma) for pr in primeds], stacked)
+    _, sq = _per_instance([math.sqrt(2.0 * pr.constants.sigma0) for pr in primeds], stacked)
     # no state feedback in the drift, so the Euler recursion is a running
     # sum of the increments, accumulated in place and shifted by X0 at the end
-    X = path_array((m, p, n + 1))
-    Xt = np.moveaxis(X, 2, 0)
-    qf = np.empty((m, n + 1))
+    X = path_array((*lead, m, p, n + 1))
+    Xt = np.moveaxis(X, -1, 0)
+    qf = np.empty((*lead, m, n + 1))
     Xt[0] = init.X0
-    qf[:, 0] = init.q0
-    axt = np.moveaxis(control.alpha_x, 2, 0)
-    np.multiply(np.moveaxis(noise.dB, 2, 0), sx, out=Xt[1:])
+    qf[..., 0] = init.q0
+    axt = np.moveaxis(control.alpha_x, -1, 0)
+    np.multiply(np.moveaxis(noise.dB, -1, 0), sx, out=Xt[1:])
     for k in range(n):
         Xt[k + 1] -= dt * axt[k]
         if k:
             Xt[k + 1] += Xt[k]
     Xt[1:] += init.X0
-    np.cumsum(sq * noise.dW0 - dt * control.alpha_q, axis=1, out=qf[:, 1:])
-    qf[:, 1:] += init.q0[:, None]
+    np.cumsum(sq * noise.dW0 - dt * control.alpha_q, axis=-1, out=qf[..., 1:])
+    qf[..., 1:] += init.q0[..., None]
     return X, qf
 
 
 def _validate_control(control: ControlField) -> None:
     if np.isfinite(control.alpha_x.sum()) and np.isfinite(control.alpha_q.sum()):
         return
-    finite_x = np.isfinite(control.alpha_x).all(axis=(0, 1))
-    finite_q = np.isfinite(control.alpha_q).all(axis=0)
-    bad = np.nonzero(~(finite_x & finite_q))[0]
+    n = control.alpha_q.shape[-1]
+    finite = np.isfinite(control.alpha_x).reshape(-1, n).all(axis=0)
+    finite &= np.isfinite(control.alpha_q).reshape(-1, n).all(axis=0)
+    bad = np.nonzero(~finite)[0]
     raise SimulationError("non-finite drift", step=int(bad[0]) if bad.size else None)
 
 
 @dataclass
 class SolveOutput:
     """One decoupled solve: the full ensemble state, the inverted pair
-    (theta_F, theta_H), and per-step regression diagnostics."""
+    (theta_F, theta_H), and per-step regression diagnostics.  A stacked
+    solve is one output whose arrays all carry the leading instance axis."""
 
     state: EnsembleState
-    theta_F: np.ndarray  # (M_c, P, N_t)
-    theta_H: np.ndarray  # (M_c, N_t)
+    theta_F: np.ndarray  # ([B,] M_c, P, N_t)
+    theta_H: np.ndarray  # ([B,] M_c, N_t)
     diagnostics: dict = field(default_factory=dict)
+
+
+def _model_calls(primed: PrimedCoefficientSet, x, q, z, alpha_x, alpha_q):
+    """The model calls of one backward step for one instance on its own
+    (M, P) slab: the pair inverse at the control, then Gp, LHp and Hzp at it."""
+    thF, thH = theta_inverse(primed, x, q, z, alpha_x, alpha_q)
+    feats = conditional_features(x, thF)
+    return (
+        thF, thH, primed.Gp(x, q, thH, thF, z, feats), primed.LHp(q, thH, z, feats), primed.Hzp(q, thH, z, feats)
+    )
 
 
 def solve_backward(
@@ -364,64 +469,79 @@ def solve_backward(
     increment-weighted regression, then the pair inverse at
     (X_k, qf_k, Zphi_k) applied to the control, then the value regressions of
     (U, phi, qb) with drivers evaluated at the inverted pair.  Terminal
-    slices are set from (g, psi) exactly.
+    slices are set from (g, psi) exactly.  A stack (see the module
+    docstring) takes one coefficient set and one grid per instance, and its
+    instances must agree on whether sigma0 is zero.
     """
     X, qf = forward
-    m, p, n1 = X.shape
+    slots, primeds, grids = _instances(control, primed, grid)
+    *lead, m, p, n1 = X.shape
     if basis.quadratic and m < QUADRATIC_MIN_SCENARIOS:
         raise ConfigurationError([f"a quadratic basis needs >= {QUADRATIC_MIN_SCENARIOS} scenarios, got {m}"])
+    noisy = {pr.constants.sigma0 > 0 for pr in primeds}
+    if len(noisy) > 1:
+        raise ContractError("a stack mixes instances with sigma0 = 0 and sigma0 > 0")
+    noisy = noisy.pop()
     n = n1 - 1
-    dt = grid.dt
-    consts = primed.constants
-    lam = consts.discount
-    sq = math.sqrt(2.0 * consts.sigma0)
+    stacked = bool(lead)
+    dt_m, dt_mp = _per_instance([g.dt for g in grids], stacked)
+    sq, _ = _per_instance([math.sqrt(2.0 * pr.constants.sigma0) for pr in primeds], stacked)
+    sigma0, _ = _per_instance([pr.constants.sigma0 for pr in primeds], stacked)
+    lam, _ = _per_instance([pr.constants.discount for pr in primeds], stacked)
     ridge = basis.ridge
     # the carrier design is quadratic: S itself for a quadratic basis, an
     # enriched S when there are enough scenarios, else the affine S
     enrich_cv = not basis.quadratic and m >= QUADRATIC_MIN_SCENARIOS
 
-    # time-major views keep the per-step (M, P) slabs contiguous; they copy
-    # only arrays laid out other than by `path_array`
-    x = np.ascontiguousarray(np.moveaxis(X, 2, 0))  # (N+1, M, P)
-    dB = np.ascontiguousarray(np.moveaxis(noise.dB, 2, 0))
-    axt = np.ascontiguousarray(np.moveaxis(control.alpha_x, 2, 0))
+    # time-major views keep the per-step ([B,] M, P) slabs contiguous; they
+    # copy only arrays laid out other than by `path_array`
+    x = np.ascontiguousarray(np.moveaxis(X, -1, 0))  # (N+1, [B,] M, P)
+    dB = np.ascontiguousarray(np.moveaxis(noise.dB, -1, 0))
+    axt = np.ascontiguousarray(np.moveaxis(control.alpha_x, -1, 0))
+    alpha_q = control.alpha_q
+    dW0 = noise.dW0
 
-    U = path_array((m, p, n + 1))
-    theta_F = path_array((m, p, n))
-    Z = path_array((m, p, n, 2)) if compute_z else None
-    u = np.moveaxis(U, 2, 0)
-    thetaF_t = np.moveaxis(theta_F, 2, 0)
-    Zt = np.moveaxis(Z, 2, 0) if compute_z else None
-    phi = np.empty((m, n + 1))
-    qb = np.empty((m, n + 1))
-    Zphi = np.zeros((m, n))
-    Zq = np.zeros((m, n))
-    theta_H = np.empty((m, n))
+    U = path_array((*lead, m, p, n + 1))
+    theta_F = path_array((*lead, m, p, n))
+    # the two integrand components ride after N, still time-major
+    Z = np.moveaxis(np.empty((n, *lead, m, p, 2)), 0, -2) if compute_z else None
+    u = np.moveaxis(U, -1, 0)
+    thetaF_t = np.moveaxis(theta_F, -1, 0)
+    Zt = np.moveaxis(Z, -2, 0) if compute_z else None
+    phi = np.empty((*lead, m, n + 1))
+    qb = np.empty((*lead, m, n + 1))
+    Zphi = np.zeros((*lead, m, n))
+    Zq = np.zeros((*lead, m, n))
+    theta_H = np.empty((*lead, m, n))
 
     # step geometry: everything that depends on the forward pass only, for
-    # all steps at once; O(N M k) memory, no (N, M, P) temporaries
-    sum_x = x[:n].sum(axis=2)  # (N, M)
-    sum_xx = np.einsum("kmp,kmp->km", x[:n], x[:n])
-    q_steps = np.moveaxis(qf[:, :n], 1, 0)  # (N, M)
+    # all steps at once; O(N M k) memory, no (N, M, P) temporaries.  The
+    # cross-scenario normal equations are set up here too, so each step only
+    # solves them.
+    sum_x = x[:n].sum(axis=-1)  # (N, [B,] M)
+    sum_xx = np.einsum("...p,...p->...", x[:n], x[:n])
+    q_steps = np.moveaxis(qf[..., :n], -1, 0)  # (N, [B,] M)
     mean_x = sum_x / p
-    mean_a = axt.mean(axis=2)
-    S = basis.scenario_design(q_steps, mean_x, mean_a)  # (N, M, k)
-    Scv = basis.scenario_design(q_steps, mean_x, mean_a, quadratic=True) if enrich_cv else S
+    mean_a = axt.mean(axis=-1)
+    S = basis.scenario_design(q_steps, mean_x, mean_a)  # (N, [B,] M, k)
+    eq_s = NormalEquations(S, ridge)
+    eq_cv = NormalEquations(basis.scenario_design(q_steps, mean_x, mean_a, quadratic=True), ridge) if enrich_cv else eq_s
 
-    feats_T = conditional_features(x[n])
-    qf_T = qf[:, n][:, None]
-    u[n] = primed.g(x[n], qf_T, feats_T)
-    phi[:, n] = primed.psi(qf_T, feats_T)[:, 0]
-    qb[:, n] = qf[:, n]
+    for s, pr in zip(slots, primeds):
+        feats_T = conditional_features(x[n][s])
+        qf_T = qf[s][:, n][:, None]
+        u[n][s] = pr.g(x[n][s], qf_T, feats_T)
+        phi[s][:, n] = pr.psi(qf_T, feats_T)[:, 0]
+    qb[..., n] = qf[..., n]
 
     # scenario carrier: quadratic-basis fits of phi and qb used as
-    # regression targets, stacked as columns (M, 2)
-    carry = np.column_stack([phi[:, n], qb[:, n]])
+    # regression targets, stacked as columns ([B,] M, 2)
+    carry = _columns(phi[..., n], qb[..., n])
 
-    resid_u = np.zeros(n)
-    resid_phi = np.zeros(n)
-    resid_qb = np.zeros(n)
-    se_zphi = np.zeros(n)
+    resid_u = np.zeros((*lead, n))
+    resid_phi = np.zeros((*lead, n))
+    resid_qb = np.zeros((*lead, n))
+    se_zphi = np.zeros((*lead, n))
     # Control-variate priors must be adapted: they are step-(k+1) fitted
     # FUNCTIONS evaluated at step-k features.  Using step-(k+1) VALUES would
     # leak the step-k increment through the features and bias the values by
@@ -429,27 +549,26 @@ def solve_backward(
     # integrands the prior is the q-gradient of the previous value-carrier
     # fit (value-level noise, no 1/sqrt(dt) amplification); for the minor
     # integrands it is the previous integrand fit itself.
-    coef_carry = None  # (ks_cv, 2) carrier-fit coefficients of (phi, qb)
-    coef_zw = None  # (ks,)
-    coef_zb = None  # (M, 2) particle coefficients of the minor integrand
+    coef_carry = None  # ([B,] ks_cv, 2) carrier-fit coefficients of (phi, qb)
+    coef_zw = None  # ([B,] ks)
+    coef_zb = None  # ([B,] M, 2) particle coefficients of the minor integrand
 
     for k in range(n - 1, -1, -1):
-        qfk = qf[:, k]
-        dW0k = noise.dW0[:, k]
-        Sk = S[k]
+        qfk = qf[..., k]
+        dW0k = dW0[..., k]
         P = AffineDesign(x[k], ridge, sum_x[k], sum_xx[k])
 
         # carrier fits at step-k features, needed both for the Z residuals
         # and (via their q-gradients) as integrand priors
-        cv = regress_conditional(Scv[k], carry, ridge)
+        cv = eq_cv.fit(carry, (k,))
         if coef_carry is None:
             # first backward step: bootstrap the prior from the same-step
             # carrier fit (one O(features/M) in-sample leak, then clean)
             coef_carry = cv.coef
         grad, hess = _scenario_q_derivatives(coef_carry, q_steps[k], mean_x[k], mean_a[k])
-        pred_zphi = grad[:, 0]
-        pred_zq = sq * grad[:, 1]
-        pred_zw = Sk @ coef_zw if coef_zw is not None else 0.0
+        pred_zphi = grad[..., 0]
+        pred_zq = sq * grad[..., 1]
+        pred_zw = (S[k] @ coef_zw[..., None])[..., 0] if coef_zw is not None else 0.0
         pred_zb = P(coef_zb) if coef_zb is not None else 0.0
 
         # (a) martingale integrands at k from the next U and the next scenario
@@ -457,25 +576,30 @@ def solve_backward(
         # in one call
         u_resid = P.loo_residuals(u[k + 1])
         zw_k = 0.0
-        if consts.sigma0 > 0:
-            chi = (dW0k * dW0k - dt) / dt  # mean-zero given F_k
+        if noisy:
+            chi = (dW0k * dW0k - dt_m) / dt_m  # mean-zero given F_k
             resid = cv.loo_residuals()  # keep each scenario's own signal
-            zphi_target = resid[:, 0] * dW0k / (sq * dt) - pred_zphi * chi
-            zq_target = resid[:, 1] * dW0k / dt - pred_zq * chi
-            zw_target = u_resid.mean(axis=1) * dW0k / dt - pred_zw * chi
-            fit_z = regress_conditional(Sk, np.column_stack([zphi_target, zq_target, zw_target]), ridge)
-            Zphi[:, k] = fit_z.fitted[:, 0]
-            se_zphi[k] = float(np.sqrt(np.mean(fit_z.residuals[:, 0] ** 2) * Sk.shape[1] / m))
-            Zq[:, k] = fit_z.fitted[:, 1]
-            zw_k = fit_z.fitted[:, 2:]
-            coef_zw = fit_z.coef[:, 2]
+            zphi_target = resid[..., 0] * dW0k / (sq * dt_m) - pred_zphi * chi
+            zq_target = resid[..., 1] * dW0k / dt_m - pred_zq * chi
+            zw_target = _mean(u_resid) * dW0k / dt_m - pred_zw * chi
+            fit_z = eq_s.fit(_columns(zphi_target, zq_target, zw_target), (k,))
+            Zphi[..., k] = fit_z.fitted[..., 0]
+            se_zphi[..., k] = np.sqrt(_mean(fit_z.residuals[..., 0] ** 2) * S.shape[-1] / m)
+            Zq[..., k] = fit_z.fitted[..., 1]
+            zw_k = fit_z.fitted[..., 2:]
+            coef_zw = fit_z.coef[..., 2]
 
-        # (b) invert the pair map at the current (state, Zphi) along the control
-        zk = Zphi[:, k][:, None]
-        qfk_b = qfk[:, None]
-        thF, thH = theta_inverse(primed, x[k], qfk_b, zk, axt[k], control.alpha_q[:, k][:, None])
+        # (b) invert the pair map at the current (state, Zphi) along the
+        # control, and evaluate Gp, LHp and Hzp there, one instance at a time
+        zk = Zphi[..., k][..., None]
+        calls = [
+            _model_calls(pr, x[k][s], qfk[s][:, None], zk[s], axt[k][s], alpha_q[s][:, k][:, None])
+            for s, pr in zip(slots, primeds)
+        ]
+        # np.array of same-shape arrays is np.stack, without its per-call overhead
+        thF, thH, drv_u, lh, hz = (np.array(c) if stacked else c[0] for c in zip(*calls))
         thetaF_t[k] = thF
-        theta_H[:, k] = thH[:, 0]
+        theta_H[..., k] = thH[..., 0]
 
         # (c) value regressions of the martingale-subtracted targets; the
         # subtraction coefficients are step-(k+1) fitted functions evaluated
@@ -484,20 +608,20 @@ def solve_backward(
         # configured basis; scenario carriers refit in the quadratic basis so
         # curvature survives for the next integrand estimate.  The particle
         # integrand target shares P with the U target.
-        feats_k = conditional_features(x[k], thF)
-        drv_u = primed.Gp(x[k], qfk_b, thH, thF, zk, feats_k)
-        drv_phi = primed.LHp(qfk_b, thH, zk, feats_k)[:, 0] + lam * carry[:, 0]
-        drv_qb = primed.Hzp(qfk_b, thH, zk, feats_k)[:, 0]
+        drv_phi = lh[..., 0] + lam * carry[..., 0]
+        drv_qb = hz[..., 0]
 
-        mart_u = pred_zb * dB[k] + (pred_zw * dW0k)[:, None]
-        target_u = dt * drv_u
+        mart_u = pred_zb * dB[k] + (pred_zw * dW0k)[..., None]
+        target_u = dt_mp * drv_u
         target_u += u[k + 1]
         target_u -= mart_u
         u[k] = P(P.coef(target_u))
         fit_resid = np.subtract(target_u, u[k], out=target_u)
-        resid_u[k] = math.sqrt(np.vdot(fit_resid, fit_resid) / fit_resid.size)
+        for s in slots:
+            # np.vdot per instance: a stacked reduction would round differently
+            resid_u[s][k] = math.sqrt(np.vdot(fit_resid[s], fit_resid[s]) / fit_resid[s].size)
         zb_target = np.multiply(u_resid, dB[k], out=u_resid)
-        zb_target /= dt
+        zb_target /= dt_mp
         coef_zb = P.coef(zb_target)
         if compute_z:
             Zt[k][..., 0] = P(coef_zb)
@@ -505,26 +629,26 @@ def solve_backward(
 
         # chi-square (Ito-level) fluctuations subtracted with the prior
         # curvature: E[dW^2 - dt | F_k] = 0 keeps the targets unbiased
-        chi_abs = dW0k * dW0k - dt
+        chi_abs = dW0k * dW0k - dt_m
         target_phi = (
-            carry[:, 0]
-            + dt * drv_phi
+            carry[..., 0]
+            + dt_m * drv_phi
             - sq * (pred_zphi * dW0k)
-            - 0.5 * (2.0 * consts.sigma0) * chi_abs * hess[0]
+            - 0.5 * (2.0 * sigma0) * chi_abs * hess[..., 0:1]
         )
         target_qb = (
-            carry[:, 1]
-            + dt * drv_qb
+            carry[..., 1]
+            + dt_m * drv_qb
             - pred_zq * dW0k
-            - 0.5 * (2.0 * consts.sigma0) * chi_abs * hess[1]
+            - 0.5 * (2.0 * sigma0) * chi_abs * hess[..., 1:2]
         )
-        targets = np.column_stack([target_phi, target_qb])
-        fit_v = regress_conditional(Sk, targets, ridge)
-        phi[:, k] = fit_v.fitted[:, 0]
-        qb[:, k] = fit_v.fitted[:, 1]
-        resid_phi[k] = float(np.sqrt(np.mean(fit_v.residuals[:, 0] ** 2)))
-        resid_qb[k] = float(np.sqrt(np.mean(fit_v.residuals[:, 1] ** 2)))
-        fit_carry = fit_v if Scv is S else regress_conditional(Scv[k], targets, ridge)
+        targets = _columns(target_phi, target_qb)
+        fit_v = eq_s.fit(targets, (k,))
+        phi[..., k] = fit_v.fitted[..., 0]
+        qb[..., k] = fit_v.fitted[..., 1]
+        resid_phi[..., k] = np.sqrt(_mean(fit_v.residuals[..., 0] ** 2))
+        resid_qb[..., k] = np.sqrt(_mean(fit_v.residuals[..., 1] ** 2))
+        fit_carry = fit_v if eq_cv is eq_s else eq_cv.fit(targets, (k,))
         carry = fit_carry.fitted
         coef_carry = fit_carry.coef
 
@@ -547,7 +671,8 @@ def decoupled_solve(
     grid: TimeGrid,
     compute_z: bool = True,
 ) -> SolveOutput:
-    """Forward pass then backward sweep for one frozen control.
+    """Forward pass then backward sweep for one frozen control, or for a
+    stack of instances (see the module docstring).
 
     sigma0 = 0 is allowed for degenerate diagnostics: the common-noise
     integrand estimates are simply zero in that case.

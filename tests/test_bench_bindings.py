@@ -12,7 +12,10 @@ from pathlib import Path
 
 import majorminor
 import majorminor.cli
+import pytest
+
 from majorminor.cli import build_problem, parse_config
+from majorminor.extragradient import solve_stacked
 from majorminor.solver import decoupled_solve
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -43,3 +46,14 @@ def test_solve_info_reads_a_solve(monkeypatch):
     op, grid, noise, init, _, _, _ = build_problem(config)
     solve = decoupled_solve(op.zero(), op.primed, noise, init, op.basis, grid)
     assert load_spans(monkeypatch)._solve_info(solve)["mb"] > 0
+
+
+def test_solve_info_reads_a_stacked_solve(monkeypatch):
+    ops = [
+        build_problem(parse_config({"grid": {"steps": 2}, "ensemble": {"scenarios": 2, "particles": 4}, "seed": s}))[0]
+        for s in (1, 2)
+    ]
+    stacked = solve_stacked(ops, [op.zero() for op in ops])
+    solo = decoupled_solve(ops[0].zero(), ops[0].primed, ops[0].noise, ops[0].init, ops[0].basis, ops[0].grid, compute_z=False)
+    solve_info = load_spans(monkeypatch)._solve_info
+    assert solve_info(stacked)["mb"] == pytest.approx(2 * solve_info(solo)["mb"])

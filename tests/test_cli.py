@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import majorminor
+import majorminor.extragradient
 from majorminor.cli import (
     RunConfig,
     build_problem,
@@ -323,3 +324,38 @@ def test_sigma_sweep_pool_size_is_capped(tmp_path, monkeypatch):
         assert run_sigma_sweep(config, tmp_path / str(cpus)) == 0
         assert started == expected
         assert len((tmp_path / str(cpus) / "sweep.csv").read_text().splitlines()) == 4
+
+
+def test_solve_report_says_why_and_how_it_stopped(tmp_path):
+    reports = []
+    for name in ("a", "b"):
+        assert run_solve(parse_config(json.dumps(FAST_LQ)), tmp_path / name) == 0
+        reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+    report = reports[0]
+    assert report["stop_reason"] == "tol" and report["residuals"][-1] <= FAST_LQ["extragradient"]["tol"]
+    assert report["evaluations"] == {"probe": 12, "iterate": 2 * report["iterations"]}
+    assert report["L_hat"] > 0 and report["gamma"] == 0.5 / report["L_hat"]
+    assert [{k: r[k] for k in ("stop_reason", "evaluations", "L_hat")} for r in reports[1:]] == [
+        {k: report[k] for k in ("stop_reason", "evaluations", "L_hat")}
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the failing cells overflow on purpose
+def test_lockstep_sweep_writes_the_serial_sweep(tmp_path, monkeypatch):
+    data = json.loads(json.dumps(FAST_LQ))
+    data["model"]["params"]["r1"] = -2.0
+    data["ensemble"] = {"scenarios": 4, "particles": 16}
+    data["extragradient"]["n_max"] = 20
+    data["sweep"] = {"sigma0": [0.3, 0.6], "horizons": [0.5, 1.0, 8.0], "workers": 1, "picard_sweeps": 5}
+    assert run_sigma_sweep(parse_config(data), tmp_path / "lockstep") == 0
+    data["sweep"]["workers"] = 2
+    assert run_sigma_sweep(parse_config(data), tmp_path / "pool") == 0
+    # a budget below one instance runs every cell alone, through op(control)
+    monkeypatch.setattr(majorminor.extragradient, "LOCKSTEP_BYTES", 1)
+    data["sweep"]["workers"] = 1
+    assert run_sigma_sweep(parse_config(data), tmp_path / "serial") == 0
+    serial = (tmp_path / "serial" / "sweep.csv").read_bytes()
+    rows = serial.decode().splitlines()[1:]
+    assert len(rows) == 6 and any("non-finite" in r for r in rows) and any(r.endswith(",") for r in rows)
+    assert (tmp_path / "lockstep" / "sweep.csv").read_bytes() == serial
+    assert (tmp_path / "pool" / "sweep.csv").read_bytes() == serial

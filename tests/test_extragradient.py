@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from majorminor.ensembles import ControlField
-from majorminor.errors import ConfigurationError
+from majorminor.errors import ConfigurationError, SimulationError
 from majorminor.extragradient import (
     ExtragradientConfig,
     FbsdeOperator,
     estimate_lipschitz_v,
+    evaluate_many,
     extragradient_step,
     fit_geometric_rate,
     recover_phi_bar,
     run_extragradient,
+    run_lockstep,
+    solve_stacked,
 )
 from majorminor.grids import build_grid, sample_noise
 from majorminor.models import LQParams, ModelConstants, make_lq_model, make_zero_model, split_q
@@ -183,3 +186,91 @@ def test_report_serialization_round_trip():
     rows = report.iteration_rows()
     assert len(rows) == report.iterations
     assert rows[0][0] == 1
+
+
+class FailingOperator(ArrayOperator):
+    """Scaling operator whose solve fails once |x| exceeds a bound."""
+
+    def __call__(self, x):
+        if np.abs(x).max() > 2.0:
+            raise SimulationError("backward sweep produced non-finite values")
+        return self.fn(x)
+
+
+@pytest.mark.parametrize(
+    "op, gamma, tol, reason",
+    [
+        (scaling_op(1.0), 0.5, 1e-3, "tol"),
+        (scaling_op(1.0), 0.5, 0.0, "n_max"),
+        (rotation_op(), 10.0, 0.0, "residual_growth"),
+        (FailingOperator(lambda x: -x, 3), 1.5, 0.0, "non_finite"),
+    ],
+)
+def test_report_says_why_the_run_stopped(op, gamma, tol, reason):
+    config = ExtragradientConfig(gamma=gamma, n_max=30, tol=tol, averaging=False)
+    report = run_extragradient(np.ones(op.dim), config, op)
+    assert report.stop_reason == reason
+    assert report.diverged == (reason in ("residual_growth", "non_finite"))
+    completed = report.iterations - (reason == "non_finite")
+    assert report.evaluations == {"probe": 0, "iterate": 2 * completed}
+    assert report.L_hat is None
+
+
+CONE_BLOWING_UP = LQParams(c1=1.0, c3=0.5, g1=1.0, b=1.0, p1=1.0, r1=-5.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blown-up instance overflows on purpose
+def test_evaluate_many_gives_each_instance_its_solo_outcome():
+    ops = [
+        lq_operator(m=4, p=16, n=10, seed=1)[0],
+        lq_operator(m=4, p=16, n=10, seed=3, params=CONE_BLOWING_UP, horizon=8.0)[0],
+        lq_operator(m=4, p=16, n=10, seed=2, horizon=0.5)[0],
+    ]
+    controls = [op.zero() for op in ops]
+    with pytest.raises(SimulationError) as solo_error:
+        ops[1](controls[1])
+    with pytest.raises(SimulationError):
+        solve_stacked(ops, controls)
+    values = evaluate_many(ops, controls)
+    assert isinstance(values[1], SimulationError) and str(values[1]) == str(solo_error.value)
+    for i in (0, 2):
+        solo = ops[i](controls[i])
+        assert np.array_equal(values[i].alpha_x, solo.alpha_x) and np.array_equal(values[i].alpha_q, solo.alpha_q)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blown-up instances overflow on purpose
+def test_lockstep_runs_report_what_solo_runs_report():
+    ops = [
+        lq_operator(m=8, p=32, n=10, seed=1)[0],
+        lq_operator(m=8, p=32, n=10, seed=2, horizon=2.0)[0],
+        lq_operator(m=8, p=32, n=10, seed=3, params=CONE_BLOWING_UP, horizon=8.0)[0],
+        lq_operator(m=8, p=32, n=10, seed=5, params=CONE_BLOWING_UP, horizon=8.0)[0],
+        lq_operator(m=8, p=32, n=10, seed=4, constants=ModelConstants(sigma=0.5, sigma0=0.0))[0],
+    ]
+    config = ExtragradientConfig(n_max=30, tol=1e-2, averaging=False)
+    solo = []
+    for op in ops:
+        try:
+            solo.append(run_extragradient(op.zero(), config, op))
+        except SimulationError as exc:
+            solo.append(exc)
+    lockstep = dict(run_lockstep((i, op.zero(), config, op) for i, op in enumerate(ops)))
+    outcomes = []
+    for i, want in enumerate(solo):
+        got = lockstep[i]
+        assert type(got) is type(want)
+        if isinstance(want, SimulationError):
+            assert str(got) == str(want)
+            outcomes.append("error")
+            continue
+        assert got.residuals == want.residuals
+        assert (got.stop_reason, got.evaluations, got.L_hat, got.gamma, got.lambda_hat) == (
+            want.stop_reason, want.evaluations, want.L_hat, want.gamma, want.lambda_hat,
+        )
+        assert want.evaluations["probe"] == 12
+        outcomes.append(want.stop_reason)
+    # runs that end by tolerance, by the cap, on a failed iteration and in
+    # their probes, one of them without common noise
+    assert set(outcomes) == {"tol", "n_max", "non_finite", "error"}
+    refused = dict(run_lockstep([(0, ops[0].zero(), ExtragradientConfig(), ops[0])]))
+    assert isinstance(refused[0], ConfigurationError)

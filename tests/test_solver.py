@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from majorminor.cli import build_problem, parse_config
 from majorminor.ensembles import ControlField, conditional_features
 from majorminor.errors import ConfigurationError, RegressionError, SimulationError
-from majorminor.extragradient import FbsdeOperator
+from majorminor.extragradient import FbsdeOperator, solve_stacked
 from majorminor.grids import build_grid, path_array, sample_noise
 from majorminor.models import (
     LQParams,
@@ -416,3 +416,38 @@ def test_operator_matches_recorded_values(start):
     st = solve.state
     blocks = (st.U, st.phi, st.qb, st.Zphi, st.Zq, solve.theta_F, solve.theta_H)
     np.testing.assert_allclose([np.linalg.norm(b) for b in blocks], GOLDEN_SOLVE[start], rtol=1e-9, atol=0)
+
+
+def stack_operators(m, p, n, quadratic):
+    """Three instances of one size that differ in seed, dt and sigma0."""
+    ops = []
+    for seed, horizon, sigma0 in ((1, 0.5, 0.25), (2, 1.0, 1.0), (3, 2.0, 2.0)):
+        doc = {
+            "model": {"kind": "lq", "params": {"c1": 1.0, "c3": 0.5, "g1": 1.0, "b": 1.0, "p1": 1.0}},
+            "constants": {"sigma0": sigma0},
+            "grid": {"horizon": horizon, "steps": n},
+            "ensemble": {"scenarios": m, "particles": p},
+            "basis": {"quadratic": quadratic},
+            "seed": seed,
+        }
+        ops.append(build_problem(parse_config(doc))[0])
+    return ops
+
+
+@pytest.mark.parametrize("start", ["zero", "random"])
+@pytest.mark.parametrize("size", [(12, 64, 10, False), (32, 100, 20, True)], ids=["12x64x10", "32x100x20-quadratic"])
+def test_stacked_solve_is_bit_identical_to_solo_solves(size, start):
+    ops = stack_operators(*size)
+    controls = [
+        op.zero() if start == "zero" else op.random_control(np.random.default_rng(i), 0.5) for i, op in enumerate(ops)
+    ]
+    stacked = solve_stacked(ops, controls)
+    for i, (op, control) in enumerate(zip(ops, controls)):
+        solo = decoupled_solve(control, op.primed, op.noise, op.init, op.basis, op.grid, compute_z=False)
+        for name in ("X", "U", "qf", "qb", "phi", "Zphi", "Zq"):
+            assert np.array_equal(getattr(stacked.state, name)[i], getattr(solo.state, name)), name
+        assert np.array_equal(stacked.theta_F[i], solo.theta_F) and np.array_equal(stacked.theta_H[i], solo.theta_H)
+        for name, values in solo.diagnostics.items():
+            assert np.array_equal(stacked.diagnostics[name][i], values), name
+        v_stacked, v_solo = op.value_in(stacked, (i,)), op(control)
+        assert np.array_equal(v_stacked.alpha_x, v_solo.alpha_x) and np.array_equal(v_stacked.alpha_q, v_solo.alpha_q)
