@@ -298,10 +298,8 @@ def build_problem(config: RunConfig):
 
 def _extragradient_config(config: RunConfig) -> ExtragradientConfig:
     eg = config.data["extragradient"]
-    # no CLI output reads the running averages, so none are accumulated
     return ExtragradientConfig(
-        gamma=eg["gamma"], n_max=eg["n_max"], tol=eg["tol"], averaging=False,
-        safety=eg["safety"], probes=eg["probes"],
+        gamma=eg["gamma"], n_max=eg["n_max"], tol=eg["tol"], safety=eg["safety"], probes=eg["probes"],
     )
 
 
@@ -342,8 +340,11 @@ def _lq_monotonicity(data: dict, params: LQParams, constants: ModelConstants):
 def run_solve(config: RunConfig, out_dir: str | Path | None = None, dump_ensemble: bool = False) -> int:
     """Drive the full pipeline for one instance and write artifacts.
 
-    Exit status: 0 when the final residual is at or below tolerance, 2 on a
-    divergence report, 1 is reserved for errors (raised to the caller).
+    Exit status: 0 when the run stopped at tolerance, 2 when it stopped for
+    any other reason (the cap, a divergence report or a failed iteration), 1
+    is reserved for errors (raised to the caller).  The snapshot and the
+    ensemble dump come from the last solve of the extragradient loop, so a
+    run that completed no iteration writes neither.
     """
     with _run_dir(config, out_dir) as (out, emitted):
         op, grid, noise, init, cs, params, constants = build_problem(config)
@@ -370,6 +371,9 @@ def run_solve(config: RunConfig, out_dir: str | Path | None = None, dump_ensembl
         )
         report_path = out / "report.json"
         report_path.write_text(report.to_json() + "\n")
+        emitted += [iter_path, report_path]
+        if not report.evaluations["iterate"]:
+            return 2
 
         snap_rows = []
         st = op.last_solve.state
@@ -385,7 +389,7 @@ def run_solve(config: RunConfig, out_dir: str | Path | None = None, dump_ensembl
             ["scenario", "q0", "mean_x0", "phi0", "zphi0", "qb0", "mean_u0"],
             snap_rows,
         )
-        emitted += [iter_path, report_path, snap_path]
+        emitted.append(snap_path)
 
         if dump_ensemble:
             rows = []
@@ -398,9 +402,7 @@ def run_solve(config: RunConfig, out_dir: str | Path | None = None, dump_ensembl
             write_csv(dump_path, ["scenario", "particle", "t", "X", "U"], rows)
             emitted.append(dump_path)
 
-    if report.diverged:
-        return 2
-    return 0 if report.residuals and report.residuals[-1] <= eg_config.tol else 2
+    return 0 if report.stop_reason == "tol" else 2
 
 
 def _cell_seed(seed: int, i: int, j: int) -> int:
@@ -462,7 +464,7 @@ def _finish_row(row: dict, report, op: FbsdeOperator, tol: float, picard_sweeps:
     if isinstance(report, MajorMinorError):
         row["error"] = _csv_text(report)
         return
-    row["eg_converged"] = int(not report.diverged and report.residuals and report.residuals[-1] <= tol)
+    row["eg_converged"] = int(report.stop_reason == "tol")
     row["eg_residual"] = report.residuals[-1] if report.residuals else float("nan")
     row["lambda_hat"] = report.lambda_hat if report.lambda_hat is not None else float("nan")
     try:

@@ -74,7 +74,11 @@ _DIVERGENCE_WINDOW = 5
 
 @dataclass
 class ExtragradientConfig:
-    """Step size, caps and averaging switches.
+    """Step size and caps of one extragradient run.
+
+    The run reads only the operator values it is sent and reports its last
+    iterate, which converges geometrically under joint displacement
+    monotonicity.
 
     With `gamma` unset the step is safety / L_hat from probe estimation.  The
     geometric-rate regime additionally wants gamma < min(1/(2 L), eta/L^2)
@@ -87,7 +91,6 @@ class ExtragradientConfig:
     gamma: float | None = None
     n_max: int = 100
     tol: float = 0.0
-    averaging: bool = True
     safety: float = 0.5
     probes: int = 4
 
@@ -304,7 +307,6 @@ class ExtragradientReport:
     evaluations: dict
     L_hat: float | None
     final_alpha: object = None
-    averages: dict | None = None
     z_convention: str = (
         "Zphi is the integrand of sqrt(2*sigma0) * int Zphi dW0, equal to the "
         "q-gradient of the major value field"
@@ -362,19 +364,6 @@ def fit_geometric_rate(residuals):
     return float(np.exp(slope)), r2
 
 
-def _averaging_payload(op, solve: SolveOutput, alpha_half):
-    """Quantities averaged over half-step solves per the convergence bound."""
-    if solve is None:
-        return {"point": alpha_half}
-    return {
-        "U": solve.theta_F,  # theta applied to the half-step control
-        "p": solve.theta_H,
-        "q": solve.state.qf,  # forward copy, all nodes
-        "X": solve.state.X,
-        "Zphi": solve.state.Zphi,
-    }
-
-
 def _extragradient_plan(alpha1, config: ExtragradientConfig, op, reference_control=None, lipschitz_hint=None):
     """The extragradient loop as a plan (see the module docstring); returns
     its `ExtragradientReport`.  Without a step size or a hint it probes
@@ -394,8 +383,6 @@ def _extragradient_plan(alpha1, config: ExtragradientConfig, op, reference_contr
     residuals: list[float] = []
     seconds: list[float] = []
     dists: list[float] | None = [] if reference_control is not None else None
-    sums = None
-    count = 0
     stop = "n_max"
     completed = 0
 
@@ -416,14 +403,6 @@ def _extragradient_plan(alpha1, config: ExtragradientConfig, op, reference_contr
         residuals.append(residual)
         if dists is not None:
             dists.append(_norm(op, alpha - reference_control))
-        if config.averaging:
-            payload = _averaging_payload(op, getattr(op, "last_solve", None), alpha_half)
-            if sums is None:
-                sums = {k: np.array(v, copy=True) for k, v in payload.items()}
-            else:
-                for k_, v in payload.items():
-                    sums[k_] += v
-            count += 1
         seconds.append(time.perf_counter() - t0)
         if residual <= config.tol:
             stop = "tol"
@@ -438,9 +417,6 @@ def _extragradient_plan(alpha1, config: ExtragradientConfig, op, reference_contr
         del alpha_half, alpha_next, v_n, v_half
 
     lam_hat, r2 = fit_geometric_rate(residuals)
-    averages = None
-    if sums is not None and count:
-        averages = {k: v / count for k, v in sums.items()}
     return ExtragradientReport(
         residuals=residuals,
         seconds=seconds,
@@ -454,7 +430,6 @@ def _extragradient_plan(alpha1, config: ExtragradientConfig, op, reference_contr
         evaluations={"probe": probe_evals, "iterate": 2 * completed},
         L_hat=L_hat,
         final_alpha=alpha,
-        averages=averages,
     )
 
 
@@ -467,8 +442,8 @@ def run_extragradient(
 ) -> ExtragradientReport:
     """Iterate until the residual tolerance, the cap, or divergence.
 
-    Maintains running averages over half-step solves, fits the geometric rate
-    on the tail half of the residual history, and tracks the distance to a
+    Reads only the operator values: it fits the geometric rate on the tail
+    half of the residual history and tracks the distance of the iterate to a
     reference control when one is supplied.  Residual growth by
     `_DIVERGENCE_FACTOR` over `_DIVERGENCE_WINDOW` iterations ends the run
     with a divergence report instead of an exception, and so does a solve
@@ -480,31 +455,31 @@ def run_extragradient(
     return _drive(_extragradient_plan(alpha1, config, op, reference_control, lipschitz_hint), op)
 
 
-def recover_phi_bar(op: FbsdeOperator, averages: dict) -> np.ndarray:
-    """One auxiliary backward sweep for the major value along the averaged
-    iterates: the backward equation driven by the averaged (q, Zphi, law)."""
+def recover_phi_bar(op: FbsdeOperator, solve: SolveOutput) -> np.ndarray:
+    """One auxiliary backward sweep for the major value along a solve of
+    `op`: the backward equation driven by the solve's (qf, Zphi, X), with the
+    pair inverse (theta_F, theta_H) in place of (U, qb)."""
     primed = op.primed
     grid = op.grid
     n = grid.steps
     dt = grid.dt
     consts = primed.constants
     sq = np.sqrt(2.0 * consts.sigma0)
-    U_bar, p_bar, q_bar, X_bar, Z_bar = (
-        averages["U"], averages["p"], averages["q"], averages["X"], averages["Zphi"],
-    )
-    m = q_bar.shape[0]
-    qmid_T = q_bar[:, n][:, None]
-    feats_T = conditional_features(X_bar[:, :, n])
+    U, p = solve.theta_F, solve.theta_H
+    q, X, Zphi = solve.state.qf, solve.state.X, solve.state.Zphi
+    m = q.shape[0]
+    qmid_T = q[:, n][:, None]
+    feats_T = conditional_features(X[:, :, n])
     phi = np.empty((m, n + 1))
     phi[:, n] = primed.psi(qmid_T, feats_T)[:, 0]
     basis = op.basis
     for k in range(n - 1, -1, -1):
-        qmid = 0.5 * (q_bar[:, k] + p_bar[:, k])
-        feats = conditional_features(X_bar[:, :, k], U_bar[:, :, k])
-        drv = primed.base.LH(qmid[:, None], Z_bar[:, k][:, None], feats)[:, 0]
+        qmid = 0.5 * (q[:, k] + p[:, k])
+        feats = conditional_features(X[:, :, k], U[:, :, k])
+        drv = primed.base.LH(qmid[:, None], Zphi[:, k][:, None], feats)[:, 0]
         drv = drv + consts.discount * phi[:, k + 1]
-        target = phi[:, k + 1] + dt * drv - sq * (Z_bar[:, k] * op.noise.dW0[:, k])
-        S = basis.scenario_design(qmid, X_bar[:, :, k].mean(axis=1), U_bar[:, :, k].mean(axis=1))
+        target = phi[:, k + 1] + dt * drv - sq * (Zphi[:, k] * op.noise.dW0[:, k])
+        S = basis.scenario_design(qmid, X[:, :, k].mean(axis=1), U[:, :, k].mean(axis=1))
         phi[:, k] = regress_conditional(S, target, basis.ridge).fitted
     return phi
 
@@ -633,8 +608,7 @@ def _start(job) -> _Live:
     """The run of a `run_lockstep` job, advanced to its first request."""
     key, alpha1, config, op = job
     run = _Live(key, op, _evaluations(_extragradient_plan(alpha1, config, op)))
-    # stacked evaluations leave op.last_solve alone, and the running averages read it
-    run.resume(ConfigurationError(["lockstep runs keep no running averages"]) if config.averaging else None)
+    run.resume(None)
     return run
 
 
@@ -650,8 +624,7 @@ def run_lockstep(jobs):
     build each job's problem as it is asked for.  Each round gathers one
     request per live run and evaluates the runs of one `stack_key` with
     `evaluate_many`: the budget bounds the live set, so it bounds every stack
-    too.  Stacked evaluations do not set `op.last_solve`, so a config that
-    asks for running averages is refused.
+    too.  Stacked evaluations do not set `op.last_solve`.
     """
     pending = iter(jobs)
     waiting = None

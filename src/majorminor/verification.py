@@ -467,14 +467,14 @@ def check_pontryagin_residual(
     )
 
 
-def estimate_decoupling_lipschitz(
-    make_operator,
-    init_base,
-    run_config,
-    dx: float = 0.2,
-    dq: float = 0.2,
-    dlaw: float = 0.25,
-) -> dict:
+# initial-condition shifts of `estimate_decoupling_lipschitz`: the minor
+# state, the major state, and the relative widening of each scenario's cloud
+_SHIFT_X = 0.2
+_SHIFT_Q = 0.2
+_WIDEN_LAW = 0.25
+
+
+def estimate_decoupling_lipschitz(make_operator, init_base, run_config) -> dict:
     """Sensitivity of the converged fields to initial-condition shifts.
 
     `make_operator(init)` builds the residual operator for an initial
@@ -490,10 +490,10 @@ def estimate_decoupling_lipschitz(
         return op.last_solve
 
     base = converged_solve(init_base)
-    shifted_x = converged_solve(InitialCondition(X0=init_base.X0 + dx, q0=init_base.q0))
-    shifted_q = converged_solve(InitialCondition(X0=init_base.X0, q0=init_base.q0 + dq))
+    shifted_x = converged_solve(InitialCondition(X0=init_base.X0 + _SHIFT_X, q0=init_base.q0))
+    shifted_q = converged_solve(InitialCondition(X0=init_base.X0, q0=init_base.q0 + _SHIFT_Q))
     center = init_base.X0.mean(axis=1, keepdims=True)
-    widened = InitialCondition(X0=center + (1.0 + dlaw) * (init_base.X0 - center), q0=init_base.q0)
+    widened = InitialCondition(X0=center + (1.0 + _WIDEN_LAW) * (init_base.X0 - center), q0=init_base.q0)
     shifted_law = converged_solve(widened)
 
     def u0_dist(a, b):
@@ -504,10 +504,10 @@ def estimate_decoupling_lipschitz(
 
     law_shift = float(np.sqrt(np.mean((widened.X0 - init_base.X0) ** 2)))
     return {
-        "lip_x_u": u0_dist(shifted_x, base) / dx,
-        "lip_x_phi": phi0_dist(shifted_x, base) / dx,
-        "lip_q_u": u0_dist(shifted_q, base) / dq,
-        "lip_q_phi": phi0_dist(shifted_q, base) / dq,
+        "lip_x_u": u0_dist(shifted_x, base) / _SHIFT_X,
+        "lip_x_phi": phi0_dist(shifted_x, base) / _SHIFT_X,
+        "lip_q_u": u0_dist(shifted_q, base) / _SHIFT_Q,
+        "lip_q_phi": phi0_dist(shifted_q, base) / _SHIFT_Q,
         "lip_law_u": u0_dist(shifted_law, base) / max(law_shift, 1e-12),
         "lip_law_phi": phi0_dist(shifted_law, base) / max(law_shift, 1e-12),
     }

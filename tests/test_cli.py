@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 import majorminor
 import majorminor.extragradient
 from majorminor.cli import (
+    _TABLE,
     RunConfig,
     build_problem,
     main,
@@ -19,6 +21,7 @@ from majorminor.cli import (
     run_solve,
 )
 from majorminor.errors import ConfigurationError
+from majorminor.extragradient import ExtragradientConfig
 
 FAST_LQ = {
     "model": {"kind": "lq", "params": {"c1": 1.0, "c3": 0.5, "g1": 1.0, "b": 1.0, "p1": 1.0}},
@@ -273,6 +276,31 @@ def test_failed_command_leaves_a_manifest_with_the_error(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["files"] == {}
     assert manifest["error"] and f"error: {manifest['error']}" in error
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run overflows on purpose
+def test_solve_whose_first_iteration_fails_writes_no_snapshot(tmp_path):
+    data = json.loads(json.dumps(FAST_LQ))
+    data["model"]["params"]["r1"] = -5.0
+    data["grid"]["horizon"] = 8.0
+    data["ensemble"] = {"scenarios": 4, "particles": 16}
+    data["extragradient"].update(gamma=0.1, n_max=3)
+    data["seed"] = 1
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out), "--dump-ensemble"]) == 2
+    emitted = {"iterations.csv", "report.json"}
+    assert {path.name for path in out.iterdir()} == emitted | {"manifest.json"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["files"]) == emitted and manifest["error"] is None
+    report = json.loads((out / "report.json").read_text())
+    assert report["stop_reason"] == "non_finite" and report["evaluations"]["iterate"] == 0
+
+
+def test_every_extragradient_config_field_is_a_config_key():
+    fields = {f.name for f in dataclasses.fields(ExtragradientConfig)}
+    assert fields <= set(_TABLE["extragradient"])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the probe solves overflow on purpose

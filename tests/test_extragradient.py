@@ -91,7 +91,7 @@ def test_rotation_bounded_vs_forward_euler():
 def test_run_geometric_rate_on_linear_operator():
     eta = 1.0
     op = scaling_op(eta)
-    config = ExtragradientConfig(gamma=0.5, n_max=60, tol=0.0, averaging=False)
+    config = ExtragradientConfig(gamma=0.5, n_max=60, tol=0.0)
     report = run_extragradient(np.array([1.0, 1.0, 1.0]), config, op)
     assert report.lambda_hat == pytest.approx(0.75, abs=0.01)
     assert report.r_squared > 0.999
@@ -100,7 +100,7 @@ def test_run_geometric_rate_on_linear_operator():
 
 def test_run_divergence_report_on_large_step():
     op = rotation_op()
-    config = ExtragradientConfig(gamma=10.0, n_max=60, averaging=False)
+    config = ExtragradientConfig(gamma=10.0, n_max=60)
     report = run_extragradient(np.array([1.0, 0.0]), config, op)
     assert report.diverged
     assert report.iterations < 60
@@ -164,14 +164,14 @@ def test_oracle_start_residual_small_and_monotone_pairs():
 
 def test_run_converges_on_lq_and_recovers_phi_bar():
     op, grid, noise, init = lq_operator(m=24, p=300, n=25, seed=2)
-    config = ExtragradientConfig(gamma=None, n_max=40, tol=0.0, averaging=True, safety=0.5)
+    config = ExtragradientConfig(gamma=None, n_max=40, tol=0.0, safety=0.5)
     report = run_extragradient(op.zero(), config, op)
     assert not report.diverged
     assert report.residuals[-1] < 0.05 * report.residuals[0]
     assert report.lambda_hat is not None and report.lambda_hat < 0.98
-    phi_bar = recover_phi_bar(op, report.averages)
     solve = op.last_solve
-    # averaged-value recovery tracks the converged major value
+    phi_bar = recover_phi_bar(op, solve)
+    # the auxiliary sweep along the last solve tracks its major value
     err = np.abs(phi_bar - solve.state.phi).mean()
     scale = np.abs(solve.state.phi).mean() + 1e-12
     assert err < 0.25 * scale + 0.05
@@ -179,7 +179,7 @@ def test_run_converges_on_lq_and_recovers_phi_bar():
 
 def test_report_serialization_round_trip():
     op = scaling_op(1.0)
-    config = ExtragradientConfig(gamma=0.4, n_max=12, averaging=False)
+    config = ExtragradientConfig(gamma=0.4, n_max=12)
     report = run_extragradient(np.ones(3), config, op)
     payload = report.to_json()
     assert '"lambda_hat"' in payload
@@ -207,7 +207,7 @@ class FailingOperator(ArrayOperator):
     ],
 )
 def test_report_says_why_the_run_stopped(op, gamma, tol, reason):
-    config = ExtragradientConfig(gamma=gamma, n_max=30, tol=tol, averaging=False)
+    config = ExtragradientConfig(gamma=gamma, n_max=30, tol=tol)
     report = run_extragradient(np.ones(op.dim), config, op)
     assert report.stop_reason == reason
     assert report.diverged == (reason in ("residual_growth", "non_finite"))
@@ -247,7 +247,7 @@ def test_lockstep_runs_report_what_solo_runs_report():
         lq_operator(m=8, p=32, n=10, seed=5, params=CONE_BLOWING_UP, horizon=8.0)[0],
         lq_operator(m=8, p=32, n=10, seed=4, constants=ModelConstants(sigma=0.5, sigma0=0.0))[0],
     ]
-    config = ExtragradientConfig(n_max=30, tol=1e-2, averaging=False)
+    config = ExtragradientConfig(n_max=30, tol=1e-2)
     solo = []
     for op in ops:
         try:
@@ -272,5 +272,8 @@ def test_lockstep_runs_report_what_solo_runs_report():
     # runs that end by tolerance, by the cap, on a failed iteration and in
     # their probes, one of them without common noise
     assert set(outcomes) == {"tol", "n_max", "non_finite", "error"}
-    refused = dict(run_lockstep([(0, ops[0].zero(), ExtragradientConfig(), ops[0])]))
-    assert isinstance(refused[0], ConfigurationError)
+    # the default config runs in lockstep too, to the solo numbers
+    default = ExtragradientConfig()
+    want = run_extragradient(ops[0].zero(), default, ops[0])
+    got = dict(run_lockstep([(0, ops[0].zero(), default, ops[0])]))[0]
+    assert (got.residuals, got.stop_reason) == (want.residuals, want.stop_reason)
