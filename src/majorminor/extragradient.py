@@ -254,6 +254,7 @@ def _drive(plan, op):
                 reply = op(request)
         except MajorMinorError as exc:
             reply = exc
+        del request  # the plan holds what it still needs
 
 
 def _evaluations(plan):
@@ -517,7 +518,9 @@ def _lipschitz_plan(op, probes: int, seed: int):
     points = [sample(start) for start in starts]
     evaluations = probes
     best = 0.0
-    best_dir = None
+    best_pair = None
+    # the scan keeps the best pair's indices, not its direction, and frees
+    # each pair's differences before the next pair's are formed
     for i in range(probes):
         for j in range(i + 1, probes):
             diff = points[i] - points[j]
@@ -527,15 +530,17 @@ def _lipschitz_plan(op, probes: int, seed: int):
                 ratio = float(np.sqrt(max(op.inner(dv, dv), 0.0)) / denom)
                 if ratio > best:
                     best = ratio
-                    best_dir = (1.0 / denom) * diff
-    if best_dir is None:
+                    best_pair = (i, j, denom)
+            del diff, dv
+    if best_pair is None:
         return LipschitzEstimate(best, evaluations)
+    i, j, denom = best_pair
+    direction = (1.0 / denom) * (points[i] - points[j])
     base = points[0]
     v_base = values[0]
-    direction = best_dir
     # the refinement needs the first probe only; `run_lockstep` keeps many
     # plans live at once
-    del points, values, diff, dv, best_dir
+    del points, values
     for _ in range(_PROBE_REFINE):
         dv = (yield base + direction) - v_base
         evaluations += 1
@@ -544,6 +549,7 @@ def _lipschitz_plan(op, probes: int, seed: int):
             break
         best = max(best, float(norm_dv))  # ||direction|| = 1
         direction = (1.0 / norm_dv) * dv
+        del dv
     return LipschitzEstimate(best, evaluations)
 
 
@@ -567,9 +573,11 @@ def estimate_lipschitz_v(op, probes: int = 4, seed: int = _PROBE_SEED) -> Lipsch
 # peak RSS at 12x64x10, where a 12-cell sweep takes about two thirds of its
 # serial CPU time with three live instances and under half with twelve.
 LOCKSTEP_BYTES = 2_400_000
-# what one live instance holds at its peak: up to four controls of its plan,
-# its noise, and its share of a stacked solve (control and noise copies,
-# state, pair inverse, value)
+# what one live instance holds at its peak: up to four controls of its plan
+# while a solve runs, its noise, and its share of a stacked solve (control and
+# noise copies, state, pair inverse, value).  Between solves the probe plan's
+# pair scan holds more: 2 * probes + 2 controls (the points, their values and
+# one pair's two differences), 10 at the default 4 probes.
 _PATHS_PER_INSTANCE = 11
 
 
@@ -593,6 +601,7 @@ class _Live:
     def resume(self, reply) -> bool:
         """Hand the plan its reply; True once the plan has ended, with its
         report or the package error it raised as the outcome."""
+        self.request = None  # the plan holds what it still needs
         try:
             self.request = _resume(self.plan, reply)
             return False

@@ -130,8 +130,10 @@ def oracle_induced_control(
     """Simulate the coupled dynamics closed by the oracle field and read off
     the induced control (F, DzH) along the trajectory.
 
-    Returns the control and the induced paths (X, q, U, Zphi) for reuse as a
-    reference in convergence studies.
+    Returns the control and the scenario-level paths of the trajectory:
+    "q" (M, N+1), "Zphi" (M, N) and "mean_x", the within-scenario mean of X,
+    (M, N+1).  The particle states roll through the loop one (M, P) slab at a
+    time, so the control is the only particle path the simulation holds.
     """
     m, p = init.X0.shape
     n = grid.steps
@@ -139,32 +141,27 @@ def oracle_induced_control(
     sx = math.sqrt(2.0 * cs.constants.sigma)
     sq = math.sqrt(2.0 * cs.constants.sigma0)
 
-    X = path_array((m, p, n + 1))
     qpath = np.empty((m, n + 1))
-    U = path_array((m, p, n + 1))
+    mean_x = np.empty((m, n + 1))
     Zphi = np.empty((m, n))
     alpha_x = path_array((m, p, n))
     alpha_q = np.empty((m, n))
-    X[:, :, 0] = init.X0
+    xk = np.ascontiguousarray(init.X0, dtype=float)  # the slab layout of path_array
     qpath[:, 0] = init.q0
-    for k in range(n + 1):
-        t = grid.nodes[k]
-        xk = X[:, :, k]
+    for k in range(n):
         qk = qpath[:, k][:, None]
         mbar = xk.mean(axis=1, keepdims=True)
-        u_k, _, z_k = eval_oracle_field(sol, t, xk, qk, mbar)
-        U[:, :, k] = u_k
-        if k == n:
-            break
+        mean_x[:, k] = mbar[:, 0]
+        u_k, _, z_k = eval_oracle_field(sol, grid.nodes[k], xk, qk, mbar)
         Zphi[:, k] = z_k[:, 0]
         feats = conditional_features(xk, u_k)
         alpha_x[:, :, k] = cs.F(xk, qk, u_k, z_k, feats)
         alpha_q[:, k] = cs.Hz(qk, z_k, feats)[:, 0]
-        X[:, :, k + 1] = xk - alpha_x[:, :, k] * dt + sx * noise.dB[:, :, k]
+        xk = xk - alpha_x[:, :, k] * dt + sx * noise.dB[:, :, k]
         qpath[:, k + 1] = qpath[:, k] - alpha_q[:, k] * dt + sq * noise.dW0[:, k]
+    mean_x[:, n] = xk.mean(axis=1)
     control = ControlField(alpha_x, alpha_q)
-    paths = {"X": X, "q": qpath, "U": U, "Zphi": Zphi}
-    return control, paths
+    return control, {"q": qpath, "Zphi": Zphi, "mean_x": mean_x}
 
 
 @dataclass

@@ -72,6 +72,7 @@ from .models import PrimedCoefficientSet, theta_inverse
 
 __all__ = [
     "QUADRATIC_MIN_SCENARIOS",
+    "MIN_PARTICLES",
     "RegressionBasis",
     "AffineDesign",
     "NormalEquations",
@@ -88,6 +89,9 @@ __all__ = [
 # Cross-scenario fits in the quadratic scenario design (8 features) need at
 # least three scenarios per feature; with fewer the sweep runs to garbage.
 QUADRATIC_MIN_SCENARIOS = 24
+# The within-scenario fits on the affine design [1, x] (2 features) need at
+# least two particles per feature; with fewer the iteration runs to garbage.
+MIN_PARTICLES = 4
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from majorminor.cli import (
     build_problem,
     main,
     parse_config,
+    run_converge,
     run_sigma_sweep,
     run_solve,
 )
@@ -182,6 +184,9 @@ def test_cli_main_bad_config_exit_one(tmp_path):
         ("sweep", "sigma0", ["a"], [], "sweep.sigma0 must be a list of reals >= 0, got ['a']"),
         ("sweep", "horizons", [-1], [], "sweep.horizons must be a list of positive reals, got [-1]"),
         ("basis", "quadratic", True, [], "basis.quadratic needs ensemble.scenarios >= 24, got 12"),
+        # two particles per feature of the affine within-scenario design [1, x]
+        ("ensemble", "particles", 1, [], "ensemble.particles must be >= 4, got 1"),
+        ("ensemble", "particles", 3, [], "ensemble.particles must be >= 4, got 3"),
         # JSON parsing accepts NaN and +-Infinity; every number must be finite
         ("grid", "horizon", math.inf, [], "grid.horizon must be finite, got inf"),
         ("constants", "sigma", math.inf, [], "constants.sigma must be finite, got inf"),
@@ -196,8 +201,9 @@ def test_cli_main_bad_config_exit_one(tmp_path):
         "seed-flag", "seed-config", "ridge", "safety", "safety-zero", "n_max", "probes", "section",
         "params-object", "params-string", "params-bool", "discount", "clamp_m", "x_std", "q0_std",
         "tol-nan", "a_scale", "samples", "pairs", "region_radius", "workers", "picard_sweeps",
-        "sweep-sigma0", "sweep-horizons", "quadratic-scenarios", "horizon-inf", "sigma-inf",
-        "x_mean-nan", "params-nan", "ridge-inf", "sweep-sigma0-inf", "tol-inf", "region_radius-inf",
+        "sweep-sigma0", "sweep-horizons", "quadratic-scenarios", "particles-1", "particles-3",
+        "horizon-inf", "sigma-inf", "x_mean-nan", "params-nan", "ridge-inf", "sweep-sigma0-inf",
+        "tol-inf", "region_radius-inf",
     ],
 )
 def test_cli_rejects_out_of_range_values(tmp_path, capsys, section, key, value, args, message):
@@ -324,6 +330,42 @@ def test_verify_keeps_its_certificate_when_a_solve_fails(tmp_path, capsys):
     assert manifest["error"] == cert["error"] and f"error: {cert['error']}" in error
     digest = hashlib.sha256((out / "certification.json").read_bytes()).hexdigest()
     assert manifest["files"] == {"certification.json": digest}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the trial step overflows on purpose
+def test_verify_tolerance_ignores_an_infinite_residual(tmp_path, capsys):
+    # the step is so large that the first trial solve leaves the finite range:
+    # the run ends `non_finite` on residual inf, which must not become the
+    # Pontryagin tolerance
+    data = json.loads(json.dumps(FAST_LQ))
+    data["ensemble"] = {"scenarios": 4, "particles": 16}
+    data["extragradient"].update(gamma=1e6, n_max=3)
+    data["verification"] = {"pairs": 1}
+    data["seed"] = 1
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "FAIL pontryagin_residual" in capsys.readouterr().out
+    cert = json.loads((out / "certification.json").read_text())
+    (report,) = [r for r in cert["reports"] if r["name"] == "pontryagin_residual"]
+    assert not report["passed"] and math.isfinite(report["margin"])
+    assert report["extras"]["residual"] > report["witness"]["tol"]
+
+
+def test_converge_peak_memory_is_that_of_its_finest_level(tmp_path):
+    # numpy reports its buffers to tracemalloc.  The finest level (4x400x80)
+    # needs its noise, the oracle control and one solve; holding the oracle's
+    # particle paths or a coarser level's arrays took 8.3 path arrays
+    config = parse_config({**FAST_LQ, "grid": {"steps": 20}, "ensemble": {"scenarios": 4, "particles": 100}})
+    path_bytes = 8 * 4 * 400 * (80 + 1)
+    tracemalloc.start()
+    try:
+        assert run_converge(config, tmp_path) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * path_bytes
 
 
 def test_sigma_sweep_pool_size_is_capped(tmp_path, monkeypatch):

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from majorminor.ensembles import ControlField
 from majorminor.errors import ConfigurationError, SimulationError
 from majorminor.extragradient import (
+    _PROBE_REFINE,
+    _PROBE_SCALE,
+    _PROBE_SEED,
     ExtragradientConfig,
     FbsdeOperator,
     estimate_lipschitz_v,
@@ -113,6 +118,49 @@ def test_estimate_lipschitz_exact_for_linear():
     assert estimate_lipschitz_v(rot, probes=4, seed=0) == pytest.approx(1.0, rel=1e-9)
     with pytest.raises(ConfigurationError):
         estimate_lipschitz_v(op, probes=1)
+
+
+def lipschitz_holding_every_point(op, probes):
+    """The probe estimate of `estimate_lipschitz_v`, computed with every
+    probe point, value and pair direction kept."""
+    rng = np.random.default_rng(_PROBE_SEED)
+    points = [op.random_control(rng, _PROBE_SCALE) for _ in range(probes)]
+    values = [op(a) for a in points]
+    best, best_dir = 0.0, None
+    for i in range(probes):
+        for j in range(i + 1, probes):
+            diff = points[i] - points[j]
+            dv = values[i] - values[j]
+            denom = np.sqrt(max(op.inner(diff, diff), 0.0))
+            if denom > 1e-14:
+                ratio = float(np.sqrt(max(op.inner(dv, dv), 0.0)) / denom)
+                if ratio > best:
+                    best, best_dir = ratio, (1.0 / denom) * diff
+    for _ in range(_PROBE_REFINE):
+        dv = op(points[0] + best_dir) - values[0]
+        norm_dv = np.sqrt(max(op.inner(dv, dv), 0.0))
+        if norm_dv <= 1e-14:
+            break
+        best = max(best, float(norm_dv))
+        best_dir = (1.0 / norm_dv) * dv
+    return best
+
+
+def test_lipschitz_probes_hold_few_controls():
+    # numpy reports its buffers to tracemalloc.  Keeping the best pair's
+    # direction, the last pair's differences and the last probe request
+    # alive through the pair scan took 16.3 controls at this size, 13.3 without
+    op = lq_operator(m=8, p=100, n=20, seed=2)[0]
+    control_bytes = 8 * (8 * 100 * 20 + 8 * 20)
+    tracemalloc.start()
+    try:
+        L_hat = estimate_lipschitz_v(op, probes=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14.5 * control_bytes
+    assert L_hat.evaluations == 4 + _PROBE_REFINE
+    assert float(L_hat) == lipschitz_holding_every_point(op, 4)
 
 
 def test_fit_geometric_rate_recovers_slope():

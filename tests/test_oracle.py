@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from majorminor.ensembles import ControlField
+from majorminor.ensembles import ControlField, conditional_features
 from majorminor.errors import OracleBlowUpError
-from majorminor.grids import build_grid, sample_noise
+from majorminor.grids import build_grid, path_array, sample_noise
 from majorminor.models import LQParams, ModelConstants, make_lq_model, split_q
 from majorminor.oracle import (
     eval_oracle_field,
@@ -107,7 +109,7 @@ def test_lq_feedback_matches_oracle_state_mean():
     init = sample_initial(16, 800, seed=4, x_mean=1.0, x_std=0.3, q0=1.0)
     control, paths = oracle_induced_control(sol, cs, grid, noise, init)
     # ODE for the ensemble means: dm/dt = -((a+c_u) m + b_u q), dq baseline
-    mbar = paths["X"].mean(axis=(0, 1))
+    mbar = paths["mean_x"].mean(axis=0)
     a, b_u, c_u, k2, k12, _, _ = sol.coefficients_at(grid.nodes)
     m_ode = np.empty_like(mbar)
     q_ode = np.empty_like(mbar)
@@ -120,6 +122,44 @@ def test_lq_feedback_matches_oracle_state_mean():
     qbar = paths["q"].mean(axis=0)
     q_se = np.sqrt(2 * 0.5 * grid.nodes + 1e-12) / np.sqrt(16)
     assert np.max(np.abs(qbar - q_ode) - 3 * q_se) < 2 * grid.dt
+
+
+def test_oracle_control_matches_the_particle_path_recursion():
+    # the recursion written with whole (M, P, N+1) particle paths, which the
+    # package keeps one (M, P) slab at a time
+    grid = build_grid(1.0, 12)
+    constants = ModelConstants(sigma=0.5, sigma0=0.5)
+    cs = make_lq_model(CONE, constants)
+    sol = riccati_oracle(CONE, constants, grid)
+    m, p, n = 6, 40, grid.steps
+    noise = sample_noise(grid, m, p, seed=9)
+    init = sample_initial(m, p, seed=9, x_mean=1.0, x_std=0.3, q0=1.0, q0_std=0.1)
+    sx, sq = math.sqrt(2.0 * constants.sigma), math.sqrt(2.0 * constants.sigma0)
+    X = path_array((m, p, n + 1))
+    q = np.empty((m, n + 1))
+    zphi = np.empty((m, n))
+    alpha_x = path_array((m, p, n))
+    alpha_q = np.empty((m, n))
+    X[:, :, 0] = init.X0
+    q[:, 0] = init.q0
+    for k in range(n):
+        xk, qk = X[:, :, k], q[:, k][:, None]
+        u_k, _, z_k = eval_oracle_field(sol, grid.nodes[k], xk, qk, xk.mean(axis=1, keepdims=True))
+        zphi[:, k] = z_k[:, 0]
+        feats = conditional_features(xk, u_k)
+        alpha_x[:, :, k] = cs.F(xk, qk, u_k, z_k, feats)
+        alpha_q[:, k] = cs.Hz(qk, z_k, feats)[:, 0]
+        X[:, :, k + 1] = xk - alpha_x[:, :, k] * grid.dt + sx * noise.dB[:, :, k]
+        q[:, k + 1] = q[:, k] - alpha_q[:, k] * grid.dt + sq * noise.dW0[:, k]
+
+    control, paths = oracle_induced_control(sol, cs, grid, noise, init)
+    assert np.array_equal(control.alpha_x, alpha_x) and np.array_equal(control.alpha_q, alpha_q)
+    assert {name: path.shape for name, path in paths.items()} == {
+        "q": (m, n + 1), "Zphi": (m, n), "mean_x": (m, n + 1),
+    }
+    assert np.array_equal(paths["q"], q) and np.array_equal(paths["Zphi"], zphi)
+    mean_x = np.stack([X[:, :, k].mean(axis=1) for k in range(n + 1)], axis=1)
+    assert np.array_equal(paths["mean_x"], mean_x)
 
 
 def test_picard_zero_model_converges_one_sweep():
