@@ -10,7 +10,8 @@ the config, the seed, and a checksum of each emitted file.  Re-running a
 manifest's config and seed reproduces the CSV bodies byte for byte: all
 randomness is derived from the seed, floats are written with 17 significant
 digits, and iteration tables carry no wall-clock columns except the
-explicitly labelled seconds column of the solve report.
+explicitly labelled seconds column of the solve report.  JSON artifacts are
+strict JSON: a non-finite float is written as null (see `artifacts`).
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .artifacts import strict_json
 from .errors import ConfigurationError, MajorMinorError, SimulationError
 from .extragradient import (
     ExtragradientConfig,
+    ExtragradientReport,
     FbsdeOperator,
     estimate_lipschitz_v,
     run_extragradient,
@@ -257,7 +260,7 @@ class RunManifest:
             "files": self.files,
             "error": self.error,
         }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        path.write_text(strict_json(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _fmt(x) -> str:
@@ -344,10 +347,12 @@ def run_solve(config: RunConfig, out_dir: str | Path | None = None, dump_ensembl
     """Drive the full pipeline for one instance and write artifacts.
 
     Exit status: 0 when the run stopped at tolerance, 2 when it stopped for
-    any other reason (the cap, a divergence report or a failed iteration), 1
-    is reserved for errors (raised to the caller).  The snapshot and the
-    ensemble dump come from the last solve of the extragradient loop, so a
-    run that completed no iteration writes neither.
+    any other reason (the cap, a divergence report, a failed iteration or a
+    failed Lipschitz probe), 1 is reserved for errors (raised to the caller).
+    A failed probe ends the run `non_finite` with no `L_hat`, no step size
+    and no iterations.  The snapshot and the ensemble dump come from the last
+    solve of the extragradient loop, so a run that completed no iteration
+    writes neither.
     """
     with _run_dir(config, out_dir) as (out, emitted):
         op, grid, noise, init, cs, params, constants = build_problem(config)
@@ -361,10 +366,20 @@ def run_solve(config: RunConfig, out_dir: str | Path | None = None, dump_ensembl
             except MajorMinorError:
                 reference_control = None
 
-        L_hat = estimate_lipschitz_v(op, eg_config.probes) if eg_config.gamma is None else None
-        report = run_extragradient(
-            op.zero(), eg_config, op, reference_control=reference_control, lipschitz_hint=L_hat
-        )
+        try:
+            L_hat = estimate_lipschitz_v(op, eg_config.probes) if eg_config.gamma is None else None
+        except SimulationError:
+            # a probe solve left the finite range: the run ends before its
+            # first iteration, with no step size
+            report = ExtragradientReport(
+                residuals=[], seconds=[], dist_to_reference=None if reference_control is None else [],
+                lambda_hat=None, r_squared=None, diverged=True, iterations=0, gamma=None,
+                stop_reason="non_finite", evaluations={"probe": 0, "iterate": 0}, L_hat=None,
+            )
+        else:
+            report = run_extragradient(
+                op.zero(), eg_config, op, reference_control=reference_control, lipschitz_hint=L_hat
+            )
 
         iter_path = out / "iterations.csv"
         write_csv(
@@ -535,7 +550,7 @@ def run_verify(config: RunConfig, out_dir: str | Path | None = None) -> int:
                 "error": error,
             }
             path = out / "certification.json"
-            path.write_text(json.dumps(payload, indent=2) + "\n")
+            path.write_text(strict_json(payload, indent=2) + "\n")
             emitted.append(path)
 
         if params is not None:

@@ -31,12 +31,12 @@ its own solve would.  Per instance, both ways produce the same reports.
 from __future__ import annotations
 
 import copy
-import json
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import strict_json
 from .ensembles import ControlField, conditional_features, inner_product_T
 from .errors import ConfigurationError, MajorMinorError, SimulationError
 from .grids import NoiseBundle, TimeGrid, path_array
@@ -247,11 +247,11 @@ def _drive(plan, op):
             return stop.value
         reply = None
         try:
-            if isinstance(request, _Step):
-                with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                if isinstance(request, _Step):
                     reply = extragradient_step(request.alpha, request.gamma, op)
-            else:
-                reply = op(request)
+                else:
+                    reply = op(request)
         except MajorMinorError as exc:
             reply = exc
         del request  # the plan holds what it still needs
@@ -293,7 +293,8 @@ class ExtragradientReport:
     (the divergence window) or "non_finite" (a solve left the finite range).
     `evaluations` counts the operator values the run used: "probe", those
     behind `L_hat`, and "iterate", two per completed iteration (an iteration
-    whose solve failed adds none).
+    whose solve failed adds none).  A `solve` whose Lipschitz probe failed
+    reports no iteration and no evaluation, with `gamma` and `L_hat` None.
     """
 
     residuals: list[float]
@@ -303,7 +304,7 @@ class ExtragradientReport:
     r_squared: float | None
     diverged: bool
     iterations: int
-    gamma: float
+    gamma: float | None
     stop_reason: str
     evaluations: dict
     L_hat: float | None
@@ -314,6 +315,8 @@ class ExtragradientReport:
     )
 
     def to_json(self) -> str:
+        """Strict JSON (see `artifacts`): the inf residual of a run that
+        stopped `non_finite` reads null."""
         payload = {
             "z_convention": self.z_convention,
             "gamma": self.gamma,
@@ -328,7 +331,7 @@ class ExtragradientReport:
             "dist_to_reference": self.dist_to_reference,
             "seconds": self.seconds,
         }
-        return json.dumps(payload, indent=2)
+        return strict_json(payload, indent=2)
 
     def iteration_rows(self):
         """Rows (n, residual, dist_to_oracle, gamma, seconds) for the CSV."""

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import ControlField, conditional_features, norm_T
+from .ensembles import ControlField, ScenarioFeatures, conditional_features, norm_T
 from .errors import OracleBlowUpError, SimulationError
-from .grids import NoiseBundle, TimeGrid, path_array
+from .grids import NoiseBundle, TimeGrid, path_array, run_scenario_blocks
 from .models import CoefficientSet, LQParams, ModelConstants, PrimedCoefficientSet
 from .solver import InitialCondition, RegressionBasis, SolveOutput, decoupled_solve
 
@@ -64,46 +64,55 @@ class RiccatiSolution:
         )
 
 
-def _riccati_rhs(y: np.ndarray, p: LQParams, lam: float, sigma0: float) -> np.ndarray:
-    a, b_u, c_u, k2, k12, kc, k0 = y
-    return np.array(
-        [
-            a * a - (p.c1 + p.c3),
-            b_u * (a + p.b + k2 + c_u) - p.c2,
-            c_u * (2.0 * a + c_u) + b_u * k12 + p.c3,
-            2.0 * k2 * (p.b + k2) + 2.0 * k12 * b_u - lam * k2 + k2 * k2 + p.r1,
-            k12 * (p.b + 3.0 * k2 + a + c_u - lam) + kc * b_u + p.r2,
-            2.0 * kc * (a + c_u) - lam * kc + 3.0 * k12 * k12,
-            -lam * k0 - sigma0 * k2,
-        ]
-    )
-
-
 def riccati_oracle(
     params: LQParams, constants: ModelConstants, grid: TimeGrid, refine: int = 10
 ) -> RiccatiSolution:
     """Integrate the coefficient ODEs backward from the terminal data.
 
     Classical 4th-order Runge-Kutta on the run grid refined `refine`-fold.
-    Coefficients leaving the finite range raise a blow-up report carrying the
-    forward time at which it happened.
+    The seven coefficients are Python floats, with the operations of the
+    vector form y - (h/6)(k1 + 2 k2 + 2 k3 + k4) in the same order, so the
+    tables equal those of RK4 on float64 arrays bit for bit at a fraction of
+    the per-step overhead.  Coefficients leaving the finite range raise a
+    blow-up report carrying the forward time at which it happened.
     """
     n = grid.steps * refine
     times = np.linspace(0.0, grid.horizon, n + 1)
     h = grid.horizon / n
-    lam = constants.discount
-    tables = np.empty((7, n + 1))
-    y = np.array([params.g1, params.g2, 0.0, params.p1, params.p2, 0.0, 0.0])
-    tables[:, n] = y
+    h2 = 0.5 * h
+    h6 = h / 6.0
+    lam = float(constants.discount)
+    sigma0 = float(constants.sigma0)
+    b, c1, c2, c3 = float(params.b), float(params.c1), float(params.c2), float(params.c3)
+    c13 = c1 + c3
+    r1, r2 = float(params.r1), float(params.r2)
+
+    def rhs(y):
+        a, b_u, c_u, k2, k12, kc, k0 = y
+        return (
+            a * a - c13,
+            b_u * (a + b + k2 + c_u) - c2,
+            c_u * (2.0 * a + c_u) + b_u * k12 + c3,
+            2.0 * k2 * (b + k2) + 2.0 * k12 * b_u - lam * k2 + k2 * k2 + r1,
+            k12 * (b + 3.0 * k2 + a + c_u - lam) + kc * b_u + r2,
+            2.0 * kc * (a + c_u) - lam * kc + 3.0 * k12 * k12,
+            -lam * k0 - sigma0 * k2,
+        )
+
+    y = (float(params.g1), float(params.g2), 0.0, float(params.p1), float(params.p2), 0.0, 0.0)
+    rows = [y]
     for i in range(n, 0, -1):
-        k1 = _riccati_rhs(y, params, lam, constants.sigma0)
-        k2 = _riccati_rhs(y - 0.5 * h * k1, params, lam, constants.sigma0)
-        k3 = _riccati_rhs(y - 0.5 * h * k2, params, lam, constants.sigma0)
-        k4 = _riccati_rhs(y - h * k3, params, lam, constants.sigma0)
-        y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > _BLOW_UP_LIMIT:
+        k1 = rhs(y)
+        k2 = rhs(tuple(yi - h2 * ki for yi, ki in zip(y, k1)))
+        k3 = rhs(tuple(yi - h2 * ki for yi, ki in zip(y, k2)))
+        k4 = rhs(tuple(yi - h * ki for yi, ki in zip(y, k3)))
+        y = tuple(
+            yi - h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4) for yi, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)
+        )
+        if not all(math.isfinite(yi) and abs(yi) <= _BLOW_UP_LIMIT for yi in y):
             raise OracleBlowUpError(times[i - 1])
-        tables[:, i - 1] = y
+        rows.append(y)
+    tables = np.array(rows[::-1]).T.copy()
     return RiccatiSolution(times, *tables)  # rows in field order a, b_u, ..., k0
 
 
@@ -132,34 +141,60 @@ def oracle_induced_control(
 
     Returns the control and the scenario-level paths of the trajectory:
     "q" (M, N+1), "Zphi" (M, N) and "mean_x", the within-scenario mean of X,
-    (M, N+1).  The particle states roll through the loop one (M, P) slab at a
-    time, so the control is the only particle path the simulation holds.
+    (M, N+1).  The dynamics do not couple scenarios, so they roll in blocks
+    of scenarios (`run_scenario_blocks`, on threads where the (M, P) slabs
+    are large).  Each block rolls its own slab of particle states through all
+    N steps in place, with the field's coefficients looked up once for all
+    nodes and the arithmetic of `eval_oracle_field` and of the Euler step
+    X - F dt + sqrt(2 sigma) dB in the same order, so the numbers do not
+    depend on the blocks.  The control is the only particle path the
+    simulation holds.
     """
     m, p = init.X0.shape
     n = grid.steps
     dt = grid.dt
     sx = math.sqrt(2.0 * cs.constants.sigma)
     sq = math.sqrt(2.0 * cs.constants.sigma0)
+    a, b_u, c_u, k2, k12 = sol.coefficients_at(grid.nodes[:n])[:5]
 
     qpath = np.empty((m, n + 1))
     mean_x = np.empty((m, n + 1))
     Zphi = np.empty((m, n))
     alpha_x = path_array((m, p, n))
     alpha_q = np.empty((m, n))
-    xk = np.ascontiguousarray(init.X0, dtype=float)  # the slab layout of path_array
     qpath[:, 0] = init.q0
-    for k in range(n):
-        qk = qpath[:, k][:, None]
-        mbar = xk.mean(axis=1, keepdims=True)
-        mean_x[:, k] = mbar[:, 0]
-        u_k, _, z_k = eval_oracle_field(sol, grid.nodes[k], xk, qk, mbar)
-        Zphi[:, k] = z_k[:, 0]
-        feats = conditional_features(xk, u_k)
-        alpha_x[:, :, k] = cs.F(xk, qk, u_k, z_k, feats)
-        alpha_q[:, k] = cs.Hz(qk, z_k, feats)[:, 0]
-        xk = xk - alpha_x[:, :, k] * dt + sx * noise.dB[:, :, k]
-        qpath[:, k + 1] = qpath[:, k] - alpha_q[:, k] * dt + sq * noise.dW0[:, k]
-    mean_x[:, n] = xk.mean(axis=1)
+
+    def prepare(start: int, stop: int):
+        rows = slice(start, stop)
+        xk = np.array(init.X0[rows], dtype=float)  # the slab layout of path_array
+        u = np.empty_like(xk)
+        step = np.empty_like(xk)
+
+        def job():
+            for k in range(n):
+                qk = qpath[rows, k][:, None]
+                # the features of `conditional_features`, built here from
+                # the mean the field needs anyway
+                mbar = np.add.reduce(xk, axis=1, keepdims=True) / p
+                mean_x[rows, k] = mbar[:, 0]
+                np.multiply(a[k], xk, out=u)
+                np.add(u, b_u[k] * qk, out=u)
+                np.add(u, c_u[k] * mbar, out=u)
+                z = k2[k] * qk + k12[k] * mbar
+                Zphi[rows, k] = z[:, 0]
+                feats = ScenarioFeatures(mean_x=mbar, mean_u=np.add.reduce(u, axis=1, keepdims=True) / p)
+                alpha_x[rows, :, k] = cs.F(xk, qk, u, z, feats)
+                alpha_q[rows, k] = cs.Hz(qk, z, feats)[:, 0]
+                np.multiply(alpha_x[rows, :, k], dt, out=step)
+                np.subtract(xk, step, out=xk)
+                np.multiply(sx, noise.dB[rows, :, k], out=step)
+                np.add(xk, step, out=xk)
+                qpath[rows, k + 1] = qpath[rows, k] - alpha_q[rows, k] * dt + sq * noise.dW0[rows, k]
+            mean_x[rows, n] = np.add.reduce(xk, axis=1) / p
+
+        return job
+
+    run_scenario_blocks(m, m * p, prepare)
     control = ControlField(alpha_x, alpha_q)
     return control, {"q": qpath, "Zphi": Zphi, "mean_x": mean_x}
 

@@ -11,12 +11,12 @@ statistical evidence on the sampled region, not a proof.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import strict_json
 from .ensembles import ControlField, conditional_features
 from .errors import ConfigurationError
 from .extragradient import run_extragradient
@@ -54,14 +54,8 @@ class CertificationReport:
     extras: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        def default(o):
-            if isinstance(o, np.ndarray):
-                return o.tolist()
-            if isinstance(o, (np.floating, np.integer)):
-                return o.item()
-            raise TypeError(type(o))
-
-        return json.dumps(self.__dict__, indent=2, default=default)
+        """Strict JSON (see `artifacts`): a non-finite margin reads null."""
+        return strict_json(self.__dict__, indent=2)
 
 
 # sampling of the hypothesis checks: particles per cloud, and the half-width

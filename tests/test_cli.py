@@ -268,15 +268,15 @@ def test_every_command_writes_a_manifest(tmp_path, command, emitted):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the run overflows on purpose
 def test_failed_command_leaves_a_manifest_with_the_error(tmp_path, capsys):
+    # the solve at this config's oracle control leaves the finite range
     data = json.loads(json.dumps(FAST_LQ))
     data["model"]["params"]["r1"] = -5.0
     data["grid"]["horizon"] = 8.0
     data["ensemble"] = {"scenarios": 4, "particles": 16}
-    data["extragradient"]["n_max"] = 3
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(data))
     out = tmp_path / "run"
-    assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert main(["converge", "--config", str(cfg_path), "--out", str(out)]) == 1
     error = capsys.readouterr().err
     assert [path.name for path in out.iterdir()] == ["manifest.json"]
     manifest = json.loads((out / "manifest.json").read_text())
@@ -304,6 +304,58 @@ def test_solve_whose_first_iteration_fails_writes_no_snapshot(tmp_path):
     assert report["stop_reason"] == "non_finite" and report["evaluations"]["iterate"] == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # probes run under the steps' error state
+def test_solve_whose_lipschitz_probe_fails_reports_non_finite(tmp_path):
+    # the probe solves of this config overflow
+    data = json.loads(json.dumps(FAST_LQ))
+    data["grid"]["steps"] = 20
+    data["ensemble"] = {"scenarios": 8, "particles": 100}
+    data["extragradient"] = {"n_max": 5}
+    data["seed"] = 0
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 2
+    emitted = {"iterations.csv", "report.json"}
+    assert {path.name for path in out.iterdir()} == emitted | {"manifest.json"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["files"]) == emitted and manifest["error"] is None
+    assert (out / "iterations.csv").read_text() == "n,residual,dist_to_oracle,gamma,seconds\n"
+    report = json.loads((out / "report.json").read_text())
+    assert report["stop_reason"] == "non_finite" and report["diverged"]
+    assert report["L_hat"] is None and report["gamma"] is None
+    assert report["iterations"] == 0 and report["evaluations"] == {"probe": 0, "iterate": 0}
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the runs overflow on purpose
+def test_json_artifacts_are_strict(tmp_path):
+    # verify: sigma0_T is unbounded; solve: the first trial step leaves the
+    # finite range, so the one residual is inf
+    data = json.loads(json.dumps(FAST_LQ))
+    data["model"]["params"]["r1"] = -5.0
+    data["grid"]["horizon"] = 8.0
+    data["ensemble"] = {"scenarios": 4, "particles": 16}
+    data["extragradient"].update(gamma=0.1, n_max=3)
+    data["seed"] = 1
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "verify")]) == 1
+    assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "solve")]) == 2
+    parsed = {}
+    for path in sorted(tmp_path.glob("*/*.json")):
+        parsed[f"{path.parent.name}/{path.name}"] = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert set(parsed) == {
+        "verify/certification.json", "verify/manifest.json", "solve/report.json", "solve/manifest.json",
+    }
+    assert parsed["verify/certification.json"]["thresholds"]["sigma0_T"] is None
+    report = parsed["solve/report.json"]
+    assert report["stop_reason"] == "non_finite" and report["residuals"] == [None]
+
+
 def test_every_extragradient_config_field_is_a_config_key():
     fields = {f.name for f in dataclasses.fields(ExtragradientConfig)}
     assert fields <= set(_TABLE["extragradient"])
@@ -324,7 +376,7 @@ def test_verify_keeps_its_certificate_when_a_solve_fails(tmp_path, capsys):
     assert [r["name"] for r in cert["reports"]] == [
         "terminal_monotonicity", "coefficient_monotonicity", "coefficient_monotonicity_zpair",
     ]
-    assert cert["thresholds"]["sigma0_T"] == math.inf
+    assert cert["thresholds"]["sigma0_T"] is None
     assert "non-finite" in cert["error"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["error"] == cert["error"] and f"error: {cert['error']}" in error

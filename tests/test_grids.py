@@ -1,9 +1,14 @@
+import concurrent.futures
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from majorminor import grids
 from majorminor.errors import ConfigurationError
-from majorminor.grids import TimeGrid, build_grid, sample_noise
+from majorminor.grids import TimeGrid, build_grid, path_array, run_scenario_blocks, sample_noise
 
 
 def test_build_grid_basic():
@@ -79,3 +84,66 @@ def test_rejects_empty_ensemble():
     grid = build_grid(1.0, 2)
     with pytest.raises(ConfigurationError):
         sample_noise(grid, 0, 4)
+
+
+def test_threaded_sampling_matches_one_thread_and_a_scenario_loop(monkeypatch):
+    grid = build_grid(1.0, 20)
+    m, p = 5, 600
+    assert m * p * grid.steps >= grids.THREADED_ELEMENTS
+    pools = []
+    pool_type = concurrent.futures.ThreadPoolExecutor
+
+    def counting_pool(max_workers):
+        pools.append(max_workers)
+        return pool_type(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting_pool)
+    monkeypatch.setattr(grids, "scenario_threads", lambda: 4)  # more workers than cores
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        bundle = sample_noise(grid, m, p, seed=11)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [4] and threading.active_count() == threads
+    monkeypatch.setattr(grids, "scenario_threads", lambda: 1)
+    serial = sample_noise(grid, m, p, seed=11)
+    assert pools == [4]
+    scale = np.sqrt(grid.dt)
+    dB = np.stack([
+        scale * grids._scenario_generator(11, j, grids._STREAM_IDIO).standard_normal((p, grid.steps))
+        for j in range(m)
+    ])
+    dW0 = np.stack([
+        scale * grids._scenario_generator(11, j, grids._STREAM_COMMON).standard_normal(grid.steps)
+        for j in range(m)
+    ])
+    for ref_dB, ref_dW0 in ((serial.dB, serial.dW0), (dB, dW0)):
+        assert np.array_equal(bundle.dB, ref_dB) and np.array_equal(bundle.dW0, ref_dW0)
+    assert bundle.dB.strides == path_array((m, p, grid.steps)).strides
+
+
+def test_scenario_blocks_raise_a_job_error_and_leave_no_thread(monkeypatch):
+    monkeypatch.setattr(grids, "scenario_threads", lambda: 3)
+    blocks = []
+
+    def prepare(start, stop):
+        blocks.append((start, stop, threading.get_ident()))
+
+        def job():
+            if start == 0:
+                raise ValueError("block 0 failed")
+
+        return job
+
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="block 0 failed"):
+        run_scenario_blocks(7, grids.THREADED_ELEMENTS, prepare)
+    assert threading.active_count() == threads
+    # contiguous blocks, prepared in the calling thread
+    assert [(a, b) for a, b, _ in blocks] == [(0, 2), (2, 4), (4, 7)]
+    assert {ident for _, _, ident in blocks} == {threading.get_ident()}
+    blocks.clear()
+    run_scenario_blocks(2, grids.THREADED_ELEMENTS - 1, lambda a, b: blocks.append((a, b)) or (lambda: None))
+    assert blocks == [(0, 2)]

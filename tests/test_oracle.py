@@ -1,8 +1,11 @@
+import concurrent.futures
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from majorminor import grids
 from majorminor.ensembles import ControlField, conditional_features
 from majorminor.errors import OracleBlowUpError
 from majorminor.grids import build_grid, path_array, sample_noise
@@ -124,7 +127,7 @@ def test_lq_feedback_matches_oracle_state_mean():
     assert np.max(np.abs(qbar - q_ode) - 3 * q_se) < 2 * grid.dt
 
 
-def test_oracle_control_matches_the_particle_path_recursion():
+def _assert_oracle_roll_matches_the_recursion():
     # the recursion written with whole (M, P, N+1) particle paths, which the
     # package keeps one (M, P) slab at a time
     grid = build_grid(1.0, 12)
@@ -160,6 +163,95 @@ def test_oracle_control_matches_the_particle_path_recursion():
     assert np.array_equal(paths["q"], q) and np.array_equal(paths["Zphi"], zphi)
     mean_x = np.stack([X[:, :, k].mean(axis=1) for k in range(n + 1)], axis=1)
     assert np.array_equal(paths["mean_x"], mean_x)
+
+
+def test_oracle_control_matches_the_particle_path_recursion():
+    _assert_oracle_roll_matches_the_recursion()
+
+
+def test_threaded_oracle_roll_matches_the_particle_path_recursion(monkeypatch):
+    # every slab counts as large: the 6 scenarios roll in blocks of 1 and 2
+    # on 4 threads
+    pools = []
+    pool_type = concurrent.futures.ThreadPoolExecutor
+
+    def counting_pool(max_workers):
+        pools.append(max_workers)
+        return pool_type(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting_pool)
+    monkeypatch.setattr(grids, "THREADED_ELEMENTS", 1)
+    monkeypatch.setattr(grids, "scenario_threads", lambda: 4)
+    threads = threading.active_count()
+    _assert_oracle_roll_matches_the_recursion()
+    assert pools == [4, 4] and threading.active_count() == threads  # the noise, then the roll
+
+
+def _numpy_riccati_tables(params, constants, grid, refine=10):
+    """RK4 on float64 arrays, the form the package's float RK4 reproduces."""
+
+    def rhs(y, p, lam, sigma0):
+        a, b_u, c_u, k2, k12, kc, k0 = y
+        return np.array(
+            [
+                a * a - (p.c1 + p.c3),
+                b_u * (a + p.b + k2 + c_u) - p.c2,
+                c_u * (2.0 * a + c_u) + b_u * k12 + p.c3,
+                2.0 * k2 * (p.b + k2) + 2.0 * k12 * b_u - lam * k2 + k2 * k2 + p.r1,
+                k12 * (p.b + 3.0 * k2 + a + c_u - lam) + kc * b_u + p.r2,
+                2.0 * kc * (a + c_u) - lam * kc + 3.0 * k12 * k12,
+                -lam * k0 - sigma0 * k2,
+            ]
+        )
+
+    n = grid.steps * refine
+    times = np.linspace(0.0, grid.horizon, n + 1)
+    h = grid.horizon / n
+    lam = constants.discount
+    tables = np.empty((7, n + 1))
+    y = np.array([params.g1, params.g2, 0.0, params.p1, params.p2, 0.0, 0.0])
+    tables[:, n] = y
+    for i in range(n, 0, -1):
+        k1 = rhs(y, params, lam, constants.sigma0)
+        k2 = rhs(y - 0.5 * h * k1, params, lam, constants.sigma0)
+        k3 = rhs(y - 0.5 * h * k2, params, lam, constants.sigma0)
+        k4 = rhs(y - h * k3, params, lam, constants.sigma0)
+        y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > 1e8:
+            raise OracleBlowUpError(times[i - 1])
+        tables[:, i - 1] = y
+    return times, tables
+
+
+@pytest.mark.parametrize(
+    "params,constants,grid",
+    [
+        (CONE, ModelConstants(), build_grid(1.0, 50)),
+        (CONE, ModelConstants(sigma0=1.3, discount=0.4), build_grid(2.0, 30)),
+        (
+            LQParams(c1=0.7, c2=0.2, c3=-0.3, g1=1.5, g2=-0.4, b=0.8, p1=0.6, p2=0.3, r1=0.5, r2=-0.25),
+            ModelConstants(sigma0=0.8, discount=0.1),
+            build_grid(1.5, 40),
+        ),
+    ],
+    ids=["cone", "discount", "all-params"],
+)
+def test_riccati_tables_equal_numpy_rk4(params, constants, grid):
+    times, tables = _numpy_riccati_tables(params, constants, grid)
+    sol = riccati_oracle(params, constants, grid)
+    assert np.array_equal(sol.times, times)
+    fields = (sol.a, sol.b_u, sol.c_u, sol.k2, sol.k12, sol.kc, sol.k0)
+    for row, table in zip(tables, fields):
+        assert np.array_equal(table, row)
+
+
+def test_riccati_blow_up_time_equals_numpy_rk4():
+    params, grid = LQParams(g1=-3.0), build_grid(1.0, 300)
+    with pytest.raises(OracleBlowUpError) as expected:
+        _numpy_riccati_tables(params, ModelConstants(), grid)
+    with pytest.raises(OracleBlowUpError) as err:
+        riccati_oracle(params, ModelConstants(), grid)
+    assert err.value.blow_up_time == expected.value.blow_up_time
 
 
 def test_picard_zero_model_converges_one_sweep():
