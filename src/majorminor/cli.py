@@ -395,7 +395,7 @@ def run_solve(config: RunConfig, out_dir: str | Path | None = None, dump_ensembl
 
         snap_rows = []
         st = op.last_solve.state
-        mean_u0 = st.U[:, :, 0].mean(axis=1)
+        mean_u0 = st.u(0).mean(axis=1)
         mean_x0 = st.X[:, :, 0].mean(axis=1)
         for j in range(st.phi.shape[0]):
             snap_rows.append(
@@ -411,11 +411,12 @@ def run_solve(config: RunConfig, out_dir: str | Path | None = None, dump_ensembl
 
         if dump_ensemble:
             rows = []
-            m, p, n1 = st.X.shape
+            X, U = st.X, st.U  # U is built on access: once, not per element
+            m, p, n1 = X.shape
             for j in range(m):
                 for i in range(p):
                     for k in range(n1):
-                        rows.append((j, i, grid.nodes[k], st.X[j, i, k], st.U[j, i, k]))
+                        rows.append((j, i, grid.nodes[k], X[j, i, k], U[j, i, k]))
             dump_path = out / "ensemble.csv"
             write_csv(dump_path, ["scenario", "particle", "t", "X", "U"], rows)
             emitted.append(dump_path)

@@ -73,17 +73,47 @@ class EnsembleState:
     States are scalar.  Particle paths are time-major (see `path_array`);
     scenario-level quantities (qf, qb, phi, Zphi, Zq) carry no particle axis,
     so they are adapted to the common filtration by construction.  The state
-    of a stacked solve carries a leading instance axis on every array.
+    of a stacked solve carries a leading instance axis on every array (after
+    the step axis of U_coef).
+
+    X is the one particle path held.  U is held as what the backward sweep
+    fitted: for k < N the slab U[..., k] is the within-scenario affine fit
+    U_coef[k][..., 0] + U_coef[k][..., 1] x_k, and U[..., N] is the terminal
+    slab U_T.  `u(k)` rebuilds one slab with the sweep's own arithmetic, so
+    it has the sweep's bits; `U` builds the whole path on each access.
     """
 
     X: np.ndarray  # (M_c, P, N_t+1)
-    U: np.ndarray  # (M_c, P, N_t+1)
+    U_coef: np.ndarray  # (N_t, M_c, 2): per step, the intercept and the slope in x
+    U_T: np.ndarray  # (M_c, P): the terminal slab g(X_T)
     qf: np.ndarray  # (M_c, N_t+1)
     qb: np.ndarray  # (M_c, N_t+1)
     phi: np.ndarray  # (M_c, N_t+1)
     Zphi: np.ndarray  # (M_c, N_t)
     Zq: np.ndarray  # (M_c, N_t)
     Z: np.ndarray | None = None  # (M_c, P, N_t, 2): the dB and dW0 integrands of U
+
+    def u(self, k: int) -> np.ndarray:
+        """The slab U[..., k], ([B,] M_c, P), for k in 0..N_t; the terminal
+        one is `U_T` itself."""
+        n = self.U_coef.shape[0]
+        k = range(n + 1)[k]
+        if k == n:
+            return self.U_T
+        coef = self.U_coef[k]
+        u = coef[..., 1:] * np.moveaxis(self.X, -1, 0)[k]
+        u += coef[..., :1]
+        return u
+
+    @property
+    def U(self) -> np.ndarray:
+        """The full path ([B,] M_c, P, N_t+1) in the layout of `path_array`,
+        built from `u(k)` on each access (uncached)."""
+        U = path_array(self.X.shape)
+        Ut = np.moveaxis(U, -1, 0)
+        for k in range(Ut.shape[0]):
+            Ut[k] = self.u(k)
+        return U
 
 
 @dataclass

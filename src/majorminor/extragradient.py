@@ -136,9 +136,13 @@ class FbsdeOperator:
 
     def value_in(self, solve: SolveOutput, slot: tuple = ()) -> ControlField:
         """v of this instance from a solve of it: the whole solve, or the
-        instance at `slot` of a stacked one."""
+        instance at `slot` of a stacked one.
+
+        The x-block is the solve's own `gap_F`: of a whole solve the array
+        itself, of a stacked one a copy of the slot, so that a value kept by
+        a plan does not keep the whole stack alive."""
         n = self.grid.steps
-        vx = solve.theta_F[slot] - solve.state.U[slot][..., :n]
+        vx = np.array(solve.gap_F[slot]) if slot else solve.gap_F
         gap_q = solve.theta_H[slot] - solve.state.qb[slot][..., :n]
         return ControlField(vx, 0.5 * (self.a * gap_q))
 
@@ -469,7 +473,7 @@ def recover_phi_bar(op: FbsdeOperator, solve: SolveOutput) -> np.ndarray:
     dt = grid.dt
     consts = primed.constants
     sq = np.sqrt(2.0 * consts.sigma0)
-    U, p = solve.theta_F, solve.theta_H
+    theta_F, p = solve.theta_F, solve.theta_H
     q, X, Zphi = solve.state.qf, solve.state.X, solve.state.Zphi
     m = q.shape[0]
     qmid_T = q[:, n][:, None]
@@ -479,11 +483,11 @@ def recover_phi_bar(op: FbsdeOperator, solve: SolveOutput) -> np.ndarray:
     basis = op.basis
     for k in range(n - 1, -1, -1):
         qmid = 0.5 * (q[:, k] + p[:, k])
-        feats = conditional_features(X[:, :, k], U[:, :, k])
+        feats = conditional_features(X[:, :, k], theta_F[:, :, k])
         drv = primed.base.LH(qmid[:, None], Zphi[:, k][:, None], feats)[:, 0]
         drv = drv + consts.discount * phi[:, k + 1]
         target = phi[:, k + 1] + dt * drv - sq * (Zphi[:, k] * op.noise.dW0[:, k])
-        S = basis.scenario_design(qmid, X[:, :, k].mean(axis=1), U[:, :, k].mean(axis=1))
+        S = basis.scenario_design(qmid, X[:, :, k].mean(axis=1), theta_F[:, :, k].mean(axis=1))
         phi[:, k] = regress_conditional(S, target, basis.ridge).fitted
     return phi
 
@@ -570,18 +574,20 @@ def estimate_lipschitz_v(op, probes: int = 4, seed: int = _PROBE_SEED) -> Lipsch
 
 # Bytes the live instances of `run_lockstep` may hold together, counted at
 # `_PATHS_PER_INSTANCE` paths of (M, P, N+1) doubles each: three 12x64x10
-# instances (0.74 MB each) and a single 32x500x50 one (72 MB; the CLI
-# default), which then runs through op(control) exactly as a solo run does.
-# Memory bounds the stack, not speed: each live instance adds about 0.7 MB of
-# peak RSS at 12x64x10, where a 12-cell sweep takes about two thirds of its
-# serial CPU time with three live instances and under half with twelve.
+# instances (0.68 MB each; a fourth would need 2.7 MB) and a single 32x500x50
+# one (65 MB; the CLI default), which then runs through op(control) exactly as
+# a solo run does.  Memory bounds the stack, not speed: each live instance
+# adds about 0.7 MB of peak RSS at 12x64x10, where a 12-cell sweep takes about
+# two thirds of its serial CPU time with three live instances and under half
+# with twelve.
 LOCKSTEP_BYTES = 2_400_000
 # what one live instance holds at its peak: up to four controls of its plan
 # while a solve runs, its noise, and its share of a stacked solve (control and
-# noise copies, state, pair inverse, value).  Between solves the probe plan's
-# pair scan holds more: 2 * probes + 2 controls (the points, their values and
-# one pair's two differences), 10 at the default 4 probes.
-_PATHS_PER_INSTANCE = 11
+# noise copies, X, gap_F and the copy of its slot that is its value).  Between
+# solves the probe plan's pair scan holds more: 2 * probes + 2 controls (the
+# points, their values and one pair's two differences), 10 at the default 4
+# probes.
+_PATHS_PER_INSTANCE = 10
 
 
 def _instance_bytes(op: FbsdeOperator) -> int:

@@ -82,11 +82,13 @@ def path_array(shape: tuple[int, ...]) -> np.ndarray:
 # Work below this many doubles per pass over all scenarios runs as one block
 # in the calling thread.  NumPy releases the interpreter lock only inside its
 # loops, so threads pay where one operation covers many elements.  The oracle
-# roll sets the value (its pass is one (M, P) slab): on 2 cores, two threads
-# take 0.73x the serial time at 32x2000 and 1.5x at 32x1000.  Sampling (its
-# pass is the whole bundle) breaks even between about 100,000 and 400,000
-# doubles, within 2 ms either side.
+# roll sets the default (its pass is one (M, P) slab): on 2 cores, two threads
+# take 0.73x the serial time at 32x2000 and 1.5x at 32x1000.
 THREADED_ELEMENTS = 50_000
+# The threshold of `sample_noise`, whose pass is the whole bundle: on 2
+# cores two threads lose up to about 320,000 doubles (32x200x50: 7.5 -> 9.3
+# ms) and first win at 32x250x50 (400,000 doubles: 11.2 -> 9.3 ms).
+SAMPLING_THREADED_ELEMENTS = 400_000
 
 
 def scenario_threads() -> int:
@@ -98,21 +100,27 @@ def scenario_threads() -> int:
 
 
 def run_scenario_blocks(
-    n_scenarios: int, elements: int, prepare: Callable[[int, int], Callable[[], None]]
+    n_scenarios: int,
+    elements: int,
+    prepare: Callable[[int, int], Callable[[], None]],
+    threaded_elements: int | None = None,
 ) -> None:
     """Run per-scenario work as contiguous blocks of scenarios.
 
     `prepare(start, stop)` runs in the calling thread, allocates the buffers
     of the block [start, stop) and returns its job, a callable of no
     arguments that writes the block's scenarios only.  With `elements`, the
-    doubles one pass over all scenarios writes, below `THREADED_ELEMENTS`
-    there is one block, run in the calling thread; otherwise there is one
-    block per worker, `scenario_threads()` capped at `n_scenarios`, and the
-    jobs run on a thread pool that is shut down before this returns.  Jobs
+    doubles one pass over all scenarios writes, below `threaded_elements`
+    (by default `THREADED_ELEMENTS`) there is one block, run in the calling
+    thread; otherwise there is one block per worker, `scenario_threads()`
+    capped at `n_scenarios`, and the jobs run on a thread pool that is shut
+    down before this returns.  Jobs
     see the caller's NumPy error state, and the first error a job raised is
     raised here.
     """
-    workers = min(scenario_threads(), n_scenarios) if elements >= THREADED_ELEMENTS else 1
+    if threaded_elements is None:
+        threaded_elements = THREADED_ELEMENTS
+    workers = min(scenario_threads(), n_scenarios) if elements >= threaded_elements else 1
     bounds = [b * n_scenarios // workers for b in range(workers + 1)]
     jobs = [prepare(start, stop) for start, stop in zip(bounds, bounds[1:])]
     if workers == 1:
@@ -164,10 +172,11 @@ def sample_noise(
 
     The map seed -> bundle is pure; identical seeds give bit-identical bundles.
     Each scenario's draws come from its own streams, so the scenarios are
-    sampled in blocks by `run_scenario_blocks`, on threads when the bundle is
-    large, with the same bits.  A scenario's (P, N) draws land in a buffer of
-    its block, and the scaled values are written time-major, one (N, P) slab
-    of the (N, M, P) buffer behind dB, so the write is not strided.
+    sampled in blocks by `run_scenario_blocks`, on threads when the bundle has
+    at least `SAMPLING_THREADED_ELEMENTS` doubles, with the same bits.  A
+    scenario's (P, N) draws land in a buffer of its block, and the scaled
+    values are written time-major, one (N, P) slab of the (N, M, P) buffer
+    behind dB, so the write is not strided.
     """
     if n_scenarios < 1 or n_particles < 1:
         raise ConfigurationError(
@@ -192,7 +201,7 @@ def sample_noise(
 
         return job
 
-    run_scenario_blocks(n_scenarios, dB.size, prepare)
+    run_scenario_blocks(n_scenarios, dB.size, prepare, SAMPLING_THREADED_ELEMENTS)
     dB.setflags(write=False)
     dW0.setflags(write=False)
     return NoiseBundle(dB=dB, dW0=dW0)

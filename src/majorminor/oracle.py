@@ -257,7 +257,7 @@ def picard_solve(
         alpha_q = np.empty_like(control.alpha_q)
         for k in range(n):
             xk = st.X[:, :, k]
-            uk = st.U[:, :, k]
+            uk = st.u(k)
             qmid = 0.5 * (st.qf[:, k] + st.qb[:, k])[:, None]
             zk = st.Zphi[:, k][:, None]
             feats = conditional_features(xk, uk)

@@ -43,6 +43,13 @@ normal equations with their leverage, set up by `NormalEquations`) is
 computed for all steps before the sweep, in O(N M k) memory, so a step only
 solves its normal equations; nothing particle-sized is kept across steps.
 
+Outputs.  A solve holds one particle output path besides X: gap_F =
+theta_F - U[..., :N], the x-block of the operator value, which the sweep
+writes at step k as soon as U[..., k] is fitted.  U itself is kept as its
+(M, 2) affine coefficients per step plus the terminal slab, from which
+`EnsembleState.u(k)` rebuilds any slab bit for bit; the sweep carries the
+next step's slab in a buffer, not in a path.
+
 Instance axis.  `simulate_forward`, `solve_backward` and `decoupled_solve`
 also solve a stack of independent instances of one size in one sweep: the
 control, the noise and the initial condition carry a leading instance axis
@@ -438,14 +445,26 @@ def _validate_control(control: ControlField) -> None:
 
 @dataclass
 class SolveOutput:
-    """One decoupled solve: the full ensemble state, the inverted pair
-    (theta_F, theta_H), and per-step regression diagnostics.  A stacked
-    solve is one output whose arrays all carry the leading instance axis."""
+    """One decoupled solve: the ensemble state, the inverted pair, and
+    per-step regression diagnostics.  A stacked solve is one output whose
+    arrays all carry the leading instance axis.
+
+    Of the pair inverse the solve keeps theta_H and, as the one particle
+    output path, gap_F = theta_F - U[..., :N]: the x-block of the operator
+    value, written by the sweep step by step.  `theta_F` is built from it on
+    each access, equal to the pair inverse up to rounding; readers that need
+    one step take `state.u(k) + gap_F[..., k]`.
+    """
 
     state: EnsembleState
-    theta_F: np.ndarray  # ([B,] M_c, P, N_t)
+    gap_F: np.ndarray  # ([B,] M_c, P, N_t), time-major
     theta_H: np.ndarray  # ([B,] M_c, N_t)
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def theta_F(self) -> np.ndarray:
+        """The full path ([B,] M_c, P, N_t), built on each access (uncached)."""
+        return self.state.U[..., :-1] + self.gap_F
 
 
 def _model_calls(primed: PrimedCoefficientSet, x, q, z, alpha_x, alpha_q):
@@ -505,12 +524,16 @@ def solve_backward(
     alpha_q = control.alpha_q
     dW0 = noise.dW0
 
-    U = path_array((*lead, m, p, n + 1))
-    theta_F = path_array((*lead, m, p, n))
+    # U is kept as its per-step affine coefficients and the terminal slab;
+    # the sweep carries u_{k+1} in one of two alternating slab buffers
+    U_coef = np.empty((n, *lead, m, 2))
+    U_T = np.empty((*lead, m, p))
+    u_buf = np.empty((2, *lead, m, p))
+    u_next = U_T
+    gap_F = path_array((*lead, m, p, n))
+    gap_t = np.moveaxis(gap_F, -1, 0)
     # the two integrand components ride after N, still time-major
     Z = np.moveaxis(np.empty((n, *lead, m, p, 2)), 0, -2) if compute_z else None
-    u = np.moveaxis(U, -1, 0)
-    thetaF_t = np.moveaxis(theta_F, -1, 0)
     Zt = np.moveaxis(Z, -2, 0) if compute_z else None
     phi = np.empty((*lead, m, n + 1))
     qb = np.empty((*lead, m, n + 1))
@@ -534,7 +557,7 @@ def solve_backward(
     for s, pr in zip(slots, primeds):
         feats_T = conditional_features(x[n][s])
         qf_T = qf[s][:, n][:, None]
-        u[n][s] = pr.g(x[n][s], qf_T, feats_T)
+        U_T[s] = pr.g(x[n][s], qf_T, feats_T)
         phi[s][:, n] = pr.psi(qf_T, feats_T)[:, 0]
     qb[..., n] = qf[..., n]
 
@@ -578,7 +601,7 @@ def solve_backward(
         # (a) martingale integrands at k from the next U and the next scenario
         # carriers; the three scenario-level targets share S and are fitted
         # in one call
-        u_resid = P.loo_residuals(u[k + 1])
+        u_resid = P.loo_residuals(u_next)
         zw_k = 0.0
         if noisy:
             chi = (dW0k * dW0k - dt_m) / dt_m  # mean-zero given F_k
@@ -602,7 +625,6 @@ def solve_backward(
         ]
         # np.array of same-shape arrays is np.stack, without its per-call overhead
         thF, thH, drv_u, lh, hz = (np.array(c) if stacked else c[0] for c in zip(*calls))
-        thetaF_t[k] = thF
         theta_H[..., k] = thH[..., 0]
 
         # (c) value regressions of the martingale-subtracted targets; the
@@ -617,10 +639,14 @@ def solve_backward(
 
         mart_u = pred_zb * dB[k] + (pred_zw * dW0k)[..., None]
         target_u = dt_mp * drv_u
-        target_u += u[k + 1]
+        target_u += u_next
         target_u -= mart_u
-        u[k] = P(P.coef(target_u))
-        fit_resid = np.subtract(target_u, u[k], out=target_u)
+        U_coef[k] = P.coef(target_u)
+        # the arithmetic of P(coef), written into the free buffer
+        u_k = np.multiply(U_coef[k][..., 1:], x[k], out=u_buf[k % 2])
+        u_k += U_coef[k][..., :1]
+        np.subtract(thF, u_k, out=gap_t[k])
+        fit_resid = np.subtract(target_u, u_k, out=target_u)
         for s in slots:
             # np.vdot per instance: a stacked reduction would round differently
             resid_u[s][k] = math.sqrt(np.vdot(fit_resid[s], fit_resid[s]) / fit_resid[s].size)
@@ -655,15 +681,16 @@ def solve_backward(
         fit_carry = fit_v if eq_cv is eq_s else eq_cv.fit(targets, (k,))
         carry = fit_carry.fitted
         coef_carry = fit_carry.coef
+        u_next = u_k
 
-    state = EnsembleState(X=X, U=U, qf=qf, qb=qb, phi=phi, Zphi=Zphi, Zq=Zq, Z=Z)
+    state = EnsembleState(X=X, U_coef=U_coef, U_T=U_T, qf=qf, qb=qb, phi=phi, Zphi=Zphi, Zq=Zq, Z=Z)
     if not (
-        np.isfinite(U.sum()) and np.isfinite(phi.sum()) and np.isfinite(qb.sum())
-        and np.isfinite(Zphi.sum()) and np.isfinite(X.sum())
+        np.isfinite(gap_F.sum()) and np.isfinite(U_T.sum()) and np.isfinite(phi.sum())
+        and np.isfinite(qb.sum()) and np.isfinite(Zphi.sum()) and np.isfinite(X.sum())
     ):
         raise SimulationError("backward sweep produced non-finite values")
     diagnostics = {"resid_u": resid_u, "resid_phi": resid_phi, "resid_qb": resid_qb, "se_zphi": se_zphi}
-    return SolveOutput(state=state, theta_F=theta_F, theta_H=theta_H, diagnostics=diagnostics)
+    return SolveOutput(state=state, gap_F=gap_F, theta_H=theta_H, diagnostics=diagnostics)
 
 
 def decoupled_solve(

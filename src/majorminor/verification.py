@@ -309,7 +309,7 @@ def check_monotonicity_propagation(
     ev = np.zeros(n + 1)
     se = np.zeros(n + 1)
     for k in range(n + 1):
-        du_dx = (s1.U[:, :, k] - s2.U[:, :, k]) * (s1.X[:, :, k] - s2.X[:, :, k])
+        du_dx = (s1.u(k) - s2.u(k)) * (s1.X[:, :, k] - s2.X[:, :, k])
         pair = du_dx.mean(axis=1)
         dq = s1.qf[:, k] - s2.qf[:, k]
         quad = 0.5 * (dq * a * dq)
@@ -443,9 +443,11 @@ def check_pontryagin_residual(
     n = grid.steps
     total = 0.0
     for k in range(n):
-        feats = conditional_features(st.X[:, :, k], solve.theta_F[:, :, k])
-        grad = cs.grad_alpha_L(st.X[:, :, k], st.qf[:, k][:, None], solve.theta_F[:, :, k], feats)
-        diff = st.U[:, :, k] - grad
+        uk = st.u(k)
+        theta_F = uk + solve.gap_F[:, :, k]
+        feats = conditional_features(st.X[:, :, k], theta_F)
+        grad = cs.grad_alpha_L(st.X[:, :, k], st.qf[:, k][:, None], theta_F, feats)
+        diff = uk - grad
         total += float(np.mean(diff * diff))
     residual = math.sqrt(grid.dt * total)
     passed = residual <= tol_disc
@@ -491,7 +493,7 @@ def estimate_decoupling_lipschitz(make_operator, init_base, run_config) -> dict:
     shifted_law = converged_solve(widened)
 
     def u0_dist(a, b):
-        return float(np.sqrt(np.mean((a.state.U[:, :, 0] - b.state.U[:, :, 0]) ** 2)))
+        return float(np.sqrt(np.mean((a.state.u(0) - b.state.u(0)) ** 2)))
 
     def phi0_dist(a, b):
         return float(np.sqrt(np.mean((a.state.phi[:, 0] - b.state.phi[:, 0]) ** 2)))

@@ -129,6 +129,36 @@ def test_dump_ensemble_flag(tmp_path):
     assert len(body) == 1 + 3 * 5 * 5
 
 
+def test_ensemble_and_snapshot_rows_are_built_from_the_u_slabs(tmp_path, monkeypatch):
+    data = json.loads(json.dumps(FAST_LQ))
+    data["ensemble"] = {"scenarios": 4, "particles": 16}
+    data["grid"]["steps"] = 5
+    ops = []
+    call = majorminor.extragradient.FbsdeOperator.__call__
+
+    def keep(op, control):
+        ops.append(op)
+        return call(op, control)
+
+    monkeypatch.setattr(majorminor.extragradient.FbsdeOperator, "__call__", keep)
+    run_solve(parse_config(json.dumps(data)), tmp_path / "run", dump_ensemble=True)
+    st = ops[-1].last_solve.state
+    grid = ops[-1].grid
+    n = grid.steps
+    ensemble = [
+        (j, i, grid.nodes[k], st.X[j, i, k], st.u(k)[j, i]) for j in range(4) for i in range(16) for k in range(n + 1)
+    ]
+    mean_u0 = st.u(0).mean(axis=1)
+    mean_x0 = st.X[:, :, 0].mean(axis=1)
+    snapshot = [(j, st.qf[j, 0], mean_x0[j], st.phi[j, 0], st.Zphi[j, 0], st.qb[j, 0], mean_u0[j]) for j in range(4)]
+    majorminor.cli.write_csv(tmp_path / "ensemble.csv", ["scenario", "particle", "t", "X", "U"], ensemble)
+    majorminor.cli.write_csv(
+        tmp_path / "snapshot.csv", ["scenario", "q0", "mean_x0", "phi0", "zphi0", "qb0", "mean_u0"], snapshot
+    )
+    for name in ("ensemble.csv", "snapshot.csv"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
 def test_sigma_sweep_table(tmp_path):
     data = json.loads(json.dumps(FAST_LQ))
     data["sweep"] = {"sigma0": [0.3, 0.6], "horizons": [0.5], "workers": 1, "picard_sweeps": 10}
@@ -407,17 +437,21 @@ def test_verify_tolerance_ignores_an_infinite_residual(tmp_path, capsys):
 
 def test_converge_peak_memory_is_that_of_its_finest_level(tmp_path):
     # numpy reports its buffers to tracemalloc.  The finest level (4x400x80)
-    # needs its noise, the oracle control and one solve; holding the oracle's
-    # particle paths or a coarser level's arrays took 8.3 path arrays
+    # needs its noise, the oracle control and one solve's X and gap_F: four
+    # path arrays.  A solve that also held U and theta_F paths reads 6.1, one
+    # that kept the oracle's particle paths or a coarser level's arrays 8.3.
+    # An untraced run first imports numpy.random and fills Python's tuple free
+    # list, which no level holds and which would count 0.7 path arrays here.
     config = parse_config({**FAST_LQ, "grid": {"steps": 20}, "ensemble": {"scenarios": 4, "particles": 100}})
     path_bytes = 8 * 4 * 400 * (80 + 1)
+    assert run_converge(config, tmp_path / "untraced") == 0
     tracemalloc.start()
     try:
         assert run_converge(config, tmp_path) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7 * path_bytes
+    assert peak < 4.5 * path_bytes
 
 
 def test_sigma_sweep_pool_size_is_capped(tmp_path, monkeypatch):

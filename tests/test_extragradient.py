@@ -192,7 +192,7 @@ def test_oracle_start_residual_small_and_monotone_pairs():
     scale = op.norm(alpha_star)
     assert res < 0.25 * scale  # coarse-grid discretization floor
     solve = op.last_solve  # the solve behind v_star
-    assert np.array_equal(v_star.alpha_x, solve.theta_F - solve.state.U[:, :, : grid.steps])
+    assert np.array_equal(v_star.alpha_x, solve.gap_F)
     quad = FbsdeOperator(op.primed, grid, noise, init, RegressionBasis(quadratic=True))
     assert quad.norm(quad(alpha_star)) < 0.25 * scale  # the quadratic basis keeps the floor
 

@@ -88,8 +88,8 @@ def test_rejects_empty_ensemble():
 
 def test_threaded_sampling_matches_one_thread_and_a_scenario_loop(monkeypatch):
     grid = build_grid(1.0, 20)
-    m, p = 5, 600
-    assert m * p * grid.steps >= grids.THREADED_ELEMENTS
+    m, p = 5, 4000
+    assert m * p * grid.steps >= grids.SAMPLING_THREADED_ELEMENTS
     pools = []
     pool_type = concurrent.futures.ThreadPoolExecutor
 
@@ -147,3 +147,24 @@ def test_scenario_blocks_raise_a_job_error_and_leave_no_thread(monkeypatch):
     blocks.clear()
     run_scenario_blocks(2, grids.THREADED_ELEMENTS - 1, lambda a, b: blocks.append((a, b)) or (lambda: None))
     assert blocks == [(0, 2)]
+
+
+def test_sampling_below_its_threshold_runs_in_the_calling_thread(monkeypatch):
+    # 32x100x30 = 96,000 doubles: above the oracle roll's threshold, below
+    # that of sampling, where threads lose
+    grid = build_grid(1.0, 30)
+    m, p = 32, 100
+    assert grids.THREADED_ELEMENTS <= m * p * grid.steps < grids.SAMPLING_THREADED_ELEMENTS
+    asked = []
+
+    def spy():
+        asked.append(threading.get_ident())
+        return 2
+
+    monkeypatch.setattr(grids, "scenario_threads", spy)
+    serial = sample_noise(grid, m, p, seed=5)
+    assert asked == []
+    monkeypatch.setattr(grids, "SAMPLING_THREADED_ELEMENTS", 1)
+    threaded = sample_noise(grid, m, p, seed=5)
+    assert asked == [threading.get_ident()]
+    assert np.array_equal(serial.dB, threaded.dB) and np.array_equal(serial.dW0, threaded.dW0)

@@ -170,8 +170,8 @@ def test_oracle_control_matches_the_particle_path_recursion():
 
 
 def test_threaded_oracle_roll_matches_the_particle_path_recursion(monkeypatch):
-    # every slab counts as large: the 6 scenarios roll in blocks of 1 and 2
-    # on 4 threads
+    # every slab and the noise bundle count as large: the 6 scenarios are
+    # sampled and roll in blocks of 1 and 2 on 4 threads
     pools = []
     pool_type = concurrent.futures.ThreadPoolExecutor
 
@@ -181,6 +181,7 @@ def test_threaded_oracle_roll_matches_the_particle_path_recursion(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting_pool)
     monkeypatch.setattr(grids, "THREADED_ELEMENTS", 1)
+    monkeypatch.setattr(grids, "SAMPLING_THREADED_ELEMENTS", 1)
     monkeypatch.setattr(grids, "scenario_threads", lambda: 4)
     threads = threading.active_count()
     _assert_oracle_roll_matches_the_recursion()

@@ -18,6 +18,7 @@ from majorminor.models import (
     make_lq_model,
     make_zero_model,
     split_q,
+    theta_inverse,
 )
 from majorminor.oracle import oracle_induced_control, riccati_oracle
 from majorminor.solver import (
@@ -451,3 +452,49 @@ def test_stacked_solve_is_bit_identical_to_solo_solves(size, start):
             assert np.array_equal(stacked.diagnostics[name][i], values), name
         v_stacked, v_solo = op.value_in(stacked, (i,)), op(control)
         assert np.array_equal(v_stacked.alpha_x, v_solo.alpha_x) and np.array_equal(v_stacked.alpha_q, v_solo.alpha_q)
+
+
+def test_v_is_the_pair_inverse_minus_u_at_every_step_solo_and_stacked():
+    ops = stack_operators(12, 64, 10, False)
+    controls = [op.random_control(np.random.default_rng(i), 0.5) for i, op in enumerate(ops)]
+    stacked = solve_stacked(ops, controls)
+    for i, (op, control) in enumerate(zip(ops, controls)):
+        v_solo = op(control)
+        st = op.last_solve.state
+        assert v_solo.alpha_x is op.last_solve.gap_F  # the solo value is the solve's own path
+        v_stacked = op.value_in(stacked, (i,))
+        assert np.shares_memory(v_stacked.alpha_x, stacked.gap_F) is False
+        for k in range(op.grid.steps):
+            # the pair inverse recomputed at the solve's X, qf and Zphi and the control
+            thF, _ = theta_inverse(
+                op.primed, st.X[:, :, k], st.qf[:, k][:, None], st.Zphi[:, k][:, None],
+                control.alpha_x[:, :, k], control.alpha_q[:, k][:, None],
+            )
+            gap = thF - st.u(k)
+            assert np.array_equal(v_solo.alpha_x[:, :, k], gap), k
+            assert np.array_equal(v_stacked.alpha_x[:, :, k], gap), k
+            assert np.array_equal(stacked.state.u(k)[i], st.u(k)), k
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["solo", "stacked"])
+def test_U_path_is_the_slabs_u_k_and_the_terminal_slab(stack):
+    ops = stack_operators(4, 16, 5, False)
+    controls = [op.random_control(np.random.default_rng(i), 0.5) for i, op in enumerate(ops)]
+    if stack:
+        solve = solve_stacked(ops, controls)
+        alpha_x = np.array([c.alpha_x for c in controls])
+    else:
+        op, control = ops[0], controls[0]
+        solve = decoupled_solve(control, op.primed, op.noise, op.init, op.basis, op.grid)
+        alpha_x = control.alpha_x
+    st = solve.state
+    n = ops[0].grid.steps
+    U = st.U
+    assert U.strides == path_array(U.shape).strides
+    assert np.array_equal(U, np.stack([st.u(k) for k in range(n)] + [st.U_T], axis=-1))
+    assert st.u(n) is st.U_T and st.u(-1) is st.U_T
+    with pytest.raises(IndexError):
+        st.u(n + 1)
+    # theta_F = U + gap_F is the pair inverse, on the LQ cone the control
+    # itself, up to rounding
+    np.testing.assert_allclose(solve.theta_F, alpha_x, rtol=0, atol=1e-13 * np.abs(U).max())
