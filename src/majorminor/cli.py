@@ -358,6 +358,13 @@ def run_solve(config: RunConfig, out_dir: str | Path | None = None, dump_ensembl
         op, grid, noise, init, cs, params, constants = build_problem(config)
         eg_config = _extragradient_config(config)
 
+        try:
+            L_hat = estimate_lipschitz_v(op, eg_config.probes) if eg_config.gamma is None else None
+            probe_failed = False
+        except SimulationError:
+            probe_failed = True
+
+        # built after the probes, which do not read it
         reference_control = None
         if params is not None and config["extragradient"]["track_oracle"] and constants.sigma0 > 0:
             try:
@@ -366,9 +373,7 @@ def run_solve(config: RunConfig, out_dir: str | Path | None = None, dump_ensembl
             except MajorMinorError:
                 reference_control = None
 
-        try:
-            L_hat = estimate_lipschitz_v(op, eg_config.probes) if eg_config.gamma is None else None
-        except SimulationError:
+        if probe_failed:
             # a probe solve left the finite range: the run ends before its
             # first iteration, with no step size
             report = ExtragradientReport(

@@ -59,6 +59,23 @@ class ControlField:
 
     __rmul__ = __mul__
 
+    # In place, for temporaries their maker owns: same bits and layout as
+    # the binary operations, with no new arrays.
+    def __iadd__(self, other: "ControlField") -> "ControlField":
+        self.alpha_x += other.alpha_x
+        self.alpha_q += other.alpha_q
+        return self
+
+    def __isub__(self, other: "ControlField") -> "ControlField":
+        self.alpha_x -= other.alpha_x
+        self.alpha_q -= other.alpha_q
+        return self
+
+    def __imul__(self, s: float) -> "ControlField":
+        self.alpha_x *= s
+        self.alpha_q *= s
+        return self
+
     @staticmethod
     def zeros(n_scenarios: int, n_particles: int, n_steps: int) -> "ControlField":
         alpha_x = path_array((n_scenarios, n_particles, n_steps))

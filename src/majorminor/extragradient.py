@@ -224,14 +224,22 @@ class _Step:
     gamma: float
 
 
+def _forward(alpha, gamma: float, v):
+    """alpha - gamma * v, formed as (-gamma) * v, then += alpha: the same
+    IEEE result (a - b is a + (-b)) with one temporary instead of two."""
+    point = (-gamma) * v
+    point += alpha
+    return point
+
+
 def _step_plan(alpha, gamma: float):
     """Plan of one iteration: the trial and the corrected evaluation."""
     if not gamma > 0:
         raise ConfigurationError([f"gamma must be positive, got {gamma}"])
     v_n = yield alpha
-    alpha_half = alpha - gamma * v_n
+    alpha_half = _forward(alpha, gamma, v_n)
     v_half = yield alpha_half
-    return alpha_half, alpha - gamma * v_half, v_n, v_half
+    return alpha_half, _forward(alpha, gamma, v_half), v_n, v_half
 
 
 def _resume(plan, reply):
@@ -396,6 +404,8 @@ def _extragradient_plan(alpha1, config: ExtragradientConfig, op, reference_contr
 
     for _ in range(config.n_max):
         t0 = time.perf_counter()
+        # read before the step is requested, while the plan holds alpha only
+        dist = None if dists is None else _norm(op, alpha - reference_control)
         try:
             alpha_half, alpha_next, v_n, v_half = yield _Step(alpha, gamma)
         except SimulationError:
@@ -406,11 +416,12 @@ def _extragradient_plan(alpha1, config: ExtragradientConfig, op, reference_contr
             if dists is not None:
                 dists.append(float("nan"))
             break
+        del alpha_half, v_half  # the loop reads neither
         completed += 1
         residual = _norm(op, v_n)
         residuals.append(residual)
         if dists is not None:
-            dists.append(_norm(op, alpha - reference_control))
+            dists.append(dist)
         seconds.append(time.perf_counter() - t0)
         if residual <= config.tol:
             stop = "tol"
@@ -422,7 +433,7 @@ def _extragradient_plan(alpha1, config: ExtragradientConfig, op, reference_contr
         alpha = alpha_next
         # hold no values of this iteration while the next one is evaluated:
         # `run_lockstep` keeps many plans live at once
-        del alpha_half, alpha_next, v_n, v_half
+        del alpha_next, v_n
 
     lam_hat, r2 = fit_geometric_rate(residuals)
     return ExtragradientReport(
@@ -515,39 +526,48 @@ def _lipschitz_plan(op, probes: int, seed: int):
             return draw(gen, _PROBE_SCALE)
         return _PROBE_SCALE * gen.standard_normal(op.dim)
 
-    # each point is drawn again from a copy of the generator once all are
-    # evaluated, so a plan holds no point while the others are:
-    # `run_lockstep` keeps many plans live at once
+    # a plan keeps the generator state before each point, not the point, and
+    # draws a point again whenever it needs it: `run_lockstep` keeps many
+    # plans live at once
     starts, values = [], []
     for _ in range(probes):
         starts.append(copy.deepcopy(rng))
         values.append((yield sample(rng)))
-    points = [sample(start) for start in starts]
+
+    def difference(i: int, j: int):
+        """Probe point i minus probe point j, both drawn again; the second
+        is dropped once subtracted."""
+        diff = sample(copy.deepcopy(starts[i]))
+        diff -= sample(copy.deepcopy(starts[j]))
+        return diff
+
     evaluations = probes
     best = 0.0
     best_pair = None
-    # the scan keeps the best pair's indices, not its direction, and frees
-    # each pair's differences before the next pair's are formed
+    # the scan holds the values and at most two temporaries: a pair's point
+    # difference is dropped before its value difference is formed, and the
+    # best pair is kept as its indices, not its direction
     for i in range(probes):
         for j in range(i + 1, probes):
-            diff = points[i] - points[j]
-            dv = values[i] - values[j]
+            diff = difference(i, j)
             denom = np.sqrt(max(op.inner(diff, diff), 0.0))
+            del diff
             if denom > 1e-14:
+                dv = values[i] - values[j]
                 ratio = float(np.sqrt(max(op.inner(dv, dv), 0.0)) / denom)
+                del dv
                 if ratio > best:
                     best = ratio
                     best_pair = (i, j, denom)
-            del diff, dv
     if best_pair is None:
         return LipschitzEstimate(best, evaluations)
     i, j, denom = best_pair
-    direction = (1.0 / denom) * (points[i] - points[j])
-    base = points[0]
+    direction = difference(i, j)
+    direction *= 1.0 / denom
+    # the refinement needs the first probe point only, drawn once more
+    base = sample(starts[0])
     v_base = values[0]
-    # the refinement needs the first probe only; `run_lockstep` keeps many
-    # plans live at once
-    del points, values
+    del starts, values
     for _ in range(_PROBE_REFINE):
         dv = (yield base + direction) - v_base
         evaluations += 1
@@ -555,8 +575,8 @@ def _lipschitz_plan(op, probes: int, seed: int):
         if norm_dv <= 1e-14:
             break
         best = max(best, float(norm_dv))  # ||direction|| = 1
-        direction = (1.0 / norm_dv) * dv
-        del dv
+        direction = dv
+        direction *= 1.0 / norm_dv
     return LipschitzEstimate(best, evaluations)
 
 
@@ -582,11 +602,13 @@ def estimate_lipschitz_v(op, probes: int = 4, seed: int = _PROBE_SEED) -> Lipsch
 # with twelve.
 LOCKSTEP_BYTES = 2_400_000
 # what one live instance holds at its peak: up to four controls of its plan
-# while a solve runs, its noise, and its share of a stacked solve (control and
-# noise copies, X, gap_F and the copy of its slot that is its value).  Between
-# solves the probe plan's pair scan holds more: 2 * probes + 2 controls (the
-# points, their values and one pair's two differences), 10 at the default 4
-# probes.
+# while a solve runs (three probe values and the fourth point; the refinement's
+# base, direction, base value and point; an iteration's iterate, value and
+# trial point), its noise, and its share of a stacked solve (control and noise
+# copies, X, gap_F and the copy of its slot that is its value).  Between
+# solves a plan holds less: the probe plan's pair scan holds the probe values
+# and at most two temporaries, 6 controls at the default 4 probes, and an
+# iteration at most five while its points are formed.
 _PATHS_PER_INSTANCE = 10
 
 

@@ -454,6 +454,32 @@ def test_converge_peak_memory_is_that_of_its_finest_level(tmp_path):
     assert peak < 4.5 * path_bytes
 
 
+def test_solve_holds_a_fixed_control_budget(tmp_path):
+    # numpy reports its buffers to tracemalloc.  Besides the noise and the
+    # last solve's X, the probe scan holds the 4 probe values and at most two
+    # temporaries, and the extragradient loop its iterate, the oracle control
+    # and one step's points.  A scan that held all 4 probe points and one
+    # pair's two differences, with the oracle control built before the
+    # probes, read 13.3 controls here.  The untraced run first imports what
+    # no solve holds, as in the converge test above.  Four iterations reach
+    # the loop's peak; the run stops at the cap.
+    config = parse_config({
+        **FAST_LQ,
+        "grid": {"steps": 20},
+        "ensemble": {"scenarios": 16, "particles": 500},
+        "extragradient": {"n_max": 4, "tol": 5e-3},
+    })
+    control_bytes = 8 * (16 * 500 * 20 + 16 * 20)
+    assert run_solve(config, tmp_path / "untraced") == 2
+    tracemalloc.start()
+    try:
+        assert run_solve(config, tmp_path) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * control_bytes
+
+
 def test_sigma_sweep_pool_size_is_capped(tmp_path, monkeypatch):
     started = []
 

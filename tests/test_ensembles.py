@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from majorminor.ensembles import (
     wasserstein2_1d,
 )
 from majorminor.errors import ConfigurationError, ContractError
-from majorminor.grids import build_grid, sample_noise
+from majorminor.grids import build_grid, path_array, sample_noise
 
 
 def constant_control(value_x, value_q, m=2, p=3, n=4):
@@ -135,3 +137,27 @@ def test_control_arithmetic():
     assert np.allclose(c.alpha_q, 0.0)
     d = a - b
     assert np.allclose(d.alpha_x, 0.5)
+
+
+def random_path_control(rng, m=3, p=5, n=4):
+    alpha_x = path_array((m, p, n))
+    alpha_x[...] = rng.standard_normal((m, p, n))
+    return ControlField(alpha_x, rng.standard_normal((m, n)))
+
+
+def test_control_in_place_ops_equal_the_binary_ops_and_keep_the_layout():
+    rng = np.random.default_rng(3)
+    a, b = random_path_control(rng), random_path_control(rng)
+    s = -0.37
+    for in_place, other, binary in (
+        (operator.iadd, b, a + b),
+        (operator.isub, b, a - b),
+        (operator.imul, s, s * a),
+    ):
+        c = ControlField(a.alpha_x.copy(order="K"), a.alpha_q.copy())
+        buffers = (c.alpha_x, c.alpha_q)
+        assert in_place(c, other) is c
+        assert c.alpha_x is buffers[0] and c.alpha_q is buffers[1]  # no new arrays
+        assert np.array_equal(c.alpha_x, binary.alpha_x) and np.array_equal(c.alpha_q, binary.alpha_q)
+        assert c.alpha_x.strides == a.alpha_x.strides == binary.alpha_x.strides
+        assert np.moveaxis(c.alpha_x, -1, 0).flags.c_contiguous  # the layout of path_array

@@ -3,18 +3,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import majorminor.extragradient as extragradient_module
 from majorminor.ensembles import ControlField
 from majorminor.errors import ConfigurationError, SimulationError
 from majorminor.extragradient import (
     _PROBE_REFINE,
     _PROBE_SCALE,
     _PROBE_SEED,
+    LOCKSTEP_BYTES,
     ExtragradientConfig,
     FbsdeOperator,
     estimate_lipschitz_v,
     evaluate_many,
     extragradient_step,
     fit_geometric_rate,
+    _instance_bytes,
     recover_phi_bar,
     run_extragradient,
     run_lockstep,
@@ -120,12 +123,21 @@ def test_estimate_lipschitz_exact_for_linear():
         estimate_lipschitz_v(op, probes=1)
 
 
+def probe_point(op, rng):
+    """A probe point, drawn as the probe plan draws it."""
+    if hasattr(op, "random_control"):
+        return op.random_control(rng, _PROBE_SCALE)
+    return _PROBE_SCALE * rng.standard_normal(op.dim)
+
+
 def lipschitz_holding_every_point(op, probes):
-    """The probe estimate of `estimate_lipschitz_v`, computed with every
-    probe point, value and pair direction kept."""
+    """The probe estimate of `estimate_lipschitz_v` and its number of
+    evaluations, computed with every probe point, value and pair direction
+    kept."""
     rng = np.random.default_rng(_PROBE_SEED)
-    points = [op.random_control(rng, _PROBE_SCALE) for _ in range(probes)]
+    points = [probe_point(op, rng) for _ in range(probes)]
     values = [op(a) for a in points]
+    evaluations = probes
     best, best_dir = 0.0, None
     for i in range(probes):
         for j in range(i + 1, probes):
@@ -138,12 +150,13 @@ def lipschitz_holding_every_point(op, probes):
                     best, best_dir = ratio, (1.0 / denom) * diff
     for _ in range(_PROBE_REFINE):
         dv = op(points[0] + best_dir) - values[0]
+        evaluations += 1
         norm_dv = np.sqrt(max(op.inner(dv, dv), 0.0))
         if norm_dv <= 1e-14:
             break
         best = max(best, float(norm_dv))
         best_dir = (1.0 / norm_dv) * dv
-    return best
+    return best, evaluations
 
 
 def test_lipschitz_probes_hold_few_controls():
@@ -160,7 +173,94 @@ def test_lipschitz_probes_hold_few_controls():
         tracemalloc.stop()
     assert peak < 14.5 * control_bytes
     assert L_hat.evaluations == 4 + _PROBE_REFINE
-    assert float(L_hat) == lipschitz_holding_every_point(op, 4)
+    assert float(L_hat) == lipschitz_holding_every_point(op, 4)[0]
+
+
+def linear_op(seed, dim):
+    """A synthetic monotone operator x -> (I + K) x with K skew."""
+    k = np.random.default_rng(seed).standard_normal((dim, dim))
+    matrix = np.eye(dim) + (k - k.T)
+    return ArrayOperator(lambda x: matrix @ x, dim)
+
+
+@pytest.mark.parametrize("op", [
+    lq_operator(m=12, p=64, n=10, seed=1234)[0],
+    lq_operator(m=12, p=64, n=10, seed=1)[0],  # its probes reach 3.7e26
+    linear_op(0, 6),
+], ids=["lq-seed1234", "lq-seed1", "ndarray"])
+def test_lipschitz_probes_drawn_again_give_the_held_points_bits(op):
+    L_hat = estimate_lipschitz_v(op, probes=4)
+    assert (float(L_hat), L_hat.evaluations) == lipschitz_holding_every_point(op, 4)
+    assert L_hat.evaluations == 12
+
+
+def test_step_points_are_alpha_minus_gamma_v_to_the_bit():
+    gamma = 0.3
+    lq = lq_operator(m=12, p=64, n=10, seed=1234)[0]
+    cases = [
+        (lq, lq.random_control(np.random.default_rng(5), 0.5)),
+        (linear_op(1, 5), np.random.default_rng(6).standard_normal(5)),
+    ]
+    for op, alpha in cases:
+        alpha_half, alpha_next, v_n, v_half = extragradient_step(alpha, gamma, op)
+        for point, v in ((alpha_half, v_n), (alpha_next, v_half)):
+            want = alpha - gamma * v
+            if isinstance(want, ControlField):
+                assert np.array_equal(point.alpha_x, want.alpha_x)
+                assert np.array_equal(point.alpha_q, want.alpha_q)
+            else:
+                assert np.array_equal(point, want)
+
+
+def frozen(control):
+    """The control with its arrays made read-only."""
+    for a in (control.alpha_x, control.alpha_q) if isinstance(control, ControlField) else (control,):
+        a.setflags(write=False)
+    return control
+
+
+class FrozenValues(FbsdeOperator):
+    """An FBSDE operator whose values are read-only, solo and stacked."""
+
+    def value_in(self, solve, slot=()):
+        return frozen(super().value_in(solve, slot))
+
+
+def test_plans_never_write_into_arrays_they_were_sent():
+    # values and start points are read-only, so a plan that wrote into one
+    # would raise; the probe and extragradient plans run alone and in lockstep
+    linear = linear_op(2, 4)
+    op = ArrayOperator(lambda x: frozen(linear(x)), 4)
+    report = run_extragradient(frozen(np.ones(4)), ExtragradientConfig(n_max=5), op)
+    assert report.evaluations == {"probe": 12, "iterate": 10}
+    ops = []
+    for seed in (2, 3):
+        op, grid, noise, init = lq_operator(m=8, p=32, n=10, seed=seed)
+        ops.append(FrozenValues(op.primed, grid, noise, init, op.basis))
+    config = ExtragradientConfig(n_max=3)
+    reports = dict(run_lockstep((i, frozen(op.zero()), config, op) for i, op in enumerate(ops)))
+    assert [reports[i].evaluations for i in range(2)] == [{"probe": 12, "iterate": 6}] * 2
+    assert not ops[1](ops[1].zero()).alpha_x.flags.writeable
+
+
+def test_lockstep_admits_three_small_instances_or_one_default_size(monkeypatch):
+    stacks = []
+    real = extragradient_module.evaluate_many
+
+    def counting(ops, controls):
+        stacks.append(len(ops))
+        return real(ops, controls)
+
+    monkeypatch.setattr(extragradient_module, "evaluate_many", counting)
+    ops = [lq_operator(m=12, p=64, n=10, seed=seed)[0] for seed in range(5)]
+    config = ExtragradientConfig(gamma=0.1, n_max=2)
+    reports = dict(run_lockstep((i, op.zero(), config, op) for i, op in enumerate(ops)))
+    assert sorted(reports) == list(range(5))
+    # three of the five run, two evaluations per iteration, then the other two
+    assert stacks == [3] * 4 + [2] * 4
+    # a default-size instance fills the budget alone
+    default_size = lq_operator(m=32, p=500, n=50, seed=0)[0]
+    assert _instance_bytes(default_size) > LOCKSTEP_BYTES
 
 
 def test_fit_geometric_rate_recovers_slope():
