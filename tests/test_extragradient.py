@@ -235,8 +235,8 @@ def test_plans_never_write_into_arrays_they_were_sent():
     assert report.evaluations == {"probe": 12, "iterate": 10}
     ops = []
     for seed in (2, 3):
-        op, grid, noise, init = lq_operator(m=8, p=32, n=10, seed=seed)
-        ops.append(FrozenValues(op.primed, grid, noise, init, op.basis))
+        lq, grid, noise, init = lq_operator(m=8, p=32, n=10, seed=seed)
+        ops.append(FrozenValues(lq.primed, grid, noise, init, lq.basis))
     config = ExtragradientConfig(n_max=3)
     reports = dict(run_lockstep((i, frozen(op.zero()), config, op) for i, op in enumerate(ops)))
     assert [reports[i].evaluations for i in range(2)] == [{"probe": 12, "iterate": 6}] * 2
