@@ -364,7 +364,8 @@ def run_solve(config: RunConfig, out_dir: str | Path | None = None, dump_ensembl
         except SimulationError:
             probe_failed = True
 
-        # built after the probes, which do not read it
+        # built after the probes, which do not read it, so that they run
+        # without it held
         reference_control = None
         if params is not None and config["extragradient"]["track_oracle"] and constants.sigma0 > 0:
             try:
