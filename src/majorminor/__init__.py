@@ -8,7 +8,6 @@ from .ensembles import (
     conditional_features,
     inner_product_T,
     norm_T,
-    wasserstein2_1d,
 )
 from .models import (
     CoefficientSet,
@@ -17,7 +16,6 @@ from .models import (
     MonotonicityData,
     PrimedCoefficientSet,
     clamp_coefficients,
-    eval_coefficients,
     lq_monotonicity_data,
     make_lq_model,
     make_zero_model,

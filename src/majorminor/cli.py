@@ -22,7 +22,6 @@ import difflib
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -31,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, grids
 from .artifacts import strict_json
 from .errors import ConfigurationError, MajorMinorError, SimulationError
 from .extragradient import (
@@ -512,7 +511,7 @@ def run_sigma_sweep(config: RunConfig, out_dir: str | Path | None = None) -> int
         for j, t in enumerate(data["sweep"]["horizons"])
     ]
     # a pool starts all its workers at once, so start no more than can be busy
-    workers = min(data["sweep"]["workers"], len(cells), os.cpu_count() or 1)
+    workers = min(data["sweep"]["workers"], len(cells), grids.scenario_threads())
     with _run_dir(config, out_dir) as (out, emitted):
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor

@@ -22,7 +22,6 @@ __all__ = [
     "conditional_features",
     "inner_product_T",
     "norm_T",
-    "wasserstein2_1d",
 ]
 
 
@@ -181,24 +180,3 @@ def inner_product_T(a: ControlField, b: ControlField, grid: TimeGrid) -> float:
 
 def norm_T(a: ControlField, grid: TimeGrid) -> float:
     return float(np.sqrt(max(inner_product_T(a, a, grid), 0.0)))
-
-
-def wasserstein2_1d(sample_a: np.ndarray, sample_b: np.ndarray) -> float:
-    """Order-2 Wasserstein distance between two 1-d empirical measures.
-
-    Sorted-quantile coupling: sqrt(mean of squared sorted differences); unequal
-    sizes are resampled to a common size at midpoint quantile levels.
-    """
-    a = np.asarray(sample_a, dtype=float).ravel()
-    b = np.asarray(sample_b, dtype=float).ravel()
-    if a.size == 0 or b.size == 0:
-        raise ContractError("wasserstein2_1d needs nonempty samples")
-    if a.size != b.size:
-        n = max(a.size, b.size)
-        levels = (np.arange(n) + 0.5) / n
-        a = np.quantile(a, levels)
-        b = np.quantile(b, levels)
-    else:
-        a = np.sort(a)
-        b = np.sort(b)
-    return float(np.sqrt(np.mean((a - b) ** 2)))

@@ -21,10 +21,6 @@ class ContractError(MajorMinorError):
     """Shape or argument mismatch between caller and callee."""
 
 
-class EvaluationError(MajorMinorError):
-    """Non-finite values encountered while evaluating model coefficients."""
-
-
 class SimulationError(MajorMinorError):
     """Forward simulation produced a non-finite drift or state."""
 
@@ -35,14 +31,6 @@ class SimulationError(MajorMinorError):
 
 class RegressionError(MajorMinorError):
     """Least-squares fit failed (rank deficiency without ridge, bad inputs)."""
-
-
-class InversionError(MajorMinorError):
-    """Damped fixed-point inversion did not reach tolerance."""
-
-    def __init__(self, message, residual=None):
-        self.residual = residual
-        super().__init__(message)
 
 
 class OracleBlowUpError(MajorMinorError):

@@ -95,10 +95,17 @@ class ExtragradientConfig:
     probes: int = 4
 
     def __post_init__(self):
+        problems = []
         if self.gamma is not None and not (self.gamma > 0):
-            raise ConfigurationError([f"gamma must be positive, got {self.gamma}"])
+            problems.append(f"gamma must be positive, got {self.gamma}")
         if self.n_max < 1:
-            raise ConfigurationError([f"n_max must be >= 1, got {self.n_max}"])
+            problems.append(f"n_max must be >= 1, got {self.n_max}")
+        if not (self.tol >= 0):
+            problems.append(f"tol must be >= 0, got {self.tol}")
+        if not (self.safety > 0):
+            problems.append(f"safety must be positive, got {self.safety}")
+        if problems:
+            raise ConfigurationError(problems)
 
 
 class FbsdeOperator:

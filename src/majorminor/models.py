@@ -22,8 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ensembles import ScenarioFeatures, conditional_features
-from .errors import ConfigurationError, EvaluationError, InversionError
+from .errors import ConfigurationError
 
 __all__ = [
     "ModelConstants",
@@ -31,7 +30,6 @@ __all__ = [
     "PrimedCoefficientSet",
     "LQParams",
     "MonotonicityData",
-    "eval_coefficients",
     "clamp_coefficients",
     "split_q",
     "theta_inverse",
@@ -68,10 +66,9 @@ class ModelConstants:
 class CoefficientSet:
     """The coefficient tuple of one major-minor instance.
 
-    The z clamp level is `constants.clamp_m`.  `theta`, when provided, is
-    the closed-form inverse of the pair map (U, qb) -> (F', DzH') at frozen
-    (X, qf, z); otherwise a damped fixed point is used.  `grad_alpha_L`
-    exposes the control-gradient of the minor Lagrangian for
+    The z clamp level is `constants.clamp_m`.  `theta` is the closed-form
+    inverse of the pair map (U, qb) -> (F', DzH') at frozen (X, qf, z).
+    `grad_alpha_L` exposes the control-gradient of the minor Lagrangian for
     optimality-residual checks.
     """
 
@@ -82,27 +79,10 @@ class CoefficientSet:
     g: Callable
     psi: Callable
     constants: ModelConstants
-    c_coef: float = 1.0
-    omega: Callable[[float], float] = lambda m: 0.0
-    theta: Callable | None = None
-    grad_alpha_L: Callable | None = None
-
-
-def eval_coefficients(cs: CoefficientSet, x, q, u, z, feats: ScenarioFeatures):
-    """Evaluate (F, G, Hz, LH) at one broadcastable point.
-
-    The set's own clamp applies to z before evaluation.  Non-finite inputs or
-    outputs raise an evaluation error.
-    """
-    arrays = {"x": x, "q": q, "u": u, "z": z}
-    for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
-            raise EvaluationError(f"non-finite input {name}")
-    out = (cs.F(x, q, u, z, feats), cs.G(x, q, u, z, feats), cs.Hz(q, z, feats), cs.LH(q, z, feats))
-    for name, arr in zip(("F", "G", "Hz", "LH"), out):
-        if not np.all(np.isfinite(arr)):
-            raise EvaluationError(f"non-finite output of {name}")
-    return out
+    c_coef: float
+    omega: Callable[[float], float]
+    theta: Callable
+    grad_alpha_L: Callable
 
 
 def clamp_coefficients(cs: CoefficientSet, level: float) -> CoefficientSet:
@@ -168,9 +148,6 @@ def split_q(cs: CoefficientSet) -> PrimedCoefficientSet:
     return PrimedCoefficientSet(base=cs)
 
 
-_THETA_DAMPING = 0.5  # strong monotonicity / Lipschitz ratio of the pair map
-
-
 def theta_inverse(
     primed: PrimedCoefficientSet,
     X: np.ndarray,
@@ -178,33 +155,14 @@ def theta_inverse(
     z: np.ndarray,
     alpha_x: np.ndarray,
     alpha_q: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 400,
 ):
     """Invert (U, qb) -> (F', DzH')(X, U, p, qb, z, law(X, U)) at a target.
 
-    Returns (U, qb) with F' = alpha_x and DzH' = alpha_q.  Uses the model's
-    closed form when available, otherwise a fixed point on the strongly
-    monotone map (F', DzH'/2), damped by `_THETA_DAMPING`.
+    Returns (U, qb) with F' = alpha_x and DzH' = alpha_q, by the model's
+    closed form.
     """
     base = primed.base
-    if base.theta is not None:
-        return base.theta(base, X, p, z, alpha_x, alpha_q)
-
-    U = np.array(alpha_x, copy=True)
-    qb = np.array(p, copy=True)
-    target_q = 0.5 * alpha_q
-    res = math.inf
-    for _ in range(max_iter):
-        feats = conditional_features(X, U)
-        rx = primed.Fp(X, p, qb, U, z, feats) - alpha_x
-        rq = 0.5 * primed.Hzp(p, qb, z, feats) - target_q
-        res = math.sqrt(float(np.mean(rx * rx)) + float(np.mean(rq * rq)))
-        if res <= tol:
-            return U, qb
-        U -= _THETA_DAMPING * rx
-        qb -= _THETA_DAMPING * rq
-    raise InversionError(f"theta inversion stalled at residual {res:.3e}", residual=res)
+    return base.theta(base, X, p, z, alpha_x, alpha_q)
 
 
 # ---------------------------------------------------------------------------

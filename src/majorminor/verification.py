@@ -19,10 +19,9 @@ import numpy as np
 from .artifacts import strict_json
 from .ensembles import ControlField, conditional_features
 from .errors import ConfigurationError
-from .extragradient import run_extragradient
 from .grids import TimeGrid
 from .models import CoefficientSet, MonotonicityData
-from .solver import InitialCondition, SolveOutput
+from .solver import SolveOutput
 
 __all__ = [
     "CertificationReport",
@@ -35,7 +34,6 @@ __all__ = [
     "compute_thresholds",
     "ThresholdReport",
     "check_pontryagin_residual",
-    "search_scalar_A",
 ]
 
 
@@ -437,8 +435,6 @@ def check_pontryagin_residual(
     ||U - grad_alpha L(X, q, theta_F, law)||_T vanishes at the optimum; the
     check compares against the supplied discretization floor.
     """
-    if cs.grad_alpha_L is None:
-        raise ConfigurationError(["model does not expose grad_alpha_L"])
     st = solve.state
     n = grid.steps
     total = 0.0
@@ -461,64 +457,3 @@ def check_pontryagin_residual(
         witness=None if passed else {"residual": residual, "tol": tol_disc},
         extras={"residual": residual},
     )
-
-
-# initial-condition shifts of `estimate_decoupling_lipschitz`: the minor
-# state, the major state, and the relative widening of each scenario's cloud
-_SHIFT_X = 0.2
-_SHIFT_Q = 0.2
-_WIDEN_LAW = 0.25
-
-
-def estimate_decoupling_lipschitz(make_operator, init_base, run_config) -> dict:
-    """Sensitivity of the converged fields to initial-condition shifts.
-
-    `make_operator(init)` builds the residual operator for an initial
-    condition; all runs share the noise bundle, so differences estimate the
-    Lipschitz constants of the decoupling field in the state (x-shift), the
-    major state (q-shift) and the law (spread scaling) directions.
-    """
-
-    def converged_solve(init):
-        op = make_operator(init)
-        report = run_extragradient(op.zero(), run_config, op)
-        op(report.final_alpha)
-        return op.last_solve
-
-    base = converged_solve(init_base)
-    shifted_x = converged_solve(InitialCondition(X0=init_base.X0 + _SHIFT_X, q0=init_base.q0))
-    shifted_q = converged_solve(InitialCondition(X0=init_base.X0, q0=init_base.q0 + _SHIFT_Q))
-    center = init_base.X0.mean(axis=1, keepdims=True)
-    widened = InitialCondition(X0=center + (1.0 + _WIDEN_LAW) * (init_base.X0 - center), q0=init_base.q0)
-    shifted_law = converged_solve(widened)
-
-    def u0_dist(a, b):
-        return float(np.sqrt(np.mean((a.state.u(0) - b.state.u(0)) ** 2)))
-
-    def phi0_dist(a, b):
-        return float(np.sqrt(np.mean((a.state.phi[:, 0] - b.state.phi[:, 0]) ** 2)))
-
-    law_shift = float(np.sqrt(np.mean((widened.X0 - init_base.X0) ** 2)))
-    return {
-        "lip_x_u": u0_dist(shifted_x, base) / _SHIFT_X,
-        "lip_x_phi": phi0_dist(shifted_x, base) / _SHIFT_X,
-        "lip_q_u": u0_dist(shifted_q, base) / _SHIFT_Q,
-        "lip_q_phi": phi0_dist(shifted_q, base) / _SHIFT_Q,
-        "lip_law_u": u0_dist(shifted_law, base) / max(law_shift, 1e-12),
-        "lip_law_phi": phi0_dist(shifted_law, base) / max(law_shift, 1e-12),
-    }
-
-
-def search_scalar_A(
-    cs: CoefficientSet,
-    candidates=(0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0),
-    samples: int = 60,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Grid search for the weight a maximizing the coefficient Rayleigh bound."""
-    best_a, best_kappa = None, -math.inf
-    for a in candidates:
-        rep = check_coefficient_monotonicity(cs, a, samples=samples, seed=seed)
-        if rep.extras["kappa_hat"] > best_kappa:
-            best_a, best_kappa = a, rep.extras["kappa_hat"]
-    return float(best_a), float(best_kappa)

@@ -3,7 +3,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +11,7 @@ import pytest
 
 import majorminor
 import majorminor.extragradient
+from majorminor import grids
 from majorminor.cli import (
     _TABLE,
     RunConfig,
@@ -502,7 +502,7 @@ def test_sigma_sweep_pool_size_is_capped(tmp_path, monkeypatch):
     data["sweep"] = {"sigma0": [0.3, 0.6, 0.9], "horizons": [0.5], "workers": 64, "picard_sweeps": 2}
     config = parse_config(data)
     for cpus, expected in ((8, [3]), (2, [3, 2]), (1, [3, 2])):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(grids, "scenario_threads", lambda: cpus)
         assert run_sigma_sweep(config, tmp_path / str(cpus)) == 0
         assert started == expected
         assert len((tmp_path / str(cpus) / "sweep.csv").read_text().splitlines()) == 4

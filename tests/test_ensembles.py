@@ -2,15 +2,12 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from majorminor.ensembles import (
     ControlField,
     conditional_features,
     inner_product_T,
     norm_T,
-    wasserstein2_1d,
 )
 from majorminor.errors import ConfigurationError, ContractError
 from majorminor.grids import build_grid, path_array, sample_noise
@@ -96,37 +93,6 @@ def test_inner_product_shape_mismatch():
         inner_product_T(a, b, grid)
 
 
-def test_wasserstein_identical_and_point_masses():
-    assert wasserstein2_1d(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
-    assert wasserstein2_1d(np.array([0.0]), np.array([3.0])) == pytest.approx(3.0)
-
-
-def test_wasserstein_two_point_exhaustive():
-    # couplings of {0,2} vs {1,3}: identity costs (1+1)/2, swap (9+1)/2
-    assert wasserstein2_1d(np.array([0.0, 2.0]), np.array([1.0, 3.0])) == pytest.approx(1.0)
-
-
-def test_wasserstein_empty_rejected():
-    with pytest.raises(ContractError):
-        wasserstein2_1d(np.array([]), np.array([1.0]))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(st.floats(-50, 50), min_size=1, max_size=12),
-    st.lists(st.floats(-50, 50), min_size=1, max_size=12),
-    st.lists(st.floats(-50, 50), min_size=1, max_size=12),
-)
-def test_wasserstein_triangle_inequality(a, b, c):
-    a, b, c = (np.array(v) for v in (a, b, c))
-    if not (a.size == b.size == c.size):
-        n = max(a.size, b.size, c.size)
-        levels = (np.arange(n) + 0.5) / n
-        a, b, c = (np.quantile(v, levels) for v in (a, b, c))
-    dab = wasserstein2_1d(a, b)
-    dbc = wasserstein2_1d(b, c)
-    dac = wasserstein2_1d(a, c)
-    assert dac <= dab + dbc + 1e-9
 
 
 def test_control_arithmetic():

@@ -114,6 +114,24 @@ def test_run_divergence_report_on_large_step():
     assert report.iterations < 60
 
 
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"safety": -0.5}, "safety must be positive, got -0.5"),
+        ({"safety": 0.0}, "safety must be positive, got 0.0"),
+        ({"tol": -1e-3}, "tol must be >= 0, got -0.001"),
+    ],
+    ids=["safety-negative", "safety-zero", "tol-negative"],
+)
+def test_config_rejects_bad_keys_before_any_evaluation(kwargs, message):
+    calls = []
+    op = ArrayOperator(lambda x: calls.append(1) or 1.7 * x, 3)
+    with pytest.raises(ConfigurationError) as err:
+        run_extragradient(np.ones(3), ExtragradientConfig(n_max=5, **kwargs), op)
+    assert calls == []
+    assert err.value.violations == [message]
+
+
 def test_estimate_lipschitz_exact_for_linear():
     op = scaling_op(1.7)
     assert estimate_lipschitz_v(op, probes=4, seed=0) == pytest.approx(1.7, rel=1e-9)

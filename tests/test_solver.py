@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -216,15 +216,7 @@ def test_zero_model_solve_all_zero():
 def test_martingale_phi_recovers_forward_copy():
     # psi(q) = q, all drivers zero: phi_k = qf_k and Zphi ~ 1
     constants = ModelConstants(sigma=0.0, sigma0=0.5)
-    zero = make_zero_model(constants)
-    from majorminor.models import CoefficientSet
-
-    cs = CoefficientSet(
-        F=zero.F, G=zero.G, Hz=zero.Hz, LH=zero.LH,
-        g=zero.g,
-        psi=lambda q, f: q.copy(),
-        constants=constants, theta=zero.theta,
-    )
+    cs = replace(make_zero_model(constants), psi=lambda q, f: q.copy())
     grid, noise, primed, init = make_setup(m=512, p=4, n=4, model=cs)
     control = ControlField.zeros(512, 4, 4)
     out = decoupled_solve(control, primed, noise, init, RegressionBasis(), grid)

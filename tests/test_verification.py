@@ -5,7 +5,7 @@ import pytest
 
 from majorminor.ensembles import ControlField
 from majorminor.errors import ConfigurationError
-from majorminor.extragradient import ExtragradientConfig, FbsdeOperator
+from majorminor.extragradient import FbsdeOperator
 from majorminor.grids import build_grid, sample_noise
 from majorminor.models import (
     LQParams,
@@ -25,8 +25,6 @@ from majorminor.verification import (
     check_v_monotonicity,
     check_z_bound,
     compute_thresholds,
-    estimate_decoupling_lipschitz,
-    search_scalar_A,
 )
 
 CONE = LQParams(c1=1.0, c3=0.5, g1=1.0, b=1.0, p1=1.0)
@@ -89,13 +87,6 @@ def test_coefficient_monotonicity_zpair_slack():
         slack=(data.C_M, data.K),
     )
     assert rep.passed
-
-
-def test_search_scalar_A_prefers_positive():
-    cs = make_lq_model(CONE, CONSTANTS)
-    a, kappa = search_scalar_A(cs, candidates=(0.1, 1.0, 5.0), samples=40, seed=4)
-    assert kappa > 0
-    assert a in (0.1, 1.0, 5.0)
 
 
 def small_operator(params=CONE, m=16, p=128, n=10, seed=5, sigma0=0.5):
@@ -261,26 +252,6 @@ def test_pontryagin_residual_oracle_vs_perturbed():
     rep_bad = check_pontryagin_residual(out_bad, cs, grid, tol_disc=0.3)
     assert not rep_bad.passed
     assert rep_bad.extras["residual"] > 10 * rep.extras["residual"]
-
-
-def test_estimate_decoupling_lipschitz_matches_oracle_slope():
-    constants = CONSTANTS
-    grid = build_grid(1.0, 20)
-    noise = sample_noise(grid, 24, 200, seed=9)
-    primed = split_q(make_lq_model(CONE, constants))
-    init = sample_initial(24, 200, seed=9, x_mean=1.0, x_std=0.3, q0=1.0, q0_std=0.1)
-
-    def make_op(ic):
-        return FbsdeOperator(primed, grid, noise, ic, RegressionBasis())
-
-    config = ExtragradientConfig(gamma=0.25, n_max=30)
-    est = estimate_decoupling_lipschitz(make_op, init, config)
-    sol = riccati_oracle(CONE, constants, grid)
-    a0 = sol.coefficients_at(0.0)[0]
-    # U(0) responds to an x-shift with slope a(0) (plus the law response c_u)
-    c_u0 = sol.coefficients_at(0.0)[2]
-    assert est["lip_x_u"] == pytest.approx(abs(a0 + c_u0), rel=0.15)
-    assert est["lip_q_phi"] > 0.0
 
 
 def test_reports_serialize():
