@@ -342,6 +342,14 @@ def _lq_monotonicity(data: dict, params: LQParams, constants: ModelConstants):
     )
 
 
+def _thresholds(mono, constants: ModelConstants, grid):
+    """The volatility thresholds, or None unless kappa, beta0 > 0 (the
+    monotone mode of `compute_thresholds`)."""
+    if mono.kappa > 0 and mono.beta0 > 0:
+        return compute_thresholds(mono, constants.discount, grid.horizon)
+    return None
+
+
 def run_solve(config: RunConfig, out_dir: str | Path | None = None, dump_ensemble: bool = False) -> int:
     """Drive the full pipeline for one instance and write artifacts.
 
@@ -349,9 +357,9 @@ def run_solve(config: RunConfig, out_dir: str | Path | None = None, dump_ensembl
     any other reason (the cap, a divergence report, a failed iteration or a
     failed Lipschitz probe), 1 is reserved for errors (raised to the caller).
     A failed probe ends the run `non_finite` with no `L_hat`, no step size
-    and no iterations.  The snapshot and the ensemble dump come from the last
-    solve of the extragradient loop, so a run that completed no iteration
-    writes neither.
+    and no iterations.  The snapshot and the ensemble dump come from a solve
+    at the reported final control; a run that completed no iteration, or
+    whose final solve leaves the finite range, writes neither.
     """
     with _run_dir(config, out_dir) as (out, emitted):
         op, grid, noise, init, cs, params, constants = build_problem(config)
@@ -397,9 +405,12 @@ def run_solve(config: RunConfig, out_dir: str | Path | None = None, dump_ensembl
         emitted += [iter_path, report_path]
         if not report.evaluations["iterate"]:
             return 2
+        try:
+            st = op.solve(report.final_alpha).state
+        except SimulationError:
+            return 2
 
         snap_rows = []
-        st = op.last_solve.state
         mean_u0 = st.u(0).mean(axis=1)
         mean_x0 = st.X[:, :, 0].mean(axis=1)
         for j in range(st.phi.shape[0]):
@@ -465,9 +476,8 @@ def _sweep_rows(cells) -> list[dict]:
             try:
                 op, grid, noise, init, cs, params, constants = build_problem(config)
                 if params is not None:
-                    mono = _lq_monotonicity(data, params, constants)
-                    if mono.kappa > 0 and mono.beta0 > 0:
-                        thresholds = compute_thresholds(mono, constants.discount, grid.horizon)
+                    thresholds = _thresholds(_lq_monotonicity(data, params, constants), constants, grid)
+                    if thresholds is not None:
                         row["sigma0_T"] = thresholds.sigma0_T
                         if thresholds.sigma0_star is not None:
                             row["sigma0_star"] = thresholds.sigma0_star
@@ -571,17 +581,18 @@ def run_verify(config: RunConfig, out_dir: str | Path | None = None) -> int:
                         kappa=mono.kappa, slack=(mono.C_M, mono.K),
                     )
                 )
-                thresholds = compute_thresholds(mono, constants.discount, grid.horizon)
+            thresholds = _thresholds(mono, constants, grid)
+        oracle_checks = params is not None and constants.sigma0 > 0
         # a solve that blows up ends the battery, not the certificate: what
         # was computed before it is written with the error, then re-raised
         try:
             reports.append(check_v_monotonicity(op, pairs=pairs, seed=seed))
             report = run_extragradient(op.zero(), _extragradient_config(config), op)
+            solve = op.solve(report.final_alpha) if oracle_checks else None
         except SimulationError as exc:
             certify(str(exc))
             raise
-        solve = op.last_solve
-        if params is not None and constants.sigma0 > 0:
+        if oracle_checks:
             sol = riccati_oracle(params, constants, grid)
             st = solve.state
             lip = 0.0

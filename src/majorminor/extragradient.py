@@ -108,38 +108,31 @@ class ExtragradientConfig:
             raise ConfigurationError(problems)
 
 
+@dataclass(frozen=True, eq=False)
 class FbsdeOperator:
     """The residual operator of one problem instance.
 
-    Calling it returns v(alpha) as a ControlField; the solve behind the last
-    call is cached on `last_solve` for diagnostics.  `evaluate_many` also
-    evaluates operators in stacked solves, which do not touch `last_solve`.
+    Calling it returns v(alpha) as a ControlField; `solve` returns the
+    decoupled solve behind that value.  The operator is frozen: it holds the
+    problem only, so every evaluation at a control gives the same value.
     """
 
-    def __init__(
-        self,
-        primed: PrimedCoefficientSet,
-        grid: TimeGrid,
-        noise: NoiseBundle,
-        init: InitialCondition,
-        basis: RegressionBasis,
-        a: float = 1.0,
-    ):
-        self.primed = primed
-        self.grid = grid
-        self.noise = noise
-        self.init = init
-        self.basis = basis
-        self.a = a
-        self.last_solve: SolveOutput | None = None
+    primed: PrimedCoefficientSet
+    grid: TimeGrid
+    noise: NoiseBundle
+    init: InitialCondition
+    basis: RegressionBasis
+    a: float = 1.0
 
     def __call__(self, control: ControlField) -> ControlField:
-        solve = decoupled_solve(
+        return self.value_in(self.solve(control))
+
+    def solve(self, control: ControlField) -> SolveOutput:
+        """The decoupled solve at `control`."""
+        return decoupled_solve(
             control, self.primed, self.noise, self.init, self.basis, self.grid,
             compute_z=False,
         )
-        self.last_solve = solve
-        return self.value_in(solve)
 
     def value_in(self, solve: SolveOutput, slot: tuple = ()) -> ControlField:
         """v of this instance from a solve of it: the whole solve, or the
@@ -671,7 +664,7 @@ def run_lockstep(jobs):
     build each job's problem as it is asked for.  Each round gathers one
     request per live run and evaluates the runs of one `stack_key` with
     `evaluate_many`: the budget bounds the live set, so it bounds every stack
-    too.  Stacked evaluations do not set `op.last_solve`.
+    too.
     """
     pending = iter(jobs)
     waiting = None

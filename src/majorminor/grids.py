@@ -149,9 +149,13 @@ class NoiseBundle:
     dW0: np.ndarray
 
 
-# Stream tags keep the idiosyncratic and common draws on disjoint Philox keys.
+# Stream tags keep the idiosyncratic, common and initial-condition draws on
+# disjoint Philox keys; `solver.sample_initial` draws X0 and q0 from scenario 0
+# of their streams.
 _STREAM_IDIO = 0
 _STREAM_COMMON = 1
+_STREAM_INIT_X = 2
+_STREAM_INIT_Q = 3
 
 
 def _scenario_generator(seed: int, scenario: int, stream: int) -> np.random.Generator:

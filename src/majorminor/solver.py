@@ -74,7 +74,7 @@ import numpy as np
 
 from .ensembles import ControlField, EnsembleState, conditional_features
 from .errors import ConfigurationError, ContractError, RegressionError, SimulationError
-from .grids import NoiseBundle, TimeGrid, path_array
+from .grids import _STREAM_INIT_Q, _STREAM_INIT_X, NoiseBundle, TimeGrid, _scenario_generator, path_array
 from .models import PrimedCoefficientSet, theta_inverse
 
 __all__ = [
@@ -331,10 +331,6 @@ class InitialCondition:
     q0: np.ndarray  # ([B,] M_c)
 
 
-_STREAM_INIT_X = 2
-_STREAM_INIT_Q = 3
-
-
 def sample_initial(
     n_scenarios: int,
     n_particles: int,
@@ -345,14 +341,10 @@ def sample_initial(
     q0_std: float = 0.0,
 ) -> InitialCondition:
     """i.i.d. Gaussian X0 cloud; q0 deterministic unless q0_std > 0."""
-    key_x = np.array([np.uint64(seed), np.uint64(_STREAM_INIT_X << 32)], dtype=np.uint64)
-    key_q = np.array([np.uint64(seed), np.uint64(_STREAM_INIT_Q << 32)], dtype=np.uint64)
-    gen_x = np.random.Generator(np.random.Philox(key=key_x))
-    gen_q = np.random.Generator(np.random.Philox(key=key_q))
-    X0 = x_mean + x_std * gen_x.standard_normal((n_scenarios, n_particles))
+    X0 = x_mean + x_std * _scenario_generator(seed, 0, _STREAM_INIT_X).standard_normal((n_scenarios, n_particles))
     q = np.full(n_scenarios, float(q0))
     if q0_std > 0:
-        q = q + q0_std * gen_q.standard_normal(n_scenarios)
+        q = q + q0_std * _scenario_generator(seed, 0, _STREAM_INIT_Q).standard_normal(n_scenarios)
     return InitialCondition(X0=X0, q0=q)
 
 

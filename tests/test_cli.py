@@ -4,9 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 import majorminor
@@ -14,7 +12,6 @@ import majorminor.extragradient
 from majorminor import grids
 from majorminor.cli import (
     _TABLE,
-    RunConfig,
     build_problem,
     main,
     parse_config,
@@ -22,7 +19,7 @@ from majorminor.cli import (
     run_sigma_sweep,
     run_solve,
 )
-from majorminor.errors import ConfigurationError
+from majorminor.errors import ConfigurationError, SimulationError
 from majorminor.extragradient import ExtragradientConfig
 
 FAST_LQ = {
@@ -129,34 +126,99 @@ def test_dump_ensemble_flag(tmp_path):
     assert len(body) == 1 + 3 * 5 * 5
 
 
+def _keep_runs(monkeypatch) -> list:
+    """Make the CLI keep the operator and the report of each extragradient
+    run it makes, in the list returned."""
+    runs = []
+    run = majorminor.cli.run_extragradient
+
+    def keep(alpha1, config, op, **kwargs):
+        report = run(alpha1, config, op, **kwargs)
+        runs.append((op, report))
+        return report
+
+    monkeypatch.setattr(majorminor.cli, "run_extragradient", keep)
+    return runs
+
+
+def _write_snapshot(path, st) -> None:
+    mean_u0 = st.u(0).mean(axis=1)
+    mean_x0 = st.X[:, :, 0].mean(axis=1)
+    rows = [
+        (j, st.qf[j, 0], mean_x0[j], st.phi[j, 0], st.Zphi[j, 0], st.qb[j, 0], mean_u0[j]) for j in range(len(st.qf))
+    ]
+    majorminor.cli.write_csv(path, ["scenario", "q0", "mean_x0", "phi0", "zphi0", "qb0", "mean_u0"], rows)
+
+
 def test_ensemble_and_snapshot_rows_are_built_from_the_u_slabs(tmp_path, monkeypatch):
     data = json.loads(json.dumps(FAST_LQ))
     data["ensemble"] = {"scenarios": 4, "particles": 16}
     data["grid"]["steps"] = 5
-    ops = []
-    call = majorminor.extragradient.FbsdeOperator.__call__
-
-    def keep(op, control):
-        ops.append(op)
-        return call(op, control)
-
-    monkeypatch.setattr(majorminor.extragradient.FbsdeOperator, "__call__", keep)
+    runs = _keep_runs(monkeypatch)
     run_solve(parse_config(json.dumps(data)), tmp_path / "run", dump_ensemble=True)
-    st = ops[-1].last_solve.state
-    grid = ops[-1].grid
+    ((op, report),) = runs
+    st = op.solve(report.final_alpha).state
+    grid = op.grid
     n = grid.steps
     ensemble = [
         (j, i, grid.nodes[k], st.X[j, i, k], st.u(k)[j, i]) for j in range(4) for i in range(16) for k in range(n + 1)
     ]
-    mean_u0 = st.u(0).mean(axis=1)
-    mean_x0 = st.X[:, :, 0].mean(axis=1)
-    snapshot = [(j, st.qf[j, 0], mean_x0[j], st.phi[j, 0], st.Zphi[j, 0], st.qb[j, 0], mean_u0[j]) for j in range(4)]
     majorminor.cli.write_csv(tmp_path / "ensemble.csv", ["scenario", "particle", "t", "X", "U"], ensemble)
-    majorminor.cli.write_csv(
-        tmp_path / "snapshot.csv", ["scenario", "q0", "mean_x0", "phi0", "zphi0", "qb0", "mean_u0"], snapshot
-    )
+    _write_snapshot(tmp_path / "snapshot.csv", st)
     for name in ("ensemble.csv", "snapshot.csv"):
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_snapshot_describes_the_reported_final_control(tmp_path, monkeypatch):
+    # the run stops at tol after 47 iterations; the last solve of its loop is
+    # at the trial point, where the x-block of v differs from that at the
+    # final control by up to 6.4e-4
+    data = {**FAST_LQ, "extragradient": {"n_max": 60, "tol": 5e-3}, "seed": 1234}
+    runs = _keep_runs(monkeypatch)
+    assert run_solve(parse_config(data), tmp_path / "run") == 0
+    ((op, report),) = runs
+    _write_snapshot(tmp_path / "snapshot.csv", op.solve(report.final_alpha).state)
+    assert (tmp_path / "run" / "snapshot.csv").read_bytes() == (tmp_path / "snapshot.csv").read_bytes()
+
+
+def test_a_final_solve_that_fails_ends_solve_and_verify(tmp_path, monkeypatch, capsys):
+    # every solve of the runs succeeds; the one at the reported control fails
+    runs = _keep_runs(monkeypatch)
+    solve = majorminor.extragradient.FbsdeOperator.solve
+
+    def fail_after_the_run(op, control):
+        if runs:
+            raise SimulationError("backward sweep produced non-finite values")
+        return solve(op, control)
+
+    monkeypatch.setattr(majorminor.extragradient.FbsdeOperator, "solve", fail_after_the_run)
+    assert run_solve(parse_config(FAST_LQ), tmp_path / "solve") == 2
+    assert {path.name for path in (tmp_path / "solve").iterdir()} == {"iterations.csv", "report.json", "manifest.json"}
+
+    runs.clear()
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(FAST_LQ))
+    assert main(["verify", "--config", str(cfg_path), "--out", str(tmp_path / "verify")]) == 1
+    cert = json.loads((tmp_path / "verify" / "certification.json").read_text())
+    assert cert["error"] == "backward sweep produced non-finite values"
+    assert [r["name"] for r in cert["reports"]] == [
+        "terminal_monotonicity", "coefficient_monotonicity", "coefficient_monotonicity_zpair", "v_monotonicity",
+    ]
+    assert f"error: {cert['error']}" in capsys.readouterr().err
+
+
+def test_verify_without_beta0_writes_every_report(tmp_path):
+    # the terminal weight g2 = 3 makes beta0 = 0 while kappa > 0: the
+    # thresholds are not defined, the checks are
+    data = json.loads(json.dumps(FAST_LQ))
+    data["model"]["params"]["g2"] = 3.0
+    config = parse_config(data)
+    _, _, _, _, _, params, constants = build_problem(config)
+    mono = majorminor.cli._lq_monotonicity(config.data, params, constants)
+    assert mono.kappa > 0 and mono.beta0 == 0
+    assert majorminor.cli.run_verify(config, tmp_path) in (0, 2)
+    cert = json.loads((tmp_path / "certification.json").read_text())
+    assert len(cert["reports"]) == 6 and cert["thresholds"] is None and cert["error"] is None
 
 
 def test_sigma_sweep_table(tmp_path):

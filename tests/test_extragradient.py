@@ -25,7 +25,7 @@ from majorminor.extragradient import (
 )
 from majorminor.grids import build_grid, sample_noise
 from majorminor.models import LQParams, ModelConstants, make_lq_model, make_zero_model, split_q
-from majorminor.oracle import eval_oracle_field, oracle_induced_control, riccati_oracle
+from majorminor.oracle import oracle_induced_control, riccati_oracle
 from majorminor.solver import InitialCondition, RegressionBasis, sample_initial
 
 CONE = LQParams(c1=1.0, c3=0.5, g1=1.0, b=1.0, p1=1.0)
@@ -299,6 +299,16 @@ def test_zero_model_operator_vanishes_at_zero():
     assert op.norm(v0) <= 1e-7  # ridge floor of the scenario fits
 
 
+def test_operator_call_leaves_the_operator_as_it_was():
+    op = lq_operator()[0]
+    control = op.random_control(np.random.default_rng(0), 0.5)
+    before = {name: id(value) for name, value in vars(op).items()}
+    v = op(control)
+    assert {name: id(value) for name, value in vars(op).items()} == before
+    solve = op.solve(control)
+    assert np.array_equal(v.alpha_x, solve.gap_F) and np.array_equal(v.alpha_q, op.value_in(solve).alpha_q)
+
+
 def test_oracle_start_residual_small_and_monotone_pairs():
     op, grid, noise, init = lq_operator(m=32, p=200, n=20, seed=1)
     constants = ModelConstants(sigma=0.5, sigma0=0.5)
@@ -309,7 +319,7 @@ def test_oracle_start_residual_small_and_monotone_pairs():
     res = op.norm(v_star)
     scale = op.norm(alpha_star)
     assert res < 0.25 * scale  # coarse-grid discretization floor
-    solve = op.last_solve  # the solve behind v_star
+    solve = op.solve(alpha_star)  # a solve at the control of v_star
     assert np.array_equal(v_star.alpha_x, solve.gap_F)
     quad = FbsdeOperator(op.primed, grid, noise, init, RegressionBasis(quadratic=True))
     assert quad.norm(quad(alpha_star)) < 0.25 * scale  # the quadratic basis keeps the floor
@@ -335,9 +345,10 @@ def test_run_converges_on_lq_and_recovers_phi_bar():
     assert not report.diverged
     assert report.residuals[-1] < 0.05 * report.residuals[0]
     assert report.lambda_hat is not None and report.lambda_hat < 0.98
-    solve = op.last_solve
+    solve = op.solve(report.final_alpha)
     phi_bar = recover_phi_bar(op, solve)
-    # the auxiliary sweep along the last solve tracks its major value
+    # the auxiliary sweep along the solve at the final control tracks its
+    # major value
     err = np.abs(phi_bar - solve.state.phi).mean()
     scale = np.abs(solve.state.phi).mean() + 1e-12
     assert err < 0.25 * scale + 0.05

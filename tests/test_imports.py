@@ -1,6 +1,6 @@
-"""Every name a package module imports is used there, package-internal
-imports sit at the module top, and every top-level name of the package is
-used by the package.
+"""Every name a package or test module imports is used there,
+package-internal imports sit at the module top, and every top-level name of
+the package is used by the package.
 
 For the imports, names listed in a module's `__all__` count as used, and so
 does everything the package `__init__` imports, since that is the package's
@@ -17,6 +17,7 @@ import majorminor
 
 PACKAGE = Path(majorminor.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -107,7 +108,7 @@ def test_every_top_level_name_is_reached_by_the_package():
     assert unreached_names() == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=[p.name for p in MODULES + TESTS])
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
 

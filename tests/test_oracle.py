@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from majorminor import grids
-from majorminor.ensembles import ControlField, conditional_features
+from majorminor.ensembles import conditional_features
 from majorminor.errors import OracleBlowUpError
 from majorminor.grids import build_grid, path_array, sample_noise
 from majorminor.models import LQParams, ModelConstants, make_lq_model, split_q
@@ -16,7 +16,7 @@ from majorminor.oracle import (
     picard_solve,
     riccati_oracle,
 )
-from majorminor.solver import RegressionBasis, decoupled_solve, sample_initial
+from majorminor.solver import RegressionBasis, sample_initial
 
 CONE = LQParams(c1=1.0, c3=0.5, g1=1.0, b=1.0, p1=1.0)
 

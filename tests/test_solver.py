@@ -24,13 +24,11 @@ from majorminor.oracle import oracle_induced_control, riccati_oracle
 from majorminor.solver import (
     QUADRATIC_MIN_SCENARIOS,
     AffineDesign,
-    InitialCondition,
     RegressionBasis,
     decoupled_solve,
     regress_conditional,
     sample_initial,
     simulate_forward,
-    solve_backward,
 )
 
 CONE = LQParams(c1=1.0, c3=0.5, g1=1.0, b=1.0, p1=1.0)
@@ -398,14 +396,14 @@ def test_operator_matches_recorded_values(start):
     }
     op = build_problem(parse_config(json.dumps(doc)))[0]
     alpha = op.zero() if start == "zero" else op.random_control(np.random.default_rng(0))
-    v = op(alpha)
+    solve = op.solve(alpha)
+    v = op.value_in(solve)
     got = (
         np.linalg.norm(v.alpha_x), np.linalg.norm(v.alpha_q),
         v.alpha_x[0, 0, 0], v.alpha_x[5, 17, 9], v.alpha_x[11, 63, 4],
         v.alpha_q[0, 0], v.alpha_q[7, 9],
     )
     np.testing.assert_allclose(got, GOLDEN_V[start], rtol=1e-9, atol=0)
-    solve = op.last_solve
     st = solve.state
     blocks = (st.U, st.phi, st.qb, st.Zphi, st.Zq, solve.theta_F, solve.theta_H)
     np.testing.assert_allclose([np.linalg.norm(b) for b in blocks], GOLDEN_SOLVE[start], rtol=1e-9, atol=0)
@@ -451,9 +449,10 @@ def test_v_is_the_pair_inverse_minus_u_at_every_step_solo_and_stacked():
     controls = [op.random_control(np.random.default_rng(i), 0.5) for i, op in enumerate(ops)]
     stacked = solve_stacked(ops, controls)
     for i, (op, control) in enumerate(zip(ops, controls)):
-        v_solo = op(control)
-        st = op.last_solve.state
-        assert v_solo.alpha_x is op.last_solve.gap_F  # the solo value is the solve's own path
+        solve = op.solve(control)
+        v_solo = op.value_in(solve)
+        st = solve.state
+        assert v_solo.alpha_x is solve.gap_F  # the solo value is the solve's own path
         v_stacked = op.value_in(stacked, (i,))
         assert np.shares_memory(v_stacked.alpha_x, stacked.gap_F) is False
         for k in range(op.grid.steps):
