@@ -3,7 +3,6 @@
 from .grids import TimeGrid, NoiseBundle, build_grid, sample_noise
 from .ensembles import (
     ControlField,
-    EnsembleState,
     ScenarioFeatures,
     conditional_features,
     inner_product_T,
@@ -22,5 +21,6 @@ from .models import (
     split_q,
     theta_inverse,
 )
+from .solver import EnsembleState
 
 __version__ = "0.1.0"

@@ -412,7 +412,7 @@ def run_solve(config: RunConfig, out_dir: str | Path | None = None, dump_ensembl
 
         snap_rows = []
         mean_u0 = st.u(0).mean(axis=1)
-        mean_x0 = st.X[:, :, 0].mean(axis=1)
+        mean_x0 = st.X0.mean(axis=1)
         for j in range(st.phi.shape[0]):
             snap_rows.append(
                 (j, st.qf[j, 0], mean_x0[j], st.phi[j, 0], st.Zphi[j, 0], st.qb[j, 0], mean_u0[j])
@@ -427,7 +427,7 @@ def run_solve(config: RunConfig, out_dir: str | Path | None = None, dump_ensembl
 
         if dump_ensemble:
             rows = []
-            X, U = st.X, st.U  # U is built on access: once, not per element
+            X, U = st.X, st.U  # each is built on access: once, not per element
             m, p, n1 = X.shape
             for j in range(m):
                 for i in range(p):
@@ -596,9 +596,10 @@ def run_verify(config: RunConfig, out_dir: str | Path | None = None) -> int:
             sol = riccati_oracle(params, constants, grid)
             st = solve.state
             lip = 0.0
+            X = st.X  # built on access: once, not per step
             for k in range(grid.steps):
                 _, _, z_ref = eval_oracle_field(
-                    sol, grid.nodes[k], 0.0, st.qf[:, k], st.X[:, :, k].mean(axis=1)
+                    sol, grid.nodes[k], 0.0, st.qf[:, k], X[:, :, k].mean(axis=1)
                 )
                 lip = max(lip, float(np.max(np.abs(z_ref))))
             reports.append(check_z_bound(solve, lip))
@@ -631,7 +632,8 @@ def run_converge(config: RunConfig, out_dir: str | Path | None = None) -> int:
     """Discretization-floor study: the operator residual at the oracle
     control under grid refinement (half dt, double particles).  Each level
     runs in `_converge_level`, so the peak memory is that of the finest
-    level alone: its noise, its oracle control and one solve."""
+    level alone: three particle paths, which are its noise, its oracle
+    control and the forward buffer of its one solve."""
     data = config.data
     if data["model"]["kind"] != "lq":
         raise ConfigurationError(["converge study needs the lq model"])

@@ -129,10 +129,7 @@ class FbsdeOperator:
 
     def solve(self, control: ControlField) -> SolveOutput:
         """The decoupled solve at `control`."""
-        return decoupled_solve(
-            control, self.primed, self.noise, self.init, self.basis, self.grid,
-            compute_z=False,
-        )
+        return decoupled_solve(control, self.primed, self.noise, self.init, self.basis, self.grid)
 
     def value_in(self, solve: SolveOutput, slot: tuple = ()) -> ControlField:
         """v of this instance from a solve of it: the whole solve, or the
@@ -186,10 +183,7 @@ def solve_stacked(ops: list[FbsdeOperator], controls: list[ControlField]) -> Sol
     control = ControlField(alpha_x, np.array([c.alpha_q for c in controls]))
     noise = NoiseBundle(dB=dB, dW0=np.array([op.noise.dW0 for op in ops]))
     init = InitialCondition(X0=np.array([op.init.X0 for op in ops]), q0=np.array([op.init.q0 for op in ops]))
-    return decoupled_solve(
-        control, [op.primed for op in ops], noise, init, ops[0].basis, [op.grid for op in ops],
-        compute_z=False,
-    )
+    return decoupled_solve(control, [op.primed for op in ops], noise, init, ops[0].basis, [op.grid for op in ops])
 
 
 def evaluate_many(ops: list[FbsdeOperator], controls: list[ControlField]) -> list:
@@ -594,22 +588,22 @@ def estimate_lipschitz_v(op, probes: int = 4, seed: int = _PROBE_SEED) -> Lipsch
 
 # Bytes the live instances of `run_lockstep` may hold together, counted at
 # `_PATHS_PER_INSTANCE` paths of (M, P, N+1) doubles each: three 12x64x10
-# instances (0.68 MB each; a fourth would need 2.7 MB) and a single 32x500x50
-# one (65 MB; the CLI default), which then runs through op(control) exactly as
-# a solo run does.  Memory bounds the stack, not speed: each live instance
-# adds about 0.7 MB of peak RSS at 12x64x10, where a 12-cell sweep takes about
-# two thirds of its serial CPU time with three live instances and under half
-# with twelve.
+# instances (0.61 MB each; a fourth would need 2.43 MB) and a single
+# 32x500x50 one (59 MB; the CLI default), which then runs through op(control)
+# exactly as a solo run does.  Memory bounds the stack, not speed: each live
+# instance adds about 0.7 MB of peak RSS at 12x64x10, where a 12-cell sweep
+# takes about two thirds of its serial CPU time with three live instances and
+# under half with twelve.
 LOCKSTEP_BYTES = 2_400_000
 # what one live instance holds at its peak: up to four controls of its plan
 # while a solve runs (three probe values and the fourth point; the refinement's
 # base, direction, base value and point; an iteration's iterate, value and
 # trial point), its noise, and its share of a stacked solve (control and noise
-# copies, X, gap_F and the copy of its slot that is its value).  Between
-# solves a plan holds less: the probe plan's pair scan holds the probe values
-# and at most two temporaries, 6 controls at the default 4 probes, and an
-# iteration at most five while its points are formed.
-_PATHS_PER_INSTANCE = 10
+# copies, the forward buffer that X and gap_F share, and the copy of its slot
+# that is its value).  Between solves a plan holds less: the probe plan's pair
+# scan holds the probe values and at most two temporaries, 6 controls at the
+# default 4 probes, and an iteration at most five while its points are formed.
+_PATHS_PER_INSTANCE = 9
 
 
 def _instance_bytes(op: FbsdeOperator) -> int:

@@ -245,7 +245,7 @@ def picard_solve(
     for sweep in range(1, max_iter + 1):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                solve = decoupled_solve(control, primed, noise, init, basis, grid, compute_z=False)
+                solve = decoupled_solve(control, primed, noise, init, basis, grid)
         except SimulationError:
             # iterates left the finite range: no contraction at this horizon
             return PicardResult(
@@ -255,9 +255,10 @@ def picard_solve(
         st = solve.state
         alpha_x = np.empty_like(control.alpha_x)
         alpha_q = np.empty_like(control.alpha_q)
+        X = st.X  # built on access: once, not per step
         for k in range(n):
-            xk = st.X[:, :, k]
-            uk = st.u(k)
+            xk = X[:, :, k]
+            uk = st.u(k, X)
             qmid = 0.5 * (st.qf[:, k] + st.qb[:, k])[:, None]
             zk = st.Zphi[:, k][:, None]
             feats = conditional_features(xk, uk)

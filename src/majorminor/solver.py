@@ -43,12 +43,16 @@ normal equations with their leverage, set up by `NormalEquations`) is
 computed for all steps before the sweep, in O(N M k) memory, so a step only
 solves its normal equations; nothing particle-sized is kept across steps.
 
-Outputs.  A solve holds one particle output path besides X: gap_F =
-theta_F - U[..., :N], the x-block of the operator value, which the sweep
-writes at step k as soon as U[..., k] is fitted.  U itself is kept as its
-(M, 2) affine coefficients per step plus the terminal slab, from which
-`EnsembleState.u(k)` rebuilds any slab bit for bit; the sweep carries the
-next step's slab in a buffer, not in a path.
+Outputs.  A solve holds one particle path, the forward buffer: the sweep
+reads X_k once, at step k, and then writes gap_F[..., k] = theta_F - U[...,
+k], the x-block of the operator value, into slab k+1 of X, which no later
+step reads.  So `solve_backward` consumes the forward path it is given, and
+gap_F is slabs 1..N of that buffer.  The state keeps slab 0 (X0) and
+references to the solve's own control, noise, coefficient sets and grids,
+and `EnsembleState.X` runs the forward pass again on them, which gives the
+same bits.  U is kept as its (M, 2) affine coefficients per step plus the
+terminal slab, from which `EnsembleState.u(k)` rebuilds any slab bit for
+bit; the sweep carries the next step's slab in a buffer, not in a path.
 
 Instance axis.  `simulate_forward`, `solve_backward` and `decoupled_solve`
 also solve a stack of independent instances of one size in one sweep: the
@@ -72,7 +76,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import ControlField, EnsembleState, conditional_features
+from .ensembles import ControlField, conditional_features
 from .errors import ConfigurationError, ContractError, RegressionError, SimulationError
 from .grids import _STREAM_INIT_Q, _STREAM_INIT_X, NoiseBundle, TimeGrid, _scenario_generator, path_array
 from .models import PrimedCoefficientSet, theta_inverse
@@ -83,6 +87,7 @@ __all__ = [
     "RegressionBasis",
     "AffineDesign",
     "NormalEquations",
+    "EnsembleState",
     "SolveOutput",
     "InitialCondition",
     "sample_initial",
@@ -436,16 +441,89 @@ def _validate_control(control: ControlField) -> None:
 
 
 @dataclass
+class EnsembleState:
+    """Time-indexed particle clouds and per-scenario paths of one solve.
+
+    States are scalar.  Particle paths are time-major (see `path_array`);
+    scenario-level quantities (qf, qb, phi, Zphi, Zq) carry no particle axis,
+    so they are adapted to the common filtration by construction.  The state
+    of a stacked solve carries a leading instance axis on every array (after
+    the step axis of U_coef).
+
+    Of X the state keeps the slab X0, slab 0 of the solve's forward buffer
+    (the other slabs hold gap_F, see the module docstring), and references
+    to the solve's own control, noise, coefficient sets and grids (no
+    copies); `X` runs the forward pass again on them, which gives the bits
+    the sweep read.  So the control and the noise must not be changed in
+    place while the state is read.  U is held as what the backward sweep
+    fitted: for k < N the slab U[..., k] is the within-scenario affine fit
+    U_coef[k][..., 0] + U_coef[k][..., 1] x_k, and U[..., N] is the terminal
+    slab U_T.  `u(k)` rebuilds one slab with the sweep's own arithmetic, so
+    it has the sweep's bits; `U` builds the whole path on each access.
+    """
+
+    X0: np.ndarray  # (M_c, P): slab 0 of X, the initial cloud
+    U_coef: np.ndarray  # (N_t, M_c, 2): per step, the intercept and the slope in x
+    U_T: np.ndarray  # (M_c, P): the terminal slab g(X_T)
+    qf: np.ndarray  # (M_c, N_t+1)
+    qb: np.ndarray  # (M_c, N_t+1)
+    phi: np.ndarray  # (M_c, N_t+1)
+    Zphi: np.ndarray  # (M_c, N_t)
+    Zq: np.ndarray  # (M_c, N_t)
+    control: ControlField  # the inputs of the forward pass, by reference
+    noise: NoiseBundle
+    primed: PrimedCoefficientSet | list[PrimedCoefficientSet]  # one per instance of a stack
+    grid: TimeGrid | list[TimeGrid]
+    Z: None = None  # always None: no solve fits the integrands of U; `bench/spans.py` reads it
+
+    @property
+    def X(self) -> np.ndarray:
+        """The forward path ([B,] M_c, P, N_t+1), run again on each access
+        (uncached): readers that loop over k read it once."""
+        init = InitialCondition(self.X0, self.qf[..., 0])
+        return simulate_forward(self.control, self.noise, self.primed, init, self.grid)[0]
+
+    def u(self, k: int, X: np.ndarray | None = None) -> np.ndarray:
+        """The slab U[..., k], ([B,] M_c, P), for k in 0..N_t; the terminal
+        one is `U_T` itself.  Slabs 0 and N_t rebuild nothing; any other
+        reads `X` of this state, which a caller that holds it passes in."""
+        n = self.U_coef.shape[0]
+        k = range(n + 1)[k]
+        if k == n:
+            return self.U_T
+        if k == 0:
+            xk = self.X0
+        else:
+            xk = np.moveaxis(self.X if X is None else X, -1, 0)[k]
+        coef = self.U_coef[k]
+        u = coef[..., 1:] * xk
+        u += coef[..., :1]
+        return u
+
+    @property
+    def U(self) -> np.ndarray:
+        """The full path ([B,] M_c, P, N_t+1) in the layout of `path_array`,
+        built from `u(k)` on each access (uncached)."""
+        X = self.X
+        U = path_array(X.shape)
+        Ut = np.moveaxis(U, -1, 0)
+        for k in range(Ut.shape[0]):
+            Ut[k] = self.u(k, X)
+        return U
+
+
+@dataclass
 class SolveOutput:
     """One decoupled solve: the ensemble state, the inverted pair, and
     per-step regression diagnostics.  A stacked solve is one output whose
     arrays all carry the leading instance axis.
 
-    Of the pair inverse the solve keeps theta_H and, as the one particle
-    output path, gap_F = theta_F - U[..., :N]: the x-block of the operator
-    value, written by the sweep step by step.  `theta_F` is built from it on
-    each access, equal to the pair inverse up to rounding; readers that need
-    one step take `state.u(k) + gap_F[..., k]`.
+    Of the pair inverse the solve keeps theta_H and gap_F = theta_F -
+    U[..., :N]: the x-block of the operator value, written by the sweep step
+    by step into slabs 1..N of the forward buffer (see the module
+    docstring), so it is the one particle path a solve holds.  `theta_F` is
+    built from it on each access, equal to the pair inverse up to rounding;
+    readers that need one step take `state.u(k) + gap_F[..., k]`.
     """
 
     state: EnsembleState
@@ -476,7 +554,6 @@ def solve_backward(
     noise: NoiseBundle,
     basis: RegressionBasis,
     grid: TimeGrid,
-    compute_z: bool = True,
 ) -> SolveOutput:
     """Backward Euler sweep with per-step regressions.
 
@@ -487,6 +564,11 @@ def solve_backward(
     slices are set from (g, psi) exactly.  A stack (see the module
     docstring) takes one coefficient set and one grid per instance, and its
     instances must agree on whether sigma0 is zero.
+
+    The sweep consumes X: a forward path in the layout of `path_array` is
+    overwritten by gap_F from slab 1 on (other layouts are copied first).
+    The state rebuilds X from `control` and `noise`, so neither may be
+    changed in place while the state is read.
     """
     X, qf = forward
     slots, primeds, grids = _instances(control, primed, grid)
@@ -511,6 +593,9 @@ def solve_backward(
     # time-major views keep the per-step ([B,] M, P) slabs contiguous; they
     # copy only arrays laid out other than by `path_array`
     x = np.ascontiguousarray(np.moveaxis(X, -1, 0))  # (N+1, [B,] M, P)
+    # the sweep overwrites X with gap_F, so its finiteness is taken first
+    x_finite = np.isfinite(X.sum())
+    del X
     dB = np.ascontiguousarray(np.moveaxis(noise.dB, -1, 0))
     axt = np.ascontiguousarray(np.moveaxis(control.alpha_x, -1, 0))
     alpha_q = control.alpha_q
@@ -522,11 +607,9 @@ def solve_backward(
     U_T = np.empty((*lead, m, p))
     u_buf = np.empty((2, *lead, m, p))
     u_next = U_T
-    gap_F = path_array((*lead, m, p, n))
-    gap_t = np.moveaxis(gap_F, -1, 0)
-    # the two integrand components ride after N, still time-major
-    Z = np.moveaxis(np.empty((n, *lead, m, p, 2)), 0, -2) if compute_z else None
-    Zt = np.moveaxis(Z, -2, 0) if compute_z else None
+    # step k reads slab k of x and writes gap_F[..., k] into slab k+1, which
+    # no later step reads
+    gap_t = x[1:]
     phi = np.empty((*lead, m, n + 1))
     qb = np.empty((*lead, m, n + 1))
     Zphi = np.zeros((*lead, m, n))
@@ -594,7 +677,6 @@ def solve_backward(
         # carriers; the three scenario-level targets share S and are fitted
         # in one call
         u_resid = P.loo_residuals(u_next)
-        zw_k = 0.0
         if noisy:
             chi = (dW0k * dW0k - dt_m) / dt_m  # mean-zero given F_k
             resid = cv.loo_residuals()  # keep each scenario's own signal
@@ -605,7 +687,6 @@ def solve_backward(
             Zphi[..., k] = fit_z.fitted[..., 0]
             se_zphi[..., k] = np.sqrt(_mean(fit_z.residuals[..., 0] ** 2) * S.shape[-1] / m)
             Zq[..., k] = fit_z.fitted[..., 1]
-            zw_k = fit_z.fitted[..., 2:]
             coef_zw = fit_z.coef[..., 2]
 
         # (b) invert the pair map at the current (state, Zphi) along the
@@ -645,9 +726,6 @@ def solve_backward(
         zb_target = np.multiply(u_resid, dB[k], out=u_resid)
         zb_target /= dt_mp
         coef_zb = P.coef(zb_target)
-        if compute_z:
-            Zt[k][..., 0] = P(coef_zb)
-            Zt[k][..., 1] = zw_k
 
         # chi-square (Ito-level) fluctuations subtracted with the prior
         # curvature: E[dW^2 - dt | F_k] = 0 keeps the targets unbiased
@@ -675,12 +753,16 @@ def solve_backward(
         coef_carry = fit_carry.coef
         u_next = u_k
 
-    state = EnsembleState(X=X, U_coef=U_coef, U_T=U_T, qf=qf, qb=qb, phi=phi, Zphi=Zphi, Zq=Zq, Z=Z)
+    gap_F = np.moveaxis(gap_t, 0, -1)
     if not (
-        np.isfinite(gap_F.sum()) and np.isfinite(U_T.sum()) and np.isfinite(phi.sum())
-        and np.isfinite(qb.sum()) and np.isfinite(Zphi.sum()) and np.isfinite(X.sum())
+        x_finite and np.isfinite(gap_F.sum()) and np.isfinite(U_T.sum()) and np.isfinite(phi.sum())
+        and np.isfinite(qb.sum()) and np.isfinite(Zphi.sum())
     ):
         raise SimulationError("backward sweep produced non-finite values")
+    state = EnsembleState(
+        X0=x[0], U_coef=U_coef, U_T=U_T, qf=qf, qb=qb, phi=phi, Zphi=Zphi, Zq=Zq,
+        control=control, noise=noise, primed=primed, grid=grid,
+    )
     diagnostics = {"resid_u": resid_u, "resid_phi": resid_phi, "resid_qb": resid_qb, "se_zphi": se_zphi}
     return SolveOutput(state=state, gap_F=gap_F, theta_H=theta_H, diagnostics=diagnostics)
 
@@ -692,7 +774,6 @@ def decoupled_solve(
     init: InitialCondition,
     basis: RegressionBasis,
     grid: TimeGrid,
-    compute_z: bool = True,
 ) -> SolveOutput:
     """Forward pass then backward sweep for one frozen control, or for a
     stack of instances (see the module docstring).
@@ -704,4 +785,4 @@ def decoupled_solve(
     pass through both sweeps without a copy; other layouts are copied to it.
     """
     forward = simulate_forward(control, noise, primed, init, grid)
-    return solve_backward(forward, control, primed, noise, basis, grid, compute_z=compute_z)
+    return solve_backward(forward, control, primed, noise, basis, grid)

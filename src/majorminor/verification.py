@@ -303,11 +303,12 @@ def check_monotonicity_propagation(
     must satisfy E[V_s] >= 0 up to Monte Carlo error at every grid node.
     """
     s1, s2 = solve1.state, solve2.state
+    X1, X2 = s1.X, s2.X  # built on access: once, not per node
     n = grid.steps
     ev = np.zeros(n + 1)
     se = np.zeros(n + 1)
     for k in range(n + 1):
-        du_dx = (s1.u(k) - s2.u(k)) * (s1.X[:, :, k] - s2.X[:, :, k])
+        du_dx = (s1.u(k, X1) - s2.u(k, X2)) * (X1[:, :, k] - X2[:, :, k])
         pair = du_dx.mean(axis=1)
         dq = s1.qf[:, k] - s2.qf[:, k]
         quad = 0.5 * (dq * a * dq)
@@ -324,7 +325,7 @@ def check_monotonicity_propagation(
         passed=passed,
         margin=float(ev[worst]),
         se=float(se[worst]),
-        samples=s1.X.shape[0],
+        samples=s1.U_T.shape[0],
         seed=0,
         witness=None if passed else {"node": worst, "time": float(grid.nodes[worst])},
         extras={"ev": ev, "se": se},
@@ -436,13 +437,14 @@ def check_pontryagin_residual(
     check compares against the supplied discretization floor.
     """
     st = solve.state
+    X = st.X  # built on access: once, not per step
     n = grid.steps
     total = 0.0
     for k in range(n):
-        uk = st.u(k)
+        uk = st.u(k, X)
         theta_F = uk + solve.gap_F[:, :, k]
-        feats = conditional_features(st.X[:, :, k], theta_F)
-        grad = cs.grad_alpha_L(st.X[:, :, k], st.qf[:, k][:, None], theta_F, feats)
+        feats = conditional_features(X[:, :, k], theta_F)
+        grad = cs.grad_alpha_L(X[:, :, k], st.qf[:, k][:, None], theta_F, feats)
         diff = uk - grad
         total += float(np.mean(diff * diff))
     residual = math.sqrt(grid.dt * total)
@@ -452,7 +454,7 @@ def check_pontryagin_residual(
         passed=bool(passed),
         margin=tol_disc - residual,
         se=0.0,
-        samples=st.X.shape[0] * st.X.shape[1],
+        samples=st.U_T.shape[0] * st.U_T.shape[1],
         seed=0,
         witness=None if passed else {"residual": residual, "tol": tol_disc},
         extras={"residual": residual},

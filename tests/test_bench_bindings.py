@@ -54,6 +54,6 @@ def test_solve_info_reads_a_stacked_solve(monkeypatch):
         for s in (1, 2)
     ]
     stacked = solve_stacked(ops, [op.zero() for op in ops])
-    solo = decoupled_solve(ops[0].zero(), ops[0].primed, ops[0].noise, ops[0].init, ops[0].basis, ops[0].grid, compute_z=False)
+    solo = decoupled_solve(ops[0].zero(), ops[0].primed, ops[0].noise, ops[0].init, ops[0].basis, ops[0].grid)
     solve_info = load_spans(monkeypatch)._solve_info
     assert solve_info(stacked)["mb"] == pytest.approx(2 * solve_info(solo)["mb"])

@@ -499,11 +499,13 @@ def test_verify_tolerance_ignores_an_infinite_residual(tmp_path, capsys):
 
 def test_converge_peak_memory_is_that_of_its_finest_level(tmp_path):
     # numpy reports its buffers to tracemalloc.  The finest level (4x400x80)
-    # needs its noise, the oracle control and one solve's X and gap_F: four
-    # path arrays.  A solve that also held U and theta_F paths reads 6.1, one
-    # that kept the oracle's particle paths or a coarser level's arrays 8.3.
-    # An untraced run first imports numpy.random and fills Python's tuple free
-    # list, which no level holds and which would count 0.7 path arrays here.
+    # needs its noise, the oracle control and one solve's forward buffer,
+    # whose slabs hold X until the backward sweep writes gap_F over them:
+    # three path arrays, and the peak reads 3.32.  A solve that allocated
+    # gap_F beside X read 4.30, and one that also held U and theta_F paths
+    # about 6.1.  An untraced run first imports numpy.random and fills
+    # Python's tuple free list, which no level holds and which would count
+    # 0.7 path arrays here.
     config = parse_config({**FAST_LQ, "grid": {"steps": 20}, "ensemble": {"scenarios": 4, "particles": 100}})
     path_bytes = 8 * 4 * 400 * (80 + 1)
     assert run_converge(config, tmp_path / "untraced") == 0
@@ -513,12 +515,13 @@ def test_converge_peak_memory_is_that_of_its_finest_level(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.5 * path_bytes
+    assert peak < 3.5 * path_bytes
 
 
 def test_solve_holds_a_fixed_control_budget(tmp_path):
     # numpy reports its buffers to tracemalloc.  Besides the noise and the
-    # last solve's X, the probe scan holds the 4 probe values and at most two
+    # forward buffer of the solve that runs, the probe scan holds the 4 probe
+    # values (each the forward buffer of its own solve) and at most two
     # temporaries, and the extragradient loop its iterate, the oracle control
     # and one step's points.  A scan that held all 4 probe points and one
     # pair's two differences, with the oracle control built before the

@@ -29,6 +29,7 @@ from majorminor.solver import (
     regress_conditional,
     sample_initial,
     simulate_forward,
+    solve_backward,
 )
 
 CONE = LQParams(c1=1.0, c3=0.5, g1=1.0, b=1.0, p1=1.0)
@@ -208,7 +209,6 @@ def test_zero_model_solve_all_zero():
     assert np.allclose(out.state.U, 0.0)
     assert np.allclose(out.state.phi, 0.0)
     assert np.allclose(out.state.Zphi, 0.0, atol=1e-10)
-    assert np.allclose(out.state.Z, 0.0, atol=1e-10)
 
 
 def test_martingale_phi_recovers_forward_copy():
@@ -353,7 +353,7 @@ def test_decoupled_solve_independent_of_control_layout():
         decoupled_solve(c, primed, noise, init, RegressionBasis(), grid) for c in (c_order, time_major)
     )
     assert np.array_equal(a.theta_F, b.theta_F) and np.array_equal(a.theta_H, b.theta_H)
-    for name in ("X", "U", "qf", "qb", "phi", "Zphi", "Zq", "Z"):
+    for name in ("X", "U", "qf", "qb", "phi", "Zphi", "Zq"):
         assert np.array_equal(getattr(a.state, name), getattr(b.state, name)), name
 
 
@@ -434,7 +434,7 @@ def test_stacked_solve_is_bit_identical_to_solo_solves(size, start):
     ]
     stacked = solve_stacked(ops, controls)
     for i, (op, control) in enumerate(zip(ops, controls)):
-        solo = decoupled_solve(control, op.primed, op.noise, op.init, op.basis, op.grid, compute_z=False)
+        solo = decoupled_solve(control, op.primed, op.noise, op.init, op.basis, op.grid)
         for name in ("X", "U", "qf", "qb", "phi", "Zphi", "Zq"):
             assert np.array_equal(getattr(stacked.state, name)[i], getattr(solo.state, name)), name
         assert np.array_equal(stacked.theta_F[i], solo.theta_F) and np.array_equal(stacked.theta_H[i], solo.theta_H)
@@ -489,3 +489,49 @@ def test_U_path_is_the_slabs_u_k_and_the_terminal_slab(stack):
     # theta_F = U + gap_F is the pair inverse, on the LQ cone the control
     # itself, up to rounding
     np.testing.assert_allclose(solve.theta_F, alpha_x, rtol=0, atol=1e-13 * np.abs(U).max())
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["solo", "stacked"])
+def test_state_X_is_the_forward_pass_run_again(stack):
+    ops = stack_operators(4, 16, 5, False)
+    controls = [op.random_control(np.random.default_rng(i), 0.5) for i, op in enumerate(ops)]
+    if stack:
+        solve = solve_stacked(ops, controls)
+    else:
+        op, control = ops[0], controls[0]
+        solve = decoupled_solve(control, op.primed, op.noise, op.init, op.basis, op.grid)
+    st = solve.state
+    X = st.X
+    for i, (op, control) in enumerate(zip(ops, controls if stack else controls[:1])):
+        forward, _ = simulate_forward(control, op.noise, op.primed, op.init, op.grid)
+        assert np.array_equal(X[i] if stack else X, forward)
+    assert np.array_equal(st.X0, X[..., 0])
+    for k in range(ops[0].grid.steps + 1):
+        assert np.array_equal(st.u(k), st.u(k, X)), k
+
+
+def test_the_sweep_writes_gap_F_over_the_forward_path_it_is_given():
+    grid, noise, primed, init = make_setup()
+    op = FbsdeOperator(primed, grid, noise, init, RegressionBasis())
+    control = op.random_control(np.random.default_rng(3), 0.5)
+    forward = simulate_forward(control, noise, primed, init, grid)
+    X = forward[0]
+    X_before = X.copy()
+    solve = solve_backward(forward, control, primed, noise, RegressionBasis(), grid)
+    # one particle output path: gap_F is slabs 1..N of X, and the state
+    # keeps slab 0 of it
+    assert np.shares_memory(solve.gap_F, X) and np.shares_memory(solve.state.X0, X)
+    assert np.array_equal(X[:, :, 1:], solve.gap_F)
+    assert np.array_equal(solve.state.X, X_before)
+    assert np.array_equal(op.solve(control).gap_F, solve.gap_F)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the forward pass overflows on purpose
+def test_a_finite_control_that_overflows_X_raises():
+    grid, noise, primed, init = make_setup(horizon=10.0)
+    alpha_x = np.zeros((4, 16, 5))
+    alpha_x[0, 0, 0] = -1e308  # times dt = 2
+    control = ControlField(alpha_x, np.zeros((4, 5)))
+    assert not np.isfinite(simulate_forward(control, noise, primed, init, grid)[0]).all()
+    with pytest.raises(SimulationError, match="backward sweep produced non-finite values"):
+        decoupled_solve(control, primed, noise, init, RegressionBasis(), grid)
