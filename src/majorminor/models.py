@@ -12,13 +12,23 @@ vectorized evaluation:
 
 Measure dependence is restricted to the declared moments, the scenario means
 of X and U: exact for the shipped linear-quadratic family, and O(P) to evaluate.
+
+The maps read only their arguments: `theta(X, p, z, alpha_x, alpha_q)` takes
+no coefficient set, and the z clamp is a wrapper that `clamp_coefficients`
+puts around theta as around F, G, Hz and LH.  So two instances whose maps are
+the same objects compute the same function, whatever their constants, and
+the backward sweep calls such maps once for all of them.  `make_lq_model`
+returns the same map objects for equal `LQParams` (and an infinite clamp),
+and `make_zero_model` the same ones every time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -66,8 +76,9 @@ class ModelConstants:
 class CoefficientSet:
     """The coefficient tuple of one major-minor instance.
 
-    The z clamp level is `constants.clamp_m`.  `theta` is the closed-form
-    inverse of the pair map (U, qb) -> (F', DzH') at frozen (X, qf, z).
+    The z clamp level is `constants.clamp_m`.  `theta(X, p, z, alpha_x,
+    alpha_q)` is the closed-form inverse of the pair map (U, qb) -> (F',
+    DzH') at frozen (X, qf, z).
     `grad_alpha_L` exposes the control-gradient of the minor Lagrangian for
     optimality-residual checks.
     """
@@ -86,7 +97,7 @@ class CoefficientSet:
 
 
 def clamp_coefficients(cs: CoefficientSet, level: float) -> CoefficientSet:
-    """Truncate the z argument of (F, G, Hz, LH) at `level` componentwise.
+    """Truncate the z argument of (F, G, Hz, LH, theta) at `level` componentwise.
 
     Identity for an infinite level; the returned set agrees with the input
     wherever |z| <= level and is globally Lipschitz in z afterwards.
@@ -95,7 +106,7 @@ def clamp_coefficients(cs: CoefficientSet, level: float) -> CoefficientSet:
         raise ConfigurationError([f"clamp level must be positive, got {level}"])
     if math.isinf(level):
         return cs
-    F, G, Hz, LH = cs.F, cs.G, cs.Hz, cs.LH
+    F, G, Hz, LH, theta = cs.F, cs.G, cs.Hz, cs.LH, cs.theta
 
     def clip(z):
         return np.clip(z, -level, level)
@@ -106,6 +117,7 @@ def clamp_coefficients(cs: CoefficientSet, level: float) -> CoefficientSet:
         G=lambda x, q, u, z, f: G(x, q, u, clip(z), f),
         Hz=lambda q, z, f: Hz(q, clip(z), f),
         LH=lambda q, z, f: LH(q, clip(z), f),
+        theta=lambda X, p, z, ax, aq: theta(X, p, clip(z), ax, aq),
         constants=replace(cs.constants, clamp_m=float(level)),
     )
 
@@ -161,8 +173,7 @@ def theta_inverse(
     Returns (U, qb) with F' = alpha_x and DzH' = alpha_q, by the model's
     closed form.
     """
-    base = primed.base
-    return base.theta(base, X, p, z, alpha_x, alpha_q)
+    return primed.base.theta(X, p, z, alpha_x, alpha_q)
 
 
 # ---------------------------------------------------------------------------
@@ -199,30 +210,11 @@ class LQParams:
     p2: float = 0.0
 
 
-def _make_lq_theta(b: float):
-    # theta_F: grad_alpha L = alpha is self-inverse.  theta_H solves
-    # b*(p+qb)/2 + clamp(z) = alpha_q; the b = 0 family is degenerate in q
-    # and returns the forward copy.
-    def theta(base, X, p, z, alpha_x, alpha_q):
-        clamp_m = base.constants.clamp_m
-        zc = z if math.isinf(clamp_m) else np.clip(z, -clamp_m, clamp_m)
-        if b == 0.0:
-            qb = np.array(np.broadcast_to(p, np.broadcast_shapes(p.shape, alpha_q.shape)), copy=True)
-        else:
-            qb = 2.0 * (alpha_q - zc) / b - p
-        return np.array(alpha_x, copy=True), qb
-
-    return theta
-
-
-def make_lq_model(
-    params: LQParams, constants: ModelConstants, region_radius: float = 3.0
-) -> CoefficientSet:
-    """Coefficient set of the linear-quadratic family.
-
-    `region_radius` bounds the state region used for the declared Lipschitz
-    constant (quadratic costs are only locally Lipschitz).
-    """
+@functools.cache
+def _lq_maps(params: LQParams) -> Mapping[str, Callable]:
+    """The maps of the LQ family at `params`, built once per distinct params
+    (frozen, so hashable; the cache holds one entry per params in use):
+    equal params share the map objects."""
     c1, c2, c3 = params.c1, params.c2, params.c3
     g1, g2, b = params.g1, params.g2, params.b
     r1, r2, p1, p2 = params.r1, params.r2, params.p1, params.p2
@@ -231,7 +223,12 @@ def make_lq_model(
         return u + 0.0 * q  # broadcast against the scenario axis
 
     def G(x, q, u, z, f):
-        return c1 * x + c2 * q + c3 * (x - f.mean_x)
+        # c1*x + c2*q + c3*(x - mean_x), summed left to right in place
+        out = c1 * x + c2 * q
+        spread = x - f.mean_x
+        spread *= c3
+        out += spread
+        return out
 
     def Hz(q, z, f):
         return b * q + z
@@ -245,6 +242,34 @@ def make_lq_model(
     def psi(q, f):
         return 0.5 * p1 * (q * q) + p2 * (q * f.mean_x)
 
+    # theta_F: grad_alpha L = alpha is self-inverse.  theta_H solves
+    # b*(p+qb)/2 + z = alpha_q; the b = 0 family is degenerate in q and
+    # returns the forward copy.
+    def theta(X, p, z, alpha_x, alpha_q):
+        if b == 0.0:
+            qb = np.array(np.broadcast_to(p, np.broadcast_shapes(p.shape, alpha_q.shape)), copy=True)
+        else:
+            qb = 2.0 * (alpha_q - z) / b - p
+        return np.array(alpha_x, copy=True), qb
+
+    return MappingProxyType({
+        "F": F, "G": G, "Hz": Hz, "LH": LH, "g": g, "psi": psi, "theta": theta,
+        "omega": lambda m: float(m), "grad_alpha_L": lambda x, q, a, f: a,
+    })
+
+
+def make_lq_model(
+    params: LQParams, constants: ModelConstants, region_radius: float = 3.0
+) -> CoefficientSet:
+    """Coefficient set of the linear-quadratic family.
+
+    `region_radius` bounds the state region used for the declared Lipschitz
+    constant (quadratic costs are only locally Lipschitz).  Equal params give
+    the same map objects; a finite `constants.clamp_m` wraps them anew.
+    """
+    c1, c2, c3 = params.c1, params.c2, params.c3
+    g1, g2, b = params.g1, params.g2, params.b
+    r1, r2, p1, p2 = params.r1, params.r2, params.p1, params.p2
     R = float(region_radius)
     c_coef = max(
         1.0,
@@ -257,27 +282,15 @@ def make_lq_model(
         (abs(r1) + abs(r2)) * R,
         (abs(p1) + abs(p2)) * R,
     )
-    cs = CoefficientSet(
-        F=F,
-        G=G,
-        Hz=Hz,
-        LH=LH,
-        g=g,
-        psi=psi,
-        constants=constants,
-        c_coef=c_coef,
-        omega=lambda m: float(m),
-        theta=_make_lq_theta(b),
-        grad_alpha_L=lambda x, q, a, f: a,
-    )
+    cs = CoefficientSet(constants=constants, c_coef=c_coef, **_lq_maps(params))
     if math.isfinite(constants.clamp_m):
         cs = clamp_coefficients(cs, constants.clamp_m)
     return cs
 
 
-def make_zero_model(constants: ModelConstants | None = None) -> CoefficientSet:
-    """All coefficients identically zero; theta of a zero target is zero."""
-    constants = constants or ModelConstants(sigma=0.0, sigma0=0.0)
+@functools.cache
+def _zero_maps() -> Mapping[str, Callable]:
+    """The maps of the zero model, built once: every zero model shares them."""
 
     def zero_particle(x, q, u, z, f):
         return np.zeros(np.broadcast_shapes(x.shape, u.shape))
@@ -285,24 +298,22 @@ def make_zero_model(constants: ModelConstants | None = None) -> CoefficientSet:
     def zero_scen(q, z, f):
         return np.zeros_like(q)
 
-    def theta(base, X, p, z, ax, aq):
+    def theta(X, p, z, ax, aq):
         # The pair map vanishes identically; only the zero target is
         # invertible and it maps to (0, qf).
         return np.array(ax, copy=True), np.array(np.broadcast_to(p, p.shape), copy=True)
 
-    return CoefficientSet(
-        F=zero_particle,
-        G=zero_particle,
-        Hz=zero_scen,
-        LH=zero_scen,
-        g=lambda x, q, f: np.zeros_like(x),
-        psi=lambda q, f: np.zeros_like(q),
-        constants=constants,
-        c_coef=0.0,
-        omega=lambda m: 0.0,
-        theta=theta,
-        grad_alpha_L=lambda x, q, a, f: a,
-    )
+    return MappingProxyType({
+        "F": zero_particle, "G": zero_particle, "Hz": zero_scen, "LH": zero_scen,
+        "g": lambda x, q, f: np.zeros_like(x), "psi": lambda q, f: np.zeros_like(q), "theta": theta,
+        "omega": lambda m: 0.0, "grad_alpha_L": lambda x, q, a, f: a,
+    })
+
+
+def make_zero_model(constants: ModelConstants | None = None) -> CoefficientSet:
+    """All coefficients identically zero; theta of a zero target is zero."""
+    constants = constants or ModelConstants(sigma=0.0, sigma0=0.0)
+    return CoefficientSet(constants=constants, c_coef=0.0, **_zero_maps())
 
 
 # ---------------------------------------------------------------------------

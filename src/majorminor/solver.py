@@ -37,11 +37,14 @@ of the U target with the minor-integrand target) share the affine design
 [1, x] of one step, so `AffineDesign` solves them in closed form
 from per-scenario sums on (M, P) slabs, with the ridge, the leverage clip
 and the rank check of `regress_conditional`.  Everything of a step that
-depends on the forward pass only (the scenario means of X and of the
-control, the scenario designs, the sums of x and x^2, and the cross-scenario
-normal equations with their leverage, set up by `NormalEquations`) is
-computed for all steps before the sweep, in O(N M k) memory, so a step only
-solves its normal equations; nothing particle-sized is kept across steps.
+depends on the forward pass and the noise only (the scenario means of X and
+of the control, the scenario designs, the sums of x and x^2, the
+within-scenario normal equations of `AffineDesign`, the cross-scenario ones
+with their leverage, set up by `NormalEquations`, and the chi-square terms
+of dW0) is computed for all steps before the sweep, in O(N M k) memory, so
+a step only solves its normal equations; nothing particle-sized is kept
+across steps.  The fits' residuals are kept per step and reduced to the
+diagnostics after the sweep.
 
 Outputs.  A solve holds one particle path, the forward buffer: the sweep
 reads X_k once, at step k, and then writes gap_F[..., k] = theta_F - U[...,
@@ -62,11 +65,17 @@ Particle path arrays of a stack keep the time-major storage of `path_array`,
 (N, B, M, P), so each step's slab of the whole stack is contiguous; dt,
 sigma, sigma0 and the discount become per-instance arrays that broadcast
 against it.  The cross-scenario fits and `AffineDesign` run on the whole
-stack; the model callbacks, `theta_inverse` and `conditional_features` are
-called once per instance on its own (M, P) slab, so the model API is that of
-one instance.  A single instance is the case without the leading axis, and
-per instance a stacked solve gives the same bits as a solo one.  The
-instances of a stack must agree on whether sigma0 is zero.
+stack.  The model maps (g and psi at the terminal, then per step
+`theta_inverse`, Gp, LHp and Hzp) are called once for each group of
+instances whose maps are the same objects (see `models`: such maps compute
+the same function), on the group's scenarios laid side by side as one
+(G M, P) slab: a reshape of the step's slab, with no copy, when one group
+covers the stack, as it does for the cells of one model.  So the model API
+is still that of one instance, with more scenarios; a stack of different
+models runs the same code, with groups of one.  A single instance is the
+case without the leading axis, and per instance a stacked solve gives the
+same bits as a solo one.  The instances of a stack must agree on whether
+sigma0 is zero.
 """
 
 from __future__ import annotations
@@ -76,7 +85,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import ControlField, conditional_features
+from .ensembles import ControlField, ScenarioFeatures, conditional_features
 from .errors import ConfigurationError, ContractError, RegressionError, SimulationError
 from .grids import _STREAM_INIT_Q, _STREAM_INIT_X, NoiseBundle, TimeGrid, _scenario_generator, path_array
 from .models import PrimedCoefficientSet, theta_inverse
@@ -149,6 +158,16 @@ def _scenario_q_derivatives(coef: np.ndarray, q: np.ndarray, mean_x: np.ndarray,
     return grad, 2.0 * coef[..., 4, :]
 
 
+def _time_major(a: np.ndarray) -> np.ndarray:
+    """np.moveaxis(a, -1, 0), the same view without its per-call overhead."""
+    return a.transpose(a.ndim - 1, *range(a.ndim - 1))
+
+
+def _time_last(a: np.ndarray) -> np.ndarray:
+    """np.moveaxis(a, 0, -1), the same view without its per-call overhead."""
+    return a.transpose(*range(1, a.ndim), 0)
+
+
 def _mean(a: np.ndarray) -> np.ndarray:
     """np.mean over the last axis, without its per-call overhead (same bits)."""
     return np.add.reduce(a, axis=-1) / a.shape[-1]
@@ -205,20 +224,23 @@ class NormalEquations:
             self._leverage = np.clip(h, 0.0, 0.8)
         return self._leverage
 
-    def fit(self, targets: np.ndarray, index: tuple = ()) -> "FittedRegression":
-        """Fit of targets on the design at `index`, a tuple of leading
-        indices (all of them by default): targets (..., n), or (..., n, r)
-        for r targets that share the design, solved in one call."""
-        design = self.design[index]
-        y = np.asarray(targets, dtype=float)
-        squeeze = y.ndim < design.ndim
-        if squeeze:
-            y = y[..., None]
+    def coef(self, y: np.ndarray, index: tuple = ()) -> np.ndarray:
+        """Coefficients (..., k, r) of the fit of y (..., n, r) on the
+        design at `index`, a tuple of leading indices (all of them by
+        default)."""
         try:
-            coef = np.linalg.solve(self.gram[index], self.design_t[index] @ y)
+            return np.linalg.solve(self.gram[index], self.design_t[index] @ y)
         except np.linalg.LinAlgError as exc:
             raise RegressionError(f"singular normal equations: {exc}") from exc
-        return FittedRegression(self, index, coef, y, squeeze)
+
+    def fit(self, targets: np.ndarray, index: tuple = ()) -> "FittedRegression":
+        """Fit of targets on the design at `index`: targets (..., n), or
+        (..., n, r) for r targets that share the design, solved in one call."""
+        y = np.asarray(targets, dtype=float)
+        squeeze = y.ndim < self.design[index].ndim
+        if squeeze:
+            y = y[..., None]
+        return FittedRegression(self, index, self.coef(y, index), y, squeeze)
 
 
 class FittedRegression:
@@ -266,15 +288,19 @@ class AffineDesign:
     in closed form from per-scenario sums.
 
     x: (..., n), one fit per leading index (a scenario's particles along n).
-    The sums over n of x and x^2 may be passed in when the caller has them
-    for many steps at once.  Everything else follows `regress_conditional` on
-    the same design: the ridge lam = ridge * (n + sum x^2) / 2 is relative to
-    the trace of the normal equations, leverage is clipped at 0.8, and with
-    zero ridge a rank-deficient fit (n < 2, or x constant to rounding, by the
-    tolerance of `np.linalg.matrix_rank` with the trace for the largest
-    singular value) raises a regression error.  On 2-D slabs this makes a
-    few passes over x and y where the generic routine loops over a
-    (..., n, 2) design.
+    The sums over n of x and x^2 may be passed in when the caller has them.
+    The backward sweep sets the design up once per sweep, on the slabs
+    (N, [B,] M, P) of all its steps, and each fit takes a step index, as
+    `NormalEquations.fit(targets, (k,))` does: `index` is a tuple of leading
+    indices (all of them by default), and y has the shape of x[index], or
+    further leading axes for fits that share the design.
+    Everything else follows `regress_conditional` on the same design: the
+    ridge lam = ridge * (n + sum x^2) / 2 is relative to the trace of the
+    normal equations, leverage is clipped at 0.8, and with zero ridge a
+    rank-deficient fit (n < 2, or x constant to rounding, by the tolerance of
+    `np.linalg.matrix_rank` with the trace for the largest singular value)
+    raises a regression error.  On 2-D slabs this makes a few passes over x
+    and y where the generic routine loops over a (..., n, 2) design.
     """
 
     def __init__(
@@ -291,38 +317,44 @@ class AffineDesign:
                 raise RegressionError("rank-deficient normal equations without ridge")
         lam = 0.5 * ridge * trace
         self.x = x
-        # the ridged normal equations [[g00, g01], [g01, g11]] and their determinant
-        self._g00 = n + lam
-        self._g01 = sum_x
-        self._g11 = sum_xx + lam
-        self._det = self._g00 * self._g11 - sum_x * sum_x
+        # the ridged normal equations [[g00, g01], [g01, g11]] and their
+        # determinant, each with a trailing axis that broadcasts against
+        # (..., n) and (..., 2); (g11, g00) lead the numerators of the two
+        # coefficients
+        g00, g11 = n + lam, sum_xx + lam
+        det = g00 * g11 - sum_x * sum_x
+        self._g00, self._g01, self._g11, self._det = (np.asarray(a)[..., None] for a in (g00, sum_x, g11, det))
+        self._lead = np.stack([g11, g00], axis=-1)
 
-    def coef(self, y: np.ndarray) -> np.ndarray:
-        """Coefficients (..., 2) of the fit of y (..., n)."""
-        sum_y = y.sum(axis=-1)
-        sum_xy = np.einsum("...n,...n->...", self.x, y)
-        coef = np.empty(sum_y.shape + (2,))
-        coef[..., 0] = (self._g11 * sum_y - self._g01 * sum_xy) / self._det
-        coef[..., 1] = (self._g00 * sum_xy - self._g01 * sum_y) / self._det
+    def coef(self, y: np.ndarray, index: tuple = ()) -> np.ndarray:
+        """Coefficients of the fit of y, one pair (intercept, slope) per fit:
+        (g11 sum_y - g01 sum_xy, g00 sum_xy - g01 sum_y) / det."""
+        sums = np.empty(y.shape[:-1] + (2,))
+        np.add.reduce(y, axis=-1, out=sums[..., 0])
+        np.einsum("...n,...n->...", self.x[index], y, out=sums[..., 1])
+        coef = self._lead[index] * sums
+        coef -= self._g01[index] * sums[..., ::-1]
+        coef /= self._det[index]
         return coef
 
-    def __call__(self, coef: np.ndarray) -> np.ndarray:
-        """Fitted values (..., n) of coefficients (..., 2)."""
-        fitted = coef[..., 1:] * self.x
+    def __call__(self, coef: np.ndarray, index: tuple = ()) -> np.ndarray:
+        """Fitted values of coefficients (..., 2)."""
+        fitted = coef[..., 1:] * self.x[index]
         fitted += coef[..., :1]
         return fitted
 
-    def loo_residuals(self, y: np.ndarray) -> np.ndarray:
+    def loo_residuals(self, y: np.ndarray, index: tuple = ()) -> np.ndarray:
         """Leave-one-out residuals e/(1-h) of the fit of y, as in
         `FittedRegression.loo_residuals`; h is clipped at 0.8."""
+        x = self.x[index]
         # h = (g11 - 2 g01 x + g00 x^2) / det, by Horner in one buffer
-        h = self._g00[..., None] * self.x
-        h -= 2.0 * self._g01[..., None]
-        h *= self.x
-        h += self._g11[..., None]
-        h /= self._det[..., None]
+        h = self._g00[index] * x
+        h -= 2.0 * self._g01[index]
+        h *= x
+        h += self._g11[index]
+        h /= self._det[index]
         np.clip(h, 0.0, 0.8, out=h)
-        resid = y - self(self.coef(y))
+        resid = y - self(self.coef(y, index), index)
         resid /= 1.0 - h
         return resid
 
@@ -381,6 +413,14 @@ def _per_instance(values: list[float], stacked: bool):
     return col, col[:, :, None]
 
 
+def _per_column(columns: list[list[float]], stacked: bool) -> np.ndarray:
+    """Per-instance factors of c scenario columns, one list per column,
+    shaped to broadcast against ([B,] M, c): (c,) for one instance, (B, 1, c)
+    for a stack."""
+    a = np.array(columns, dtype=float).T
+    return a[:, None, :] if stacked else a[0]
+
+
 def simulate_forward(
     control: ControlField,
     noise: NoiseBundle,
@@ -414,12 +454,12 @@ def simulate_forward(
     # no state feedback in the drift, so the Euler recursion is a running
     # sum of the increments, accumulated in place and shifted by X0 at the end
     X = path_array((*lead, m, p, n + 1))
-    Xt = np.moveaxis(X, -1, 0)
+    Xt = _time_major(X)
     qf = np.empty((*lead, m, n + 1))
     Xt[0] = init.X0
     qf[..., 0] = init.q0
-    axt = np.moveaxis(control.alpha_x, -1, 0)
-    np.multiply(np.moveaxis(noise.dB, -1, 0), sx, out=Xt[1:])
+    axt = _time_major(control.alpha_x)
+    np.multiply(_time_major(noise.dB), sx, out=Xt[1:])
     for k in range(n):
         Xt[k + 1] -= dt * axt[k]
         if k:
@@ -431,13 +471,17 @@ def simulate_forward(
 
 
 def _validate_control(control: ControlField) -> None:
+    """Raise at the first step whose control has a non-finite entry.  A
+    finite sum is the fast path; a sum that overflows on finite entries
+    passes, and the forward pass and the sweep report the overflow."""
     if np.isfinite(control.alpha_x.sum()) and np.isfinite(control.alpha_q.sum()):
         return
     n = control.alpha_q.shape[-1]
     finite = np.isfinite(control.alpha_x).reshape(-1, n).all(axis=0)
     finite &= np.isfinite(control.alpha_q).reshape(-1, n).all(axis=0)
     bad = np.nonzero(~finite)[0]
-    raise SimulationError("non-finite drift", step=int(bad[0]) if bad.size else None)
+    if bad.size:
+        raise SimulationError("non-finite drift", step=int(bad[0]))
 
 
 @dataclass
@@ -537,14 +581,32 @@ class SolveOutput:
         return self.state.U[..., :-1] + self.gap_F
 
 
-def _model_calls(primed: PrimedCoefficientSet, x, q, z, alpha_x, alpha_q):
-    """The model calls of one backward step for one instance on its own
-    (M, P) slab: the pair inverse at the control, then Gp, LHp and Hzp at it."""
+def _model_calls(primed: PrimedCoefficientSet, x, q, z, alpha_x, alpha_q, mean_x):
+    """The model calls of one backward step on an (M, P) slab, which may
+    hold the scenarios of many instances side by side: the pair inverse at
+    the control, then Gp, LHp and Hzp at it.  mean_x (M, 1) is the scenario
+    mean of x, which the sweep has for every step."""
     thF, thH = theta_inverse(primed, x, q, z, alpha_x, alpha_q)
-    feats = conditional_features(x, thF)
+    # the features of `conditional_features(x, thF)`, from the mean the sweep has
+    feats = ScenarioFeatures(mean_x=mean_x, mean_u=np.add.reduce(thF, axis=1, keepdims=True) / thF.shape[1])
     return (
         thF, thH, primed.Gp(x, q, thH, thF, z, feats), primed.LHp(q, thH, z, feats), primed.Hzp(q, thH, z, feats)
     )
+
+
+def _map_groups(primeds: list[PrimedCoefficientSet]) -> list:
+    """The instances of a stack grouped by the identity of the maps the
+    sweep calls (theta, G, LH, Hz, g, psi): per group, the coefficient set
+    to call and the instance indices, None where one group covers the
+    stack.  Maps read only their arguments (see `models`), so the maps of
+    one group compute one function for all of its instances."""
+    groups: dict = {}
+    for i, pr in enumerate(primeds):
+        b = pr.base
+        groups.setdefault((b.theta, b.G, b.LH, b.Hz, b.g, b.psi), (pr, []))[1].append(i)
+    if len(groups) == 1:
+        return [(primeds[0], None)]
+    return list(groups.values())
 
 
 def solve_backward(
@@ -581,8 +643,10 @@ def solve_backward(
     noisy = noisy.pop()
     n = n1 - 1
     stacked = bool(lead)
-    dt_m, dt_mp = _per_instance([g.dt for g in grids], stacked)
-    sq, _ = _per_instance([math.sqrt(2.0 * pr.constants.sigma0) for pr in primeds], stacked)
+    dts = [g.dt for g in grids]
+    sqs = [math.sqrt(2.0 * pr.constants.sigma0) for pr in primeds]
+    dt_m, dt_mp = _per_instance(dts, stacked)
+    sq, _ = _per_instance(sqs, stacked)
     sigma0, _ = _per_instance([pr.constants.sigma0 for pr in primeds], stacked)
     lam, _ = _per_instance([pr.constants.discount for pr in primeds], stacked)
     ridge = basis.ridge
@@ -592,14 +656,16 @@ def solve_backward(
 
     # time-major views keep the per-step ([B,] M, P) slabs contiguous; they
     # copy only arrays laid out other than by `path_array`
-    x = np.ascontiguousarray(np.moveaxis(X, -1, 0))  # (N+1, [B,] M, P)
+    x = np.ascontiguousarray(_time_major(X))  # (N+1, [B,] M, P)
     # the sweep overwrites X with gap_F, so its finiteness is taken first
     x_finite = np.isfinite(X.sum())
     del X
-    dB = np.ascontiguousarray(np.moveaxis(noise.dB, -1, 0))
-    axt = np.ascontiguousarray(np.moveaxis(control.alpha_x, -1, 0))
-    alpha_q = control.alpha_q
-    dW0 = noise.dW0
+    dB = np.ascontiguousarray(_time_major(noise.dB))
+    axt = np.ascontiguousarray(_time_major(control.alpha_x))
+    # scenario paths, time-major too: (N, [B,] M)
+    aqt = np.ascontiguousarray(_time_major(control.alpha_q))
+    dW0 = np.ascontiguousarray(_time_major(noise.dW0))
+    q_steps = np.ascontiguousarray(_time_major(qf[..., :n]))
 
     # U is kept as its per-step affine coefficients and the terminal slab;
     # the sweep carries u_{k+1} in one of two alternating slab buffers
@@ -618,32 +684,72 @@ def solve_backward(
 
     # step geometry: everything that depends on the forward pass only, for
     # all steps at once; O(N M k) memory, no (N, M, P) temporaries.  The
-    # cross-scenario normal equations are set up here too, so each step only
-    # solves them.
+    # cross-scenario normal equations and the within-scenario design are set
+    # up here too, so each step only solves them.
     sum_x = x[:n].sum(axis=-1)  # (N, [B,] M)
     sum_xx = np.einsum("...p,...p->...", x[:n], x[:n])
-    q_steps = np.moveaxis(qf[..., :n], -1, 0)  # (N, [B,] M)
     mean_x = sum_x / p
-    mean_a = axt.mean(axis=-1)
+    mean_a = _mean(axt)
     S = basis.scenario_design(q_steps, mean_x, mean_a)  # (N, [B,] M, k)
     eq_s = NormalEquations(S, ridge)
     eq_cv = NormalEquations(basis.scenario_design(q_steps, mean_x, mean_a, quadratic=True), ridge) if enrich_cv else eq_s
+    P = AffineDesign(x[:n], ridge, sum_x, sum_xx)
+    # the step terms that the recursion does not change: the chi-square
+    # fluctuation dW0^2 - dt, its weight in the value targets, and the
+    # leave-one-out divisor of the carrier fits
+    chi_abs = dW0 * dW0 - dt_m
+    chi = chi_abs / dt_m  # mean-zero given F_k
+    curv = 0.5 * (2.0 * sigma0) * chi_abs
+    loo_cv = (1.0 - eq_cv.leverage())[..., None] if noisy else None
+    # per-instance factors of the two scenario columns (phi, qb), shaped to
+    # broadcast against ([B,] M, 2): the divisors of the integrand targets,
+    # and the factors of the q-gradient that give the integrand priors
+    z_scale = _per_column([[s * d for s, d in zip(sqs, dts)], dts], stacked)
+    grad_scale = _per_column([[1.0] * len(sqs), sqs], stacked)
 
-    for s, pr in zip(slots, primeds):
-        feats_T = conditional_features(x[n][s])
-        qf_T = qf[s][:, n][:, None]
-        U_T[s] = pr.g(x[n][s], qf_T, feats_T)
-        phi[s][:, n] = pr.psi(qf_T, feats_T)[:, 0]
+    # the model maps: one call per group of instances that share them, on
+    # the group's scenarios laid side by side
+    groups = _map_groups(primeds) if stacked else [(primed, None)]
+
+    def side(a: np.ndarray, ix) -> np.ndarray:
+        """A group's ([B,] M, ...) slab as one (G M, ...) slab: a view of a
+        contiguous slab when the group covers the stack."""
+        if not stacked:
+            return a
+        return (a if ix is None else a[ix]).reshape(-1, *a.shape[2:])
+
+    def put(out: np.ndarray, ix, a: np.ndarray) -> None:
+        """Write a group's (G M, ...) result into its instances of out."""
+        if ix is None:
+            out[...] = a.reshape(out.shape)
+        else:
+            out[ix] = a.reshape(len(ix), *out.shape[1:])
+
+    for pr, ix in groups:
+        x_T, qf_T = side(x[n], ix), side(qf[..., n][..., None], ix)
+        feats_T = conditional_features(x_T)
+        put(U_T, ix, pr.g(x_T, qf_T, feats_T))
+        put(phi[..., n], ix, pr.psi(qf_T, feats_T))
     qb[..., n] = qf[..., n]
 
     # scenario carrier: quadratic-basis fits of phi and qb used as
     # regression targets, stacked as columns ([B,] M, 2)
     carry = _columns(phi[..., n], qb[..., n])
 
-    resid_u = np.zeros((*lead, n))
-    resid_phi = np.zeros((*lead, n))
-    resid_qb = np.zeros((*lead, n))
-    se_zphi = np.zeros((*lead, n))
+    # step buffers: the three integrand targets; the U target and the
+    # minor-integrand target, which share P and are fitted in one call; the
+    # drivers and the targets of (phi, qb)
+    z_targets = np.empty((*lead, m, 3))
+    zt_scen = z_targets[..., :2]
+    fit_buf = np.empty((2, *lead, m, p))
+    target_u, zb_target = fit_buf
+    drv = np.empty((*lead, m, 2))
+    targets = np.empty((*lead, m, 2))
+    # squared norms of the U-fit residuals and the residuals of the value
+    # fits and of the Zphi fit, reduced to the diagnostics after the sweep
+    sq_resid_u = np.empty((n, len(slots)))
+    resid_v = np.empty((n, *lead, m, 2))
+    resid_z = np.zeros((n, *lead, m))
     # Control-variate priors must be adapted: they are step-(k+1) fitted
     # FUNCTIONS evaluated at step-k features.  Using step-(k+1) VALUES would
     # leak the step-k increment through the features and bias the values by
@@ -656,48 +762,59 @@ def solve_backward(
     coef_zb = None  # ([B,] M, 2) particle coefficients of the minor integrand
 
     for k in range(n - 1, -1, -1):
-        qfk = qf[..., k]
-        dW0k = dW0[..., k]
-        P = AffineDesign(x[k], ridge, sum_x[k], sum_xx[k])
+        dW0k = dW0[k]
+        idx = (k,)
 
         # carrier fits at step-k features, needed both for the Z residuals
         # and (via their q-gradients) as integrand priors
-        cv = eq_cv.fit(carry, (k,))
+        if noisy or coef_carry is None:
+            coef_cv = eq_cv.coef(carry, idx)
         if coef_carry is None:
             # first backward step: bootstrap the prior from the same-step
             # carrier fit (one O(features/M) in-sample leak, then clean)
-            coef_carry = cv.coef
+            coef_carry = coef_cv
         grad, hess = _scenario_q_derivatives(coef_carry, q_steps[k], mean_x[k], mean_a[k])
-        pred_zphi = grad[..., 0]
-        pred_zq = sq * grad[..., 1]
+        # the priors of Zphi and Zq, as columns: grad_phi and sq * grad_qb
+        pred_z = grad * grad_scale
         pred_zw = (S[k] @ coef_zw[..., None])[..., 0] if coef_zw is not None else 0.0
-        pred_zb = P(coef_zb) if coef_zb is not None else 0.0
 
         # (a) martingale integrands at k from the next U and the next scenario
         # carriers; the three scenario-level targets share S and are fitted
         # in one call
-        u_resid = P.loo_residuals(u_next)
+        u_resid = P.loo_residuals(u_next, idx)
         if noisy:
-            chi = (dW0k * dW0k - dt_m) / dt_m  # mean-zero given F_k
-            resid = cv.loo_residuals()  # keep each scenario's own signal
-            zphi_target = resid[..., 0] * dW0k / (sq * dt_m) - pred_zphi * chi
-            zq_target = resid[..., 1] * dW0k / dt_m - pred_zq * chi
-            zw_target = _mean(u_resid) * dW0k / dt_m - pred_zw * chi
-            fit_z = eq_s.fit(_columns(zphi_target, zq_target, zw_target), (k,))
-            Zphi[..., k] = fit_z.fitted[..., 0]
-            se_zphi[..., k] = np.sqrt(_mean(fit_z.residuals[..., 0] ** 2) * S.shape[-1] / m)
-            Zq[..., k] = fit_z.fitted[..., 1]
-            coef_zw = fit_z.coef[..., 2]
+            # leave-one-out residuals keep each scenario's own signal
+            resid = carry - eq_cv.design[k] @ coef_cv
+            resid /= loo_cv[k]
+            np.multiply(resid, dW0k[..., None], out=zt_scen)
+            zt_scen /= z_scale
+            zt_scen -= pred_z * chi[k][..., None]
+            np.subtract(_mean(u_resid) * dW0k / dt_m, pred_zw * chi[k], out=z_targets[..., 2])
+            coef_z = eq_s.coef(z_targets, idx)
+            fitted_z = S[k] @ coef_z
+            Zphi[..., k] = fitted_z[..., 0]
+            Zq[..., k] = fitted_z[..., 1]
+            np.subtract(z_targets[..., 0], fitted_z[..., 0], out=resid_z[k])
+            coef_zw = coef_z[..., 2]
 
         # (b) invert the pair map at the current (state, Zphi) along the
-        # control, and evaluate Gp, LHp and Hzp there, one instance at a time
+        # control, and evaluate Gp, LHp and Hzp there, once per group
         zk = Zphi[..., k][..., None]
         calls = [
-            _model_calls(pr, x[k][s], qfk[s][:, None], zk[s], axt[k][s], alpha_q[s][:, k][:, None])
-            for s, pr in zip(slots, primeds)
+            _model_calls(
+                pr, side(x[k], ix), side(q_steps[k][..., None], ix), side(zk, ix), side(axt[k], ix),
+                side(aqt[k][..., None], ix), side(mean_x[k][..., None], ix),
+            )
+            for pr, ix in groups
         ]
-        # np.array of same-shape arrays is np.stack, without its per-call overhead
-        thF, thH, drv_u, lh, hz = (np.array(c) if stacked else c[0] for c in zip(*calls))
+        if len(calls) == 1:
+            thF, thH, drv_u, lh, hz = (a.reshape(*lead, m, -1) for a in calls[0])
+        else:
+            thF, drv_u = np.empty((2, *lead, m, p))
+            thH, lh, hz = np.empty((3, *lead, m, 1))
+            for (_, ix), call in zip(groups, calls):
+                for out, a in zip((thF, thH, drv_u, lh, hz), call):
+                    put(out, ix, a)
         theta_H[..., k] = thH[..., 0]
 
         # (c) value regressions of the martingale-subtracted targets; the
@@ -707,53 +824,53 @@ def solve_backward(
         # configured basis; scenario carriers refit in the quadratic basis so
         # curvature survives for the next integrand estimate.  The particle
         # integrand target shares P with the U target.
-        drv_phi = lh[..., 0] + lam * carry[..., 0]
-        drv_qb = hz[..., 0]
-
-        mart_u = pred_zb * dB[k] + (pred_zw * dW0k)[..., None]
-        target_u = dt_mp * drv_u
+        if coef_zb is None:
+            mart_u = 0.0 * dB[k] + (pred_zw * dW0k)[..., None]
+        else:
+            mart_u = P(coef_zb, idx)
+            mart_u *= dB[k]
+            mart_u += (pred_zw * dW0k)[..., None]
+        np.multiply(dt_mp, drv_u, out=target_u)
         target_u += u_next
         target_u -= mart_u
-        U_coef[k] = P.coef(target_u)
+        np.multiply(u_resid, dB[k], out=zb_target)
+        zb_target /= dt_mp
+        coef_u, coef_zb = P.coef(fit_buf, idx)
+        U_coef[k] = coef_u
         # the arithmetic of P(coef), written into the free buffer
         u_k = np.multiply(U_coef[k][..., 1:], x[k], out=u_buf[k % 2])
         u_k += U_coef[k][..., :1]
         np.subtract(thF, u_k, out=gap_t[k])
-        fit_resid = np.subtract(target_u, u_k, out=target_u)
-        for s in slots:
-            # np.vdot per instance: a stacked reduction would round differently
-            resid_u[s][k] = math.sqrt(np.vdot(fit_resid[s], fit_resid[s]) / fit_resid[s].size)
-        zb_target = np.multiply(u_resid, dB[k], out=u_resid)
-        zb_target /= dt_mp
-        coef_zb = P.coef(zb_target)
+        fit_resid = np.subtract(target_u, u_k, out=target_u).reshape(len(slots), -1)
+        # np.vdot per instance: a stacked reduction would round differently
+        sq_resid_u[k] = [np.vdot(r, r) for r in fit_resid]
 
         # chi-square (Ito-level) fluctuations subtracted with the prior
-        # curvature: E[dW^2 - dt | F_k] = 0 keeps the targets unbiased
-        chi_abs = dW0k * dW0k - dt_m
-        target_phi = (
-            carry[..., 0]
-            + dt_m * drv_phi
-            - sq * (pred_zphi * dW0k)
-            - 0.5 * (2.0 * sigma0) * chi_abs * hess[..., 0:1]
-        )
-        target_qb = (
-            carry[..., 1]
-            + dt_m * drv_qb
-            - pred_zq * dW0k
-            - 0.5 * (2.0 * sigma0) * chi_abs * hess[..., 1:2]
-        )
-        targets = _columns(target_phi, target_qb)
-        fit_v = eq_s.fit(targets, (k,))
-        phi[..., k] = fit_v.fitted[..., 0]
-        qb[..., k] = fit_v.fitted[..., 1]
-        resid_phi[..., k] = np.sqrt(_mean(fit_v.residuals[..., 0] ** 2))
-        resid_qb[..., k] = np.sqrt(_mean(fit_v.residuals[..., 1] ** 2))
-        fit_carry = fit_v if eq_cv is eq_s else eq_cv.fit(targets, (k,))
-        carry = fit_carry.fitted
-        coef_carry = fit_carry.coef
+        # curvature: E[dW^2 - dt | F_k] = 0 keeps the targets unbiased.  Per
+        # column (phi, qb): carry + dt * driver - prior * dW0 - curvature,
+        # with the phi column's prior term taken as sq * (Zphi prior * dW0)
+        np.add(lh[..., 0], lam * carry[..., 0], out=drv[..., 0])
+        drv[..., 1] = hz[..., 0]
+        np.multiply(dt_mp, drv, out=targets)
+        targets += carry
+        mart = pred_z * dW0k[..., None]
+        mart_phi = mart[..., 0]
+        mart_phi *= sq
+        targets -= mart
+        targets -= curv[k][..., None] * hess[..., None, :]
+        coef_v = eq_s.coef(targets, idx)
+        fitted_v = S[k] @ coef_v
+        phi[..., k] = fitted_v[..., 0]
+        qb[..., k] = fitted_v[..., 1]
+        np.subtract(targets, fitted_v, out=resid_v[k])
+        if enrich_cv:
+            coef_carry = eq_cv.coef(targets, idx)
+            carry = eq_cv.design[k] @ coef_carry
+        else:
+            coef_carry, carry = coef_v, fitted_v
         u_next = u_k
 
-    gap_F = np.moveaxis(gap_t, 0, -1)
+    gap_F = _time_last(gap_t)
     if not (
         x_finite and np.isfinite(gap_F.sum()) and np.isfinite(U_T.sum()) and np.isfinite(phi.sum())
         and np.isfinite(qb.sum()) and np.isfinite(Zphi.sum())
@@ -763,7 +880,17 @@ def solve_backward(
         X0=x[0], U_coef=U_coef, U_T=U_T, qf=qf, qb=qb, phi=phi, Zphi=Zphi, Zq=Zq,
         control=control, noise=noise, primed=primed, grid=grid,
     )
-    diagnostics = {"resid_u": resid_u, "resid_phi": resid_phi, "resid_qb": resid_qb, "se_zphi": se_zphi}
+
+    def by_instance(steps: np.ndarray) -> np.ndarray:
+        # (N, [B]) -> ([B,] N), contiguous
+        return np.ascontiguousarray(_time_last(steps))
+
+    diagnostics = {
+        "resid_u": by_instance(np.sqrt(sq_resid_u / (m * p)).reshape(n, *lead)),
+        "resid_phi": by_instance(np.sqrt(_mean(resid_v[..., 0] ** 2))),
+        "resid_qb": by_instance(np.sqrt(_mean(resid_v[..., 1] ** 2))),
+        "se_zphi": by_instance(np.sqrt(_mean(resid_z**2) * S.shape[-1] / m)),
+    }
     return SolveOutput(state=state, gap_F=gap_F, theta_H=theta_H, diagnostics=diagnostics)
 
 

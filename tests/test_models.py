@@ -172,6 +172,36 @@ def test_theta_round_trip_random_points():
     assert worst <= 1e-8
 
 
+def test_clamped_theta_is_the_in_theta_clip():
+    # the clamp wraps theta as it wraps F, G, Hz and LH; theta_H is the
+    # closed form with z clipped at the level, to the bit
+    level = 0.3
+    cs = make_lq_model(CONE, ModelConstants(clamp_m=level))
+    rng = np.random.default_rng(4)
+    X, ax = rng.standard_normal((2, 6, 8))
+    p, z, aq = rng.standard_normal((3, 6, 1))
+    z[:3] *= 10.0  # some beyond the level
+    U, qb = theta_inverse(split_q(cs), X, p, z, ax, aq)
+    assert np.array_equal(qb, 2.0 * (aq - np.clip(z, -level, level)) / CONE.b - p)
+    assert np.array_equal(U, ax)
+    unclamped = theta_inverse(split_q(make_lq_model(CONE, ModelConstants())), X, p, z, ax, aq)[1]
+    assert not np.array_equal(qb, unclamped)
+
+
+MAPS = ("F", "G", "Hz", "LH", "g", "psi", "theta")
+
+
+def test_equal_params_share_their_maps():
+    a = make_lq_model(CONE, ModelConstants())
+    b = make_lq_model(LQParams(**vars(CONE)), ModelConstants(sigma=0.1, sigma0=2.0, discount=0.5), region_radius=5.0)
+    assert all(getattr(a, name) is getattr(b, name) for name in MAPS)
+    other = make_lq_model(LQParams(c1=1.0, c3=0.5, g1=1.0, b=2.0, p1=1.0), ModelConstants())
+    assert all(getattr(a, name) is not getattr(other, name) for name in MAPS)
+    zero, zero_too = make_zero_model(), make_zero_model(ModelConstants(sigma0=1.0))
+    assert all(getattr(zero, name) is getattr(zero_too, name) for name in MAPS)
+    assert all(getattr(zero, name) is not getattr(a, name) for name in MAPS)
+
+
 def test_zero_model_theta_zero_target():
     cs = make_zero_model()
     primed = split_q(cs)

@@ -14,6 +14,7 @@ from majorminor.grids import build_grid, path_array, sample_noise
 from majorminor.models import (
     LQParams,
     ModelConstants,
+    PrimedCoefficientSet,
     clamp_coefficients,
     make_lq_model,
     make_zero_model,
@@ -71,6 +72,17 @@ def test_forward_rejects_non_finite_control():
     with pytest.raises(SimulationError) as err:
         simulate_forward(ControlField(alpha_x, np.zeros((4, 5))), noise, primed, init, grid)
     assert err.value.step == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the sweep overflows on purpose
+def test_a_finite_control_whose_sum_overflows_is_not_a_non_finite_drift():
+    grid, noise, primed, init = make_setup()
+    control = ControlField(np.full((4, 16, 5), -1e308), np.zeros((4, 5)))
+    assert not np.isfinite(control.alpha_x.sum())
+    # the forward pass runs; the sweep reports the overflow
+    with pytest.raises(SimulationError, match="backward sweep produced non-finite values") as err:
+        decoupled_solve(control, primed, noise, init, RegressionBasis(), grid)
+    assert err.value.step is None
 
 
 def test_regress_affine_targets_zero_residual():
@@ -409,8 +421,46 @@ def test_operator_matches_recorded_values(start):
     np.testing.assert_allclose([np.linalg.norm(b) for b in blocks], GOLDEN_SOLVE[start], rtol=1e-9, atol=0)
 
 
-def stack_operators(m, p, n, quadratic):
-    """Three instances of one size that differ in seed, dt and sigma0."""
+# v of the stack of `stack_operators(12, 64, 10, False)` at the random
+# controls of `rng(i)` at scale 0.5, recorded before the stack's model maps
+# were called once per group: per instance, the entries of GOLDEN_V
+GOLDEN_STACK_V = (
+    (
+        136.92050829560188, 24.631687010794906, 0.003075289399393097, -1.973436142107666,
+        0.09800635830804712, -1.1192748224734514, -4.378867578544923,
+    ),
+    (
+        176.9864985195118, 30.950522884884293, -2.5829531970276527, -2.4122480591155635,
+        -1.6585243994828271, -2.1445249137246463, -1.2972797822025786,
+    ),
+    (
+        277.2484192182022, 32.53654825353991, -1.6053852767800623, -0.8089826248748117,
+        -9.102749092901519, -1.451405629612751, 5.366107349068947,
+    ),
+)
+# the norms of its resid_u, resid_phi, resid_qb and se_zphi
+GOLDEN_STACK_DIAGNOSTICS = (1.356951640144412, 2.128054185755378, 0.07489368347794262, 4.378738759401032)
+
+
+def test_stacked_operator_matches_recorded_values():
+    ops = stack_operators(12, 64, 10, False)
+    controls = [op.random_control(np.random.default_rng(i), 0.5) for i, op in enumerate(ops)]
+    solve = solve_stacked(ops, controls)
+    for i, op in enumerate(ops):
+        v = op.value_in(solve, (i,))
+        got = (
+            np.linalg.norm(v.alpha_x), np.linalg.norm(v.alpha_q),
+            v.alpha_x[0, 0, 0], v.alpha_x[5, 17, 9], v.alpha_x[11, 63, 4],
+            v.alpha_q[0, 0], v.alpha_q[7, 9],
+        )
+        np.testing.assert_allclose(got, GOLDEN_STACK_V[i], rtol=1e-9, atol=0)
+    norms = [np.linalg.norm(solve.diagnostics[name]) for name in ("resid_u", "resid_phi", "resid_qb", "se_zphi")]
+    np.testing.assert_allclose(norms, GOLDEN_STACK_DIAGNOSTICS, rtol=1e-9, atol=0)
+
+
+def stack_operators(m, p, n, quadratic, edit_middle=None):
+    """Three instances of one size that differ in seed, dt and sigma0;
+    `edit_middle` edits the config of the second one."""
     ops = []
     for seed, horizon, sigma0 in ((1, 0.5, 0.25), (2, 1.0, 1.0), (3, 2.0, 2.0)):
         doc = {
@@ -421,6 +471,8 @@ def stack_operators(m, p, n, quadratic):
             "basis": {"quadratic": quadratic},
             "seed": seed,
         }
+        if seed == 2 and edit_middle is not None:
+            edit_middle(doc)
         ops.append(build_problem(parse_config(doc))[0])
     return ops
 
@@ -442,6 +494,47 @@ def test_stacked_solve_is_bit_identical_to_solo_solves(size, start):
             assert np.array_equal(stacked.diagnostics[name][i], values), name
         v_stacked, v_solo = op.value_in(stacked, (i,)), op(control)
         assert np.array_equal(v_stacked.alpha_x, v_solo.alpha_x) and np.array_equal(v_stacked.alpha_q, v_solo.alpha_q)
+
+
+# configs that give the middle instance of a stack maps of its own
+OTHER_MAPS = {
+    "params": lambda doc: doc["model"].update(params={"c1": 2.0, "c2": 0.3, "c3": 0.5, "g1": 1.0, "b": 0.5, "r1": 0.2}),
+    "clamp": lambda doc: doc["constants"].update(clamp_m=0.3),
+    "zero": lambda doc: doc.update(model={"kind": "zero"}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OTHER_MAPS))
+def test_a_stack_of_instances_with_different_maps_gives_each_its_solo_solve(kind):
+    ops = stack_operators(12, 64, 10, False, OTHER_MAPS[kind])
+    # the outer instances share their maps, the middle one does not
+    assert ops[0].primed.base.G is ops[2].primed.base.G is not ops[1].primed.base.G
+    assert ops[0].primed.base.theta is ops[2].primed.base.theta is not ops[1].primed.base.theta
+    controls = [op.random_control(np.random.default_rng(i), 0.5) for i, op in enumerate(ops)]
+    stacked = solve_stacked(ops, controls)
+    for i, (op, control) in enumerate(zip(ops, controls)):
+        solo = op.solve(control)
+        assert np.array_equal(stacked.state.U_coef[:, i], solo.state.U_coef)
+        for name in ("U_T", "qf", "qb", "phi", "Zphi", "Zq"):
+            assert np.array_equal(getattr(stacked.state, name)[i], getattr(solo.state, name)), name
+        assert np.array_equal(stacked.gap_F[i], solo.gap_F) and np.array_equal(stacked.theta_H[i], solo.theta_H)
+        for name, values in solo.diagnostics.items():
+            assert np.array_equal(stacked.diagnostics[name][i], values), name
+
+
+def test_a_stack_calls_shared_maps_once_per_step(monkeypatch):
+    calls = []
+    gp = PrimedCoefficientSet.Gp
+
+    def counted(self, *args):
+        calls.append(args[0].shape)
+        return gp(self, *args)
+
+    monkeypatch.setattr(PrimedCoefficientSet, "Gp", counted)
+    ops = stack_operators(12, 64, 10, False)
+    solve_stacked(ops, [op.zero() for op in ops])
+    # N calls, each on the three instances' scenarios side by side
+    assert calls == [(3 * 12, 64)] * 10
 
 
 def test_v_is_the_pair_inverse_minus_u_at_every_step_solo_and_stacked():
