@@ -593,8 +593,8 @@ def estimate_lipschitz_v(op, probes: int = 4, seed: int = _PROBE_SEED) -> Lipsch
 # exactly as a solo run does.  Memory bounds the stack, not speed: each live
 # instance adds about 0.7 MB of peak RSS at 12x64x10, where the 12-cell sweep
 # of the benchmark's `small_study` (`_sweep_rows`, Picard solves included)
-# takes 0.60-0.69 of its serial CPU time with three live instances and about
-# 0.38 with twelve.
+# takes 0.60-0.69 of its serial CPU time with three live instances and
+# 0.33-0.38 with twelve (three runs on a shared 2-core VM).
 LOCKSTEP_BYTES = 2_400_000
 # what one live instance holds at its peak: up to four controls of its plan
 # while a solve runs (three probe values and the fourth point; the refinement's

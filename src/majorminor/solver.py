@@ -311,8 +311,11 @@ class AffineDesign:
         sum_xx = np.einsum("...n,...n->...", x, x) if sum_xx is None else sum_xx
         trace = n + sum_xx
         if ridge == 0.0:
-            # det = n * spread; rank < 2 when det <= 2 eps trace^2
-            spread = np.square(x - (sum_x / max(n, 1))[..., None]).sum(axis=-1)
+            # det = n * spread; rank < 2 when det <= 2 eps trace^2.  The spread
+            # is taken one leading index at a time (a step of the sweep), so
+            # its temporaries stay the size of one slab
+            mean = np.atleast_1d(sum_x / max(n, 1))
+            spread = np.array([np.square(xi - mi[..., None]).sum(axis=-1) for xi, mi in zip(np.atleast_2d(x), mean)])
             if n < 2 or np.any(spread <= 2.0 * np.finfo(float).eps * trace**2 / n):
                 raise RegressionError("rank-deficient normal equations without ridge")
         lam = 0.5 * ridge * trace
