@@ -173,14 +173,6 @@ def _mean(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=-1) / a.shape[-1]
 
 
-def _columns(*cols: np.ndarray) -> np.ndarray:
-    """np.stack(cols, axis=-1), without its per-call overhead."""
-    out = np.empty(cols[0].shape + (len(cols),))
-    for j, col in enumerate(cols):
-        out[..., j] = col
-    return out
-
-
 class NormalEquations:
     """The ridged normal equations of one design, set up once for many fits.
 
@@ -389,21 +381,20 @@ def sample_initial(
 
 
 def _instances(control: ControlField, primed, grid):
-    """Slots, coefficient sets and grids of the instances of a solve.
+    """Coefficient sets and grids of the instances of a solve.
 
-    A control with alpha_x (M, P, N) is one instance, whose slot () indexes
-    its arrays whole.  A leading axis B makes a stack: instance i has the
-    slot (i,) and takes primed[i] and grid[i].
+    A control with alpha_x (M, P, N) is one instance.  A leading axis B
+    makes a stack: instance i takes primed[i] and grid[i].
     """
     if control.alpha_x.ndim == 3:
-        return [()], [primed], [grid]
+        return [primed], [grid]
     b = control.alpha_x.shape[0]
     primed, grid = list(primed), list(grid)
     if len(primed) != b or len(grid) != b:
         raise ContractError(
             f"a stack of {b} instances needs {b} coefficient sets and grids, got {len(primed)} and {len(grid)}"
         )
-    return [(i,) for i in range(b)], primed, grid
+    return primed, grid
 
 
 def _per_instance(values: list[float], stacked: bool):
@@ -440,7 +431,7 @@ def simulate_forward(
     (M_c, N_t+1).  A stack (see the module docstring) adds a leading
     instance axis to both; `primed` and `grid` are then one per instance.
     """
-    slots, primeds, grids = _instances(control, primed, grid)
+    primeds, grids = _instances(control, primed, grid)
     *lead, m, p, n = control.alpha_x.shape
     if noise.dB.shape != control.alpha_x.shape or noise.dW0.shape != control.alpha_q.shape:
         raise SimulationError(
@@ -636,7 +627,7 @@ def solve_backward(
     changed in place while the state is read.
     """
     X, qf = forward
-    slots, primeds, grids = _instances(control, primed, grid)
+    primeds, grids = _instances(control, primed, grid)
     *lead, m, p, n1 = X.shape
     if basis.quadratic and m < QUADRATIC_MIN_SCENARIOS:
         raise ConfigurationError([f"a quadratic basis needs >= {QUADRATIC_MIN_SCENARIOS} scenarios, got {m}"])
@@ -737,7 +728,7 @@ def solve_backward(
 
     # scenario carrier: quadratic-basis fits of phi and qb used as
     # regression targets, stacked as columns ([B,] M, 2)
-    carry = _columns(phi[..., n], qb[..., n])
+    carry = np.stack([phi[..., n], qb[..., n]], axis=-1)
 
     # step buffers: the three integrand targets; the U target and the
     # minor-integrand target, which share P and are fitted in one call; the
@@ -750,7 +741,7 @@ def solve_backward(
     targets = np.empty((*lead, m, 2))
     # squared norms of the U-fit residuals and the residuals of the value
     # fits and of the Zphi fit, reduced to the diagnostics after the sweep
-    sq_resid_u = np.empty((n, len(slots)))
+    sq_resid_u = np.empty((n, len(primeds)))
     resid_v = np.empty((n, *lead, m, 2))
     resid_z = np.zeros((n, *lead, m))
     # Control-variate priors must be adapted: they are step-(k+1) fitted
@@ -844,7 +835,7 @@ def solve_backward(
         u_k = np.multiply(U_coef[k][..., 1:], x[k], out=u_buf[k % 2])
         u_k += U_coef[k][..., :1]
         np.subtract(thF, u_k, out=gap_t[k])
-        fit_resid = np.subtract(target_u, u_k, out=target_u).reshape(len(slots), -1)
+        fit_resid = np.subtract(target_u, u_k, out=target_u).reshape(len(primeds), -1)
         # np.vdot per instance: a stacked reduction would round differently
         sq_resid_u[k] = [np.vdot(r, r) for r in fit_resid]
 
