@@ -15,17 +15,19 @@ points with vector arithmetic and an operator exposing `inner`, which lets
 synthetic operators exercise it without any FBSDE machinery.
 
 Plans.  The extragradient loop and the Lipschitz probes are written as
-generator plans: a plan yields what it needs evaluated, a control (one
-value of v) or a step request (one iteration: a trial and a corrected
-value), is sent back the value, or has the package error of the failed solve
-thrown in at the yield, and returns its result.  `run_extragradient` and
+generator plans: a plan yields a control it needs v of, is sent back the
+value, or has the package error of the failed solve thrown in at the yield,
+and returns its result.  A plan holds only what it still reads, so an
+iteration yields its iterate, forms the trial point and drops the iterate's
+value before it yields that point.  `run_extragradient` and
 `estimate_lipschitz_v` drive their plan alone: each control goes to
-`op(control)` and each step to `extragradient_step`, in the order a plain
-loop would call them.  `run_lockstep` drives the plans of many independent
-instances at once: each round it takes one evaluation from every live plan
-and solves those of alike instances as one stacked solve along a leading
-instance axis (`evaluate_many`), which gives every instance the same bits as
-its own solve would.  Per instance, both ways produce the same reports.
+`op(control)`, in the order a plain loop would call it.  `run_lockstep`
+drives the plans of many independent instances at once: each round it takes
+one evaluation from every live plan and solves those of alike instances as
+one stacked solve along a leading instance axis (`evaluate_many`), which
+gives every instance the same bits as its own solve would.  Per instance,
+both ways produce the same reports.  `extragradient_step` is a one-step
+helper outside the plans: one iteration's two evaluations and points.
 """
 
 from __future__ import annotations
@@ -160,10 +162,27 @@ class FbsdeOperator:
     def random_control(self, rng: np.random.Generator, scale: float = 1.0) -> ControlField:
         m, p = self.init.X0.shape
         n = self.grid.steps
-        # draw in (M, P, N) order so a seed keeps its probes
+        # drawn in (M, P, N) order so a seed keeps its probes, one scenario at
+        # a time straight into the path: the generator fills sequentially, so
+        # the blocks are the bits of one (M, P, N) draw
         alpha_x = path_array((m, p, n))
-        alpha_x[...] = scale * rng.standard_normal((m, p, n))
+        for j in range(m):
+            np.multiply(scale, rng.standard_normal((p, n)), out=alpha_x[j])
         return ControlField(alpha_x, scale * rng.standard_normal((m, n)))
+
+    def random_difference(
+        self, rng_i: np.random.Generator, rng_j: np.random.Generator, scale: float = 1.0
+    ) -> ControlField:
+        """random_control(rng_i, scale) - random_control(rng_j, scale), to
+        the bit, in one control: the second point is drawn whole and the
+        first subtracted from it scenario by scenario."""
+        diff = self.random_control(rng_j, scale)
+        for j in range(diff.alpha_x.shape[0]):
+            block = rng_i.standard_normal(diff.alpha_x.shape[1:])
+            block *= scale
+            np.subtract(block, diff.alpha_x[j], out=diff.alpha_x[j])
+        np.subtract(scale * rng_i.standard_normal(diff.alpha_q.shape), diff.alpha_q, out=diff.alpha_q)
+        return diff
 
 
 def solve_stacked(ops: list[FbsdeOperator], controls: list[ControlField]) -> SolveOutput:
@@ -210,14 +229,6 @@ def evaluate_many(ops: list[FbsdeOperator], controls: list[ControlField]) -> lis
     return values
 
 
-@dataclass(frozen=True)
-class _Step:
-    """Plan request for one extragradient iteration from alpha with step gamma."""
-
-    alpha: object
-    gamma: float
-
-
 def _forward(alpha, gamma: float, v):
     """alpha - gamma * v, formed as (-gamma) * v, then += alpha: the same
     IEEE result (a - b is a + (-b)) with one temporary instead of two."""
@@ -226,14 +237,9 @@ def _forward(alpha, gamma: float, v):
     return point
 
 
-def _step_plan(alpha, gamma: float):
-    """Plan of one iteration: the trial and the corrected evaluation."""
+def _check_gamma(gamma: float) -> None:
     if not gamma > 0:
         raise ConfigurationError([f"gamma must be positive, got {gamma}"])
-    v_n = yield alpha
-    alpha_half = _forward(alpha, gamma, v_n)
-    v_half = yield alpha_half
-    return alpha_half, _forward(alpha, gamma, v_half), v_n, v_half
 
 
 def _resume(plan, reply):
@@ -243,8 +249,8 @@ def _resume(plan, reply):
 
 
 def _drive(plan, op):
-    """Run a plan to its end alone, serving its requests in order: a control
-    with op(control), a step with `extragradient_step`."""
+    """Run a plan to its end alone, serving each control it asks for with
+    op(control)."""
     reply = None
     while True:
         try:
@@ -254,41 +260,25 @@ def _drive(plan, op):
         reply = None
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                if isinstance(request, _Step):
-                    reply = extragradient_step(request.alpha, request.gamma, op)
-                else:
-                    reply = op(request)
+                reply = op(request)
         except MajorMinorError as exc:
             reply = exc
         del request  # the plan holds what it still needs
-
-
-def _evaluations(plan):
-    """The plan with each step request replaced by its two evaluations, so
-    that it asks for controls only."""
-    reply = None
-    while True:
-        try:
-            request = _resume(plan, reply)
-        except StopIteration as stop:
-            return stop.value
-        reply = None
-        try:
-            if isinstance(request, _Step):
-                reply = yield from _step_plan(request.alpha, request.gamma)
-            else:
-                reply = yield request
-        except MajorMinorError as exc:
-            reply = exc
 
 
 def extragradient_step(alpha, gamma: float, op):
     """One trial step and one corrected step.
 
     Returns (alpha_half, alpha_next, v_at_alpha, v_at_half): exactly two
-    operator evaluations.
+    operator evaluations, with the points the extragradient loop forms.
     """
-    return _drive(_step_plan(alpha, gamma), op)
+    _check_gamma(gamma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_n = op(alpha)
+    alpha_half = _forward(alpha, gamma, v_n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_half = op(alpha_half)
+    return alpha_half, _forward(alpha, gamma, v_half), v_n, v_half
 
 
 @dataclass
@@ -299,8 +289,10 @@ class ExtragradientReport:
     (the divergence window) or "non_finite" (a solve left the finite range).
     `evaluations` counts the operator values the run used: "probe", those
     behind `L_hat`, and "iterate", two per completed iteration (an iteration
-    whose solve failed adds none).  A `solve` whose Lipschitz probe failed
-    reports no iteration and no evaluation, with `gamma` and `L_hat` None.
+    whose solve failed adds none), except that a run stopped by `tol` ends
+    on the one evaluation that met it: 2 * iterations - 1.  A `solve` whose
+    Lipschitz probe failed reports no iteration and no evaluation, with
+    `gamma` and `L_hat` None.
     """
 
     residuals: list[float]
@@ -388,6 +380,7 @@ def _extragradient_plan(alpha1, config: ExtragradientConfig, op, reference_contr
         probe_evals = getattr(lipschitz_hint, "evaluations", 0)
         gamma = config.safety / max(L_hat, 1e-12)
 
+    _check_gamma(gamma)
     alpha = alpha1
     del alpha1  # the plan holds the current iterate only, see the end of the loop
     residuals: list[float] = []
@@ -398,10 +391,21 @@ def _extragradient_plan(alpha1, config: ExtragradientConfig, op, reference_contr
 
     for _ in range(config.n_max):
         t0 = time.perf_counter()
-        # read before the step is requested, while the plan holds alpha only
+        # read before the iterate is sent, while the plan holds alpha only
         dist = None if dists is None else _norm(op, alpha - reference_control)
         try:
-            alpha_half, alpha_next, v_n, v_half = yield _Step(alpha, gamma)
+            v_n = yield alpha
+            residual = _norm(op, v_n)
+            at_tol = residual <= config.tol
+            if not at_tol:
+                # each solve runs while the plan holds the iterate and the
+                # point being solved at, nothing else of this iteration
+                alpha_half = _forward(alpha, gamma, v_n)
+                del v_n
+                v_half = yield alpha_half
+                del alpha_half
+                alpha_next = _forward(alpha, gamma, v_half)
+                del v_half
         except SimulationError:
             # iterates left the finite range: report divergence, not a crash
             stop = "non_finite"
@@ -410,14 +414,13 @@ def _extragradient_plan(alpha1, config: ExtragradientConfig, op, reference_contr
             if dists is not None:
                 dists.append(float("nan"))
             break
-        del alpha_half, v_half  # the loop reads neither
         completed += 1
-        residual = _norm(op, v_n)
         residuals.append(residual)
         if dists is not None:
             dists.append(dist)
         seconds.append(time.perf_counter() - t0)
-        if residual <= config.tol:
+        if at_tol:
+            # the iterate is the answer: its trial point is never evaluated
             stop = "tol"
             break
         w = _DIVERGENCE_WINDOW
@@ -425,9 +428,6 @@ def _extragradient_plan(alpha1, config: ExtragradientConfig, op, reference_contr
             stop = "residual_growth"
             break
         alpha = alpha_next
-        # hold no values of this iteration while the next one is evaluated:
-        # `run_lockstep` keeps many plans live at once
-        del alpha_next, v_n
 
     lam_hat, r2 = fit_geometric_rate(residuals)
     return ExtragradientReport(
@@ -440,7 +440,7 @@ def _extragradient_plan(alpha1, config: ExtragradientConfig, op, reference_contr
         iterations=len(residuals),
         gamma=gamma,
         stop_reason=stop,
-        evaluations={"probe": probe_evals, "iterate": 2 * completed},
+        evaluations={"probe": probe_evals, "iterate": 2 * completed - (stop == "tol")},
         L_hat=L_hat,
         final_alpha=alpha,
     )
@@ -465,7 +465,9 @@ def run_extragradient(
     """
     if config.gamma is None and lipschitz_hint is None:
         lipschitz_hint = estimate_lipschitz_v(op, config.probes)
-    return _drive(_extragradient_plan(alpha1, config, op, reference_control, lipschitz_hint), op)
+    plan = _extragradient_plan(alpha1, config, op, reference_control, lipschitz_hint)
+    del alpha1  # the plan drops the start control once it has stepped past it
+    return _drive(plan, op)
 
 
 def recover_phi_bar(op: FbsdeOperator, solve: SolveOutput) -> np.ndarray:
@@ -528,19 +530,24 @@ def _lipschitz_plan(op, probes: int, seed: int):
         starts.append(copy.deepcopy(rng))
         values.append((yield sample(rng)))
 
+    draw_difference = getattr(op, "random_difference", None)
+
     def difference(i: int, j: int):
-        """Probe point i minus probe point j, both drawn again; the second
-        is dropped once subtracted."""
-        diff = sample(copy.deepcopy(starts[i]))
-        diff -= sample(copy.deepcopy(starts[j]))
+        """Probe point i minus probe point j, both drawn again."""
+        gen_i, gen_j = copy.deepcopy(starts[i]), copy.deepcopy(starts[j])
+        if draw_difference is not None:
+            return draw_difference(gen_i, gen_j, _PROBE_SCALE)
+        diff = sample(gen_i)
+        diff -= sample(gen_j)
         return diff
 
     evaluations = probes
     best = 0.0
     best_pair = None
-    # the scan holds the values and at most two temporaries: a pair's point
-    # difference is dropped before its value difference is formed, and the
-    # best pair is kept as its indices, not its direction
+    # the scan holds the values and one temporary: a pair's point difference
+    # (one control, see `FbsdeOperator.random_difference`) is dropped before
+    # its value difference is formed, and the best pair is kept as its
+    # indices, not its direction
     for i in range(probes):
         for j in range(i + 1, probes):
             diff = difference(i, j)
@@ -555,13 +562,15 @@ def _lipschitz_plan(op, probes: int, seed: int):
                     best_pair = (i, j, denom)
     if best_pair is None:
         return LipschitzEstimate(best, evaluations)
+    # the refinement reads the first probe value only: the others are
+    # dropped before its points are drawn
+    v_base = values[0]
+    del values
     i, j, denom = best_pair
     direction = difference(i, j)
     direction *= 1.0 / denom
-    # the refinement needs the first probe point only, drawn once more
     base = sample(starts[0])
-    v_base = values[0]
-    del starts, values
+    del starts
     for _ in range(_PROBE_REFINE):
         dv = (yield base + direction) - v_base
         evaluations += 1
@@ -598,12 +607,13 @@ def estimate_lipschitz_v(op, probes: int = 4, seed: int = _PROBE_SEED) -> Lipsch
 LOCKSTEP_BYTES = 2_400_000
 # what one live instance holds at its peak: up to four controls of its plan
 # while a solve runs (three probe values and the fourth point; the refinement's
-# base, direction, base value and point; an iteration's iterate, value and
-# trial point), its noise, and its share of a stacked solve (control and noise
+# base, direction, base value and point; an iteration's iterate and trial
+# point), its noise, and its share of a stacked solve (control and noise
 # copies, the forward buffer that X and gap_F share, and the copy of its slot
 # that is its value).  Between solves a plan holds less: the probe plan's pair
-# scan holds the probe values and at most two temporaries, 6 controls at the
-# default 4 probes, and an iteration at most five while its points are formed.
+# scan holds the probe values and one temporary, 5 controls at the default 4
+# probes, and an iteration three while a point is formed (the iterate, the
+# value it reads and the new point).
 _PATHS_PER_INSTANCE = 9
 
 
@@ -642,7 +652,7 @@ class _Live:
 def _start(job) -> _Live:
     """The run of a `run_lockstep` job, advanced to its first request."""
     key, alpha1, config, op = job
-    run = _Live(key, op, _evaluations(_extragradient_plan(alpha1, config, op)))
+    run = _Live(key, op, _extragradient_plan(alpha1, config, op))
     run.resume(None)
     return run
 

@@ -212,6 +212,29 @@ def test_lipschitz_probes_drawn_again_give_the_held_points_bits(op):
     assert L_hat.evaluations == 12
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.4])
+def test_random_control_is_one_whole_draw_to_the_bit(scale):
+    # drawn scenario by scenario into the path, it equals the one-shot draw
+    # in (M, P, N) order and leaves the generator where that draw does
+    op = lq_operator(m=4, p=16, n=10, seed=3)[0]
+    got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+    got = op.random_control(got_rng, scale)
+    want_x = scale * want_rng.standard_normal((4, 16, 10))
+    want_q = scale * want_rng.standard_normal((4, 10))
+    assert np.array_equal(got.alpha_x, want_x) and np.array_equal(got.alpha_q, want_q)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.4])
+def test_random_difference_is_the_difference_of_two_draws_to_the_bit(scale):
+    op = lq_operator(m=4, p=16, n=10, seed=3)[0]
+    gens = [np.random.default_rng(seed) for seed in (11, 12, 11, 12)]
+    got = op.random_difference(gens[0], gens[1], scale)
+    want = op.random_control(gens[2], scale) - op.random_control(gens[3], scale)
+    assert np.array_equal(got.alpha_x, want.alpha_x) and np.array_equal(got.alpha_q, want.alpha_q)
+    assert [g.bit_generator.state for g in gens[:2]] == [g.bit_generator.state for g in gens[2:]]
+
+
 def test_step_points_are_alpha_minus_gamma_v_to_the_bit():
     gamma = 0.3
     lq = lq_operator(m=12, p=64, n=10, seed=1234)[0]
@@ -389,7 +412,8 @@ def test_report_says_why_the_run_stopped(op, gamma, tol, reason):
     assert report.stop_reason == reason
     assert report.diverged == (reason in ("residual_growth", "non_finite"))
     completed = report.iterations - (reason == "non_finite")
-    assert report.evaluations == {"probe": 0, "iterate": 2 * completed}
+    # a run that meets tol does so at an iterate, whose trial point is not evaluated
+    assert report.evaluations == {"probe": 0, "iterate": 2 * completed - (reason == "tol")}
     assert report.L_hat is None
 
 
@@ -444,7 +468,12 @@ def test_lockstep_runs_report_what_solo_runs_report():
         assert (got.stop_reason, got.evaluations, got.L_hat, got.gamma, got.lambda_hat) == (
             want.stop_reason, want.evaluations, want.L_hat, want.gamma, want.lambda_hat,
         )
+        assert np.array_equal(got.final_alpha.alpha_x, want.final_alpha.alpha_x)
+        assert np.array_equal(got.final_alpha.alpha_q, want.final_alpha.alpha_q)
         assert want.evaluations["probe"] == 12
+        if want.stop_reason == "tol":
+            # the iterate that met tol is the last point evaluated
+            assert want.evaluations["iterate"] == 2 * want.iterations - 1
         outcomes.append(want.stop_reason)
     # runs that end by tolerance, by the cap, on a failed iteration and in
     # their probes, one of them without common noise
