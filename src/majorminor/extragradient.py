@@ -15,11 +15,9 @@ points with vector arithmetic and an operator exposing `inner`, which lets
 synthetic operators exercise it without any FBSDE machinery.
 
 Plans.  The extragradient loop and the Lipschitz probes are written as
-generator plans: a plan yields a control it needs v of, is sent back the
-value, or has the package error of the failed solve thrown in at the yield,
-and returns its result.  A plan holds only what it still reads, so an
-iteration yields its iterate, forms the trial point and drops the iterate's
-value before it yields that point.  `run_extragradient` and
+generator plans: a plan yields a control, is sent back its value v, or has
+the package error of the failed solve thrown in at the yield, holds only
+what it still reads, and returns its result.  `run_extragradient` and
 `estimate_lipschitz_v` drive their plan alone: each control goes to
 `op(control)`, in the order a plain loop would call it.  `run_lockstep`
 drives the plans of many independent instances at once: each round it takes
@@ -162,26 +160,19 @@ class FbsdeOperator:
     def random_control(self, rng: np.random.Generator, scale: float = 1.0) -> ControlField:
         m, p = self.init.X0.shape
         n = self.grid.steps
-        # drawn in (M, P, N) order so a seed keeps its probes, one scenario at
-        # a time straight into the path: the generator fills sequentially, so
-        # the blocks are the bits of one (M, P, N) draw
+        # one scenario at a time, in (M, P, N) order, so a seed keeps its probes
         alpha_x = path_array((m, p, n))
         for j in range(m):
             np.multiply(scale, rng.standard_normal((p, n)), out=alpha_x[j])
         return ControlField(alpha_x, scale * rng.standard_normal((m, n)))
 
-    def random_difference(
-        self, rng_i: np.random.Generator, rng_j: np.random.Generator, scale: float = 1.0
-    ) -> ControlField:
-        """random_control(rng_i, scale) - random_control(rng_j, scale), to
-        the bit, in one control: the second point is drawn whole and the
-        first subtracted from it scenario by scenario."""
+    def random_difference(self, rng_i, rng_j, scale: float = 1.0) -> ControlField:
+        """random_control(rng_i, scale) - random_control(rng_j, scale) to the
+        bit, in one control: the second point is drawn whole and the first
+        subtracted from it scenario by scenario."""
         diff = self.random_control(rng_j, scale)
-        for j in range(diff.alpha_x.shape[0]):
-            block = rng_i.standard_normal(diff.alpha_x.shape[1:])
-            block *= scale
-            np.subtract(block, diff.alpha_x[j], out=diff.alpha_x[j])
-        np.subtract(scale * rng_i.standard_normal(diff.alpha_q.shape), diff.alpha_q, out=diff.alpha_q)
+        for x in (*diff.alpha_x, diff.alpha_q):
+            np.subtract(scale * rng_i.standard_normal(x.shape), x, out=x)
         return diff
 
 
@@ -275,8 +266,7 @@ def extragradient_step(alpha, gamma: float, op):
     _check_gamma(gamma)
     with np.errstate(over="ignore", invalid="ignore"):
         v_n = op(alpha)
-    alpha_half = _forward(alpha, gamma, v_n)
-    with np.errstate(over="ignore", invalid="ignore"):
+        alpha_half = _forward(alpha, gamma, v_n)
         v_half = op(alpha_half)
     return alpha_half, _forward(alpha, gamma, v_half), v_n, v_half
 
@@ -397,9 +387,7 @@ def _extragradient_plan(alpha1, config: ExtragradientConfig, op, reference_contr
             v_n = yield alpha
             residual = _norm(op, v_n)
             at_tol = residual <= config.tol
-            if not at_tol:
-                # each solve runs while the plan holds the iterate and the
-                # point being solved at, nothing else of this iteration
+            if not at_tol:  # each solve runs with the iterate and its point held only
                 alpha_half = _forward(alpha, gamma, v_n)
                 del v_n
                 v_half = yield alpha_half
@@ -516,6 +504,7 @@ def _lipschitz_plan(op, probes: int, seed: int):
         raise ConfigurationError([f"need at least 2 probes, got {probes}"])
     rng = np.random.default_rng(seed)
     draw = getattr(op, "random_control", None)
+    draw_difference = getattr(op, "random_difference", None)
 
     def sample(gen):
         if draw is not None:
@@ -530,16 +519,12 @@ def _lipschitz_plan(op, probes: int, seed: int):
         starts.append(copy.deepcopy(rng))
         values.append((yield sample(rng)))
 
-    draw_difference = getattr(op, "random_difference", None)
-
     def difference(i: int, j: int):
         """Probe point i minus probe point j, both drawn again."""
         gen_i, gen_j = copy.deepcopy(starts[i]), copy.deepcopy(starts[j])
         if draw_difference is not None:
             return draw_difference(gen_i, gen_j, _PROBE_SCALE)
-        diff = sample(gen_i)
-        diff -= sample(gen_j)
-        return diff
+        return sample(gen_i) - sample(gen_j)
 
     evaluations = probes
     best = 0.0
@@ -562,8 +547,7 @@ def _lipschitz_plan(op, probes: int, seed: int):
                     best_pair = (i, j, denom)
     if best_pair is None:
         return LipschitzEstimate(best, evaluations)
-    # the refinement reads the first probe value only: the others are
-    # dropped before its points are drawn
+    # the refinement reads the first value only: the others go before its draws
     v_base = values[0]
     del values
     i, j, denom = best_pair
@@ -610,10 +594,9 @@ LOCKSTEP_BYTES = 2_400_000
 # base, direction, base value and point; an iteration's iterate and trial
 # point), its noise, and its share of a stacked solve (control and noise
 # copies, the forward buffer that X and gap_F share, and the copy of its slot
-# that is its value).  Between solves a plan holds less: the probe plan's pair
-# scan holds the probe values and one temporary, 5 controls at the default 4
-# probes, and an iteration three while a point is formed (the iterate, the
-# value it reads and the new point).
+# that is its value).  Between solves a plan holds less: the pair scan holds
+# the probe values and one temporary, 5 controls at the default 4 probes, and
+# an iteration three while it forms a point (iterate, value and new point).
 _PATHS_PER_INSTANCE = 9
 
 
