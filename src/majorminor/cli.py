@@ -486,7 +486,8 @@ def _sweep_rows(cells) -> list[dict]:
                 row["error"] = _csv_text(exc)
                 continue
             problems[index] = (op, eg_config.tol, data["sweep"]["picard_sweeps"])
-            yield index, op.zero(), eg_config, op
+            # the start is built after the run's probes, see `run_lockstep`
+            yield index, op.zero, eg_config, op
 
     for index, report in run_lockstep(jobs()):
         _finish_row(rows[index], report, *problems.pop(index))
@@ -587,7 +588,8 @@ def run_verify(config: RunConfig, out_dir: str | Path | None = None) -> int:
         # was computed before it is written with the error, then re-raised
         try:
             reports.append(check_v_monotonicity(op, pairs=pairs, seed=seed))
-            report = run_extragradient(op.zero(), _extragradient_config(config), op)
+            # the start is built after the probes, which then run without it
+            report = run_extragradient(op.zero, _extragradient_config(config), op)
             solve = op.solve(report.final_alpha) if oracle_checks else None
         except SimulationError as exc:
             certify(str(exc))

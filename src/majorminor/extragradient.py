@@ -24,15 +24,19 @@ drives the plans of many independent instances at once: each round it takes
 one evaluation from every live plan and solves those of alike instances as
 one stacked solve along a leading instance axis (`evaluate_many`), which
 gives every instance the same bits as its own solve would.  Per instance,
-both ways produce the same reports.  `extragradient_step` is a one-step
-helper outside the plans: one iteration's two evaluations and points.
+both ways produce the same reports.  `LOCKSTEP_BYTES` bounds the live set:
+six instances at 12x64x10, one at the CLI default 32x500x50.  A start
+control may be passed as a callable (`op.zero`), which the plan calls once
+its probes are done, so no run holds its start through them.
+`extragradient_step` is a one-step helper outside the plans: one
+iteration's two evaluations and points.
 """
 
 from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,6 +65,7 @@ __all__ = [
     "run_lockstep",
     "estimate_lipschitz_v",
     "solve_stacked",
+    "stack_capacity",
 ]
 
 _PROBE_SEED = 123
@@ -210,6 +215,10 @@ def evaluate_many(ops: list[FbsdeOperator], controls: list[ControlField]) -> lis
         except MajorMinorError:
             pass
         else:
+            # the values read gap_F, theta_H and qb only: the stacked control
+            # and noise copies, which the state references, go before the
+            # values are copied out
+            solve = replace(solve, state=replace(solve.state, control=None, noise=None))
             return [op.value_in(solve, (i,)) for i, op in enumerate(ops)]
     values = []
     for op, control in zip(ops, controls):
@@ -359,7 +368,8 @@ def fit_geometric_rate(residuals):
 def _extragradient_plan(alpha1, config: ExtragradientConfig, op, reference_control=None, lipschitz_hint=None):
     """The extragradient loop as a plan (see the module docstring); returns
     its `ExtragradientReport`.  Without a step size or a hint it probes
-    first."""
+    first.  `alpha1` is the start control, or a callable that builds it
+    (such as `op.zero`), called once the probes are done."""
     gamma = config.gamma
     L_hat = None
     probe_evals = 0
@@ -371,7 +381,9 @@ def _extragradient_plan(alpha1, config: ExtragradientConfig, op, reference_contr
         gamma = config.safety / max(L_hat, 1e-12)
 
     _check_gamma(gamma)
-    alpha = alpha1
+    # a start given as a callable is built only now, so the probes ran
+    # without it held
+    alpha = alpha1() if callable(alpha1) else alpha1
     del alpha1  # the plan holds the current iterate only, see the end of the loop
     residuals: list[float] = []
     seconds: list[float] = []
@@ -449,7 +461,9 @@ def run_extragradient(
     `_DIVERGENCE_FACTOR` over `_DIVERGENCE_WINDOW` iterations ends the run
     with a divergence report instead of an exception, and so does a solve
     that leaves the finite range.  Without a step size or a hint it probes
-    first with `estimate_lipschitz_v`.
+    first with `estimate_lipschitz_v`.  `alpha1` is the start control, or a
+    callable that builds it (such as `op.zero`): a callable is called after
+    the probes, so that they run without the start held.
     """
     if config.gamma is None and lipschitz_hint is None:
         lipschitz_hint = estimate_lipschitz_v(op, config.probes)
@@ -580,29 +594,40 @@ def estimate_lipschitz_v(op, probes: int = 4, seed: int = _PROBE_SEED) -> Lipsch
 
 
 # Bytes the live instances of `run_lockstep` may hold together, counted at
-# `_PATHS_PER_INSTANCE` paths of (M, P, N+1) doubles each: three 12x64x10
-# instances (0.61 MB each; a fourth would need 2.43 MB) and a single
-# 32x500x50 one (59 MB; the CLI default), which then runs through op(control)
-# exactly as a solo run does.  Memory bounds the stack, not speed: each live
-# instance adds about 0.7 MB of peak RSS at 12x64x10, where the 12-cell sweep
-# of the benchmark's `small_study` (`_sweep_rows`, Picard solves included)
-# takes 0.60-0.69 of its serial CPU time with three live instances and
-# 0.33-0.38 with twelve (three runs on a shared 2-core VM).
-LOCKSTEP_BYTES = 2_400_000
-# what one live instance holds at its peak: up to four controls of its plan
-# while a solve runs (three probe values and the fourth point; the refinement's
-# base, direction, base value and point; an iteration's iterate and trial
-# point), its noise, and its share of a stacked solve (control and noise
-# copies, the forward buffer that X and gap_F share, and the copy of its slot
-# that is its value).  Between solves a plan holds less: the pair scan holds
-# the probe values and one temporary, 5 controls at the default 4 probes, and
-# an iteration three while it forms a point (iterate, value and new point).
+# `_PATHS_PER_INSTANCE` paths of (M, P, N+1) doubles each: six 12x64x10
+# instances (0.61 MB each, 3.65 MB; a seventh would need 4.26 MB) and a single
+# 32x500x50 one (58.8 MB; the CLI default), which then runs through
+# op(control) exactly as a solo run does.  Memory bounds the stack, not speed:
+# at 12x64x10, with one BLAS thread on a shared 2-core VM, the CPU time per
+# instance of a solve is 3.69 ms solo, 1.18 ms in a stack of 3, 0.96 ms in 5,
+# 0.79 ms in 7 and 0.70 ms in 12, and each live instance adds about 0.5 MB of
+# peak RSS (the benchmark's `small_study` peaks 1.6 MB higher with six than
+# with three).  `stack_capacity` gives the same count to callers that stack
+# their own evaluations.
+LOCKSTEP_BYTES = 4_000_000
+# what one live instance holds at its peak, while a stacked solve runs: up to
+# four controls of its plan (three probe values and the fourth point; the
+# refinement's base, direction, base value and point; an iteration's iterate
+# and trial point; a start given as a callable is built after the probes),
+# its noise, and its share of the solve: the control and noise copies, the
+# forward buffer that X and gap_F share, and the sweep's (M, P) slab buffers,
+# about one path more (two at N = 10, less at larger N).  Its value is copied
+# out after the copies are dropped.  Between solves a plan holds less: the
+# pair scan holds the probe values and one temporary, 5 controls at the
+# default 4 probes, and an iteration three while it forms a point (iterate,
+# value and new point).
 _PATHS_PER_INSTANCE = 9
 
 
 def _instance_bytes(op: FbsdeOperator) -> int:
     m, p = op.init.X0.shape
     return 8 * m * p * (op.grid.steps + 1) * _PATHS_PER_INSTANCE
+
+
+def stack_capacity(op: FbsdeOperator) -> int:
+    """How many instances of the size of `op` `LOCKSTEP_BYTES` admits
+    together, and at least one: six at 12x64x10, one at 32x500x50."""
+    return max(1, LOCKSTEP_BYTES // _instance_bytes(op))
 
 
 class _Live:
@@ -645,11 +670,13 @@ def run_lockstep(jobs):
 
     jobs: iterable of (key, alpha1, config, op), each solved as
     `run_extragradient(alpha1, config, op)` would solve it, probes included,
-    to the same numbers.  Yields (key, outcome) as each run ends, the
+    to the same numbers; an `alpha1` given as a callable (such as `op.zero`)
+    is built when the run's probes are done.  Yields (key, outcome) as each run ends, the
     outcome being its `ExtragradientReport` or the package error the run
     raised.  Jobs are taken one at a time, while the live instances fit in
-    `LOCKSTEP_BYTES` together (one is always admitted), so a caller may
-    build each job's problem as it is asked for.  Each round gathers one
+    `LOCKSTEP_BYTES` together (one is always admitted: six 12x64x10
+    instances fit, or one 32x500x50), so a caller may build each job's
+    problem as it is asked for.  Each round gathers one
     request per live run and evaluates the runs of one `stack_key` with
     `evaluate_many`: the budget bounds the live set, so it bounds every stack
     too.

@@ -22,6 +22,7 @@ from majorminor.extragradient import (
     run_extragradient,
     run_lockstep,
     solve_stacked,
+    stack_capacity,
 )
 from majorminor.grids import build_grid, sample_noise
 from majorminor.models import LQParams, ModelConstants, make_lq_model, make_zero_model, split_q
@@ -213,6 +214,34 @@ def test_extragradient_loop_holds_its_iterate_and_one_point():
     assert peak < 4.75 * control_bytes
 
 
+def test_a_run_builds_its_start_after_its_probes():
+    # numpy reports its buffers to tracemalloc.  A start given as op.zero is
+    # built once the probes are done, so a one-iteration run that probes peaks
+    # where the probes alone do (6.43 controls), solo and in lockstep; a start
+    # built before the run and held through its probes reads 7.43
+    op = lq_operator(m=8, p=100, n=20, seed=2)[0]
+    control_bytes = 8 * (8 * 100 * 20 + 8 * 20)
+    config = ExtragradientConfig(n_max=1)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / control_bytes
+        finally:
+            tracemalloc.stop()
+
+    probes = peak(lambda: estimate_lipschitz_v(op, config.probes))
+    solo = peak(lambda: run_extragradient(op.zero, config, op))
+    lockstep = peak(lambda: dict(run_lockstep([(0, op.zero, config, op)])))
+    assert solo < probes + 0.2 and lockstep < probes + 0.2
+    # the start is the zero control either way
+    want = run_extragradient(op.zero(), config, op)
+    got = dict(run_lockstep([(0, op.zero, config, op)]))[0]
+    assert got.residuals == want.residuals
+    assert np.array_equal(got.final_alpha.alpha_x, want.final_alpha.alpha_x)
+
+
 def linear_op(seed, dim):
     """A synthetic monotone operator x -> (I + K) x with K skew."""
     k = np.random.default_rng(seed).standard_normal((dim, dim))
@@ -303,7 +332,7 @@ def test_plans_never_write_into_arrays_they_were_sent():
     assert not ops[1](ops[1].zero()).alpha_x.flags.writeable
 
 
-def test_lockstep_admits_three_small_instances_or_one_default_size(monkeypatch):
+def test_lockstep_admits_six_small_instances_or_one_default_size(monkeypatch):
     stacks = []
     real = extragradient_module.evaluate_many
 
@@ -312,15 +341,43 @@ def test_lockstep_admits_three_small_instances_or_one_default_size(monkeypatch):
         return real(ops, controls)
 
     monkeypatch.setattr(extragradient_module, "evaluate_many", counting)
-    ops = [lq_operator(m=12, p=64, n=10, seed=seed)[0] for seed in range(5)]
+    ops = [lq_operator(m=12, p=64, n=10, seed=seed)[0] for seed in range(8)]
     config = ExtragradientConfig(gamma=0.1, n_max=2)
     reports = dict(run_lockstep((i, op.zero(), config, op) for i, op in enumerate(ops)))
-    assert sorted(reports) == list(range(5))
-    # three of the five run, two evaluations per iteration, then the other two
-    assert stacks == [3] * 4 + [2] * 4
+    assert sorted(reports) == list(range(8))
+    # six of the eight run, two evaluations per iteration, then the other two
+    assert stacks == [6] * 4 + [2] * 4
+    assert stack_capacity(ops[0]) == 6
     # a default-size instance fills the budget alone
     default_size = lq_operator(m=32, p=500, n=50, seed=0)[0]
     assert _instance_bytes(default_size) > LOCKSTEP_BYTES
+    assert stack_capacity(default_size) == 1
+
+
+def test_six_small_instances_in_lockstep_stay_inside_the_budget():
+    # numpy reports its buffers to tracemalloc.  The problems are built while
+    # tracing, so their noise counts as the budget counts it.  Six 12x64x10
+    # runs, probes included, peak at 3.91 MB, under the 4.0 MB budget; with
+    # each start built before the run (op.zero() in place of op.zero), and so
+    # held through the probes, they read 4.29 MB.  The fixed allowance of
+    # 0.1 MB is headroom for the Python objects of the runs and allocator
+    # rounding
+    allowance = 100_000
+
+    def runs():
+        ops = [lq_operator(m=12, p=64, n=10, seed=seed)[0] for seed in range(6)]
+        config = ExtragradientConfig(n_max=3)
+        return dict(run_lockstep((i, op.zero, config, op) for i, op in enumerate(ops)))
+
+    runs()  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        reports = runs()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [reports[i].evaluations["probe"] for i in range(6)] == [12] * 6
+    assert peak < LOCKSTEP_BYTES + allowance
 
 
 def test_fit_geometric_rate_recovers_slope():

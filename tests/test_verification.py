@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import majorminor.extragradient as extragradient_module
+import majorminor.verification as verification
 from majorminor.ensembles import ControlField
-from majorminor.errors import ConfigurationError
-from majorminor.extragradient import FbsdeOperator
+from majorminor.errors import ConfigurationError, SimulationError
+from majorminor.extragradient import FbsdeOperator, _instance_bytes
 from majorminor.grids import build_grid, sample_noise
 from majorminor.models import (
     LQParams,
@@ -18,6 +20,7 @@ from majorminor.models import (
 from majorminor.oracle import oracle_induced_control, riccati_oracle
 from majorminor.solver import RegressionBasis, decoupled_solve, sample_initial
 from majorminor.verification import (
+    CertificationReport,
     check_coefficient_monotonicity,
     check_monotonicity_propagation,
     check_pontryagin_residual,
@@ -28,6 +31,7 @@ from majorminor.verification import (
 )
 
 CONE = LQParams(c1=1.0, c3=0.5, g1=1.0, b=1.0, p1=1.0)
+FLIPPED = LQParams(c1=-1.5, c3=0.0, g1=-2.0, b=-1.0, p1=1.0)
 CONSTANTS = ModelConstants(sigma=0.5, sigma0=0.5)
 
 
@@ -103,10 +107,103 @@ def test_v_monotonicity_cone_and_flipped():
     rep = check_v_monotonicity(op, pairs=12, seed=0)
     assert rep.passed
     assert rep.extras["eta_hat"] > 0
-    flipped, *_ = small_operator(params=LQParams(c1=-1.5, c3=0.0, g1=-2.0, b=-1.0, p1=1.0))
+    flipped, *_ = small_operator(params=FLIPPED)
     rep_bad = check_v_monotonicity(flipped, pairs=12, seed=0)
     assert not rep_bad.passed
     assert rep_bad.witness is not None
+
+
+def serial_v_monotonicity(op, pairs, seed):
+    """The pair check as a loop of solo evaluations: both draws of a pair,
+    then v at each, then the pair's terms."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
+    dt = op.grid.dt
+    worst_ip, worst_se, eta_hat, witness = math.inf, 0.0, math.inf, None
+    for i in range(pairs):
+        a = verification._probe_control(op, rng, verification._PAIR_SCALE)
+        b = verification._probe_control(op, rng, verification._PAIR_SCALE)
+        va = op(a)
+        vb = op(b)
+        diff = a - b
+        dv = va - vb
+        denom = op.inner(diff, diff)
+        if denom < 1e-12:
+            continue
+        per_scen = dt * (
+            (dv.alpha_x * diff.alpha_x).mean(axis=1).sum(axis=1)
+            + (dv.alpha_q * diff.alpha_q).sum(axis=1)
+        )
+        ip = float(per_scen.mean())
+        se = float(per_scen.std(ddof=1) / math.sqrt(per_scen.size))
+        eta_hat = min(eta_hat, ip / denom)
+        if ip < worst_ip:
+            worst_ip, worst_se = ip, se
+            witness = {"pair": i, "inner_product": ip, "denominator": denom}
+    passed = worst_ip >= -3.0 * worst_se
+    return CertificationReport(
+        name="v_monotonicity", passed=bool(passed), margin=worst_ip, se=worst_se, samples=pairs,
+        seed=seed, witness=None if passed else witness, extras={"eta_hat": eta_hat},
+    )
+
+
+def stacks_of(monkeypatch, op, size) -> list:
+    """Make the budget admit `size` instances of op's size; returns the list
+    the pair check's `evaluate_many` calls append their sizes to."""
+    monkeypatch.setattr(extragradient_module, "LOCKSTEP_BYTES", size * _instance_bytes(op))
+    stacks = []
+    real = verification.evaluate_many
+
+    def counting(ops, controls):
+        stacks.append(len(ops))
+        return real(ops, controls)
+
+    monkeypatch.setattr(verification, "evaluate_many", counting)
+    return stacks
+
+
+@pytest.mark.parametrize("params, size, want_stacks", [
+    (CONE, 6, [6] * 4),
+    (FLIPPED, 6, [6] * 4),
+    (CONE, 5, [5] * 4 + [4]),  # pairs straddle the chunks
+    (CONE, 1, [1] * 24),
+], ids=["cone", "flipped", "straddling", "solo"])
+def test_stacked_pair_check_reports_what_the_serial_loop_reports(monkeypatch, params, size, want_stacks):
+    op, *_ = small_operator(params=params)
+    want = serial_v_monotonicity(op, 12, 0)
+    stacks = stacks_of(monkeypatch, op, size)
+    got = check_v_monotonicity(op, pairs=12, seed=0)
+    assert stacks == want_stacks
+    assert got == want  # every field: margin, se, eta_hat and the witness
+    assert got.passed == (params is CONE)
+
+
+def test_stacked_pair_check_raises_the_first_failed_draws_error(monkeypatch):
+    # draws 3 and 5 share the first stack of six; each has a non-finite
+    # drift, at steps 7 and 2.  The stacked solve stops at step 2, draw 5's;
+    # the check raises draw 3's error, as the serial loop does
+    op, *_ = small_operator()
+    poison = {3: 7, 5: 2}
+    draws = []
+    real = verification._probe_control
+
+    def probe(op, rng, scale):
+        control = real(op, rng, scale)
+        step = poison.get(len(draws))
+        draws.append(step)
+        if step is not None:
+            control.alpha_q[0, step] = np.nan
+        return control
+
+    monkeypatch.setattr(verification, "_probe_control", probe)
+    with pytest.raises(SimulationError) as serial_error:
+        serial_v_monotonicity(op, 12, 0)
+    assert serial_error.value.step == 7
+    draws.clear()
+    stacks = stacks_of(monkeypatch, op, 6)
+    with pytest.raises(SimulationError) as stacked_error:
+        check_v_monotonicity(op, pairs=12, seed=0)
+    assert stacks == [6] and len(draws) == 6
+    assert str(stacked_error.value) == str(serial_error.value)
 
 
 def test_z_bound_constant_terminal():
