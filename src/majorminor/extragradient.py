@@ -368,8 +368,7 @@ def fit_geometric_rate(residuals):
 def _extragradient_plan(alpha1, config: ExtragradientConfig, op, reference_control=None, lipschitz_hint=None):
     """The extragradient loop as a plan (see the module docstring); returns
     its `ExtragradientReport`.  Without a step size or a hint it probes
-    first.  `alpha1` is the start control, or a callable that builds it
-    (such as `op.zero`), called once the probes are done."""
+    first."""
     gamma = config.gamma
     L_hat = None
     probe_evals = 0
@@ -600,8 +599,8 @@ def estimate_lipschitz_v(op, probes: int = 4, seed: int = _PROBE_SEED) -> Lipsch
 # op(control) exactly as a solo run does.  Memory bounds the stack, not speed:
 # at 12x64x10, with one BLAS thread on a shared 2-core VM, the CPU time per
 # instance of a solve is 3.69 ms solo, 1.18 ms in a stack of 3, 0.96 ms in 5,
-# 0.79 ms in 7 and 0.70 ms in 12, and each live instance adds about 0.5 MB of
-# peak RSS (the benchmark's `small_study` peaks 1.6 MB higher with six than
+# 0.79 ms in 7 and 0.70 ms in 12, and each live instance adds about 0.6 MB of
+# peak RSS (the benchmark's `small_study` peaks 1.7 MB higher with six than
 # with three).  `stack_capacity` gives the same count to callers that stack
 # their own evaluations.
 LOCKSTEP_BYTES = 4_000_000
@@ -671,15 +670,14 @@ def run_lockstep(jobs):
     jobs: iterable of (key, alpha1, config, op), each solved as
     `run_extragradient(alpha1, config, op)` would solve it, probes included,
     to the same numbers; an `alpha1` given as a callable (such as `op.zero`)
-    is built when the run's probes are done.  Yields (key, outcome) as each run ends, the
-    outcome being its `ExtragradientReport` or the package error the run
-    raised.  Jobs are taken one at a time, while the live instances fit in
-    `LOCKSTEP_BYTES` together (one is always admitted: six 12x64x10
-    instances fit, or one 32x500x50), so a caller may build each job's
-    problem as it is asked for.  Each round gathers one
-    request per live run and evaluates the runs of one `stack_key` with
-    `evaluate_many`: the budget bounds the live set, so it bounds every stack
-    too.
+    is built when the run's probes are done.  Yields (key, outcome) as each
+    run ends, the outcome being its `ExtragradientReport` or the package
+    error the run raised.  Jobs are taken one at a time, while the live
+    instances fit in `LOCKSTEP_BYTES` together (one is always admitted: six
+    12x64x10 instances fit, or one 32x500x50), so a caller may build each
+    job's problem as it is asked for.  Each round gathers one request per
+    live run and evaluates the runs of one `stack_key` with `evaluate_many`:
+    the budget bounds the live set, so it bounds every stack too.
     """
     pending = iter(jobs)
     waiting = None

@@ -265,7 +265,7 @@ def check_v_monotonicity(
             if isinstance(value, MajorMinorError):
                 raise value
         held += zip(controls, values)
-        del controls, values
+        del controls, values  # a reduced pair is not held through the next chunk
         while len(held) >= 2:
             terms = _pair_terms(op, *held[0], *held[1])
             del held[:2]
