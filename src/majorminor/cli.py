@@ -38,6 +38,7 @@ from .extragradient import (
     ExtragradientReport,
     FbsdeOperator,
     estimate_lipschitz_v,
+    extragradient_plan,
     run_extragradient,
     run_lockstep,
 )
@@ -452,8 +453,8 @@ def _sweep_rows(cells) -> list[dict]:
     """The rows of a group of sweep cells, in cell order.
 
     Each cell is built when `run_lockstep` asks for its job, so only the
-    cells live there hold their problems; its EG run goes through
-    `run_lockstep`, and its Picard solve runs once that EG run has ended.
+    cells live there hold their problems; its EG run is an
+    `extragradient_plan` there, and its Picard solve runs once that ends.
     A package error ends its cell only: it is recorded and the sweep goes on.
     """
     rows: list[dict] = []
@@ -486,8 +487,8 @@ def _sweep_rows(cells) -> list[dict]:
                 row["error"] = _csv_text(exc)
                 continue
             problems[index] = (op, eg_config.tol, data["sweep"]["picard_sweeps"])
-            # the start is built after the run's probes, see `run_lockstep`
-            yield index, op.zero, eg_config, op
+            # the start is built after the run's probes, see `extragradient_plan`
+            yield index, op, extragradient_plan(op.zero, eg_config, op)
 
     for index, report in run_lockstep(jobs()):
         _finish_row(rows[index], report, *problems.pop(index))

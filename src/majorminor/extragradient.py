@@ -1,5 +1,5 @@
 """The monotone residual operator on controls, the extragradient loop, and
-`run_lockstep`, which runs many independent loops as stacked solves.
+`run_lockstep`, which runs the plans of many instances as stacked solves.
 
 For a control alpha the decoupled system is solved, the pair inverse is read
 off, and the operator value is
@@ -14,20 +14,22 @@ is the residual norm, not iterate movement.  The iteration kernel only needs
 points with vector arithmetic and an operator exposing `inner`, which lets
 synthetic operators exercise it without any FBSDE machinery.
 
-Plans.  The extragradient loop and the Lipschitz probes are written as
-generator plans: a plan yields a control, is sent back its value v, or has
-the package error of the failed solve thrown in at the yield, holds only
-what it still reads, and returns its result.  `run_extragradient` and
-`estimate_lipschitz_v` drive their plan alone: each control goes to
-`op(control)`, in the order a plain loop would call it.  `run_lockstep`
-drives the plans of many independent instances at once: each round it takes
-one evaluation from every live plan and solves those of alike instances as
-one stacked solve along a leading instance axis (`evaluate_many`), which
-gives every instance the same bits as its own solve would.  Per instance,
-both ways produce the same reports.  `LOCKSTEP_BYTES` bounds the live set:
-six instances at 12x64x10, one at the CLI default 32x500x50.  A start
-control may be passed as a callable (`op.zero`), which the plan calls once
-its probes are done, so no run holds its start through them.
+Plans.  The extragradient loop (`extragradient_plan`) and the Lipschitz
+probes are written as generator plans: a plan yields a control, is sent
+back its value v, or has the package error of the failed solve thrown in at
+the yield, holds only what it still reads, and returns its result.
+`run_extragradient` and `estimate_lipschitz_v` drive their plan alone: each
+control goes to `op(control)`, in the order a plain loop would call it.
+`run_lockstep` drives any plans of many independent instances at once, such
+as the sweep's extragradient runs or the draws of `check_v_monotonicity`:
+each round it takes one evaluation from every live plan and solves those of
+alike instances as one stacked solve along a leading instance axis
+(`evaluate_many`), which gives every instance the same bits as its own solve
+would.  Per instance, both ways produce the same outcome.  It is the
+package's only stacked path, and `LOCKSTEP_BYTES` bounds its live set: six
+instances at 12x64x10, one at the CLI default 32x500x50.  A start control
+may be passed as a callable (`op.zero`), which the plan calls once its
+probes are done, so no run holds its start through them.
 `extragradient_step` is a one-step helper outside the plans: one
 iteration's two evaluations and points.
 """
@@ -60,12 +62,12 @@ __all__ = [
     "LipschitzEstimate",
     "LOCKSTEP_BYTES",
     "evaluate_many",
+    "extragradient_plan",
     "extragradient_step",
     "run_extragradient",
     "run_lockstep",
     "estimate_lipschitz_v",
     "solve_stacked",
-    "stack_capacity",
 ]
 
 _PROBE_SEED = 123
@@ -77,7 +79,7 @@ _DIVERGENCE_FACTOR = 10.0
 _DIVERGENCE_WINDOW = 5
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtragradientConfig:
     """Step size and caps of one extragradient run.
 
@@ -109,6 +111,8 @@ class ExtragradientConfig:
             problems.append(f"tol must be >= 0, got {self.tol}")
         if not (self.safety > 0):
             problems.append(f"safety must be positive, got {self.safety}")
+        if self.probes < 2:
+            problems.append(f"probes must be >= 2, got {self.probes}")
         if problems:
             raise ConfigurationError(problems)
 
@@ -365,7 +369,7 @@ def fit_geometric_rate(residuals):
     return float(np.exp(slope)), r2
 
 
-def _extragradient_plan(alpha1, config: ExtragradientConfig, op, reference_control=None, lipschitz_hint=None):
+def extragradient_plan(alpha1, config: ExtragradientConfig, op, reference_control=None, lipschitz_hint=None):
     """The extragradient loop as a plan (see the module docstring); returns
     its `ExtragradientReport`.  Without a step size or a hint it probes
     first."""
@@ -459,14 +463,12 @@ def run_extragradient(
     reference control when one is supplied.  Residual growth by
     `_DIVERGENCE_FACTOR` over `_DIVERGENCE_WINDOW` iterations ends the run
     with a divergence report instead of an exception, and so does a solve
-    that leaves the finite range.  Without a step size or a hint it probes
-    first with `estimate_lipschitz_v`.  `alpha1` is the start control, or a
-    callable that builds it (such as `op.zero`): a callable is called after
-    the probes, so that they run without the start held.
+    that leaves the finite range.  Without a step size or a hint its plan
+    probes first, as `estimate_lipschitz_v` would.  `alpha1` is the start
+    control, or a callable that builds it (such as `op.zero`): a callable is
+    called after the probes, so that they run without the start held.
     """
-    if config.gamma is None and lipschitz_hint is None:
-        lipschitz_hint = estimate_lipschitz_v(op, config.probes)
-    plan = _extragradient_plan(alpha1, config, op, reference_control, lipschitz_hint)
+    plan = extragradient_plan(alpha1, config, op, reference_control, lipschitz_hint)
     del alpha1  # the plan drops the start control once it has stepped past it
     return _drive(plan, op)
 
@@ -601,8 +603,7 @@ def estimate_lipschitz_v(op, probes: int = 4, seed: int = _PROBE_SEED) -> Lipsch
 # instance of a solve is 3.69 ms solo, 1.18 ms in a stack of 3, 0.96 ms in 5,
 # 0.79 ms in 7 and 0.70 ms in 12, and each live instance adds about 0.6 MB of
 # peak RSS (the benchmark's `small_study` peaks 1.7 MB higher with six than
-# with three).  `stack_capacity` gives the same count to callers that stack
-# their own evaluations.
+# with three).
 LOCKSTEP_BYTES = 4_000_000
 # what one live instance holds at its peak, while a stacked solve runs: up to
 # four controls of its plan (three probe values and the fourth point; the
@@ -621,12 +622,6 @@ _PATHS_PER_INSTANCE = 9
 def _instance_bytes(op: FbsdeOperator) -> int:
     m, p = op.init.X0.shape
     return 8 * m * p * (op.grid.steps + 1) * _PATHS_PER_INSTANCE
-
-
-def stack_capacity(op: FbsdeOperator) -> int:
-    """How many instances of the size of `op` `LOCKSTEP_BYTES` admits
-    together, and at least one: six at 12x64x10, one at 32x500x50."""
-    return max(1, LOCKSTEP_BYTES // _instance_bytes(op))
 
 
 class _Live:
@@ -656,28 +651,22 @@ class _Live:
         return True
 
 
-def _start(job) -> _Live:
-    """The run of a `run_lockstep` job, advanced to its first request."""
-    key, alpha1, config, op = job
-    run = _Live(key, op, _extragradient_plan(alpha1, config, op))
-    run.resume(None)
-    return run
-
-
 def run_lockstep(jobs):
-    """Run independent extragradient solves in lockstep.
+    """Run the plans of independent instances in lockstep.
 
-    jobs: iterable of (key, alpha1, config, op), each solved as
-    `run_extragradient(alpha1, config, op)` would solve it, probes included,
-    to the same numbers; an `alpha1` given as a callable (such as `op.zero`)
-    is built when the run's probes are done.  Yields (key, outcome) as each
-    run ends, the outcome being its `ExtragradientReport` or the package
-    error the run raised.  Jobs are taken one at a time, while the live
-    instances fit in `LOCKSTEP_BYTES` together (one is always admitted: six
-    12x64x10 instances fit, or one 32x500x50), so a caller may build each
-    job's problem as it is asked for.  Each round gathers one request per
-    live run and evaluates the runs of one `stack_key` with `evaluate_many`:
-    the budget bounds the live set, so it bounds every stack too.
+    jobs: iterable of (key, op, plan), each plan driven to the numbers that
+    `_drive(plan, op)` would give; `(key, op, extragradient_plan(op.zero,
+    config, op))` solves as `run_extragradient(op.zero, config, op)` does,
+    probes included.  Yields (key, outcome) as each plan ends, the outcome
+    being what the plan returned or the package error it raised; plans of
+    one `stack_key` that end in the same round come in the order they were
+    taken.  Jobs are taken one at a time, while the live instances fit in
+    `LOCKSTEP_BYTES` together (one is always admitted: six 12x64x10
+    instances fit, or one 32x500x50), so a caller may build each job's
+    problem as it is asked for.  Each round gathers one request per live
+    plan and evaluates those of one `stack_key` with `evaluate_many`, with
+    overflow and invalid warnings silenced as `_drive` silences them: the
+    budget bounds the live set, so it bounds every stack too.
     """
     pending = iter(jobs)
     waiting = None
@@ -688,11 +677,11 @@ def run_lockstep(jobs):
         # most one waits built while it does not fit
         while not live or used < LOCKSTEP_BYTES:
             waiting = waiting or next(pending, None)
-            if waiting is None or (live and used + _instance_bytes(waiting[3]) > LOCKSTEP_BYTES):
+            if waiting is None or (live and used + _instance_bytes(waiting[1]) > LOCKSTEP_BYTES):
                 break
-            run = _start(waiting)
+            run = _Live(*waiting)
             waiting = None
-            if run.outcome is not None:
+            if run.resume(None):
                 yield run.key, run.outcome
                 continue
             live.append(run)
@@ -704,6 +693,7 @@ def run_lockstep(jobs):
         used = sum(run.bytes for run in live)
         for run in ended:
             yield run.key, run.outcome
+            run.outcome = None  # the caller holds what it keeps, not the next round
 
 
 def _round(live: list[_Live]) -> list[_Live]:

@@ -19,7 +19,7 @@ import numpy as np
 from .artifacts import strict_json
 from .ensembles import ControlField, conditional_features
 from .errors import ConfigurationError, MajorMinorError
-from .extragradient import evaluate_many, stack_capacity
+from .extragradient import run_lockstep
 from .grids import TimeGrid
 from .models import CoefficientSet, MonotonicityData
 from .solver import SolveOutput
@@ -215,6 +215,14 @@ def _probe_control(op, rng, scale: float):
     return ControlField(rough.alpha_x + const_x, rough.alpha_q + const_q)
 
 
+def _draw_plan(op, rng):
+    """One draw of the pair check as a plan: its control is drawn when the
+    plan starts; returns (control, value)."""
+    control = _probe_control(op, rng, _PAIR_SCALE)
+    value = yield control
+    return control, value
+
+
 def _pair_terms(op, a, va, b, vb):
     """(<v(a)-v(b), a-b>_T, its standard error over the scenarios,
     ||a-b||_T^2) of one pair, or None when a and b coincide."""
@@ -240,13 +248,14 @@ def check_v_monotonicity(
     Reports the minimum inner product <v(a)-v(b), a-b>_T and the minimum
     Rayleigh quotient eta_hat over the sampled pairs.
 
-    The controls are drawn in pair order, a_0, b_0, a_1, b_1, ..., and
-    evaluated with `evaluate_many` in chunks of `stack_capacity(op)` draws
-    (six at 12x64x10; one at 32x500x50, where each goes through op(control)
-    on its own); each draw gets the bits of its own solve, so the report does
-    not depend on the chunking.  The pairs are reduced in order as both
-    their values are in.  A failed evaluation raises the package error of
-    the first failed draw, the error a pair-by-pair loop would raise.
+    The controls are drawn in pair order, a_0, b_0, a_1, b_1, ..., each by
+    a one-evaluation plan that `run_lockstep` runs (six a round at 12x64x10;
+    one at 32x500x50, through op(control)), with overflow warnings silenced;
+    each draw gets the bits of its own solve, so the report does not depend
+    on the stacking.  The outcomes come back in draw order, and a pair is
+    reduced when its second is in.  A failed evaluation raises the package
+    error of the first failed draw, the error a pair-by-pair loop would
+    raise.
     """
     _require_draws("pairs", pairs)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
@@ -254,28 +263,21 @@ def check_v_monotonicity(
     worst_se = 0.0
     eta_hat = math.inf
     witness = None
-    chunk = stack_capacity(op)
-    draws = 2 * pairs
-    held: list = []  # (control, value) of the draws whose pair is not in yet
-    i = 0
-    for start in range(0, draws, chunk):
-        controls = [_probe_control(op, rng, _PAIR_SCALE) for _ in range(min(chunk, draws - start))]
-        values = evaluate_many([op] * len(controls), controls)
-        for value in values:
-            if isinstance(value, MajorMinorError):
-                raise value
-        held += zip(controls, values)
-        del controls, values  # a reduced pair is not held through the next chunk
-        while len(held) >= 2:
-            terms = _pair_terms(op, *held[0], *held[1])
-            del held[:2]
-            if terms is not None:
-                ip, se, denom = terms
-                eta_hat = min(eta_hat, ip / denom)
-                if ip < worst_ip:
-                    worst_ip, worst_se = ip, se
-                    witness = {"pair": i, "inner_product": ip, "denominator": denom}
-            i += 1
+    first = None  # (control, value) of the pair's first draw
+    for k, outcome in run_lockstep((k, op, _draw_plan(op, rng)) for k in range(2 * pairs)):
+        if isinstance(outcome, MajorMinorError):
+            raise outcome
+        if k % 2 == 0:
+            first = outcome
+            continue
+        terms = _pair_terms(op, *first, *outcome)
+        first = outcome = None  # a reduced pair is not held through the next round
+        if terms is not None:
+            ip, se, denom = terms
+            eta_hat = min(eta_hat, ip / denom)
+            if ip < worst_ip:
+                worst_ip, worst_se = ip, se
+                witness = {"pair": k // 2, "inner_product": ip, "denominator": denom}
     passed = worst_ip >= -3.0 * worst_se
     return CertificationReport(
         name="v_monotonicity",

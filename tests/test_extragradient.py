@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from majorminor.extragradient import (
     FbsdeOperator,
     estimate_lipschitz_v,
     evaluate_many,
+    extragradient_plan,
     extragradient_step,
     fit_geometric_rate,
     _instance_bytes,
@@ -22,7 +24,6 @@ from majorminor.extragradient import (
     run_extragradient,
     run_lockstep,
     solve_stacked,
-    stack_capacity,
 )
 from majorminor.grids import build_grid, sample_noise
 from majorminor.models import LQParams, ModelConstants, make_lq_model, make_zero_model, split_q
@@ -115,22 +116,31 @@ def test_run_divergence_report_on_large_step():
     assert report.iterations < 60
 
 
+def assigned_gamma():
+    config = ExtragradientConfig(n_max=5)
+    config.gamma = 0.5
+    return config
+
+
 @pytest.mark.parametrize(
-    "kwargs,message",
+    "make,error,message",
     [
-        ({"safety": -0.5}, "safety must be positive, got -0.5"),
-        ({"safety": 0.0}, "safety must be positive, got 0.0"),
-        ({"tol": -1e-3}, "tol must be >= 0, got -0.001"),
+        (lambda: ExtragradientConfig(n_max=5, safety=-0.5), ConfigurationError, "safety must be positive, got -0.5"),
+        (lambda: ExtragradientConfig(n_max=5, safety=0.0), ConfigurationError, "safety must be positive, got 0.0"),
+        (lambda: ExtragradientConfig(n_max=5, tol=-1e-3), ConfigurationError, "tol must be >= 0, got -0.001"),
+        # with gamma set no probe runs, and probes=1 is still rejected
+        (lambda: ExtragradientConfig(n_max=5, gamma=0.5, probes=1), ConfigurationError, "probes must be >= 2, got 1"),
+        (assigned_gamma, dataclasses.FrozenInstanceError, "cannot assign to field 'gamma'"),
     ],
-    ids=["safety-negative", "safety-zero", "tol-negative"],
+    ids=["safety-negative", "safety-zero", "tol-negative", "probes-one-with-gamma", "assigned-field"],
 )
-def test_config_rejects_bad_keys_before_any_evaluation(kwargs, message):
+def test_config_rejects_bad_keys_before_any_evaluation(make, error, message):
     calls = []
     op = ArrayOperator(lambda x: calls.append(1) or 1.7 * x, 3)
-    with pytest.raises(ConfigurationError) as err:
-        run_extragradient(np.ones(3), ExtragradientConfig(n_max=5, **kwargs), op)
+    with pytest.raises(error) as err:
+        run_extragradient(np.ones(3), make(), op)
     assert calls == []
-    assert err.value.violations == [message]
+    assert getattr(err.value, "violations", [str(err.value)]) == [message]
 
 
 def test_estimate_lipschitz_exact_for_linear():
@@ -233,11 +243,11 @@ def test_a_run_builds_its_start_after_its_probes():
 
     probes = peak(lambda: estimate_lipschitz_v(op, config.probes))
     solo = peak(lambda: run_extragradient(op.zero, config, op))
-    lockstep = peak(lambda: dict(run_lockstep([(0, op.zero, config, op)])))
+    lockstep = peak(lambda: dict(run_lockstep([(0, op, extragradient_plan(op.zero, config, op))])))
     assert solo < probes + 0.2 and lockstep < probes + 0.2
     # the start is the zero control either way
     want = run_extragradient(op.zero(), config, op)
-    got = dict(run_lockstep([(0, op.zero, config, op)]))[0]
+    got = dict(run_lockstep([(0, op, extragradient_plan(op.zero, config, op))]))[0]
     assert got.residuals == want.residuals
     assert np.array_equal(got.final_alpha.alpha_x, want.final_alpha.alpha_x)
 
@@ -327,7 +337,7 @@ def test_plans_never_write_into_arrays_they_were_sent():
         lq, grid, noise, init = lq_operator(m=8, p=32, n=10, seed=seed)
         ops.append(FrozenValues(lq.primed, grid, noise, init, lq.basis))
     config = ExtragradientConfig(n_max=3)
-    reports = dict(run_lockstep((i, frozen(op.zero()), config, op) for i, op in enumerate(ops)))
+    reports = dict(run_lockstep((i, op, extragradient_plan(frozen(op.zero()), config, op)) for i, op in enumerate(ops)))
     assert [reports[i].evaluations for i in range(2)] == [{"probe": 12, "iterate": 6}] * 2
     assert not ops[1](ops[1].zero()).alpha_x.flags.writeable
 
@@ -343,15 +353,52 @@ def test_lockstep_admits_six_small_instances_or_one_default_size(monkeypatch):
     monkeypatch.setattr(extragradient_module, "evaluate_many", counting)
     ops = [lq_operator(m=12, p=64, n=10, seed=seed)[0] for seed in range(8)]
     config = ExtragradientConfig(gamma=0.1, n_max=2)
-    reports = dict(run_lockstep((i, op.zero(), config, op) for i, op in enumerate(ops)))
+    reports = dict(run_lockstep((i, op, extragradient_plan(op.zero(), config, op)) for i, op in enumerate(ops)))
     assert sorted(reports) == list(range(8))
     # six of the eight run, two evaluations per iteration, then the other two
     assert stacks == [6] * 4 + [2] * 4
-    assert stack_capacity(ops[0]) == 6
     # a default-size instance fills the budget alone
     default_size = lq_operator(m=32, p=500, n=50, seed=0)[0]
     assert _instance_bytes(default_size) > LOCKSTEP_BYTES
-    assert stack_capacity(default_size) == 1
+
+
+def test_lockstep_runs_any_plans_of_alike_instances_in_one_stack(monkeypatch):
+    # extragradient plans and one-evaluation plans of alike 12x64x10
+    # operators share each round's stacked solve, and each job gets the
+    # outcome it gets alone, bit for bit
+    ops = [lq_operator(m=12, p=64, n=10, seed=seed)[0] for seed in range(4)]
+    config = ExtragradientConfig(gamma=0.1, n_max=2)
+    points = {i: ops[i].random_control(np.random.default_rng(i), 0.5) for i in (2, 3)}
+    solo = {("eg", i): run_extragradient(ops[i].zero(), config, ops[i]) for i in (0, 1)}
+    solo.update({("one", i): ops[i](points[i]) for i in (2, 3)})
+
+    def one_evaluation(control):
+        value = yield control
+        return control, value
+
+    stacks = []
+    real = extragradient_module.evaluate_many
+
+    def counting(ops, controls):
+        stacks.append(len(ops))
+        return real(ops, controls)
+
+    monkeypatch.setattr(extragradient_module, "evaluate_many", counting)
+    jobs = [(("eg", i), ops[i], extragradient_plan(ops[i].zero, config, ops[i])) for i in (0, 1)]
+    jobs += [(("one", i), ops[i], one_evaluation(points[i])) for i in (2, 3)]
+    got = dict(run_lockstep(jobs))
+    # the first round stacks all four, the other three the two EG runs
+    assert stacks == [4, 2, 2, 2]
+    for i in (0, 1):
+        want, report = solo["eg", i], got["eg", i]
+        assert (report.residuals, report.evaluations) == (want.residuals, want.evaluations)
+        assert np.array_equal(report.final_alpha.alpha_x, want.final_alpha.alpha_x)
+        assert np.array_equal(report.final_alpha.alpha_q, want.final_alpha.alpha_q)
+    for i in (2, 3):
+        control, value = got["one", i]
+        assert control is points[i]
+        assert np.array_equal(value.alpha_x, solo["one", i].alpha_x)
+        assert np.array_equal(value.alpha_q, solo["one", i].alpha_q)
 
 
 def test_six_small_instances_in_lockstep_stay_inside_the_budget():
@@ -367,7 +414,7 @@ def test_six_small_instances_in_lockstep_stay_inside_the_budget():
     def runs():
         ops = [lq_operator(m=12, p=64, n=10, seed=seed)[0] for seed in range(6)]
         config = ExtragradientConfig(n_max=3)
-        return dict(run_lockstep((i, op.zero, config, op) for i, op in enumerate(ops)))
+        return dict(run_lockstep((i, op, extragradient_plan(op.zero, config, op)) for i, op in enumerate(ops)))
 
     runs()  # imports and first-call caches
     tracemalloc.start()
@@ -531,7 +578,7 @@ def test_lockstep_runs_report_what_solo_runs_report():
             solo.append(run_extragradient(op.zero(), config, op))
         except SimulationError as exc:
             solo.append(exc)
-    lockstep = dict(run_lockstep((i, op.zero(), config, op) for i, op in enumerate(ops)))
+    lockstep = dict(run_lockstep((i, op, extragradient_plan(op.zero(), config, op)) for i, op in enumerate(ops)))
     outcomes = []
     for i, want in enumerate(solo):
         got = lockstep[i]
@@ -557,5 +604,5 @@ def test_lockstep_runs_report_what_solo_runs_report():
     # the default config runs in lockstep too, to the solo numbers
     default = ExtragradientConfig()
     want = run_extragradient(ops[0].zero(), default, ops[0])
-    got = dict(run_lockstep([(0, ops[0].zero(), default, ops[0])]))[0]
+    got = dict(run_lockstep([(0, ops[0], extragradient_plan(ops[0].zero(), default, ops[0]))]))[0]
     assert (got.residuals, got.stop_reason) == (want.residuals, want.stop_reason)

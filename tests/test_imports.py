@@ -107,6 +107,21 @@ def unreached_names() -> list[str]:
     return sorted(f"{module}:{name}" for name, module in defined.items() if name not in used | UNREACHED_ALLOWED)
 
 
+# The stacked evaluation, the stacked solve and the budget that sizes the
+# stacks: `run_lockstep` is the one stacked path, so only its module reads them.
+STACKING = {"evaluate_many", "solve_stacked", "LOCKSTEP_BYTES"}
+
+
+def test_only_extragradient_reads_the_stacking_names():
+    found = [
+        f"{path.name}: {name}"
+        for path in MODULES
+        if path.name != "extragradient.py"
+        for name in sorted(references(ast.parse(path.read_text(), filename=str(path))) & STACKING)
+    ]
+    assert found == []
+
+
 def test_every_top_level_name_is_reached_by_the_package():
     assert unreached_names() == []
 
