@@ -342,7 +342,9 @@ def test_plans_never_write_into_arrays_they_were_sent():
     assert not ops[1](ops[1].zero()).alpha_x.flags.writeable
 
 
-def test_lockstep_admits_six_small_instances_or_one_default_size(monkeypatch):
+def stack_sizes(monkeypatch) -> list:
+    """The list that each `evaluate_many` call of `run_lockstep` appends its
+    stack size to."""
     stacks = []
     real = extragradient_module.evaluate_many
 
@@ -351,6 +353,11 @@ def test_lockstep_admits_six_small_instances_or_one_default_size(monkeypatch):
         return real(ops, controls)
 
     monkeypatch.setattr(extragradient_module, "evaluate_many", counting)
+    return stacks
+
+
+def test_lockstep_admits_six_small_instances_or_one_default_size(monkeypatch):
+    stacks = stack_sizes(monkeypatch)
     ops = [lq_operator(m=12, p=64, n=10, seed=seed)[0] for seed in range(8)]
     config = ExtragradientConfig(gamma=0.1, n_max=2)
     reports = dict(run_lockstep((i, op, extragradient_plan(op.zero(), config, op)) for i, op in enumerate(ops)))
@@ -376,14 +383,7 @@ def test_lockstep_runs_any_plans_of_alike_instances_in_one_stack(monkeypatch):
         value = yield control
         return control, value
 
-    stacks = []
-    real = extragradient_module.evaluate_many
-
-    def counting(ops, controls):
-        stacks.append(len(ops))
-        return real(ops, controls)
-
-    monkeypatch.setattr(extragradient_module, "evaluate_many", counting)
+    stacks = stack_sizes(monkeypatch)
     jobs = [(("eg", i), ops[i], extragradient_plan(ops[i].zero, config, ops[i])) for i in (0, 1)]
     jobs += [(("one", i), ops[i], one_evaluation(points[i])) for i in (2, 3)]
     got = dict(run_lockstep(jobs))

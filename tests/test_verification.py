@@ -377,9 +377,8 @@ def test_checks_reject_an_empty_sample(check, kwargs):
 
 def test_stacked_pair_check_holds_no_ended_round_through_the_next(monkeypatch):
     # numpy reports its buffers to tracemalloc.  Six draws a round at
-    # 12x64x10: the check peaks at 37.1 controls (the chunked check it
-    # replaced, 38.0); holding each ended round's controls and values
-    # through the next round's draws and solve read 49.2
+    # 12x64x10: the check peaks at 37.1 controls; holding each ended round's
+    # controls and values through the next round's draws and solve read 49.2
     op, *_ = small_operator(m=12, p=64)
     control_bytes = 8 * (12 * 64 * 10 + 12 * 10)
     monkeypatch.setattr(extragradient_module, "LOCKSTEP_BYTES", 6 * _instance_bytes(op))
