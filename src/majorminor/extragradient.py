@@ -23,9 +23,9 @@ control goes to `op(control)`, in the order a plain loop would call it.
 `run_lockstep` drives any plans of many independent instances at once, such
 as the sweep's extragradient runs or the draws of `check_v_monotonicity`:
 each round it takes one evaluation from every live plan and solves those of
-alike instances as one stacked solve along a leading instance axis
-(`evaluate_many`), which gives every instance the same bits as its own solve
-would.  Per instance, both ways produce the same outcome.  It is the
+instances of one model, size and basis (one `solver.stack_key`) as one
+stacked solve along a leading instance axis (`evaluate_many`), which gives
+every instance the same bits as its own solve would.  Per instance, both ways produce the same outcome.  It is the
 package's only stacked path, and `LOCKSTEP_BYTES` bounds its live set: six
 instances at 12x64x10, one at the CLI default 32x500x50.  A start control
 may be passed as a callable (`op.zero`), which the plan calls once its
@@ -37,6 +37,7 @@ iteration's two evaluations and points.
 from __future__ import annotations
 
 import copy
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -53,6 +54,7 @@ from .solver import (
     SolveOutput,
     decoupled_solve,
     regress_conditional,
+    stack_key,
 )
 
 __all__ = [
@@ -79,6 +81,13 @@ _DIVERGENCE_FACTOR = 10.0
 _DIVERGENCE_WINDOW = 5
 
 
+def _positive_finite(name: str, value: float) -> list[str]:
+    """The violation of a setting that must be positive and finite, if any."""
+    if not (value > 0):
+        return [f"{name} must be positive, got {value}"]
+    return [] if math.isfinite(value) else [f"{name} must be finite, got {value}"]
+
+
 @dataclass(frozen=True)
 class ExtragradientConfig:
     """Step size and caps of one extragradient run.
@@ -103,14 +112,13 @@ class ExtragradientConfig:
 
     def __post_init__(self):
         problems = []
-        if self.gamma is not None and not (self.gamma > 0):
-            problems.append(f"gamma must be positive, got {self.gamma}")
+        if self.gamma is not None:
+            problems += _positive_finite("gamma", self.gamma)
         if self.n_max < 1:
             problems.append(f"n_max must be >= 1, got {self.n_max}")
         if not (self.tol >= 0):
             problems.append(f"tol must be >= 0, got {self.tol}")
-        if not (self.safety > 0):
-            problems.append(f"safety must be positive, got {self.safety}")
+        problems += _positive_finite("safety", self.safety)
         if self.probes < 2:
             problems.append(f"probes must be >= 2, got {self.probes}")
         if problems:
@@ -153,8 +161,10 @@ class FbsdeOperator:
         return ControlField(vx, 0.5 * (self.a * gap_q))
 
     def stack_key(self) -> tuple:
-        """Operators with equal keys can be evaluated in one stacked solve."""
-        return (self.init.X0.shape, self.grid.steps, self.basis, self.primed.constants.sigma0 > 0)
+        """`solver.stack_key` of this instance: operators with equal keys
+        (one model, by the identity of its maps, one size, steps and basis,
+        and alike in sigma0 > 0) can be evaluated in one stacked solve."""
+        return stack_key(self.primed, self.grid, self.basis, self.init.X0.shape)
 
     def inner(self, a: ControlField, b: ControlField) -> float:
         return inner_product_T(a, b, self.grid)

@@ -16,10 +16,11 @@ of X and U: exact for the shipped linear-quadratic family, and O(P) to evaluate.
 The maps read only their arguments: `theta(X, p, z, alpha_x, alpha_q)` takes
 no coefficient set, and the z clamp is a wrapper that `clamp_coefficients`
 puts around theta as around F, G, Hz and LH.  So two instances whose maps are
-the same objects compute the same function, whatever their constants, and
-the backward sweep calls such maps once for all of them.  `make_lq_model`
-returns the same map objects for equal `LQParams` (and an infinite clamp),
-and `make_zero_model` the same ones every time.
+the same objects compute the same function, whatever their constants: they
+may share a stacked solve (see `solver.stack_key`), which calls the maps once
+for all of its instances.  `make_lq_model` returns the same map objects for
+equal `LQParams` and clamp level, and `make_zero_model` the same ones every
+time.
 """
 
 from __future__ import annotations
@@ -60,11 +61,11 @@ class ModelConstants:
 
     def __post_init__(self):
         problems = []
-        if self.sigma < 0:
+        if not (self.sigma >= 0):
             problems.append(f"sigma must be >= 0, got {self.sigma}")
-        if self.sigma0 < 0:
+        if not (self.sigma0 >= 0):
             problems.append(f"sigma0 must be >= 0, got {self.sigma0}")
-        if self.discount < 0:
+        if not (self.discount >= 0):
             problems.append(f"discount must be >= 0, got {self.discount}")
         if not (self.clamp_m > 0):
             problems.append(f"clamp level must be positive, got {self.clamp_m}")
@@ -100,26 +101,33 @@ def clamp_coefficients(cs: CoefficientSet, level: float) -> CoefficientSet:
     """Truncate the z argument of (F, G, Hz, LH, theta) at `level` componentwise.
 
     Identity for an infinite level; the returned set agrees with the input
-    wherever |z| <= level and is globally Lipschitz in z afterwards.
+    wherever |z| <= level and is globally Lipschitz in z afterwards.  Equal
+    maps clamped at one level share their wrappers.
     """
     if not (level > 0):
         raise ConfigurationError([f"clamp level must be positive, got {level}"])
     if math.isinf(level):
         return cs
-    F, G, Hz, LH, theta = cs.F, cs.G, cs.Hz, cs.LH, cs.theta
+    clipped = _clip_z(cs.F, cs.G, cs.Hz, cs.LH, cs.theta, level)
+    return replace(cs, **clipped, constants=replace(cs.constants, clamp_m=float(level)))
+
+
+@functools.cache
+def _clip_z(F, G, Hz, LH, theta, level: float) -> Mapping[str, Callable]:
+    """(F, G, Hz, LH, theta) wrapped to truncate their z argument at `level`
+    componentwise, built once per distinct maps and level (maps hash by
+    identity): equal maps and level share the wrappers."""
 
     def clip(z):
         return np.clip(z, -level, level)
 
-    return replace(
-        cs,
-        F=lambda x, q, u, z, f: F(x, q, u, clip(z), f),
-        G=lambda x, q, u, z, f: G(x, q, u, clip(z), f),
-        Hz=lambda q, z, f: Hz(q, clip(z), f),
-        LH=lambda q, z, f: LH(q, clip(z), f),
-        theta=lambda X, p, z, ax, aq: theta(X, p, clip(z), ax, aq),
-        constants=replace(cs.constants, clamp_m=float(level)),
-    )
+    return MappingProxyType({
+        "F": lambda x, q, u, z, f: F(x, q, u, clip(z), f),
+        "G": lambda x, q, u, z, f: G(x, q, u, clip(z), f),
+        "Hz": lambda q, z, f: Hz(q, clip(z), f),
+        "LH": lambda q, z, f: LH(q, clip(z), f),
+        "theta": lambda X, p, z, ax, aq: theta(X, p, clip(z), ax, aq),
+    })
 
 
 @dataclass(frozen=True)
@@ -128,9 +136,6 @@ class PrimedCoefficientSet:
     midpoint (qf + qb)/2 of its forward and backward copies."""
 
     base: CoefficientSet
-
-    def Fp(self, x, qf, qb, u, z, feats):
-        return self.base.F(x, 0.5 * (qf + qb), u, z, feats)
 
     def Gp(self, x, qf, qb, u, z, feats):
         return self.base.G(x, 0.5 * (qf + qb), u, z, feats)
@@ -264,8 +269,9 @@ def make_lq_model(
     """Coefficient set of the linear-quadratic family.
 
     `region_radius` bounds the state region used for the declared Lipschitz
-    constant (quadratic costs are only locally Lipschitz).  Equal params give
-    the same map objects; a finite `constants.clamp_m` wraps them anew.
+    constant (quadratic costs are only locally Lipschitz).  Equal params and
+    `constants.clamp_m` give the same map objects: `clamp_coefficients`
+    wraps the maps of equal params at one level once.
     """
     c1, c2, c3 = params.c1, params.c2, params.c3
     g1, g2, b = params.g1, params.g2, params.b
@@ -283,9 +289,7 @@ def make_lq_model(
         (abs(p1) + abs(p2)) * R,
     )
     cs = CoefficientSet(constants=constants, c_coef=c_coef, **_lq_maps(params))
-    if math.isfinite(constants.clamp_m):
-        cs = clamp_coefficients(cs, constants.clamp_m)
-    return cs
+    return clamp_coefficients(cs, constants.clamp_m)
 
 
 @functools.cache

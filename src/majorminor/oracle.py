@@ -212,12 +212,6 @@ class PicardResult:
     solve: SolveOutput | None
     reason: str = ""
 
-    @property
-    def divergence_report(self) -> dict | None:
-        if not self.diverged:
-            return None
-        return {"sweeps": self.sweeps, "distances": self.distances, "reason": self.reason}
-
 
 def picard_solve(
     primed: PrimedCoefficientSet,

@@ -65,17 +65,14 @@ Particle path arrays of a stack keep the time-major storage of `path_array`,
 (N, B, M, P), so each step's slab of the whole stack is contiguous; dt,
 sigma, sigma0 and the discount become per-instance arrays that broadcast
 against it.  The cross-scenario fits and `AffineDesign` run on the whole
-stack.  The model maps (g and psi at the terminal, then per step
-`theta_inverse`, Gp, LHp and Hzp) are called once for each group of
-instances whose maps are the same objects (see `models`: such maps compute
-the same function), on the group's scenarios laid side by side as one
-(G M, P) slab: a reshape of the step's slab, with no copy, when one group
-covers the stack, as it does for the cells of one model.  So the model API
-is still that of one instance, with more scenarios; a stack of different
-models runs the same code, with groups of one.  A single instance is the
-case without the leading axis, and per instance a stacked solve gives the
-same bits as a solo one.  The instances of a stack must agree on whether
-sigma0 is zero.
+stack.  A stack is one model: its instances share the map objects (see
+`models`: such maps compute the same function), and `stack_key` states all
+they must share.  So the model maps (g and psi at the terminal, then per
+step `theta_inverse`, Gp, LHp and Hzp) are called once per stack, on its
+scenarios laid side by side as one (B M, P) slab, a reshape of the step's
+slab with no copy: the model API is still that of one instance, with more
+scenarios.  A single instance is the case without the leading axis, and per
+instance a stacked solve gives the same bits as a solo one.
 """
 
 from __future__ import annotations
@@ -102,6 +99,7 @@ __all__ = [
     "sample_initial",
     "simulate_forward",
     "regress_conditional",
+    "stack_key",
     "solve_backward",
     "decoupled_solve",
 ]
@@ -128,6 +126,10 @@ class RegressionBasis:
 
     quadratic: bool = False
     ridge: float = 1e-8
+
+    def __post_init__(self):
+        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise ConfigurationError([f"ridge must be finite and >= 0, got {self.ridge}"])
 
     def scenario_design(
         self, q: np.ndarray, mean_x: np.ndarray, mean_u: np.ndarray, quadratic: bool | None = None
@@ -588,19 +590,14 @@ def _model_calls(primed: PrimedCoefficientSet, x, q, z, alpha_x, alpha_q, mean_x
     )
 
 
-def _map_groups(primeds: list[PrimedCoefficientSet]) -> list:
-    """The instances of a stack grouped by the identity of the maps the
-    sweep calls (theta, G, LH, Hz, g, psi): per group, the coefficient set
-    to call and the instance indices, None where one group covers the
-    stack.  Maps read only their arguments (see `models`), so the maps of
-    one group compute one function for all of its instances."""
-    groups: dict = {}
-    for i, pr in enumerate(primeds):
-        b = pr.base
-        groups.setdefault((b.theta, b.G, b.LH, b.Hz, b.g, b.psi), (pr, []))[1].append(i)
-    if len(groups) == 1:
-        return [(primeds[0], None)]
-    return list(groups.values())
+def stack_key(primed: PrimedCoefficientSet, grid: TimeGrid, basis: RegressionBasis, shape: tuple) -> tuple:
+    """What the instances of one stacked solve must share: the shape (M, P)
+    of X0, the steps, the basis, whether sigma0 > 0, and the model maps the
+    sweep calls (theta, G, LH, Hz, g, psi), by identity.  Maps read only
+    their arguments (see `models`), so the maps of a stack compute one
+    function for all of its instances."""
+    b = primed.base
+    return (tuple(shape), grid.steps, basis, primed.constants.sigma0 > 0, b.theta, b.G, b.LH, b.Hz, b.g, b.psi)
 
 
 def solve_backward(
@@ -619,7 +616,9 @@ def solve_backward(
     (U, phi, qb) with drivers evaluated at the inverted pair.  Terminal
     slices are set from (g, psi) exactly.  A stack (see the module
     docstring) takes one coefficient set and one grid per instance, and its
-    instances must agree on whether sigma0 is zero.
+    instances must share a `stack_key`: a stack that mixes models (maps that
+    are not the same objects), steps, or sigma0 = 0 with sigma0 > 0 raises a
+    `ContractError`.
 
     The sweep consumes X: a forward path in the layout of `path_array` is
     overwritten by gap_F from slab 1 on (other layouts are copied first).
@@ -631,10 +630,10 @@ def solve_backward(
     *lead, m, p, n1 = X.shape
     if basis.quadratic and m < QUADRATIC_MIN_SCENARIOS:
         raise ConfigurationError([f"a quadratic basis needs >= {QUADRATIC_MIN_SCENARIOS} scenarios, got {m}"])
-    noisy = {pr.constants.sigma0 > 0 for pr in primeds}
-    if len(noisy) > 1:
-        raise ContractError("a stack mixes instances with sigma0 = 0 and sigma0 > 0")
-    noisy = noisy.pop()
+    if len({stack_key(pr, g, basis, (m, p)) for pr, g in zip(primeds, grids)}) > 1:
+        raise ContractError("the instances of a stack differ in their model maps, steps or sigma0 > 0")
+    pr = primeds[0]
+    noisy = pr.constants.sigma0 > 0
     n = n1 - 1
     stacked = bool(lead)
     dts = [g.dt for g in grids]
@@ -664,9 +663,7 @@ def solve_backward(
     # U is kept as its per-step affine coefficients and the terminal slab;
     # the sweep carries u_{k+1} in one of two alternating slab buffers
     U_coef = np.empty((n, *lead, m, 2))
-    U_T = np.empty((*lead, m, p))
     u_buf = np.empty((2, *lead, m, p))
-    u_next = U_T
     # step k reads slab k of x and writes gap_F[..., k] into slab k+1, which
     # no later step reads
     gap_t = x[1:]
@@ -701,29 +698,17 @@ def solve_backward(
     z_scale = _per_column([[s * d for s, d in zip(sqs, dts)], dts], stacked)
     grad_scale = _per_column([[1.0] * len(sqs), sqs], stacked)
 
-    # the model maps: one call per group of instances that share them, on
-    # the group's scenarios laid side by side
-    groups = _map_groups(primeds) if stacked else [(primed, None)]
+    # the model maps: one call per stack, on its scenarios laid side by side
+    def side(a: np.ndarray) -> np.ndarray:
+        """A ([B,] M, ...) slab as one (B M, ...) slab, a view of a
+        contiguous slab."""
+        return a.reshape(-1, *a.shape[2:]) if stacked else a
 
-    def side(a: np.ndarray, ix) -> np.ndarray:
-        """A group's ([B,] M, ...) slab as one (G M, ...) slab: a view of a
-        contiguous slab when the group covers the stack."""
-        if not stacked:
-            return a
-        return (a if ix is None else a[ix]).reshape(-1, *a.shape[2:])
-
-    def put(out: np.ndarray, ix, a: np.ndarray) -> None:
-        """Write a group's (G M, ...) result into its instances of out."""
-        if ix is None:
-            out[...] = a.reshape(out.shape)
-        else:
-            out[ix] = a.reshape(len(ix), *out.shape[1:])
-
-    for pr, ix in groups:
-        x_T, qf_T = side(x[n], ix), side(qf[..., n][..., None], ix)
-        feats_T = conditional_features(x_T)
-        put(U_T, ix, pr.g(x_T, qf_T, feats_T))
-        put(phi[..., n], ix, pr.psi(qf_T, feats_T))
+    x_T, qf_T = side(x[n]), side(qf[..., n][..., None])
+    feats_T = conditional_features(x_T)
+    U_T = pr.g(x_T, qf_T, feats_T).reshape(*lead, m, p)
+    u_next = U_T
+    phi[..., n] = pr.psi(qf_T, feats_T).reshape(*lead, m)
     qb[..., n] = qf[..., n]
 
     # scenario carrier: quadratic-basis fits of phi and qb used as
@@ -792,23 +777,12 @@ def solve_backward(
             coef_zw = coef_z[..., 2]
 
         # (b) invert the pair map at the current (state, Zphi) along the
-        # control, and evaluate Gp, LHp and Hzp there, once per group
-        zk = Zphi[..., k][..., None]
-        calls = [
-            _model_calls(
-                pr, side(x[k], ix), side(q_steps[k][..., None], ix), side(zk, ix), side(axt[k], ix),
-                side(aqt[k][..., None], ix), side(mean_x[k][..., None], ix),
-            )
-            for pr, ix in groups
-        ]
-        if len(calls) == 1:
-            thF, thH, drv_u, lh, hz = (a.reshape(*lead, m, -1) for a in calls[0])
-        else:
-            thF, drv_u = np.empty((2, *lead, m, p))
-            thH, lh, hz = np.empty((3, *lead, m, 1))
-            for (_, ix), call in zip(groups, calls):
-                for out, a in zip((thF, thH, drv_u, lh, hz), call):
-                    put(out, ix, a)
+        # control, and evaluate Gp, LHp and Hzp there
+        calls = _model_calls(
+            pr, side(x[k]), side(q_steps[k][..., None]), side(Zphi[..., k][..., None]), side(axt[k]),
+            side(aqt[k][..., None]), side(mean_x[k][..., None]),
+        )
+        thF, thH, drv_u, lh, hz = (a.reshape(*lead, m, -1) for a in calls)
         theta_H[..., k] = thH[..., 0]
 
         # (c) value regressions of the martingale-subtracted targets; the

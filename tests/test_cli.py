@@ -595,20 +595,35 @@ def test_solve_report_says_why_and_how_it_stopped(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the failing cells overflow on purpose
 def test_lockstep_sweep_writes_the_serial_sweep(tmp_path, monkeypatch):
-    data = json.loads(json.dumps(FAST_LQ))
-    data["model"]["params"]["r1"] = -2.0
-    data["ensemble"] = {"scenarios": 4, "particles": 16}
-    data["extragradient"]["n_max"] = 20
-    data["sweep"] = {"sigma0": [0.3, 0.6], "horizons": [0.5, 1.0, 8.0], "workers": 1, "picard_sweeps": 5}
-    assert run_sigma_sweep(parse_config(data), tmp_path / "lockstep") == 0
-    data["sweep"]["workers"] = 2
-    assert run_sigma_sweep(parse_config(data), tmp_path / "pool") == 0
-    # a budget below one instance runs every cell alone, through op(control)
-    monkeypatch.setattr(majorminor.extragradient, "LOCKSTEP_BYTES", 1)
-    data["sweep"]["workers"] = 1
-    assert run_sigma_sweep(parse_config(data), tmp_path / "serial") == 0
-    serial = (tmp_path / "serial" / "sweep.csv").read_bytes()
-    rows = serial.decode().splitlines()[1:]
-    assert len(rows) == 6 and any("non-finite" in r for r in rows) and any(r.endswith(",") for r in rows)
-    assert (tmp_path / "lockstep" / "sweep.csv").read_bytes() == serial
-    assert (tmp_path / "pool" / "sweep.csv").read_bytes() == serial
+    # unclamped, and clamped at a finite level: the cells of one clamped
+    # model share their wrapped maps, so they still stack
+    for clamp_m in (None, 2.0):
+        out = tmp_path / f"clamp_{clamp_m}"
+        data = json.loads(json.dumps(FAST_LQ))
+        data["constants"]["clamp_m"] = clamp_m
+        data["model"]["params"]["r1"] = -2.0
+        data["ensemble"] = {"scenarios": 4, "particles": 16}
+        data["extragradient"]["n_max"] = 20
+        data["sweep"] = {"sigma0": [0.3, 0.6], "horizons": [0.5, 1.0, 8.0], "workers": 1, "picard_sweeps": 5}
+        stacks = []
+        real = majorminor.extragradient.evaluate_many
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                majorminor.extragradient, "evaluate_many", lambda ops, cs: stacks.append(len(ops)) or real(ops, cs)
+            )
+            assert run_sigma_sweep(parse_config(data), out / "lockstep") == 0
+        assert max(stacks) > 1
+        data["sweep"]["workers"] = 2
+        assert run_sigma_sweep(parse_config(data), out / "pool") == 0
+        # a budget below one instance runs every cell alone, through op(control)
+        with monkeypatch.context() as patch:
+            patch.setattr(majorminor.extragradient, "LOCKSTEP_BYTES", 1)
+            data["sweep"]["workers"] = 1
+            assert run_sigma_sweep(parse_config(data), out / "serial") == 0
+        serial = (out / "serial" / "sweep.csv").read_bytes()
+        rows = serial.decode().splitlines()[1:]
+        assert len(rows) == 6 and any(r.endswith(",") for r in rows)
+        # cells at T = 8 overflow unclamped; the clamp keeps them finite
+        assert any("non-finite" in r for r in rows) == (clamp_m is None)
+        assert (out / "lockstep" / "sweep.csv").read_bytes() == serial
+        assert (out / "pool" / "sweep.csv").read_bytes() == serial

@@ -127,12 +127,18 @@ def assigned_gamma():
     [
         (lambda: ExtragradientConfig(n_max=5, safety=-0.5), ConfigurationError, "safety must be positive, got -0.5"),
         (lambda: ExtragradientConfig(n_max=5, safety=0.0), ConfigurationError, "safety must be positive, got 0.0"),
+        (lambda: ExtragradientConfig(n_max=5, safety=float("inf")), ConfigurationError, "safety must be finite, got inf"),
+        (lambda: ExtragradientConfig(n_max=5, gamma=float("inf")), ConfigurationError, "gamma must be finite, got inf"),
+        (lambda: ExtragradientConfig(n_max=5, gamma=float("nan")), ConfigurationError, "gamma must be positive, got nan"),
         (lambda: ExtragradientConfig(n_max=5, tol=-1e-3), ConfigurationError, "tol must be >= 0, got -0.001"),
         # with gamma set no probe runs, and probes=1 is still rejected
         (lambda: ExtragradientConfig(n_max=5, gamma=0.5, probes=1), ConfigurationError, "probes must be >= 2, got 1"),
         (assigned_gamma, dataclasses.FrozenInstanceError, "cannot assign to field 'gamma'"),
     ],
-    ids=["safety-negative", "safety-zero", "tol-negative", "probes-one-with-gamma", "assigned-field"],
+    ids=[
+        "safety-negative", "safety-zero", "safety-inf", "gamma-inf", "gamma-nan", "tol-negative",
+        "probes-one-with-gamma", "assigned-field",
+    ],
 )
 def test_config_rejects_bad_keys_before_any_evaluation(make, error, message):
     calls = []
@@ -547,10 +553,12 @@ CONE_BLOWING_UP = LQParams(c1=1.0, c3=0.5, g1=1.0, b=1.0, p1=1.0, r1=-5.0)
 def test_evaluate_many_gives_each_instance_its_solo_outcome():
     ops = [
         lq_operator(m=4, p=16, n=10, seed=1)[0],
-        lq_operator(m=4, p=16, n=10, seed=3, params=CONE_BLOWING_UP, horizon=8.0)[0],
+        lq_operator(m=4, p=16, n=10, seed=3, horizon=8.0)[0],
         lq_operator(m=4, p=16, n=10, seed=2, horizon=0.5)[0],
     ]
     controls = [op.zero() for op in ops]
+    # a finite control of the middle instance whose forward pass overflows
+    controls[1].alpha_x[0, 0, 0] = -1e308
     with pytest.raises(SimulationError) as solo_error:
         ops[1](controls[1])
     with pytest.raises(SimulationError):

@@ -1,11 +1,14 @@
 """Every name a package or test module imports is used there,
 package-internal imports sit at the module top, and every top-level name of
-the package is used by the package.
+the package, and every method and property of its classes, is used by the
+package.
 
 For the imports, names listed in a module's `__all__` count as used, and so
 does everything the package `__init__` imports, since that is the package's
-public surface.  For the top-level names, neither counts: a function that
-only tests call is dead code.
+public surface.  For the top-level names and the methods, neither counts: a
+function or a method that only tests call is dead code.  Methods are matched
+by name: any attribute of that name, or a string of it passed to `getattr`,
+reads them; dunder methods are called by Python and are left out.
 """
 
 import ast
@@ -77,8 +80,22 @@ def defined_name(stmt: ast.stmt) -> str | None:
     return target.id if isinstance(target, ast.Name) else None
 
 
+def methods(stmt: ast.stmt) -> list[str]:
+    """The methods and properties a top-level class statement defines, as
+    `Class.name`, dunder methods left out."""
+    if not isinstance(stmt, ast.ClassDef):
+        return []
+    return [
+        f"{stmt.name}.{node.name}"
+        for node in stmt.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
 def references(stmt: ast.stmt) -> set[str]:
-    """Names a statement reads, imports or looks up as attributes."""
+    """Names a statement reads, imports, looks up as attributes or passes
+    to `getattr` as a string."""
     found = set()
     for node in ast.walk(stmt):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -87,14 +104,22 @@ def references(stmt: ast.stmt) -> set[str]:
             found.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             found.update(alias.name for alias in node.names)
+        elif (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr"
+            and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+        ):
+            found.add(node.args[1].value)
     return found
 
 
 def unreached_names() -> list[str]:
     """Top-level names that no statement of the package reads, apart from
-    their own definitions, `__all__` and the package `__init__`."""
+    their own definitions, `__all__` and the package `__init__`, and the
+    methods and properties of package classes whose name no statement of
+    the package reads."""
     defined: dict[str, str] = {}
     used: set[str] = set()
+    found_methods: list[str] = []
     for path in MODULES:
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
             name = defined_name(stmt)
@@ -102,9 +127,12 @@ def unreached_names() -> list[str]:
                 continue
             if name is not None:
                 defined[name] = path.name
+            found_methods += [f"{path.name}:{method}" for method in methods(stmt)]
             if path.name != "__init__.py":
                 used |= references(stmt) - {name}
-    return sorted(f"{module}:{name}" for name, module in defined.items() if name not in used | UNREACHED_ALLOWED)
+    unreached = [f"{module}:{name}" for name, module in defined.items() if name not in used | UNREACHED_ALLOWED]
+    unreached += [m for m in found_methods if m.rsplit(".", 1)[1] not in used]
+    return sorted(unreached)
 
 
 # The stacked evaluation, the stacked solve and the budget that sizes the

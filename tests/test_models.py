@@ -109,7 +109,7 @@ def test_split_q_midpoint_identity():
     direct = cs.Hz(q, z, feats)
     doubled = primed.Hzp(q, q, z, feats)
     assert np.allclose(direct, doubled)
-    assert np.allclose(primed.Fp(x, q, q, u, z, feats), cs.F(x, q, u, z, feats))
+    assert np.allclose(primed.Gp(x, q, q, u, z, feats), cs.G(x, q, u, z, feats))
 
 
 def test_split_q_midpoint_arithmetic():
@@ -124,8 +124,9 @@ def test_split_q_f_ignores_backward_copy_when_q_free():
     cs = make_lq_model(LQParams(), ModelConstants())  # F = u, no q dependence
     primed = split_q(cs)
     x, qf, u, z, feats = point(u=0.7)
-    out1 = primed.Fp(x, qf, np.full((1, 1), 5.0), u, z, feats)
-    out2 = primed.Fp(x, qf, np.full((1, 1), -5.0), u, z, feats)
+    # F at the midpoint of qf and a backward copy qb, as the doubled system reads it
+    out1 = primed.base.F(x, 0.5 * (qf + np.full((1, 1), 5.0)), u, z, feats)
+    out2 = primed.base.F(x, 0.5 * (qf + np.full((1, 1), -5.0)), u, z, feats)
     assert np.allclose(out1, out2)
 
 
@@ -166,7 +167,7 @@ def test_theta_round_trip_random_points():
         aq = rng.standard_normal((1, 1))
         U, qb = theta_inverse(primed, X, p, z, ax, aq)
         feats = conditional_features(X, U)
-        rx = primed.Fp(X, p, qb, U, z, feats) - ax
+        rx = cs.F(X, 0.5 * (p + qb), U, z, feats) - ax
         rq = primed.Hzp(p, qb, z, feats) - aq
         worst = max(worst, float(np.max(np.abs(rx))), float(np.max(np.abs(rq))))
     assert worst <= 1e-8
@@ -200,6 +201,15 @@ def test_equal_params_share_their_maps():
     zero, zero_too = make_zero_model(), make_zero_model(ModelConstants(sigma0=1.0))
     assert all(getattr(zero, name) is getattr(zero_too, name) for name in MAPS)
     assert all(getattr(zero, name) is not getattr(a, name) for name in MAPS)
+    # a finite clamp wraps the maps of equal params at one level once
+    clamped = make_lq_model(CONE, ModelConstants(clamp_m=2.0))
+    clamped_too = make_lq_model(LQParams(**vars(CONE)), ModelConstants(sigma0=1.0, clamp_m=2.0), region_radius=5.0)
+    assert all(getattr(clamped, name) is getattr(clamped_too, name) for name in MAPS)
+    assert clamp_coefficients(a, 2.0).G is clamped.G
+    other_level = make_lq_model(CONE, ModelConstants(clamp_m=3.0))
+    for name in ("F", "G", "Hz", "LH", "theta"):  # the clamp wraps the maps that take z
+        assert getattr(clamped, name) is not getattr(a, name) and getattr(clamped, name) is not getattr(other_level, name)
+    assert clamped.g is a.g and clamped.psi is a.psi
 
 
 def test_zero_model_theta_zero_target():
@@ -261,5 +271,11 @@ def test_constants_validation():
     with pytest.raises(ConfigurationError) as err:
         ModelConstants(sigma=-1.0, clamp_m=0.0)
     assert err.value.violations == ["sigma must be >= 0, got -1.0", "clamp level must be positive, got 0.0"]
+    with pytest.raises(ConfigurationError) as err:  # NaN compares False either way
+        ModelConstants(sigma=math.nan, sigma0=math.nan, discount=math.nan, clamp_m=math.nan)
+    assert err.value.violations == [
+        "sigma must be >= 0, got nan", "sigma0 must be >= 0, got nan", "discount must be >= 0, got nan",
+        "clamp level must be positive, got nan",
+    ]
     with pytest.raises(TypeError):  # states are scalar: there is no dimension to set
         ModelConstants(d=1)

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import majorminor.extragradient as extragradient_module
 from majorminor.cli import build_problem, parse_config
 from majorminor.ensembles import ControlField, conditional_features
-from majorminor.errors import ConfigurationError, RegressionError, SimulationError
-from majorminor.extragradient import FbsdeOperator, solve_stacked
+from majorminor.errors import ConfigurationError, ContractError, RegressionError, SimulationError
+from majorminor.extragradient import FbsdeOperator, run_lockstep, solve_stacked
 from majorminor.grids import build_grid, path_array, sample_noise
 from majorminor.models import (
     LQParams,
@@ -306,6 +308,13 @@ def test_quadratic_basis_needs_enough_scenarios():
         decoupled_solve(ControlField.zeros(12, 16, 5), primed, noise, init, basis, grid)
 
 
+@pytest.mark.parametrize("ridge", [-1.0, math.nan, math.inf])
+def test_regression_basis_rejects_a_ridge_that_is_not_finite_and_nonnegative(ridge):
+    with pytest.raises(ConfigurationError) as err:
+        RegressionBasis(ridge=ridge)
+    assert err.value.violations == [f"ridge must be finite and >= 0, got {ridge}"]
+
+
 def test_lq_affine_basis_residuals_at_noise_floor():
     # with an LQ model the regression targets are affine plus martingale
     # noise, so per-step residuals scale like sqrt(dt), not like a bias
@@ -504,22 +513,36 @@ OTHER_MAPS = {
 }
 
 
+def value_plan(control):
+    """A plan that asks for v at one control and returns it."""
+    return (yield control)
+
+
 @pytest.mark.parametrize("kind", sorted(OTHER_MAPS))
-def test_a_stack_of_instances_with_different_maps_gives_each_its_solo_solve(kind):
+def test_a_stack_of_instances_with_different_maps_gives_each_its_solo_solve(kind, monkeypatch):
     ops = stack_operators(12, 64, 10, False, OTHER_MAPS[kind])
     # the outer instances share their maps, the middle one does not
     assert ops[0].primed.base.G is ops[2].primed.base.G is not ops[1].primed.base.G
     assert ops[0].primed.base.theta is ops[2].primed.base.theta is not ops[1].primed.base.theta
+    assert ops[0].stack_key() == ops[2].stack_key() != ops[1].stack_key()
     controls = [op.random_control(np.random.default_rng(i), 0.5) for i, op in enumerate(ops)]
-    stacked = solve_stacked(ops, controls)
+    # a stack is one model: a solve that mixes models is refused, not split
+    with pytest.raises(ContractError, match="model maps"):
+        solve_stacked(ops, controls)
+    # run_lockstep stacks the instances of one model only
+    stacks = []
+    real = extragradient_module.evaluate_many
+
+    def recording(stack, requests):
+        stacks.append(sorted(ops.index(op) for op in stack))
+        return real(stack, requests)
+
+    monkeypatch.setattr(extragradient_module, "evaluate_many", recording)
+    values = dict(run_lockstep((i, op, value_plan(c)) for i, (op, c) in enumerate(zip(ops, controls))))
+    assert sorted(stacks) == [[0, 2], [1]]
     for i, (op, control) in enumerate(zip(ops, controls)):
-        solo = op.solve(control)
-        assert np.array_equal(stacked.state.U_coef[:, i], solo.state.U_coef)
-        for name in ("U_T", "qf", "qb", "phi", "Zphi", "Zq"):
-            assert np.array_equal(getattr(stacked.state, name)[i], getattr(solo.state, name)), name
-        assert np.array_equal(stacked.gap_F[i], solo.gap_F) and np.array_equal(stacked.theta_H[i], solo.theta_H)
-        for name, values in solo.diagnostics.items():
-            assert np.array_equal(stacked.diagnostics[name][i], values), name
+        solo = op(control)
+        assert np.array_equal(values[i].alpha_x, solo.alpha_x) and np.array_equal(values[i].alpha_q, solo.alpha_q)
 
 
 def test_a_stack_calls_shared_maps_once_per_step(monkeypatch):
