@@ -18,18 +18,18 @@ Plans.  The extragradient loop (`extragradient_plan`) and the Lipschitz
 probes are written as generator plans: a plan yields a control, is sent
 back its value v, or has the package error of the failed solve thrown in at
 the yield, holds only what it still reads, and returns its result.
-`run_extragradient` and `estimate_lipschitz_v` drive their plan alone: each
-control goes to `op(control)`, in the order a plain loop would call it.
 `run_lockstep` drives any plans of many independent instances at once, such
 as the sweep's extragradient runs or the draws of `check_v_monotonicity`:
 each round it takes one evaluation from every live plan and solves those of
 instances of one model, size and basis (one `solver.stack_key`) as one
 stacked solve along a leading instance axis (`evaluate_many`), which gives
-every instance the same bits as its own solve would.  Per instance, both ways produce the same outcome.  It is the
-package's only stacked path, and `LOCKSTEP_BYTES` bounds its live set: six
-instances at 12x64x10, one at the CLI default 32x500x50.  A start control
-may be passed as a callable (`op.zero`), which the plan calls once its
-probes are done, so no run holds its start through them.
+every instance the same bits as its own solve would.  `LOCKSTEP_BYTES`
+bounds its live set: six instances at 12x64x10, one at the CLI default
+32x500x50.  `run_extragradient` and `estimate_lipschitz_v` run their plan
+as a lockstep run of one, whose control `evaluate_many` hands to
+`op(control)`.  A start control may be passed as a callable (`op.zero`),
+which the plan calls once its probes are done, so no run holds its start
+through them.
 `extragradient_step` is a one-step helper outside the plans: one
 iteration's two evaluations and points.
 """
@@ -44,8 +44,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .artifacts import strict_json
-from .ensembles import ControlField, conditional_features, inner_product_T
-from .errors import ConfigurationError, MajorMinorError, SimulationError
+from .ensembles import ControlField, conditional_features, inner_product_T, norm_T
+from .errors import ConfigurationError, ContractError, MajorMinorError, SimulationError
 from .grids import NoiseBundle, TimeGrid, path_array
 from .models import PrimedCoefficientSet
 from .solver import (
@@ -170,7 +170,7 @@ class FbsdeOperator:
         return inner_product_T(a, b, self.grid)
 
     def norm(self, a: ControlField) -> float:
-        return float(np.sqrt(max(self.inner(a, a), 0.0)))
+        return norm_T(a, self.grid)
 
     def zero(self) -> ControlField:
         m, p = self.init.X0.shape
@@ -217,30 +217,34 @@ def solve_stacked(ops: list[FbsdeOperator], controls: list[ControlField]) -> Sol
 
 def evaluate_many(ops: list[FbsdeOperator], controls: list[ControlField]) -> list:
     """v of each operator at its control, or the package error its solve
-    raised.
+    raised; overflow and invalid warnings are silenced.
 
-    Two or more go through one stacked solve.  If that raises, each is
-    solved again on its own, so every instance gets exactly the value or the
-    error of its own solve; one goes through `op(control)`.
+    One goes through `op(control)`.  Two or more go through one stacked
+    solve.  If that raises, each is solved again on its own, so every
+    instance gets exactly the value or the error of its own solve; the
+    `ContractError` of a stack that mixes models is raised.
     """
-    if len(ops) > 1:
-        try:
-            solve = solve_stacked(ops, controls)
-        except MajorMinorError:
-            pass
-        else:
-            # the values read gap_F, theta_H and qb only: the stacked control
-            # and noise copies, which the state references, go before the
-            # values are copied out
-            solve = replace(solve, state=replace(solve.state, control=None, noise=None))
-            return [op.value_in(solve, (i,)) for i, op in enumerate(ops)]
-    values = []
-    for op, control in zip(ops, controls):
-        try:
-            values.append(op(control))
-        except MajorMinorError as exc:
-            values.append(exc)
-    return values
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(ops) > 1:
+            try:
+                solve = solve_stacked(ops, controls)
+            except ContractError:
+                raise
+            except MajorMinorError:
+                pass
+            else:
+                # the values read gap_F, theta_H and qb only: the stacked
+                # control and noise copies, which the state references, go
+                # before the values are copied out
+                solve = replace(solve, state=replace(solve.state, control=None, noise=None))
+                return [op.value_in(solve, (i,)) for i, op in enumerate(ops)]
+        values = []
+        for op, control in zip(ops, controls):
+            try:
+                values.append(op(control))
+            except MajorMinorError as exc:
+                values.append(exc)
+        return values
 
 
 def _forward(alpha, gamma: float, v):
@@ -256,28 +260,16 @@ def _check_gamma(gamma: float) -> None:
         raise ConfigurationError([f"gamma must be positive, got {gamma}"])
 
 
-def _resume(plan, reply):
-    """Send a plan the value it asked for, or throw in the error its
-    evaluation raised; returns the plan's next request."""
-    return plan.throw(reply) if isinstance(reply, MajorMinorError) else plan.send(reply)
-
-
 def _drive(plan, op):
-    """Run a plan to its end alone, serving each control it asks for with
-    op(control)."""
-    reply = None
-    while True:
-        try:
-            request = _resume(plan, reply)
-        except StopIteration as stop:
-            return stop.value
-        reply = None
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                reply = op(request)
-        except MajorMinorError as exc:
-            reply = exc
-        del request  # the plan holds what it still needs
+    """Run a plan to its end alone, as a lockstep run of one; returns what
+    the plan returned, or raises the package error it ended with."""
+    run = _Live(None, op, plan)
+    ended = run.resume(None)
+    while not ended:
+        ended = run.resume(*evaluate_many([op], [run.request]))
+    if isinstance(run.outcome, MajorMinorError):
+        raise run.outcome
+    return run.outcome
 
 
 def extragradient_step(alpha, gamma: float, op):
@@ -561,11 +553,11 @@ def _lipschitz_plan(op, probes: int, seed: int):
     for i in range(probes):
         for j in range(i + 1, probes):
             diff = difference(i, j)
-            denom = np.sqrt(max(op.inner(diff, diff), 0.0))
+            denom = _norm(op, diff)
             del diff
             if denom > 1e-14:
                 dv = values[i] - values[j]
-                ratio = float(np.sqrt(max(op.inner(dv, dv), 0.0)) / denom)
+                ratio = _norm(op, dv) / denom
                 del dv
                 if ratio > best:
                     best = ratio
@@ -583,10 +575,10 @@ def _lipschitz_plan(op, probes: int, seed: int):
     for _ in range(_PROBE_REFINE):
         dv = (yield base + direction) - v_base
         evaluations += 1
-        norm_dv = np.sqrt(max(op.inner(dv, dv), 0.0))
+        norm_dv = _norm(op, dv)
         if norm_dv <= 1e-14:
             break
-        best = max(best, float(norm_dv))  # ||direction|| = 1
+        best = max(best, norm_dv)  # ||direction|| = 1
         direction = dv
         direction *= 1.0 / norm_dv
     return LipschitzEstimate(best, evaluations)
@@ -635,23 +627,24 @@ def _instance_bytes(op: FbsdeOperator) -> int:
 
 
 class _Live:
-    """One run of `run_lockstep`: its plan and the request it waits on, or
-    its outcome once the plan has ended."""
+    """One run of a plan: its plan and the request it waits on, or its
+    outcome once the plan has ended.  It reads nothing of its operator, so a
+    synthetic one (no `init`, no `stack_key`) runs alone in `_drive`."""
 
     def __init__(self, key, op: FbsdeOperator, plan):
         self.key = key
         self.op = op
         self.plan = plan
-        self.bytes = _instance_bytes(op)
         self.request = None
         self.outcome = None
 
     def resume(self, reply) -> bool:
-        """Hand the plan its reply; True once the plan has ended, with its
+        """Send the plan the value it asked for, or throw in the package
+        error its evaluation raised; True once the plan has ended, with its
         report or the package error it raised as the outcome."""
         self.request = None  # the plan holds what it still needs
         try:
-            self.request = _resume(self.plan, reply)
+            self.request = self.plan.throw(reply) if isinstance(reply, MajorMinorError) else self.plan.send(reply)
             return False
         except StopIteration as stop:
             self.outcome = stop.value
@@ -665,17 +658,16 @@ def run_lockstep(jobs):
     """Run the plans of independent instances in lockstep.
 
     jobs: iterable of (key, op, plan), each plan driven to the numbers that
-    `_drive(plan, op)` would give; `(key, op, extragradient_plan(op.zero,
-    config, op))` solves as `run_extragradient(op.zero, config, op)` does,
-    probes included.  Yields (key, outcome) as each plan ends, the outcome
-    being what the plan returned or the package error it raised; plans of
-    one `stack_key` that end in the same round come in the order they were
-    taken.  Jobs are taken one at a time, while the live instances fit in
+    `_drive(plan, op)`, a run of one, would give; `(key, op,
+    extragradient_plan(op.zero, config, op))` solves as
+    `run_extragradient(op.zero, config, op)` does, probes included.  Yields
+    (key, outcome) as each plan ends, the outcome being what the plan
+    returned or the package error it raised; plans of one `stack_key` that
+    end in the same round come in the order they were taken.  Jobs are taken one at a time, while the live instances fit in
     `LOCKSTEP_BYTES` together (one is always admitted: six 12x64x10
     instances fit, or one 32x500x50), so a caller may build each job's
     problem as it is asked for.  Each round gathers one request per live
-    plan and evaluates those of one `stack_key` with `evaluate_many`, with
-    overflow and invalid warnings silenced as `_drive` silences them: the
+    plan and evaluates those of one `stack_key` with `evaluate_many`: the
     budget bounds the live set, so it bounds every stack too.
     """
     pending = iter(jobs)
@@ -695,12 +687,12 @@ def run_lockstep(jobs):
                 yield run.key, run.outcome
                 continue
             live.append(run)
-            used += run.bytes
+            used += _instance_bytes(run.op)
         if not live:
             return
         ended = _round(live)
         live = [run for run in live if run not in ended]
-        used = sum(run.bytes for run in live)
+        used = sum(_instance_bytes(run.op) for run in live)
         for run in ended:
             yield run.key, run.outcome
             run.outcome = None  # the caller holds what it keeps, not the next round
@@ -714,7 +706,6 @@ def _round(live: list[_Live]) -> list[_Live]:
         stacks.setdefault(run.op.stack_key(), []).append(run)
     ended = []
     for stack in stacks.values():
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = evaluate_many([run.op for run in stack], [run.request for run in stack])
+        values = evaluate_many([run.op for run in stack], [run.request for run in stack])
         ended += [run for run, value in zip(stack, values) if run.resume(value)]
     return ended

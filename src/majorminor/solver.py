@@ -71,8 +71,9 @@ they must share.  So the model maps (g and psi at the terminal, then per
 step `theta_inverse`, Gp, LHp and Hzp) are called once per stack, on its
 scenarios laid side by side as one (B M, P) slab, a reshape of the step's
 slab with no copy: the model API is still that of one instance, with more
-scenarios.  A single instance is the case without the leading axis, and per
-instance a stacked solve gives the same bits as a solo one.
+scenarios.  The solve is written once over the leading axes `lead`, which
+a single instance lacks, and per instance a stacked solve gives the same
+bits as a solo one.
 """
 
 from __future__ import annotations
@@ -399,22 +400,18 @@ def _instances(control: ControlField, primed, grid):
     return primed, grid
 
 
-def _per_instance(values: list[float], stacked: bool):
+def _per_instance(values: list[float], lead: list[int]):
     """Per-instance scalars in the two shapes they broadcast in, against
-    (..., M) and against (..., M, P) or (..., M, N): one instance keeps its
-    float, a stack gets (B, 1) and (B, 1, 1) arrays."""
-    if not stacked:
-        return values[0], values[0]
-    col = np.asarray(values, dtype=float)[:, None]
-    return col, col[:, :, None]
+    ([B,] M) and against ([B,] M, P) or ([B,] M, N): ([B,] 1) and ([B,] 1, 1)
+    arrays; a one-element array rounds as its float does."""
+    col = np.asarray(values, dtype=float).reshape(*lead, 1)
+    return col, col[..., None]
 
 
-def _per_column(columns: list[list[float]], stacked: bool) -> np.ndarray:
+def _per_column(columns: list[list[float]], lead: list[int]) -> np.ndarray:
     """Per-instance factors of c scenario columns, one list per column,
-    shaped to broadcast against ([B,] M, c): (c,) for one instance, (B, 1, c)
-    for a stack."""
-    a = np.array(columns, dtype=float).T
-    return a[:, None, :] if stacked else a[0]
+    shaped ([B,] 1, c) to broadcast against ([B,] M, c)."""
+    return np.array(columns, dtype=float).T.reshape(*lead, 1, len(columns))
 
 
 def simulate_forward(
@@ -443,10 +440,9 @@ def simulate_forward(
         raise SimulationError(f"initial condition shapes {init.X0.shape}/{init.q0.shape} mismatch")
     _validate_control(control)
 
-    stacked = bool(lead)
-    _, dt = _per_instance([g.dt for g in grids], stacked)
-    _, sx = _per_instance([math.sqrt(2.0 * pr.constants.sigma) for pr in primeds], stacked)
-    _, sq = _per_instance([math.sqrt(2.0 * pr.constants.sigma0) for pr in primeds], stacked)
+    _, dt = _per_instance([g.dt for g in grids], lead)
+    _, sx = _per_instance([math.sqrt(2.0 * pr.constants.sigma) for pr in primeds], lead)
+    _, sq = _per_instance([math.sqrt(2.0 * pr.constants.sigma0) for pr in primeds], lead)
     # no state feedback in the drift, so the Euler recursion is a running
     # sum of the increments, accumulated in place and shifted by X0 at the end
     X = path_array((*lead, m, p, n + 1))
@@ -635,13 +631,12 @@ def solve_backward(
     pr = primeds[0]
     noisy = pr.constants.sigma0 > 0
     n = n1 - 1
-    stacked = bool(lead)
     dts = [g.dt for g in grids]
     sqs = [math.sqrt(2.0 * pr.constants.sigma0) for pr in primeds]
-    dt_m, dt_mp = _per_instance(dts, stacked)
-    sq, _ = _per_instance(sqs, stacked)
-    sigma0, _ = _per_instance([pr.constants.sigma0 for pr in primeds], stacked)
-    lam, _ = _per_instance([pr.constants.discount for pr in primeds], stacked)
+    dt_m, dt_mp = _per_instance(dts, lead)
+    sq, _ = _per_instance(sqs, lead)
+    sigma0, _ = _per_instance([pr.constants.sigma0 for pr in primeds], lead)
+    lam, _ = _per_instance([pr.constants.discount for pr in primeds], lead)
     ridge = basis.ridge
     # the carrier design is quadratic: S itself for a quadratic basis, an
     # enriched S when there are enough scenarios, else the affine S
@@ -695,14 +690,14 @@ def solve_backward(
     # per-instance factors of the two scenario columns (phi, qb), shaped to
     # broadcast against ([B,] M, 2): the divisors of the integrand targets,
     # and the factors of the q-gradient that give the integrand priors
-    z_scale = _per_column([[s * d for s, d in zip(sqs, dts)], dts], stacked)
-    grad_scale = _per_column([[1.0] * len(sqs), sqs], stacked)
+    z_scale = _per_column([[s * d for s, d in zip(sqs, dts)], dts], lead)
+    grad_scale = _per_column([[1.0] * len(sqs), sqs], lead)
 
     # the model maps: one call per stack, on its scenarios laid side by side
     def side(a: np.ndarray) -> np.ndarray:
-        """A ([B,] M, ...) slab as one (B M, ...) slab, a view of a
+        """A ([B,] M, ...) slab as one ([B] M, ...) slab, a view of a
         contiguous slab."""
-        return a.reshape(-1, *a.shape[2:]) if stacked else a
+        return a.reshape(-1, *a.shape[len(lead) + 1 :])
 
     x_T, qf_T = side(x[n]), side(qf[..., n][..., None])
     feats_T = conditional_features(x_T)

@@ -15,7 +15,7 @@ import majorminor.cli
 import pytest
 
 from majorminor.cli import build_problem, parse_config
-from majorminor.extragradient import solve_stacked
+from majorminor.extragradient import ExtragradientConfig, estimate_lipschitz_v, run_extragradient, solve_stacked
 from majorminor.solver import decoupled_solve
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -57,3 +57,22 @@ def test_solve_info_reads_a_stacked_solve(monkeypatch):
     solo = decoupled_solve(ops[0].zero(), ops[0].primed, ops[0].noise, ops[0].init, ops[0].basis, ops[0].grid)
     solve_info = load_spans(monkeypatch)._solve_info
     assert solve_info(stacked)["mb"] == pytest.approx(2 * solve_info(solo)["mb"])
+
+
+def test_the_benchmark_counts_every_evaluation_of_a_solo_run(monkeypatch):
+    # `evals_to_tol` of `solve_m` is the count of the untraced runs' one
+    # wrapper, on `FbsdeOperator.__call__`: a solo run and a solo probe must
+    # send every control they evaluate through op(control)
+    doc = {
+        "model": {"kind": "lq", "params": {"c1": 1.0, "c3": 0.5, "g1": 1.0, "b": 1.0, "p1": 1.0}},
+        "grid": {"steps": 10},
+        "ensemble": {"scenarios": 12, "particles": 64},
+    }
+    op = build_problem(parse_config(doc))[0]
+    counter = {}
+    with load_spans(monkeypatch).counted(counter, majorminor):
+        report = run_extragradient(op.zero, ExtragradientConfig(n_max=3), op)
+        run_evals = counter.pop("v_evals")
+        L_hat = estimate_lipschitz_v(op)
+    assert run_evals == report.evaluations["probe"] + report.evaluations["iterate"] == 12 + 6
+    assert counter == {"v_evals": L_hat.evaluations}

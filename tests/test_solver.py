@@ -529,6 +529,8 @@ def test_a_stack_of_instances_with_different_maps_gives_each_its_solo_solve(kind
     # a stack is one model: a solve that mixes models is refused, not split
     with pytest.raises(ContractError, match="model maps"):
         solve_stacked(ops, controls)
+    with pytest.raises(ContractError, match="model maps"):
+        extragradient_module.evaluate_many(ops, controls)
     # run_lockstep stacks the instances of one model only
     stacks = []
     real = extragradient_module.evaluate_many
