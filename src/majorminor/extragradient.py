@@ -24,8 +24,9 @@ each round it takes one evaluation from every live plan and solves those of
 instances of one model, size and basis (one `solver.stack_key`) as one
 stacked solve along a leading instance axis (`evaluate_many`), which gives
 every instance the same bits as its own solve would.  `LOCKSTEP_BYTES`
-bounds its live set: six instances at 12x64x10, one at the CLI default
-32x500x50.  `run_extragradient` and `estimate_lipschitz_v` run their plan
+bounds its live set: thirteen instances at 12x64x10, so that a sweep of
+twelve such cells runs as one stack from its first round, and one at the
+CLI default 32x500x50.  `run_extragradient` and `estimate_lipschitz_v` run their plan
 as a lockstep run of one, whose control `evaluate_many` hands to
 `op(control)`.  A start control may be passed as a callable (`op.zero`),
 which the plan calls once its probes are done, so no run holds its start
@@ -597,28 +598,30 @@ def estimate_lipschitz_v(op, probes: int = 4, seed: int = _PROBE_SEED) -> Lipsch
 
 
 # Bytes the live instances of `run_lockstep` may hold together, counted at
-# `_PATHS_PER_INSTANCE` paths of (M, P, N+1) doubles each: six 12x64x10
-# instances (0.61 MB each, 3.65 MB; a seventh would need 4.26 MB) and a single
-# 32x500x50 one (58.8 MB; the CLI default), which then runs through
+# `_PATHS_PER_INSTANCE` paths of (M, P, N+1) doubles each: thirteen 12x64x10
+# instances (0.68 MB each, 8.79 MB; a fourteenth would need 9.46 MB), so a
+# sweep of twelve such cells is one stack from its first round, and a single
+# 32x500x50 one (65.3 MB; the CLI default), which then runs through
 # op(control) exactly as a solo run does.  Memory bounds the stack, not speed:
 # at 12x64x10, with one BLAS thread on a shared 2-core VM, the CPU time per
-# instance of a solve is 3.69 ms solo, 1.18 ms in a stack of 3, 0.96 ms in 5,
-# 0.79 ms in 7 and 0.70 ms in 12, and each live instance adds about 0.6 MB of
-# peak RSS (the benchmark's `small_study` peaks 1.7 MB higher with six than
-# with three).
-LOCKSTEP_BYTES = 4_000_000
+# instance of a solve is 2.0 ms solo, 0.69 ms in a stack of 6, 0.60 ms in 12
+# and 0.55 ms in 13, and each live instance adds about 0.5 MB of peak RSS
+# (the benchmark's `small_study` peaks 3.7 MB higher with thirteen than with
+# six).
+LOCKSTEP_BYTES = 9_000_000
 # what one live instance holds at its peak, while a stacked solve runs: up to
 # four controls of its plan (three probe values and the fourth point; the
 # refinement's base, direction, base value and point; an iteration's iterate
 # and trial point; a start given as a callable is built after the probes),
 # its noise, and its share of the solve: the control and noise copies, the
 # forward buffer that X and gap_F share, and the sweep's (M, P) slab buffers,
-# about one path more (two at N = 10, less at larger N).  Its value is copied
-# out after the copies are dropped.  Between solves a plan holds less: the
-# pair scan holds the probe values and one temporary, 5 controls at the
+# about one path more (two at N = 10, less at larger N).  Traced, thirteen
+# 12x64x10 runs peak at 9.6 paths each, so ten bound it.  Its value is
+# copied out after the copies are dropped.  Between solves a plan holds less:
+# the pair scan holds the probe values and one temporary, 5 controls at the
 # default 4 probes, and an iteration three while it forms a point (iterate,
 # value and new point).
-_PATHS_PER_INSTANCE = 9
+_PATHS_PER_INSTANCE = 10
 
 
 def _instance_bytes(op: FbsdeOperator) -> int:
@@ -663,12 +666,13 @@ def run_lockstep(jobs):
     `run_extragradient(op.zero, config, op)` does, probes included.  Yields
     (key, outcome) as each plan ends, the outcome being what the plan
     returned or the package error it raised; plans of one `stack_key` that
-    end in the same round come in the order they were taken.  Jobs are taken one at a time, while the live instances fit in
-    `LOCKSTEP_BYTES` together (one is always admitted: six 12x64x10
-    instances fit, or one 32x500x50), so a caller may build each job's
-    problem as it is asked for.  Each round gathers one request per live
-    plan and evaluates those of one `stack_key` with `evaluate_many`: the
-    budget bounds the live set, so it bounds every stack too.
+    end in the same round come in the order they were taken.  Jobs are
+    taken one at a time, while the live instances fit in `LOCKSTEP_BYTES`
+    together (one is always admitted: thirteen 12x64x10 instances fit, or
+    one 32x500x50), so a caller may build each job's problem as it is asked
+    for.  Each round gathers one request per live plan and evaluates those
+    of one `stack_key` with `evaluate_many`: the budget bounds the live set,
+    so it bounds every stack too.
     """
     pending = iter(jobs)
     waiting = None

@@ -402,16 +402,21 @@ def _instances(control: ControlField, primed, grid):
 
 def _per_instance(values: list[float], lead: list[int]):
     """Per-instance scalars in the two shapes they broadcast in, against
-    ([B,] M) and against ([B,] M, P) or ([B,] M, N): ([B,] 1) and ([B,] 1, 1)
-    arrays; a one-element array rounds as its float does."""
-    col = np.asarray(values, dtype=float).reshape(*lead, 1)
-    return col, col[..., None]
+    ([B,] M) and against ([B,] M, P) or ([B,] M, N): (B, 1) and (B, 1, 1)
+    arrays for a stack, and 0-d arrays for one instance, which round as
+    their floats do and cost less per operation than floats or (1, 1)
+    arrays."""
+    unit = (1,) * len(lead)  # a stack's factors take a unit axis per broadcast axis
+    col = np.asarray(values, dtype=float).reshape((*lead, *unit))
+    return col, col.reshape((*lead, *unit, *unit))
 
 
 def _per_column(columns: list[list[float]], lead: list[int]) -> np.ndarray:
     """Per-instance factors of c scenario columns, one list per column,
-    shaped ([B,] 1, c) to broadcast against ([B,] M, c)."""
-    return np.array(columns, dtype=float).T.reshape(*lead, 1, len(columns))
+    shaped (B, 1, c) for a stack and (c,) for one instance, to broadcast
+    against ([B,] M, c)."""
+    unit = (1,) * len(lead)
+    return np.array(columns, dtype=float).T.reshape(*lead, *unit, len(columns))
 
 
 def simulate_forward(

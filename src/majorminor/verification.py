@@ -83,6 +83,22 @@ def _require_draws(name: str, count: int) -> None:
         raise ConfigurationError([f"{name} must be >= 1, got {count}"])
 
 
+def _draw(seed: int, offset: int, samples: int, clouds: int, scalars: int):
+    """The draws of a hypothesis check: sample i takes `clouds` clouds, then
+    `scalars` N(0, _SPREAD) values, from its own `_sample_rng(seed, offset +
+    i)`.  Returns (clouds, samples, _CLOUD_PARTICLES) and (scalars, samples,
+    1) arrays: each cloud of the samples is laid out as the scenarios of one
+    (samples, _CLOUD_PARTICLES) slice, which the maps take in one call."""
+    cloud = np.empty((clouds, samples, _CLOUD_PARTICLES))
+    scalar = np.empty((scalars, samples, 1))
+    for i in range(samples):
+        rng = _sample_rng(seed, offset + i)
+        for c in cloud:
+            c[i] = sample_cloud(rng, _CLOUD_PARTICLES)
+        scalar[:, i, 0] = rng.normal(0.0, _SPREAD, scalars)
+    return cloud, scalar
+
+
 def check_terminal_monotonicity(
     cs: CoefficientSet,
     a: float,
@@ -96,26 +112,22 @@ def check_terminal_monotonicity(
     >= beta0 |psi(q,L(X)) - psi(q',L(Y))|^2 on sampled cloud pairs.
     """
     _require_draws("samples", samples)
+    (X, Y), (q, qp) = _draw(seed, 0, samples, 2, 2)
+    fx = conditional_features(X)
+    fy = conditional_features(Y)
+    # one row per sample, each reduced along its own particles
+    pair = (cs.g(X, q, fx) - cs.g(Y, qp, fy)) * (X - Y)
+    dq = (q - qp)[:, 0]
+    dpsi = (cs.psi(q, fx) - cs.psi(qp, fy))[:, 0]
+    margins = pair.mean(axis=1) + 0.5 * (dq * a * dq) - beta0 * dpsi * dpsi
+    ses = pair.std(axis=1, ddof=1) / math.sqrt(_CLOUD_PARTICLES)
     worst = math.inf
     worst_se = 0.0
     witness = None
-    for i in range(samples):
-        rng = _sample_rng(seed, i)
-        X = sample_cloud(rng, _CLOUD_PARTICLES)[None]
-        Y = sample_cloud(rng, _CLOUD_PARTICLES)[None]
-        q = rng.normal(0.0, _SPREAD, (1, 1))
-        qp = rng.normal(0.0, _SPREAD, (1, 1))
-        fx = conditional_features(X)
-        fy = conditional_features(Y)
-        pair = ((cs.g(X, q, fx) - cs.g(Y, qp, fy)) * (X - Y))[0]
-        dq = (q - qp)[0, 0]
-        quad = 0.5 * float(dq * a * dq)
-        dpsi = float(cs.psi(q, fx)[0, 0] - cs.psi(qp, fy)[0, 0])
-        margin = float(pair.mean()) + quad - beta0 * dpsi * dpsi
-        se = float(pair.std(ddof=1) / math.sqrt(_CLOUD_PARTICLES))
+    for i, margin in enumerate(margins.tolist()):
         if margin < worst:
-            worst, worst_se = margin, se
-            witness = {"sample": i, "q": q.ravel().tolist(), "q_prime": qp.ravel().tolist(), "margin": margin}
+            worst, worst_se = margin, float(ses[i])
+            witness = {"sample": i, "q": q[i].tolist(), "q_prime": qp[i].tolist(), "margin": margin}
     passed = worst >= -3.0 * worst_se
     return CertificationReport(
         name="terminal_monotonicity",
@@ -146,45 +158,44 @@ def check_coefficient_monotonicity(
     required).
     """
     _require_draws("samples", samples)
+    (X, Y, U, V), scalar = _draw(seed, 1_000_000, samples, 4, 4 if z_pairs else 3)
+    q, qp, z = scalar[:3]
+    zp = scalar[3] if z_pairs else z
+    fxu = conditional_features(X, U)
+    fyv = conditional_features(Y, V)
+    # one row per sample, each reduced along its own particles
+    dg = (cs.G(X, q, U, z, fxu) - cs.G(Y, qp, V, zp, fyv)) * (X - Y)
+    df = (cs.F(X, q, U, z, fxu) - cs.F(Y, qp, V, zp, fyv)) * (U - V)
+    dhz = (cs.Hz(q, z, fxu) - cs.Hz(qp, zp, fyv))[:, 0]
+    dq = (q - qp)[:, 0]
+    lhs = dg.mean(axis=1) + df.mean(axis=1) + a * dhz * dq
+    den = np.mean((X - Y) ** 2, axis=1) + np.mean((U - V) ** 2, axis=1) + dq * dq
+    se_lhs = (dg + df).std(axis=1, ddof=1) / math.sqrt(_CLOUD_PARTICLES)
+    if z_pairs:
+        c_m, K = slack if slack is not None else (0.0, lambda m: 0.0)
+        # |z| as np.linalg.norm takes it of one value
+        zmin = np.minimum(np.sqrt(z * z), np.sqrt(zp * zp))[:, 0].tolist()
+        dz2 = ((z - zp) ** 2)[:, 0]
+        margins = lhs + np.array([c_m + K(m) for m in zmin]) * dz2 - (kappa or 0.0) * den
+        ses = se_lhs
+    else:
+        margins = lhs / den
+        ses = se_lhs / den
     worst = math.inf
     worst_se = 0.0
     witness = None
     used = 0
-    for i in range(samples):
-        rng = _sample_rng(seed, 1_000_000 + i)
-        X, Y, U, V = (sample_cloud(rng, _CLOUD_PARTICLES)[None] for _ in range(4))
-        q = rng.normal(0.0, _SPREAD, (1, 1))
-        qp = rng.normal(0.0, _SPREAD, (1, 1))
-        z = rng.normal(0.0, _SPREAD, (1, 1))
-        zp = rng.normal(0.0, _SPREAD, (1, 1)) if z_pairs else z
-        fxu = conditional_features(X, U)
-        fyv = conditional_features(Y, V)
-        dg = ((cs.G(X, q, U, z, fxu) - cs.G(Y, qp, V, zp, fyv)) * (X - Y))[0]
-        df = ((cs.F(X, q, U, z, fxu) - cs.F(Y, qp, V, zp, fyv)) * (U - V))[0]
-        dhz = (cs.Hz(q, z, fxu) - cs.Hz(qp, zp, fyv))[0, 0]
-        dq = (q - qp)[0, 0]
-        lhs = float(dg.mean()) + float(df.mean()) + float(a * dhz * dq)
-        den = float(np.mean((X - Y) ** 2) + np.mean((U - V) ** 2) + dq * dq)
-        if den < 1e-12:
+    for i, margin in enumerate(margins.tolist()):
+        if den[i] < 1e-12:
             continue  # degenerate pair policy
         used += 1
-        se_lhs = float((dg + df).std(ddof=1) / math.sqrt(_CLOUD_PARTICLES))
-        if z_pairs:
-            c_m, K = slack if slack is not None else (0.0, lambda m: 0.0)
-            zmin = min(float(np.linalg.norm(z)), float(np.linalg.norm(zp)))
-            dz2 = float(np.sum((z - zp) ** 2))
-            margin = lhs + (c_m + K(zmin)) * dz2 - (kappa or 0.0) * den
-            se = se_lhs
-        else:
-            margin = lhs / den
-            se = se_lhs / den
         if margin < worst:
-            worst, worst_se = margin, se
+            worst, worst_se = margin, float(ses[i])
             witness = {
                 "sample": i,
-                "q": q.ravel().tolist(),
-                "q_prime": qp.ravel().tolist(),
-                "z": z.ravel().tolist(),
+                "q": q[i].tolist(),
+                "q_prime": qp[i].tolist(),
+                "z": z[i].tolist(),
                 "margin": margin,
             }
     passed = worst >= -3.0 * worst_se
@@ -249,13 +260,13 @@ def check_v_monotonicity(
     Rayleigh quotient eta_hat over the sampled pairs.
 
     The controls are drawn in pair order, a_0, b_0, a_1, b_1, ..., each by
-    a one-evaluation plan that `run_lockstep` runs (six a round at 12x64x10;
-    one at 32x500x50, through op(control)), with overflow warnings silenced;
-    each draw gets the bits of its own solve, so the report does not depend
-    on the stacking.  The outcomes come back in draw order, and a pair is
-    reduced when its second is in.  A failed evaluation raises the package
-    error of the first failed draw, the error a pair-by-pair loop would
-    raise.
+    a one-evaluation plan that `run_lockstep` runs (thirteen a round at
+    12x64x10; one at 32x500x50, through op(control)), with overflow warnings
+    silenced; each draw gets the bits of its own solve, so the report does
+    not depend on the stacking.  The outcomes come back in draw order, and
+    a pair is reduced when its second is in.  A failed evaluation raises the
+    package error of the first failed draw, the error a pair-by-pair loop
+    would raise.
     """
     _require_draws("pairs", pairs)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))

@@ -362,17 +362,44 @@ def stack_sizes(monkeypatch) -> list:
     return stacks
 
 
-def test_lockstep_admits_six_small_instances_or_one_default_size(monkeypatch):
+def test_lockstep_admits_what_the_budget_holds_or_one_default_size(monkeypatch):
     stacks = stack_sizes(monkeypatch)
-    ops = [lq_operator(m=12, p=64, n=10, seed=seed)[0] for seed in range(8)]
+    first = lq_operator(m=12, p=64, n=10, seed=0)[0]
+    width = LOCKSTEP_BYTES // _instance_bytes(first)
+    ops = [first] + [lq_operator(m=12, p=64, n=10, seed=seed)[0] for seed in range(1, width + 2)]
     config = ExtragradientConfig(gamma=0.1, n_max=2)
     reports = dict(run_lockstep((i, op, extragradient_plan(op.zero(), config, op)) for i, op in enumerate(ops)))
-    assert sorted(reports) == list(range(8))
-    # six of the eight run, two evaluations per iteration, then the other two
-    assert stacks == [6] * 4 + [2] * 4
+    assert sorted(reports) == list(range(width + 2))
+    # the first `width` run, two evaluations per iteration, then the other two
+    assert stacks == [width] * 4 + [2] * 4
     # a default-size instance fills the budget alone
     default_size = lq_operator(m=32, p=500, n=50, seed=0)[0]
     assert _instance_bytes(default_size) > LOCKSTEP_BYTES
+
+
+def test_twelve_small_instances_run_as_one_stack_with_their_serial_bits(monkeypatch):
+    # the sweep's twelve 12x64x10 cells fit in one admission: the first
+    # round is one stack of twelve, and every run reports what it reports
+    # when the budget admits one instance at a time
+    ops = [lq_operator(m=12, p=64, n=10, seed=seed, horizon=(0.5, 1.0, 2.0)[seed % 3])[0] for seed in range(12)]
+    config = ExtragradientConfig(n_max=4)
+
+    def run():
+        return dict(run_lockstep((i, op, extragradient_plan(op.zero, config, op)) for i, op in enumerate(ops)))
+
+    with monkeypatch.context() as patch:
+        stacks = stack_sizes(patch)
+        stacked = run()
+    assert stacks[0] == 12
+    monkeypatch.setattr(extragradient_module, "LOCKSTEP_BYTES", 1)
+    serial = run()
+    for i in range(12):
+        got, want = stacked[i], serial[i]
+        assert (got.residuals, got.evaluations, got.L_hat, got.gamma) == (
+            want.residuals, want.evaluations, want.L_hat, want.gamma
+        )
+        assert np.array_equal(got.final_alpha.alpha_x, want.final_alpha.alpha_x)
+        assert np.array_equal(got.final_alpha.alpha_q, want.final_alpha.alpha_q)
 
 
 def test_lockstep_runs_any_plans_of_alike_instances_in_one_stack(monkeypatch):
@@ -407,18 +434,19 @@ def test_lockstep_runs_any_plans_of_alike_instances_in_one_stack(monkeypatch):
         assert np.array_equal(value.alpha_q, solo["one", i].alpha_q)
 
 
-def test_six_small_instances_in_lockstep_stay_inside_the_budget():
+def test_a_full_lockstep_stack_stays_inside_the_budget():
     # numpy reports its buffers to tracemalloc.  The problems are built while
-    # tracing, so their noise counts as the budget counts it.  Six 12x64x10
-    # runs, probes included, peak at 3.91 MB, under the 4.0 MB budget; with
-    # each start built before the run (op.zero() in place of op.zero), and so
-    # held through the probes, they read 4.29 MB.  The fixed allowance of
-    # 0.1 MB is headroom for the Python objects of the runs and allocator
-    # rounding
+    # tracing, so their noise counts as the budget counts it.  As many
+    # 12x64x10 runs as the budget admits (13 in 9.0 MB), probes included,
+    # peak at 8.42 MB; with each start built before the run (op.zero() in
+    # place of op.zero), and so held through the probes, they read 9.24 MB.
+    # The fixed allowance of 0.1 MB is headroom for the Python objects of
+    # the runs and allocator rounding
     allowance = 100_000
+    width = LOCKSTEP_BYTES // _instance_bytes(lq_operator(m=12, p=64, n=10)[0])
 
     def runs():
-        ops = [lq_operator(m=12, p=64, n=10, seed=seed)[0] for seed in range(6)]
+        ops = [lq_operator(m=12, p=64, n=10, seed=seed)[0] for seed in range(width)]
         config = ExtragradientConfig(n_max=3)
         return dict(run_lockstep((i, op, extragradient_plan(op.zero, config, op)) for i, op in enumerate(ops)))
 
@@ -429,7 +457,7 @@ def test_six_small_instances_in_lockstep_stay_inside_the_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [reports[i].evaluations["probe"] for i in range(6)] == [12] * 6
+    assert [reports[i].evaluations["probe"] for i in range(width)] == [12] * width
     assert peak < LOCKSTEP_BYTES + allowance
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import majorminor.extragradient as extragradient_module
 import majorminor.verification as verification
-from majorminor.ensembles import ControlField
+from majorminor.ensembles import ControlField, conditional_features
 from majorminor.errors import ConfigurationError, SimulationError
 from majorminor.extragradient import FbsdeOperator, _instance_bytes
 from majorminor.grids import build_grid, sample_noise
@@ -92,6 +92,65 @@ def test_coefficient_monotonicity_zpair_slack():
         slack=(data.C_M, data.K),
     )
     assert rep.passed
+
+
+def per_sample_terms(cs, a, samples, seed, form):
+    """(margin, se, denominator) of each sample of a hypothesis check, drawn
+    from its own stream and evaluated on its own (1, 256) clouds."""
+    data = lq_monotonicity_data(CONE, CONSTANTS)
+    terms = []
+    for i in range(samples):
+        if form == "terminal":
+            rng = verification._sample_rng(seed, i)
+            X, Y = (verification.sample_cloud(rng, 256)[None] for _ in range(2))
+            q, qp = (rng.normal(0.0, 1.5, (1, 1)) for _ in range(2))
+            fx, fy = conditional_features(X), conditional_features(Y)
+            pair = ((cs.g(X, q, fx) - cs.g(Y, qp, fy)) * (X - Y))[0]
+            dq = (q - qp)[0, 0]
+            dpsi = float(cs.psi(q, fx)[0, 0] - cs.psi(qp, fy)[0, 0])
+            margin = float(pair.mean()) + 0.5 * float(dq * a * dq) - 0.05 * dpsi * dpsi
+            terms.append((margin, float(pair.std(ddof=1) / 16.0), 1.0))
+            continue
+        rng = verification._sample_rng(seed, 1_000_000 + i)
+        X, Y, U, V = (verification.sample_cloud(rng, 256)[None] for _ in range(4))
+        q, qp, z = (rng.normal(0.0, 1.5, (1, 1)) for _ in range(3))
+        zp = rng.normal(0.0, 1.5, (1, 1)) if form == "zpair" else z
+        fxu, fyv = conditional_features(X, U), conditional_features(Y, V)
+        dg = ((cs.G(X, q, U, z, fxu) - cs.G(Y, qp, V, zp, fyv)) * (X - Y))[0]
+        df = ((cs.F(X, q, U, z, fxu) - cs.F(Y, qp, V, zp, fyv)) * (U - V))[0]
+        dq = (q - qp)[0, 0]
+        lhs = float(dg.mean()) + float(df.mean()) + float(a * (cs.Hz(q, z, fxu) - cs.Hz(qp, zp, fyv))[0, 0] * dq)
+        den = float(np.mean((X - Y) ** 2) + np.mean((U - V) ** 2) + dq * dq)
+        se = float((dg + df).std(ddof=1) / 16.0)
+        if form == "zpair":
+            zmin = min(float(np.linalg.norm(z)), float(np.linalg.norm(zp)))
+            dz2 = float(np.sum((z - zp) ** 2))
+            terms.append((lhs + (data.C_M + data.K(zmin)) * dz2 - data.kappa * den, se, den))
+        else:
+            terms.append((lhs / den, se / den, den))
+    return terms
+
+
+@pytest.mark.parametrize("form", ["terminal", "kappa", "zpair"])
+@pytest.mark.parametrize("params", [CONE, LQParams(c1=1.0, c3=0.5, g1=-2.0, b=-1.0, p1=1.0)], ids=["cone", "flipped"])
+def test_batched_hypothesis_checks_report_each_samples_own_terms(params, form):
+    # the checks draw every sample from its own stream and evaluate the maps
+    # on all samples at once; the worst margin, its se and its witness are
+    # those of a sample evaluated alone, bit for bit
+    cs = make_lq_model(params, CONSTANTS)
+    data = lq_monotonicity_data(CONE, CONSTANTS)
+    if form == "terminal":
+        rep = check_terminal_monotonicity(cs, data.a, beta0=0.05, samples=60, seed=4)
+    else:
+        rep = check_coefficient_monotonicity(
+            cs, data.a, samples=60, seed=4, z_pairs=form == "zpair", kappa=data.kappa, slack=(data.C_M, data.K)
+        )
+    terms = per_sample_terms(cs, data.a, 60, 4, form)
+    kept = [(margin, se, i) for i, (margin, se, den) in enumerate(terms) if not den < 1e-12]
+    margin, se, worst = min(kept, key=lambda t: t[0])  # the first smallest
+    assert (rep.margin, rep.se, rep.samples) == (margin, se, len(kept) if form != "terminal" else 60)
+    assert rep.passed == (params is CONE)
+    assert rep.passed or rep.witness["sample"] == worst
 
 
 def small_operator(params=CONE, m=16, p=128, n=10, seed=5, sigma0=0.5):
