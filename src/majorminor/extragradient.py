@@ -26,8 +26,8 @@ stacked solve along a leading instance axis (`evaluate_many`), which gives
 every instance the same bits as its own solve would.  `LOCKSTEP_BYTES`
 bounds its live set: thirteen instances at 12x64x10, so that a sweep of
 twelve such cells runs as one stack from its first round, and one at the
-CLI default 32x500x50.  `run_extragradient` and `estimate_lipschitz_v` run their plan
-as a lockstep run of one, whose control `evaluate_many` hands to
+CLI default 32x500x50.  `run_extragradient` and `estimate_lipschitz_v` run
+their plan as a lockstep run of one, whose control `evaluate_many` hands to
 `op(control)`.  A start control may be passed as a callable (`op.zero`),
 which the plan calls once its probes are done, so no run holds its start
 through them.
@@ -606,7 +606,7 @@ def estimate_lipschitz_v(op, probes: int = 4, seed: int = _PROBE_SEED) -> Lipsch
 # at 12x64x10, with one BLAS thread on a shared 2-core VM, the CPU time per
 # instance of a solve is 2.0 ms solo, 0.69 ms in a stack of 6, 0.60 ms in 12
 # and 0.55 ms in 13, and each live instance adds about 0.5 MB of peak RSS
-# (the benchmark's `small_study` peaks 3.7 MB higher with thirteen than with
+# (the benchmark's `small_study` peaks 3.8 MB higher with thirteen than with
 # six).
 LOCKSTEP_BYTES = 9_000_000
 # what one live instance holds at its peak, while a stacked solve runs: up to
