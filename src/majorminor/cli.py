@@ -428,12 +428,13 @@ def run_solve(config: RunConfig, out_dir: str | Path | None = None, dump_ensembl
 
         if dump_ensemble:
             rows = []
-            X, U = st.X, st.U  # each is built on access: once, not per element
+            X = st.X  # built on access: once, and U from it
             m, p, n1 = X.shape
+            U = np.concatenate([st.u(slice(None), X), st.U_T[None]])  # time-major
             for j in range(m):
                 for i in range(p):
                     for k in range(n1):
-                        rows.append((j, i, grid.nodes[k], X[j, i, k], U[j, i, k]))
+                        rows.append((j, i, grid.nodes[k], X[j, i, k], U[k, j, i]))
             dump_path = out / "ensemble.csv"
             write_csv(dump_path, ["scenario", "particle", "t", "X", "U"], rows)
             emitted.append(dump_path)
@@ -504,7 +505,7 @@ def _finish_row(row: dict, report, op: FbsdeOperator, tol: float, picard_sweeps:
     row["eg_residual"] = report.residuals[-1] if report.residuals else float("nan")
     row["lambda_hat"] = report.lambda_hat if report.lambda_hat is not None else float("nan")
     try:
-        pic = picard_solve(op.primed, op.grid, op.noise, op.init, op.basis, tol=tol, max_iter=picard_sweeps)
+        pic = picard_solve(op, tol=tol, max_iter=picard_sweeps)
     except MajorMinorError as exc:
         row["error"] = _csv_text(exc)
         return

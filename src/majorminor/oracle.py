@@ -1,5 +1,6 @@
 """Independent baselines: a Riccati field for the linear-quadratic family and
-a Picard fixed-point iteration on the coupled system.
+a Picard fixed-point iteration on the coupled system of an operator, which
+keeps its verdict, its sweep count and its last solve.
 
 The affine ansatz
     U(t, x, q, mbar)  = a(t) x + b_u(t) q + c_u(t) mbar
@@ -27,8 +28,9 @@ import numpy as np
 from .ensembles import ControlField, ScenarioFeatures, conditional_features, norm_T
 from .errors import OracleBlowUpError, SimulationError
 from .grids import NoiseBundle, TimeGrid, path_array, run_scenario_blocks
-from .models import CoefficientSet, LQParams, ModelConstants, PrimedCoefficientSet
-from .solver import InitialCondition, RegressionBasis, SolveOutput, decoupled_solve
+from .extragradient import FbsdeOperator
+from .models import CoefficientSet, LQParams, ModelConstants
+from .solver import InitialCondition, SolveOutput, decoupled_solve
 
 __all__ = [
     "RiccatiSolution",
@@ -202,71 +204,59 @@ def oracle_induced_control(
 @dataclass
 class PicardResult:
     """Outcome of the fixed-point sweep: converged, diverged-as-diagnosed, or
-    stopped at the sweep cap."""
+    stopped at the sweep cap, after `sweeps` solves, the last one `solve`."""
 
     converged: bool
     diverged: bool
     sweeps: int
-    distances: list[float]
-    control: ControlField
     solve: SolveOutput | None
     reason: str = ""
 
 
-def picard_solve(
-    primed: PrimedCoefficientSet,
-    grid: TimeGrid,
-    noise: NoiseBundle,
-    init: InitialCondition,
-    basis: RegressionBasis,
-    tol: float = 1e-6,
-    max_iter: int = 40,
-) -> PicardResult:
-    """Freeze the coupling from the previous sweep and re-solve.
+def picard_control(cs: CoefficientSet, solve: SolveOutput) -> ControlField:
+    """The next Picard control: the pair (F, DzH) along a solve, at its
+    states, midpoint major state, Zphi and conditional law.  Each map is
+    called once, on the N steps laid side by side as one (N M, P) slab; maps
+    and scenario means work row by row, so each step has the bits of its own
+    (M, P) call.  F's output, a new array by the model API, is the control's
+    buffer, in the layout of `path_array`."""
+    st = solve.state
+    n, m, p = st.U_coef.shape[0], *st.X0.shape
+    X = st.X
+    x = np.moveaxis(X, -1, 0)[:n].reshape(n * m, p)
+    u = st.u(slice(None), X).reshape(n * m, p)
+    qmid = (0.5 * (st.qf[:, :n] + st.qb[:, :n])).T.reshape(n * m, 1)
+    z = st.Zphi.T.reshape(n * m, 1)
+    feats = conditional_features(x, u)
+    alpha_x = np.moveaxis(cs.F(x, qmid, u, z, feats).reshape(n, m, p), 0, -1)
+    alpha_q = np.ascontiguousarray(cs.Hz(qmid, z, feats).reshape(n, m).T)
+    return ControlField(alpha_x, alpha_q)
 
-    The control of sweep n+1 is the coefficient pair (F, DzH) evaluated along
-    sweep n's decoupled solution (states, midpoint major state, Zphi and the
-    conditional law).  Stops when the successive-sweep distance in the control
-    norm drops below `tol`; reports divergence when the distance grows over
+
+def picard_solve(op: FbsdeOperator, tol: float = 1e-6, max_iter: int = 40) -> PicardResult:
+    """Freeze the coupling from the previous sweep and re-solve the
+    operator's problem.
+
+    The control of sweep n+1 is `picard_control` of sweep n's decoupled
+    solve.  Stops when the successive-sweep distance in the control norm
+    drops below `tol`; reports divergence when the distance grows over
     three consecutive sweeps.
     """
-    cs = primed.base
-    m, p = init.X0.shape
-    n = grid.steps
-    control = ControlField.zeros(m, p, n)
-    distances: list[float] = []
+    control = op.zero()
+    distances: list[float] = []  # the last three
     solve = None
     for sweep in range(1, max_iter + 1):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                solve = decoupled_solve(control, primed, noise, init, basis, grid)
+                solve = decoupled_solve(control, op.primed, op.noise, op.init, op.basis, op.grid)
         except SimulationError:
             # iterates left the finite range: no contraction at this horizon
-            return PicardResult(
-                False, True, sweep, distances, control, solve,
-                reason="sweep produced non-finite values (no contraction)",
-            )
-        st = solve.state
-        alpha_x = np.empty_like(control.alpha_x)
-        alpha_q = np.empty_like(control.alpha_q)
-        X = st.X  # built on access: once, not per step
-        for k in range(n):
-            xk = X[:, :, k]
-            uk = st.u(k, X)
-            qmid = 0.5 * (st.qf[:, k] + st.qb[:, k])[:, None]
-            zk = st.Zphi[:, k][:, None]
-            feats = conditional_features(xk, uk)
-            alpha_x[:, :, k] = cs.F(xk, qmid, uk, zk, feats)
-            alpha_q[:, k] = cs.Hz(qmid, zk, feats)[:, 0]
-        new_control = ControlField(alpha_x, alpha_q)
-        dist = norm_T(new_control - control, grid)
-        distances.append(dist)
+            return PicardResult(False, True, sweep, solve, reason="sweep produced non-finite values (no contraction)")
+        new_control = picard_control(op.primed.base, solve)
+        distances = [*distances[-2:], norm_T(new_control - control, op.grid)]
         control = new_control
-        if dist <= tol:
-            return PicardResult(True, False, sweep, distances, control, solve)
-        if len(distances) >= 3 and distances[-1] > distances[-2] > distances[-3]:
-            return PicardResult(
-                False, True, sweep, distances, control, solve,
-                reason="successive-sweep distance increased over 3 sweeps",
-            )
-    return PicardResult(False, False, max_iter, distances, control, solve)
+        if distances[-1] <= tol:
+            return PicardResult(True, False, sweep, solve)
+        if len(distances) == 3 and distances[2] > distances[1] > distances[0]:
+            return PicardResult(False, True, sweep, solve, reason="successive-sweep distance increased over 3 sweeps")
+    return PicardResult(False, False, max_iter, solve)

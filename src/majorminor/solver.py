@@ -55,7 +55,9 @@ references to the solve's own control, noise, coefficient sets and grids,
 and `EnsembleState.X` runs the forward pass again on them, which gives the
 same bits.  U is kept as its (M, 2) affine coefficients per step plus the
 terminal slab, from which `EnsembleState.u(k)` rebuilds any slab bit for
-bit; the sweep carries the next step's slab in a buffer, not in a path.
+bit, or a slice of steps in one pass; the sweep carries the next step's
+slab in a buffer, not in a path.  Of the common-noise integrands the sweep
+fits Zphi and the dW0 part of the minor integrand, not that of qb.
 
 Instance axis.  `simulate_forward`, `solve_backward` and `decoupled_solve`
 also solve a stack of independent instances of one size in one sweep: the
@@ -411,14 +413,6 @@ def _per_instance(values: list[float], lead: list[int]):
     return col, col.reshape((*lead, *unit, *unit))
 
 
-def _per_column(columns: list[list[float]], lead: list[int]) -> np.ndarray:
-    """Per-instance factors of c scenario columns, one list per column,
-    shaped (B, 1, c) for a stack and (c,) for one instance, to broadcast
-    against ([B,] M, c)."""
-    unit = (1,) * len(lead)
-    return np.array(columns, dtype=float).T.reshape(*lead, *unit, len(columns))
-
-
 def simulate_forward(
     control: ControlField,
     noise: NoiseBundle,
@@ -486,7 +480,7 @@ class EnsembleState:
     """Time-indexed particle clouds and per-scenario paths of one solve.
 
     States are scalar.  Particle paths are time-major (see `path_array`);
-    scenario-level quantities (qf, qb, phi, Zphi, Zq) carry no particle axis,
+    scenario-level quantities (qf, qb, phi, Zphi) carry no particle axis,
     so they are adapted to the common filtration by construction.  The state
     of a stacked solve carries a leading instance axis on every array (after
     the step axis of U_coef).
@@ -499,8 +493,9 @@ class EnsembleState:
     place while the state is read.  U is held as what the backward sweep
     fitted: for k < N the slab U[..., k] is the within-scenario affine fit
     U_coef[k][..., 0] + U_coef[k][..., 1] x_k, and U[..., N] is the terminal
-    slab U_T.  `u(k)` rebuilds one slab with the sweep's own arithmetic, so
-    it has the sweep's bits; `U` builds the whole path on each access.
+    slab U_T.  `u(k)` rebuilds one slab, or the slabs of a slice of the steps
+    0..N-1 in one pass, with the sweep's own arithmetic, so it has the
+    sweep's bits; `U` builds the whole path on each access.
     """
 
     X0: np.ndarray  # (M_c, P): slab 0 of X, the initial cloud
@@ -510,12 +505,14 @@ class EnsembleState:
     qb: np.ndarray  # (M_c, N_t+1)
     phi: np.ndarray  # (M_c, N_t+1)
     Zphi: np.ndarray  # (M_c, N_t)
-    Zq: np.ndarray  # (M_c, N_t)
     control: ControlField  # the inputs of the forward pass, by reference
     noise: NoiseBundle
     primed: PrimedCoefficientSet | list[PrimedCoefficientSet]  # one per instance of a stack
     grid: TimeGrid | list[TimeGrid]
-    Z: None = None  # always None: no solve fits the integrands of U; `bench/spans.py` reads it
+    # always None (no solve fits the integrands of U or of qb); `bench/spans.py`
+    # reads both until the benchmark change
+    Z: None = None
+    Zq: None = None
 
     @property
     def X(self) -> np.ndarray:
@@ -524,18 +521,18 @@ class EnsembleState:
         init = InitialCondition(self.X0, self.qf[..., 0])
         return simulate_forward(self.control, self.noise, self.primed, init, self.grid)[0]
 
-    def u(self, k: int, X: np.ndarray | None = None) -> np.ndarray:
+    def u(self, k: int | slice, X: np.ndarray | None = None) -> np.ndarray:
         """The slab U[..., k], ([B,] M_c, P), for k in 0..N_t; the terminal
-        one is `U_T` itself.  Slabs 0 and N_t rebuild nothing; any other
-        reads `X` of this state, which a caller that holds it passes in."""
+        one is `U_T` itself.  A slice of the steps 0..N_t-1 gives their slabs
+        time-major, (steps, [B,] M_c, P), in one pass.  Slabs 0 and N_t
+        rebuild nothing; any other reads `X` of this state, which a caller
+        that holds it passes in."""
         n = self.U_coef.shape[0]
-        k = range(n + 1)[k]
-        if k == n:
-            return self.U_T
-        if k == 0:
-            xk = self.X0
-        else:
-            xk = np.moveaxis(self.X if X is None else X, -1, 0)[k]
+        if not isinstance(k, slice):
+            k = range(n + 1)[k]
+            if k == n:
+                return self.U_T
+        xk = self.X0 if k == 0 else _time_major(self.X if X is None else X)[:n][k]
         coef = self.U_coef[k]
         u = coef[..., 1:] * xk
         u += coef[..., :1]
@@ -544,13 +541,13 @@ class EnsembleState:
     @property
     def U(self) -> np.ndarray:
         """The full path ([B,] M_c, P, N_t+1) in the layout of `path_array`,
-        built from `u(k)` on each access (uncached)."""
+        built on each access (uncached) from the slabs of `u` over all steps,
+        written over the buffer of an X of its own."""
         X = self.X
-        U = path_array(X.shape)
-        Ut = np.moveaxis(U, -1, 0)
-        for k in range(Ut.shape[0]):
-            Ut[k] = self.u(k, X)
-        return U
+        Xt = _time_major(X)
+        Xt[:-1] = self.u(slice(None), X)
+        Xt[-1] = self.U_T
+        return X
 
 
 @dataclass
@@ -670,7 +667,6 @@ def solve_backward(
     phi = np.empty((*lead, m, n + 1))
     qb = np.empty((*lead, m, n + 1))
     Zphi = np.zeros((*lead, m, n))
-    Zq = np.zeros((*lead, m, n))
     theta_H = np.empty((*lead, m, n))
 
     # step geometry: everything that depends on the forward pass only, for
@@ -691,12 +687,12 @@ def solve_backward(
     chi_abs = dW0 * dW0 - dt_m
     chi = chi_abs / dt_m  # mean-zero given F_k
     curv = 0.5 * (2.0 * sigma0) * chi_abs
-    loo_cv = (1.0 - eq_cv.leverage())[..., None] if noisy else None
-    # per-instance factors of the two scenario columns (phi, qb), shaped to
-    # broadcast against ([B,] M, 2): the divisors of the integrand targets,
-    # and the factors of the q-gradient that give the integrand priors
-    z_scale = _per_column([[s * d for s, d in zip(sqs, dts)], dts], lead)
-    grad_scale = _per_column([[1.0] * len(sqs), sqs], lead)
+    loo_cv = 1.0 - eq_cv.leverage() if noisy else None
+    # per instance: the divisor of the Zphi target, and the factors (1, sq)
+    # of the q-gradient of the scenario columns (phi, qb) that give their
+    # integrand priors, shaped to broadcast against ([B,] M, 2)
+    z_scale, _ = _per_instance([s * d for s, d in zip(sqs, dts)], lead)
+    grad_scale = np.stack([np.ones_like(sq), sq], axis=-1)
 
     # the model maps: one call per stack, on its scenarios laid side by side
     def side(a: np.ndarray) -> np.ndarray:
@@ -715,11 +711,11 @@ def solve_backward(
     # regression targets, stacked as columns ([B,] M, 2)
     carry = np.stack([phi[..., n], qb[..., n]], axis=-1)
 
-    # step buffers: the three integrand targets; the U target and the
-    # minor-integrand target, which share P and are fitted in one call; the
-    # drivers and the targets of (phi, qb)
-    z_targets = np.empty((*lead, m, 3))
-    zt_scen = z_targets[..., :2]
+    # step buffers: the targets of Zphi and of the minor integrand's dW0
+    # part; the U target and the minor-integrand target, which share P and
+    # are fitted in one call; the drivers and the targets of (phi, qb)
+    z_targets = np.empty((*lead, m, 2))
+    zt_phi, zt_w = z_targets[..., 0], z_targets[..., 1]
     fit_buf = np.empty((2, *lead, m, p))
     target_u, zb_target = fit_buf
     drv = np.empty((*lead, m, 2))
@@ -753,28 +749,27 @@ def solve_backward(
             # carrier fit (one O(features/M) in-sample leak, then clean)
             coef_carry = coef_cv
         grad, hess = _scenario_q_derivatives(coef_carry, q_steps[k], mean_x[k], mean_a[k])
-        # the priors of Zphi and Zq, as columns: grad_phi and sq * grad_qb
+        # the integrand priors of (phi, qb), as columns: grad_phi and sq * grad_qb
         pred_z = grad * grad_scale
         pred_zw = (S[k] @ coef_zw[..., None])[..., 0] if coef_zw is not None else 0.0
 
-        # (a) martingale integrands at k from the next U and the next scenario
-        # carriers; the three scenario-level targets share S and are fitted
-        # in one call
+        # (a) martingale integrands at k from the next U and the next phi
+        # carrier; the two scenario-level targets share S and are fitted in
+        # one call
         u_resid = P.loo_residuals(u_next, idx)
         if noisy:
-            # leave-one-out residuals keep each scenario's own signal
-            resid = carry - eq_cv.design[k] @ coef_cv
+            # leave-one-out residuals keep each scenario's own signal; both
+            # products take every column (BLAS rounds one column differently)
+            resid = (carry - eq_cv.design[k] @ coef_cv)[..., 0]
             resid /= loo_cv[k]
-            np.multiply(resid, dW0k[..., None], out=zt_scen)
-            zt_scen /= z_scale
-            zt_scen -= pred_z * chi[k][..., None]
-            np.subtract(_mean(u_resid) * dW0k / dt_m, pred_zw * chi[k], out=z_targets[..., 2])
+            np.multiply(resid, dW0k, out=zt_phi)
+            zt_phi /= z_scale
+            zt_phi -= pred_z[..., 0] * chi[k]
+            np.subtract(_mean(u_resid) * dW0k / dt_m, pred_zw * chi[k], out=zt_w)
             coef_z = eq_s.coef(z_targets, idx)
-            fitted_z = S[k] @ coef_z
-            Zphi[..., k] = fitted_z[..., 0]
-            Zq[..., k] = fitted_z[..., 1]
-            np.subtract(z_targets[..., 0], fitted_z[..., 0], out=resid_z[k])
-            coef_zw = coef_z[..., 2]
+            Zphi[..., k] = (S[k] @ coef_z)[..., 0]
+            np.subtract(zt_phi, Zphi[..., k], out=resid_z[k])
+            coef_zw = coef_z[..., 1]
 
         # (b) invert the pair map at the current (state, Zphi) along the
         # control, and evaluate Gp, LHp and Hzp there
@@ -845,7 +840,7 @@ def solve_backward(
     ):
         raise SimulationError("backward sweep produced non-finite values")
     state = EnsembleState(
-        X0=x[0], U_coef=U_coef, U_T=U_T, qf=qf, qb=qb, phi=phi, Zphi=Zphi, Zq=Zq,
+        X0=x[0], U_coef=U_coef, U_T=U_T, qf=qf, qb=qb, phi=phi, Zphi=Zphi,
         control=control, noise=noise, primed=primed, grid=grid,
     )
 

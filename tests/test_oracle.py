@@ -8,11 +8,13 @@ import pytest
 from majorminor import grids
 from majorminor.ensembles import conditional_features
 from majorminor.errors import OracleBlowUpError
+from majorminor.extragradient import FbsdeOperator
 from majorminor.grids import build_grid, path_array, sample_noise
 from majorminor.models import LQParams, ModelConstants, make_lq_model, split_q
 from majorminor.oracle import (
     eval_oracle_field,
     oracle_induced_control,
+    picard_control,
     picard_solve,
     riccati_oracle,
 )
@@ -262,7 +264,7 @@ def test_picard_zero_model_converges_one_sweep():
     noise = sample_noise(grid, 4, 8, seed=0)
     init = sample_initial(4, 8, seed=0)
     primed = split_q(make_zero_model(ModelConstants(sigma=0.1, sigma0=0.1)))
-    res = picard_solve(primed, grid, noise, init, RegressionBasis(), tol=1e-9)
+    res = picard_solve(FbsdeOperator(primed, grid, noise, init, RegressionBasis()), tol=1e-9)
     assert res.converged and res.sweeps <= 2
     assert not res.diverged and res.reason == ""
 
@@ -277,7 +279,7 @@ def test_picard_cross_validates_oracle_short_horizon():
     m, p = 64, 1500
     noise = sample_noise(grid, m, p, seed=11)
     init = sample_initial(m, p, seed=11, x_mean=1.0, x_std=0.3, q0=1.0, q0_std=0.1)
-    res = picard_solve(primed, grid, noise, init, RegressionBasis(), tol=1e-8, max_iter=30)
+    res = picard_solve(FbsdeOperator(primed, grid, noise, init, RegressionBasis()), tol=1e-8, max_iter=30)
     assert res.converged
     sol = riccati_oracle(CONE, constants, grid)
     st = res.solve.state
@@ -299,6 +301,38 @@ def test_picard_divergence_reported_long_horizon():
     cs = make_lq_model(params, constants)
     noise = sample_noise(grid, 8, 64, seed=3)
     init = sample_initial(8, 64, seed=3, x_mean=1.0, x_std=0.3, q0=1.0)
-    res = picard_solve(split_q(cs), grid, noise, init, RegressionBasis(), tol=1e-8, max_iter=25)
+    res = picard_solve(FbsdeOperator(split_q(cs), grid, noise, init, RegressionBasis()), tol=1e-8, max_iter=25)
     assert res.diverged
     assert res.reason == "sweep produced non-finite values (no contraction)"
+
+
+@pytest.mark.parametrize("clamp", [math.inf, 2.0], ids=["unclamped", "clamp2"])
+def test_picard_control_equals_the_per_step_maps(clamp):
+    # one call of F and of DzH on the (N M, P) slab of all steps gives the
+    # bits of the per-step loop of `picard_solve` that it replaced
+    grid = build_grid(1.0, 10)
+    primed = split_q(make_lq_model(CONE, ModelConstants(sigma=0.5, sigma0=1.0, clamp_m=clamp)))
+    noise, init = sample_noise(grid, 12, 64, seed=1234), sample_initial(12, 64, seed=1234)
+    op = FbsdeOperator(primed, grid, noise, init, RegressionBasis())
+    solve = op.solve(op.random_control(np.random.default_rng(0)))
+    st, cs = solve.state, primed.base
+    assert np.abs(st.Zphi).max() > 2.0  # the clamp bites
+    X = st.X
+    alpha_x = path_array((12, 64, 10))
+    alpha_q = np.empty((12, 10))
+    for k in range(10):
+        xk = X[:, :, k]
+        uk = st.u(k, X)
+        qmid = 0.5 * (st.qf[:, k] + st.qb[:, k])[:, None]
+        zk = st.Zphi[:, k][:, None]
+        feats = conditional_features(xk, uk)
+        alpha_x[:, :, k] = cs.F(xk, qmid, uk, zk, feats)
+        alpha_q[:, k] = cs.Hz(qmid, zk, feats)[:, 0]
+    got = picard_control(cs, solve)
+    assert np.array_equal(got.alpha_x, alpha_x) and np.array_equal(got.alpha_q, alpha_q)
+    assert got.alpha_x.strides == alpha_x.strides
+    # U and the slice of all steps hold the bits of the u(k) slabs
+    U, u_steps = st.U, st.u(slice(None), X)
+    for k in range(11):
+        assert np.array_equal(U[:, :, k], st.u(k, X)), k
+        assert k == 10 or np.array_equal(u_steps[k], st.u(k, X)), k

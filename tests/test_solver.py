@@ -274,7 +274,6 @@ def test_scenario_quantities_have_no_particle_axis():
     assert out.state.phi.shape == (4, 6)
     assert out.state.qb.shape == (4, 6)
     assert out.state.Zphi.shape == (4, 5)
-    assert out.state.Zq.shape == (4, 5)
     assert out.theta_H.shape == (4, 5)
 
 
@@ -374,7 +373,7 @@ def test_decoupled_solve_independent_of_control_layout():
         decoupled_solve(c, primed, noise, init, RegressionBasis(), grid) for c in (c_order, time_major)
     )
     assert np.array_equal(a.theta_F, b.theta_F) and np.array_equal(a.theta_H, b.theta_H)
-    for name in ("X", "U", "qf", "qb", "phi", "Zphi", "Zq"):
+    for name in ("X", "U", "qf", "qb", "phi", "Zphi"):
         assert np.array_equal(getattr(a.state, name), getattr(b.state, name)), name
 
 
@@ -394,15 +393,15 @@ GOLDEN_V = {
 
 
 # the solve behind that v, recorded before the states became scalar: the
-# norms of U, phi, qb, Zphi, Zq, theta_F and theta_H
+# norms of U, phi, qb, Zphi, theta_F and theta_H
 GOLDEN_SOLVE = {
     "zero": (
         177.20622456950844, 18.128645603030176, 13.920538777973121, 26.209108547678795,
-        12.489186595494616, 0.0, 56.894813183529735,
+        0.0, 56.894813183529735,
     ),
     "random": (
         179.69641737887275, 204.42926627993498, 14.597975115554583, 89.4181547101618,
-        15.000251112324575, 87.75298951416634, 179.63968636046636,
+        87.75298951416634, 179.63968636046636,
     ),
 }
 
@@ -426,7 +425,7 @@ def test_operator_matches_recorded_values(start):
     )
     np.testing.assert_allclose(got, GOLDEN_V[start], rtol=1e-9, atol=0)
     st = solve.state
-    blocks = (st.U, st.phi, st.qb, st.Zphi, st.Zq, solve.theta_F, solve.theta_H)
+    blocks = (st.U, st.phi, st.qb, st.Zphi, solve.theta_F, solve.theta_H)
     np.testing.assert_allclose([np.linalg.norm(b) for b in blocks], GOLDEN_SOLVE[start], rtol=1e-9, atol=0)
 
 
@@ -496,7 +495,7 @@ def test_stacked_solve_is_bit_identical_to_solo_solves(size, start):
     stacked = solve_stacked(ops, controls)
     for i, (op, control) in enumerate(zip(ops, controls)):
         solo = decoupled_solve(control, op.primed, op.noise, op.init, op.basis, op.grid)
-        for name in ("X", "U", "qf", "qb", "phi", "Zphi", "Zq"):
+        for name in ("X", "U", "qf", "qb", "phi", "Zphi"):
             assert np.array_equal(getattr(stacked.state, name)[i], getattr(solo.state, name)), name
         assert np.array_equal(stacked.theta_F[i], solo.theta_F) and np.array_equal(stacked.theta_H[i], solo.theta_H)
         for name, values in solo.diagnostics.items():
