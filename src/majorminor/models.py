@@ -221,6 +221,7 @@ def _lq_maps(params: LQParams) -> Mapping[str, Callable]:
     (frozen, so hashable; the cache holds one entry per params in use):
     equal params share the map objects."""
     c1, c2, c3 = params.c1, params.c2, params.c3
+    c13 = c1 + c3
     g1, g2, b = params.g1, params.g2, params.b
     r1, r2, p1, p2 = params.r1, params.r2, params.p1, params.p2
 
@@ -228,11 +229,10 @@ def _lq_maps(params: LQParams) -> Mapping[str, Callable]:
         return u + 0.0 * q  # broadcast against the scenario axis
 
     def G(x, q, u, z, f):
-        # c1*x + c2*q + c3*(x - mean_x), summed left to right in place
-        out = c1 * x + c2 * q
-        spread = x - f.mean_x
-        spread *= c3
-        out += spread
+        # c1*x + c2*q + c3*(x - mean_x), as (c1 + c3)*x plus the scenario
+        # terms: two passes over the particles
+        out = c13 * x
+        out += c2 * q - c3 * f.mean_x
         return out
 
     def Hz(q, z, f):

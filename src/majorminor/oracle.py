@@ -83,14 +83,14 @@ def riccati_oracle(
     h = grid.horizon / n
     h2 = 0.5 * h
     h6 = h / 6.0
+    limit = _BLOW_UP_LIMIT
     lam = float(constants.discount)
     sigma0 = float(constants.sigma0)
     b, c1, c2, c3 = float(params.b), float(params.c1), float(params.c2), float(params.c3)
     c13 = c1 + c3
     r1, r2 = float(params.r1), float(params.r2)
 
-    def rhs(y):
-        a, b_u, c_u, k2, k12, kc, k0 = y
+    def rhs(a, b_u, c_u, k2, k12, kc, k0):
         return (
             a * a - c13,
             b_u * (a + b + k2 + c_u) - c2,
@@ -101,19 +101,37 @@ def riccati_oracle(
             -lam * k0 - sigma0 * k2,
         )
 
-    y = (float(params.g1), float(params.g2), 0.0, float(params.p1), float(params.p2), 0.0, 0.0)
-    rows = [y]
+    a, b_u, c_u, k2, k12, kc, k0 = float(params.g1), float(params.g2), 0.0, float(params.p1), float(params.p2), 0.0, 0.0
+    rows = [(a, b_u, c_u, k2, k12, kc, k0)]
     for i in range(n, 0, -1):
-        k1 = rhs(y)
-        k2 = rhs(tuple(yi - h2 * ki for yi, ki in zip(y, k1)))
-        k3 = rhs(tuple(yi - h2 * ki for yi, ki in zip(y, k2)))
-        k4 = rhs(tuple(yi - h * ki for yi, ki in zip(y, k3)))
-        y = tuple(
-            yi - h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4) for yi, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)
+        # the stages s1..s4, each taken at y - w * (the stage before)
+        s1 = rhs(a, b_u, c_u, k2, k12, kc, k0)
+        s2 = rhs(
+            a - h2 * s1[0], b_u - h2 * s1[1], c_u - h2 * s1[2], k2 - h2 * s1[3], k12 - h2 * s1[4],
+            kc - h2 * s1[5], k0 - h2 * s1[6],
         )
-        if not all(math.isfinite(yi) and abs(yi) <= _BLOW_UP_LIMIT for yi in y):
+        s3 = rhs(
+            a - h2 * s2[0], b_u - h2 * s2[1], c_u - h2 * s2[2], k2 - h2 * s2[3], k12 - h2 * s2[4],
+            kc - h2 * s2[5], k0 - h2 * s2[6],
+        )
+        s4 = rhs(
+            a - h * s3[0], b_u - h * s3[1], c_u - h * s3[2], k2 - h * s3[3], k12 - h * s3[4],
+            kc - h * s3[5], k0 - h * s3[6],
+        )
+        a = a - h6 * (s1[0] + 2.0 * s2[0] + 2.0 * s3[0] + s4[0])
+        b_u = b_u - h6 * (s1[1] + 2.0 * s2[1] + 2.0 * s3[1] + s4[1])
+        c_u = c_u - h6 * (s1[2] + 2.0 * s2[2] + 2.0 * s3[2] + s4[2])
+        k2 = k2 - h6 * (s1[3] + 2.0 * s2[3] + 2.0 * s3[3] + s4[3])
+        k12 = k12 - h6 * (s1[4] + 2.0 * s2[4] + 2.0 * s3[4] + s4[4])
+        kc = kc - h6 * (s1[5] + 2.0 * s2[5] + 2.0 * s3[5] + s4[5])
+        k0 = k0 - h6 * (s1[6] + 2.0 * s2[6] + 2.0 * s3[6] + s4[6])
+        # abs(nan) <= limit is false, so this also catches non-finite values
+        if not (
+            abs(a) <= limit and abs(b_u) <= limit and abs(c_u) <= limit and abs(k2) <= limit
+            and abs(k12) <= limit and abs(kc) <= limit and abs(k0) <= limit
+        ):
             raise OracleBlowUpError(times[i - 1])
-        rows.append(y)
+        rows.append((a, b_u, c_u, k2, k12, kc, k0))
     tables = np.array(rows[::-1]).T.copy()
     return RiccatiSolution(times, *tables)  # rows in field order a, b_u, ..., k0
 

@@ -34,17 +34,22 @@ O(sqrt(dt)) target noise.
 
 The within-scenario fits (the leave-one-out fit of the next U, and the fit
 of the U target with the minor-integrand target) share the affine design
-[1, x] of one step, so `AffineDesign` solves them in closed form
-from per-scenario sums on (M, P) slabs, with the ridge, the leverage clip
-and the rank check of `regress_conditional`.  Everything of a step that
-depends on the forward pass and the noise only (the scenario means of X and
-of the control, the scenario designs, the sums of x and x^2, the
-within-scenario normal equations of `AffineDesign`, the cross-scenario ones
-with their leverage, set up by `NormalEquations`, and the chi-square terms
-of dW0) is computed for all steps before the sweep, in O(N M k) memory, so
-a step only solves its normal equations; nothing particle-sized is kept
-across steps.  The fits' residuals are kept per step and reduced to the
-diagnostics after the sweep.
+[1, x] of one step, so `AffineDesign` solves them in closed form, with the
+ridge, the leverage clip and the rank check of `regress_conditional`.  A
+fit reads its target only through two sums per scenario, sum y and sum x y,
+so no target slab is built: the U target's sums come from those of the
+model's G and of the next U (which the leave-one-out fit shares) and from
+the noise moments sum dB, sum x dB and sum x^2 dB, and the minor-integrand
+target's from the leave-one-out residuals weighted by dB.  Everything of a
+step that depends on the forward pass and the noise only (the scenario
+means of X and of the control, the scenario designs, the sums of x and x^2,
+the noise moments, the within-scenario normal equations of `AffineDesign`,
+the cross-scenario ones with their leverage, set up by `NormalEquations`,
+and the chi-square terms of dW0) is computed for all steps before the sweep,
+in O(N M k) memory, so a step only solves its normal equations; nothing
+particle-sized is kept across steps.  The residuals of the Zphi fit are
+kept per step and reduced to its standard error, the one diagnostic, after
+the sweep.
 
 Outputs.  A solve holds one particle path, the forward buffer: the sweep
 reads X_k once, at step k, and then writes gap_F[..., k] = theta_F - U[...,
@@ -183,9 +188,9 @@ class NormalEquations:
 
     design: (..., n, k), where leading axes index independent designs (the
     steps of a backward sweep, the instances of a stack).  The contiguous
-    transpose, the ridged Gram matrices and, on first use, the clipped
-    leverage are computed for every leading index in one batched call;
-    `fit` then only solves one of them against its targets.  Ridge is
+    transpose and the ridged Gram matrices are computed for every leading
+    index in one batched call, and so is the clipped leverage when asked
+    for; `fit` then only solves one of them against its targets.  Ridge is
     relative to the trace of each Gram matrix.  With zero ridge a
     rank-deficient design raises a regression error.
 
@@ -212,14 +217,11 @@ class NormalEquations:
             raise RegressionError("rank-deficient normal equations without ridge")
         lam = ridge * np.trace(gram, axis1=-2, axis2=-1) / k
         self.gram = gram + lam[..., None, None] * np.eye(k)
-        self._leverage = None
 
     def leverage(self) -> np.ndarray:
         """Leverage (..., n) of every row of every design, clipped at 0.8."""
-        if self._leverage is None:
-            h = np.einsum("...nk,...nk->...n", self.design @ np.linalg.inv(self.gram), self.design)
-            self._leverage = np.clip(h, 0.0, 0.8)
-        return self._leverage
+        h = np.einsum("...nk,...nk->...n", self.design @ np.linalg.inv(self.gram), self.design)
+        return np.clip(h, 0.0, 0.8)
 
     def coef(self, y: np.ndarray, index: tuple = ()) -> np.ndarray:
         """Coefficients (..., k, r) of the fit of y (..., n, r) on the
@@ -237,19 +239,14 @@ class NormalEquations:
         squeeze = y.ndim < self.design[index].ndim
         if squeeze:
             y = y[..., None]
-        return FittedRegression(self, index, self.coef(y, index), y, squeeze)
+        return FittedRegression(self.design[index], self.coef(y, index), y, squeeze)
 
 
 class FittedRegression:
-    """Least-squares fit with ridge; callable on new design rows.
+    """Least-squares fit with ridge; callable on new design rows."""
 
-    Leverage, and so `loo_residuals`, is computed on first use only.
-    """
-
-    def __init__(self, equations: NormalEquations, index: tuple, coef: np.ndarray, y: np.ndarray, squeeze: bool):
-        self._equations = equations
-        self._index = index
-        fitted = equations.design[index] @ coef
+    def __init__(self, design: np.ndarray, coef: np.ndarray, y: np.ndarray, squeeze: bool):
+        fitted = design @ coef
         resid = y - fitted
         if squeeze:
             coef, fitted, resid = coef[..., 0], fitted[..., 0], resid[..., 0]
@@ -260,12 +257,6 @@ class FittedRegression:
     def __call__(self, design: np.ndarray) -> np.ndarray:
         return design @ self.coef
 
-    def loo_residuals(self) -> np.ndarray:
-        """Leave-one-out residuals e/(1-h): remove the in-sample absorption
-        of each row's own signal (exact for fixed ridge); h is clipped at 0.8."""
-        h = self._equations.leverage()[self._index]
-        return self.residuals / (1.0 - (h if self.residuals.ndim == h.ndim else h[..., None]))
-
 
 def regress_conditional(design: np.ndarray, targets: np.ndarray, ridge: float = 1e-8) -> FittedRegression:
     """Ridge-regularized projection of targets onto the feature span: the
@@ -275,29 +266,32 @@ def regress_conditional(design: np.ndarray, targets: np.ndarray, ridge: float = 
     targets: (..., n), or (..., n, r) for r targets that share the design.
     The backward sweep sets up its cross-scenario designs once per sweep
     with `NormalEquations`; its within-scenario fits go through
-    `AffineDesign`.
+    `AffineDesign`, which solves the same fit on the design [1, x] from
+    per-scenario sums.
     """
     return NormalEquations(design, ridge).fit(targets)
 
 
 class AffineDesign:
-    """The affine design [1, x] of the within-scenario fits, solved
-    in closed form from per-scenario sums.
+    """The affine design [1, x] of the within-scenario fits, solved in
+    closed form from per-scenario sums.
 
     x: (..., n), one fit per leading index (a scenario's particles along n).
     The sums over n of x and x^2 may be passed in when the caller has them.
     The backward sweep sets the design up once per sweep, on the slabs
-    (N, [B,] M, P) of all its steps, and each fit takes a step index, as
+    (N, [B,] M, P) of all its steps, and each call takes a step index, as
     `NormalEquations.fit(targets, (k,))` does: `index` is a tuple of leading
-    indices (all of them by default), and y has the shape of x[index], or
-    further leading axes for fits that share the design.
+    indices (all of them by default).  A fit reads its target y only through
+    the sums (sum y, sum x y), (..., 2): `sums` takes them of a slab, a
+    caller may build them from sums it already has, and `coef_from_sums`
+    turns them into the coefficients.  `loo_divisor` gives the divisor 1 - h
+    of the leave-one-out residuals (y - fitted) / (1 - h).
     Everything else follows `regress_conditional` on the same design: the
     ridge lam = ridge * (n + sum x^2) / 2 is relative to the trace of the
     normal equations, leverage is clipped at 0.8, and with zero ridge a
     rank-deficient fit (n < 2, or x constant to rounding, by the tolerance of
     `np.linalg.matrix_rank` with the trace for the largest singular value)
-    raises a regression error.  On 2-D slabs this makes a few passes over x
-    and y where the generic routine loops over a (..., n, 2) design.
+    raises a regression error.
     """
 
     def __init__(
@@ -323,15 +317,24 @@ class AffineDesign:
         # coefficients
         g00, g11 = n + lam, sum_xx + lam
         det = g00 * g11 - sum_x * sum_x
-        self._g00, self._g01, self._g11, self._det = (np.asarray(a)[..., None] for a in (g00, sum_x, g11, det))
+        self._g01, self._det = (np.asarray(a)[..., None] for a in (sum_x, det))
         self._lead = np.stack([g11, g00], axis=-1)
+        # 1 - h = 1 - (g11 - 2 g01 x + g00 x^2) / det, as the coefficients of
+        # a quadratic in x, highest power first
+        self._loo = tuple(a[..., None] for a in (-g00 / det, 2.0 * sum_x / det, 1.0 - g11 / det))
 
-    def coef(self, y: np.ndarray, index: tuple = ()) -> np.ndarray:
-        """Coefficients of the fit of y, one pair (intercept, slope) per fit:
-        (g11 sum_y - g01 sum_xy, g00 sum_xy - g01 sum_y) / det."""
+    def sums(self, y: np.ndarray, index: tuple = ()) -> np.ndarray:
+        """The sums (sum y, sum x y), (..., 2), of y of the shape of x[index]."""
         sums = np.empty(y.shape[:-1] + (2,))
         np.add.reduce(y, axis=-1, out=sums[..., 0])
         np.einsum("...n,...n->...", self.x[index], y, out=sums[..., 1])
+        return sums
+
+    def coef_from_sums(self, sums: np.ndarray, index: tuple = ()) -> np.ndarray:
+        """Coefficients (intercept, slope), (..., 2), of the fits whose sums
+        (sum y, sum x y) are `sums`, (..., 2), or with further leading axes
+        for fits that share the design: (g11 sum_y - g01 sum_xy, g00 sum_xy
+        - g01 sum_y) / det."""
         coef = self._lead[index] * sums
         coef -= self._g01[index] * sums[..., ::-1]
         coef /= self._det[index]
@@ -343,20 +346,18 @@ class AffineDesign:
         fitted += coef[..., :1]
         return fitted
 
-    def loo_residuals(self, y: np.ndarray, index: tuple = ()) -> np.ndarray:
-        """Leave-one-out residuals e/(1-h) of the fit of y, as in
-        `FittedRegression.loo_residuals`; h is clipped at 0.8."""
+    def loo_divisor(self, index: tuple = ()) -> np.ndarray:
+        """The divisor 1 - h of the leave-one-out residuals, by Horner in
+        one buffer: the leverage h of `NormalEquations.leverage` on the same
+        design, clipped at 0.8, so the divisor at 0.2."""
+        a, b, c = (t[index] for t in self._loo)
         x = self.x[index]
-        # h = (g11 - 2 g01 x + g00 x^2) / det, by Horner in one buffer
-        h = self._g00[index] * x
-        h -= 2.0 * self._g01[index]
-        h *= x
-        h += self._g11[index]
-        h /= self._det[index]
-        np.clip(h, 0.0, 0.8, out=h)
-        resid = y - self(self.coef(y, index), index)
-        resid /= 1.0 - h
-        return resid
+        d = a * x
+        d += b
+        d *= x
+        d += c
+        np.clip(d, 0.2, 1.0, out=d)
+        return d
 
 
 @dataclass
@@ -681,6 +682,10 @@ def solve_backward(
     eq_s = NormalEquations(S, ridge)
     eq_cv = NormalEquations(basis.scenario_design(q_steps, mean_x, mean_a, quadratic=True), ridge) if enrich_cv else eq_s
     P = AffineDesign(x[:n], ridge, sum_x, sum_xx)
+    # the within-scenario sums of dB and of x dB, (N, [B,] M, 2) each, from
+    # which the U-target fit takes the sums of its martingale term
+    db_sums = P.sums(dB)
+    xdb_sums = np.stack([db_sums[..., 1], np.einsum("...p,...p,...p->...", x[:n], x[:n], dB)], axis=-1)
     # the step terms that the recursion does not change: the chi-square
     # fluctuation dW0^2 - dt, its weight in the value targets, and the
     # leave-one-out divisor of the carrier fits
@@ -712,18 +717,16 @@ def solve_backward(
     carry = np.stack([phi[..., n], qb[..., n]], axis=-1)
 
     # step buffers: the targets of Zphi and of the minor integrand's dW0
-    # part; the U target and the minor-integrand target, which share P and
-    # are fitted in one call; the drivers and the targets of (phi, qb)
+    # part; the sums of the U target and of the minor-integrand target,
+    # which share P and are fitted in one call; the drivers and the targets
+    # of (phi, qb)
     z_targets = np.empty((*lead, m, 2))
     zt_phi, zt_w = z_targets[..., 0], z_targets[..., 1]
-    fit_buf = np.empty((2, *lead, m, p))
-    target_u, zb_target = fit_buf
+    fit_sums = np.empty((2, *lead, m, 2))
+    sums_u, sums_zb = fit_sums
     drv = np.empty((*lead, m, 2))
     targets = np.empty((*lead, m, 2))
-    # squared norms of the U-fit residuals and the residuals of the value
-    # fits and of the Zphi fit, reduced to the diagnostics after the sweep
-    sq_resid_u = np.empty((n, len(primeds)))
-    resid_v = np.empty((n, *lead, m, 2))
+    # the residuals of the Zphi fit, reduced to its diagnostic after the sweep
     resid_z = np.zeros((n, *lead, m))
     # Control-variate priors must be adapted: they are step-(k+1) fitted
     # FUNCTIONS evaluated at step-k features.  Using step-(k+1) VALUES would
@@ -755,8 +758,12 @@ def solve_backward(
 
         # (a) martingale integrands at k from the next U and the next phi
         # carrier; the two scenario-level targets share S and are fitted in
-        # one call
-        u_resid = P.loo_residuals(u_next, idx)
+        # one call.  The leave-one-out fit of the next U shares its sums
+        # with the U target in (c)
+        sums_next = P.sums(u_next, idx)
+        u_resid = P(P.coef_from_sums(sums_next, idx), idx)
+        np.subtract(u_next, u_resid, out=u_resid)
+        u_resid /= P.loo_divisor(idx)
         if noisy:
             # leave-one-out residuals keep each scenario's own signal; both
             # products take every column (BLAS rounds one column differently)
@@ -786,27 +793,28 @@ def solve_backward(
         # only O(sqrt(dt)) target noise remains.  Exposed values fit in the
         # configured basis; scenario carriers refit in the quadratic basis so
         # curvature survives for the next integrand estimate.  The particle
-        # integrand target shares P with the U target.
-        if coef_zb is None:
-            mart_u = 0.0 * dB[k] + (pred_zw * dW0k)[..., None]
-        else:
-            mart_u = P(coef_zb, idx)
-            mart_u *= dB[k]
-            mart_u += (pred_zw * dW0k)[..., None]
-        np.multiply(dt_mp, drv_u, out=target_u)
-        target_u += u_next
-        target_u -= mart_u
-        np.multiply(u_resid, dB[k], out=zb_target)
-        zb_target /= dt_mp
-        coef_u, coef_zb = P.coef(fit_buf, idx)
+        # integrand target shares P with the U target, and both fits read
+        # their targets only through per-scenario sums: the U target dt G +
+        # u_next - mart_u sums from the sums of G and of u_next, less those
+        # of mart_u = (zb0 + zb1 x) dB + pred_zw dW0, which come from the
+        # noise moments; the minor-integrand target is u_resid dB / dt.
+        np.multiply(dt_mp, P.sums(drv_u, idx), out=sums_u)
+        sums_u += sums_next
+        if coef_zb is not None:  # no integrand fit, so no martingale term, at the first step
+            mart_sums = coef_zb[..., :1] * db_sums[k]
+            mart_sums += coef_zb[..., 1:] * xdb_sums[k]
+            w0 = pred_zw * dW0k
+            mart_sums[..., 0] += w0 * p
+            mart_sums[..., 1] += w0 * sum_x[k]
+            sums_u -= mart_sums
+        u_resid *= dB[k]  # the minor-integrand target times dt
+        np.divide(P.sums(u_resid, idx), dt_mp, out=sums_zb)
+        coef_u, coef_zb = P.coef_from_sums(fit_sums, idx)
         U_coef[k] = coef_u
         # the arithmetic of P(coef), written into the free buffer
         u_k = np.multiply(U_coef[k][..., 1:], x[k], out=u_buf[k % 2])
         u_k += U_coef[k][..., :1]
         np.subtract(thF, u_k, out=gap_t[k])
-        fit_resid = np.subtract(target_u, u_k, out=target_u).reshape(len(primeds), -1)
-        # np.vdot per instance: a stacked reduction would round differently
-        sq_resid_u[k] = [np.vdot(r, r) for r in fit_resid]
 
         # chi-square (Ito-level) fluctuations subtracted with the prior
         # curvature: E[dW^2 - dt | F_k] = 0 keeps the targets unbiased.  Per
@@ -825,7 +833,6 @@ def solve_backward(
         fitted_v = S[k] @ coef_v
         phi[..., k] = fitted_v[..., 0]
         qb[..., k] = fitted_v[..., 1]
-        np.subtract(targets, fitted_v, out=resid_v[k])
         if enrich_cv:
             coef_carry = eq_cv.coef(targets, idx)
             carry = eq_cv.design[k] @ coef_carry
@@ -843,18 +850,9 @@ def solve_backward(
         X0=x[0], U_coef=U_coef, U_T=U_T, qf=qf, qb=qb, phi=phi, Zphi=Zphi,
         control=control, noise=noise, primed=primed, grid=grid,
     )
-
-    def by_instance(steps: np.ndarray) -> np.ndarray:
-        # (N, [B]) -> ([B,] N), contiguous
-        return np.ascontiguousarray(_time_last(steps))
-
-    diagnostics = {
-        "resid_u": by_instance(np.sqrt(sq_resid_u / (m * p)).reshape(n, *lead)),
-        "resid_phi": by_instance(np.sqrt(_mean(resid_v[..., 0] ** 2))),
-        "resid_qb": by_instance(np.sqrt(_mean(resid_v[..., 1] ** 2))),
-        "se_zphi": by_instance(np.sqrt(_mean(resid_z**2) * S.shape[-1] / m)),
-    }
-    return SolveOutput(state=state, gap_F=gap_F, theta_H=theta_H, diagnostics=diagnostics)
+    # per step and instance, (N, [B]) -> ([B,] N), contiguous
+    se_zphi = np.ascontiguousarray(_time_last(np.sqrt(_mean(resid_z**2) * S.shape[-1] / m)))
+    return SolveOutput(state=state, gap_F=gap_F, theta_H=theta_H, diagnostics={"se_zphi": se_zphi})
 
 
 def decoupled_solve(

@@ -27,7 +27,10 @@ from majorminor.oracle import oracle_induced_control, riccati_oracle
 from majorminor.solver import (
     QUADRATIC_MIN_SCENARIOS,
     AffineDesign,
+    NormalEquations,
     RegressionBasis,
+    _model_calls,
+    _scenario_q_derivatives,
     decoupled_solve,
     regress_conditional,
     sample_initial,
@@ -120,6 +123,16 @@ def test_regress_rank_deficient_without_ridge():
     assert np.allclose(fit.fitted, 1.0, atol=1e-6)
 
 
+def loo_residuals(design, targets, ridge):
+    """Leave-one-out residuals e/(1-h) of the ridged fit of targets on
+    design, h clipped at 0.8: the arithmetic of the sweep's carrier fits,
+    and the slab-level reference of `AffineDesign.loo_divisor`."""
+    eq = NormalEquations(design, ridge)
+    resid = eq.fit(targets).residuals
+    h = eq.leverage()
+    return resid / (1.0 - (h if resid.ndim == h.ndim else h[..., None]))
+
+
 def random_problem(seed, batch, n, k, r):
     """Constant column plus Gaussian features, and r Gaussian targets."""
     rng = np.random.default_rng(seed)
@@ -140,12 +153,12 @@ fit_shapes = dict(
 def test_regress_batched_equals_loop_of_fits(seed, batch, n, k, r, ridge):
     design, targets = random_problem(seed, (batch,), n, k, r)
     fit = regress_conditional(design, targets, ridge)
-    loo = fit.loo_residuals()
+    loo = loo_residuals(design, targets, ridge)
     for b in range(batch):
         one = regress_conditional(design[b], targets[b], ridge)
         np.testing.assert_allclose(fit.coef[b], one.coef, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(fit.fitted[b], one.fitted, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(loo[b], one.loo_residuals(), rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(loo[b], loo_residuals(design[b], targets[b], ridge), rtol=1e-9, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -153,20 +166,20 @@ def test_regress_batched_equals_loop_of_fits(seed, batch, n, k, r, ridge):
 def test_regress_stacked_columns_equal_single_fits(seed, n, k, r, ridge):
     design, targets = random_problem(seed, (), n, k, r)
     fit = regress_conditional(design, targets, ridge)
-    loo = fit.loo_residuals()
+    loo = loo_residuals(design, targets, ridge)
     for j in range(r):
         one = regress_conditional(design, targets[:, j], ridge)
         assert one.coef.shape == (k,) and one.residuals.shape == (n,)
         np.testing.assert_allclose(fit.coef[:, j], one.coef, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(fit.residuals[:, j], one.residuals, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(loo[:, j], one.loo_residuals(), rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(loo[:, j], loo_residuals(design, targets[:, j], ridge), rtol=1e-9, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(**fit_shapes)
 def test_regress_loo_matches_brute_force_without_ridge(seed, n, k, r):
     design, targets = random_problem(seed, (), n, k, r)
-    loo = regress_conditional(design, targets, ridge=0.0).loo_residuals()
+    loo = loo_residuals(design, targets, ridge=0.0)
     leverage = np.einsum("nk,kn->n", design, np.linalg.pinv(design))
     for i in np.nonzero(leverage < 0.8)[0]:
         rest = np.arange(n) != i
@@ -183,7 +196,12 @@ def test_regress_equivariant_under_row_permutation(seed, batch, n, k, r, ridge):
     moved = regress_conditional(design[:, perm], targets[:, perm], ridge)
     np.testing.assert_allclose(moved.coef, fit.coef, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(moved.fitted, fit.fitted[:, perm], rtol=1e-9, atol=1e-12)
-    np.testing.assert_allclose(moved.loo_residuals(), fit.loo_residuals()[:, perm], rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(
+        loo_residuals(design[:, perm], targets[:, perm], ridge),
+        loo_residuals(design, targets, ridge)[:, perm],
+        rtol=1e-9,
+        atol=1e-12,
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,19 +212,31 @@ def test_regress_equivariant_under_row_permutation(seed, batch, n, k, r, ridge):
     shift=st.floats(-3.0, 3.0),
     spread=st.floats(0.1, 3.0),
     ridge=st.sampled_from([0.0, 1e-8, 1e-2]),
+    outlier=st.booleans(),
 )
-def test_affine_design_matches_regress_conditional(seed, batch, n, shift, spread, ridge):
+def test_affine_design_matches_regress_conditional(seed, batch, n, shift, spread, ridge, outlier):
     rng = np.random.default_rng(seed)
     x = shift + spread * rng.standard_normal((batch, n))
+    if outlier:
+        # one particle far out: its leverage passes the 0.8 clip
+        x[:, -1] = shift + 30.0 * spread
     y = rng.standard_normal() * x + rng.standard_normal((batch, n))
-    ref = regress_conditional(np.stack([np.ones_like(x), x], axis=-1), y, ridge)
+    design_ref = np.stack([np.ones_like(x), x], axis=-1)
+    ref = regress_conditional(design_ref, y, ridge)
     tol = dict(rtol=1e-10, atol=1e-10 * np.abs(y).max())
     # the solver passes the sums it computed for all steps at once
     for design in (AffineDesign(x, ridge), AffineDesign(x, ridge, x.sum(axis=-1), (x * x).sum(axis=-1))):
-        coef = design.coef(y)
+        coef = design.coef_from_sums(design.sums(y))
         np.testing.assert_allclose(coef, ref.coef, **tol)
-        np.testing.assert_allclose(design(coef), ref.fitted, **tol)
-        np.testing.assert_allclose(design.loo_residuals(y), ref.loo_residuals(), **tol)
+        fitted = design(coef)
+        np.testing.assert_allclose(fitted, ref.fitted, **tol)
+        divisor = design.loo_divisor()
+        np.testing.assert_allclose((y - fitted) / divisor, loo_residuals(design_ref, y, ridge), **tol)
+        if outlier and ridge < 1e-2:
+            assert np.all(divisor[:, -1] == 0.2)
+    # fits that share the design take their sums with a further leading axis
+    both = design.coef_from_sums(np.stack([design.sums(y), design.sums(2.0 * y)]))
+    np.testing.assert_allclose(both, [coef, 2.0 * coef], **tol)
 
 
 @settings(max_examples=30, deadline=None)
@@ -312,18 +342,6 @@ def test_regression_basis_rejects_a_ridge_that_is_not_finite_and_nonnegative(rid
     with pytest.raises(ConfigurationError) as err:
         RegressionBasis(ridge=ridge)
     assert err.value.violations == [f"ridge must be finite and >= 0, got {ridge}"]
-
-
-def test_lq_affine_basis_residuals_at_noise_floor():
-    # with an LQ model the regression targets are affine plus martingale
-    # noise, so per-step residuals scale like sqrt(dt), not like a bias
-    grid, noise, primed, init = make_setup(m=16, p=500, n=8)
-    control = ControlField.zeros(16, 500, 8)
-    out = decoupled_solve(control, primed, noise, init, RegressionBasis(), grid)
-    noise_scale = np.sqrt(2 * 0.5 * grid.dt)
-    assert out.diagnostics["resid_u"].max() < 5 * noise_scale
-    # phi residuals are scenario-level martingale increments
-    assert out.diagnostics["resid_phi"].max() < 5 * np.sqrt(2 * 0.5 * grid.dt) * 4.0
 
 
 def test_sample_initial_deterministic():
@@ -446,8 +464,8 @@ GOLDEN_STACK_V = (
         -9.102749092901519, -1.451405629612751, 5.366107349068947,
     ),
 )
-# the norms of its resid_u, resid_phi, resid_qb and se_zphi
-GOLDEN_STACK_DIAGNOSTICS = (1.356951640144412, 2.128054185755378, 0.07489368347794262, 4.378738759401032)
+# the norm of its se_zphi
+GOLDEN_STACK_SE_ZPHI = 4.378738759401032
 
 
 def test_stacked_operator_matches_recorded_values():
@@ -462,8 +480,8 @@ def test_stacked_operator_matches_recorded_values():
             v.alpha_q[0, 0], v.alpha_q[7, 9],
         )
         np.testing.assert_allclose(got, GOLDEN_STACK_V[i], rtol=1e-9, atol=0)
-    norms = [np.linalg.norm(solve.diagnostics[name]) for name in ("resid_u", "resid_phi", "resid_qb", "se_zphi")]
-    np.testing.assert_allclose(norms, GOLDEN_STACK_DIAGNOSTICS, rtol=1e-9, atol=0)
+    assert list(solve.diagnostics) == ["se_zphi"]
+    np.testing.assert_allclose(np.linalg.norm(solve.diagnostics["se_zphi"]), GOLDEN_STACK_SE_ZPHI, rtol=1e-9, atol=0)
 
 
 def stack_operators(m, p, n, quadratic, edit_middle=None):
@@ -502,6 +520,91 @@ def test_stacked_solve_is_bit_identical_to_solo_solves(size, start):
             assert np.array_equal(stacked.diagnostics[name][i], values), name
         v_stacked, v_solo = op.value_in(stacked, (i,)), op(control)
         assert np.array_equal(v_stacked.alpha_x, v_solo.alpha_x) and np.array_equal(v_stacked.alpha_q, v_solo.alpha_q)
+
+
+def reference_sweep(op, control):
+    """The backward sweep of one instance with its within-scenario fits on
+    (M, P) slabs, as the sweep computed them before it fitted from sums:
+    the leave-one-out residuals of the next U, the U target dt G + u_next -
+    mart_u and the minor-integrand target u_resid dB / dt are formed
+    particle by particle and fitted on the design [1, x] by
+    `regress_conditional`.  The scenario fits are the sweep's own.  For an
+    affine basis below `QUADRATIC_MIN_SCENARIOS` scenarios and sigma0 > 0;
+    returns U_coef, Zphi, gap_F and theta_H, time-major."""
+    primed, grid, basis, ridge = op.primed, op.grid, op.basis, op.basis.ridge
+    constants = primed.constants
+    X, qf = simulate_forward(control, op.noise, primed, op.init, grid)
+    m, p, n = control.alpha_x.shape
+    assert not basis.quadratic and m < QUADRATIC_MIN_SCENARIOS and constants.sigma0 > 0
+    dt, sq, lam = grid.dt, math.sqrt(2.0 * constants.sigma0), constants.discount
+    x, dB, ax = (np.moveaxis(a, -1, 0) for a in (X, op.noise.dB, control.alpha_x))
+    dW0, aq, q = (np.moveaxis(a, -1, 0) for a in (op.noise.dW0, control.alpha_q, qf[:, :n]))
+    mean_x, mean_a = x[:n].mean(axis=-1), ax.mean(axis=-1)
+    S = basis.scenario_design(q, mean_x, mean_a)
+    eq = NormalEquations(S, ridge)
+    loo_s = 1.0 - eq.leverage()
+    chi_abs = dW0 * dW0 - dt
+    chi, curv = chi_abs / dt, constants.sigma0 * chi_abs
+    feats = conditional_features(x[n])
+    u_next = primed.g(x[n], qf[:, n:], feats)
+    carry = np.stack([primed.psi(qf[:, n:], feats)[:, 0], qf[:, n]], axis=-1)
+    U_coef, gap = np.empty((n, m, 2)), np.empty((n, m, p))
+    Zphi, theta_H = np.empty((n, m)), np.empty((n, m))
+    coef_carry = coef_zw = coef_zb = None
+    for k in range(n - 1, -1, -1):
+        coef_cv = eq.coef(carry, (k,))
+        coef_carry = coef_cv if coef_carry is None else coef_carry
+        grad, hess = _scenario_q_derivatives(coef_carry, q[k], mean_x[k], mean_a[k])
+        pred_z = grad * np.array([1.0, sq])
+        pred_zw = S[k] @ coef_zw if coef_zw is not None else 0.0
+        design = np.stack([np.ones((m, p)), x[k]], axis=-1)
+        u_resid = loo_residuals(design, u_next, ridge)
+        zt_phi = (carry - S[k] @ coef_cv)[:, 0] / loo_s[k] * dW0[k] / (sq * dt) - pred_z[:, 0] * chi[k]
+        zt_w = u_resid.mean(axis=-1) * dW0[k] / dt - pred_zw * chi[k]
+        coef_z = eq.coef(np.stack([zt_phi, zt_w], axis=-1), (k,))
+        Zphi[k] = (S[k] @ coef_z)[:, 0]
+        coef_zw = coef_z[:, 1]
+        thF, thH, drv_u, lh, hz = _model_calls(
+            primed, x[k], q[k][:, None], Zphi[k][:, None], ax[k], aq[k][:, None], mean_x[k][:, None]
+        )
+        theta_H[k] = thH[:, 0]
+        mart_u = (pred_zw * dW0[k])[:, None]
+        if coef_zb is not None:
+            mart_u = mart_u + (coef_zb[:, :1] + coef_zb[:, 1:] * x[k]) * dB[k]
+        targets_u = np.stack([dt * drv_u + u_next - mart_u, u_resid * dB[k] / dt], axis=-1)
+        coef = regress_conditional(design, targets_u, ridge).coef  # (M, 2, 2)
+        U_coef[k], coef_zb = coef[..., 0], coef[..., 1]
+        u_next = U_coef[k][:, :1] + U_coef[k][:, 1:] * x[k]
+        gap[k] = thF - u_next
+        drv = np.stack([lh[:, 0] + lam * carry[:, 0], hz[:, 0]], axis=-1)
+        mart = pred_z * dW0[k][:, None] * np.array([sq, 1.0])
+        targets = dt * drv + carry - mart - curv[k][:, None] * hess[None, :]
+        coef_carry = eq.coef(targets, (k,))
+        carry = S[k] @ coef_carry
+    return U_coef, Zphi, gap, theta_H
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one-instance", "stack-of-three"])
+def test_the_sweep_from_sums_matches_the_slab_level_fits(stacked):
+    ops = stack_operators(12, 64, 10, False)
+    controls = [op.random_control(np.random.default_rng(i), 0.5) for i, op in enumerate(ops)]
+    if stacked:
+        solve = solve_stacked(ops, controls)
+        outputs = [
+            (solve.state.U_coef[:, i], np.moveaxis(solve.state.Zphi[i], -1, 0), solve.gap_F[i], solve.theta_H[i])
+            for i in range(len(ops))
+        ]
+    else:
+        ops, controls = ops[:1], controls[:1]
+        solve = ops[0].solve(controls[0])
+        outputs = [(solve.state.U_coef, np.moveaxis(solve.state.Zphi, -1, 0), solve.gap_F, solve.theta_H)]
+    for op, control, (U_coef, Zphi, gap_F, theta_H) in zip(ops, controls, outputs):
+        ref = reference_sweep(op, control)
+        got = (U_coef, Zphi, np.moveaxis(gap_F, -1, 0), np.moveaxis(theta_H, -1, 0))
+        for name, a, b in zip(("U_coef", "Zphi", "gap_F", "theta_H"), got, ref):
+            # gap_F = theta_F - u cancels to near 0 at some particles, so the
+            # tolerance is also taken relative to each array's largest entry
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max(), err_msg=name)
 
 
 # configs that give the middle instance of a stack maps of its own
