@@ -25,7 +25,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -251,16 +251,7 @@ class RunManifest:
         self.files[path.name] = digest
 
     def write(self, path: Path):
-        payload = {
-            "config": self.config,
-            "version": self.version,
-            "seed": self.seed,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "files": self.files,
-            "error": self.error,
-        }
-        path.write_text(strict_json(payload, indent=2, sort_keys=True) + "\n")
+        path.write_text(strict_json(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
 def _fmt(x) -> str:
@@ -459,7 +450,6 @@ def _sweep_rows(cells) -> list[dict]:
     A package error ends its cell only: it is recorded and the sweep goes on.
     """
     rows: list[dict] = []
-    problems = {}
 
     def jobs():
         for index, (base, sigma0, horizon, i, j) in enumerate(cells):
@@ -487,12 +477,12 @@ def _sweep_rows(cells) -> list[dict]:
             except MajorMinorError as exc:
                 row["error"] = _csv_text(exc)
                 continue
-            problems[index] = (op, eg_config.tol, data["sweep"]["picard_sweeps"])
             # the start is built after the run's probes, see `extragradient_plan`
-            yield index, op, extragradient_plan(op.zero, eg_config, op)
+            key = (index, op, eg_config.tol, data["sweep"]["picard_sweeps"])
+            yield key, op, extragradient_plan(op.zero, eg_config, op)
 
-    for index, report in run_lockstep(jobs()):
-        _finish_row(rows[index], report, *problems.pop(index))
+    for (index, *problem), report in run_lockstep(jobs()):
+        _finish_row(rows[index], report, *problem)
     return rows
 
 
@@ -580,8 +570,7 @@ def run_verify(config: RunConfig, out_dir: str | Path | None = None) -> int:
             if mono.kappa > 0:
                 reports.append(
                     check_coefficient_monotonicity(
-                        cs, mono.a, samples=samples, seed=seed, z_pairs=True,
-                        kappa=mono.kappa, slack=(mono.C_M, mono.K),
+                        cs, mono.a, samples=samples, seed=seed, slack=(mono.kappa, mono.C_M, mono.K),
                     )
                 )
             thresholds = _thresholds(mono, constants, grid)

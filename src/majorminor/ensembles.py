@@ -64,11 +64,6 @@ class ControlField:
         self.alpha_q += other.alpha_q
         return self
 
-    def __isub__(self, other: "ControlField") -> "ControlField":
-        self.alpha_x -= other.alpha_x
-        self.alpha_q -= other.alpha_q
-        return self
-
     def __imul__(self, s: float) -> "ControlField":
         self.alpha_x *= s
         self.alpha_q *= s

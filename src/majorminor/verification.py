@@ -3,10 +3,14 @@
 Every check is a pure function of its inputs and a seed, samples random
 Gaussian-mixture particle clouds (the documented generator below), reports
 the worst margin together with its Monte Carlo standard error, and carries a
-replayable witness when it fails.  Pass thresholds are stated as
-margin >= -3 * SE so sampling noise cannot flip an analytically true
-inequality into a failure except with probability ~0.3%.  A pass is
-statistical evidence on the sampled region, not a proof.
+replayable witness when it fails.  The sampled checks (terminal, coefficient
+and v monotonicity) decide by one rule, written once in `_verdict`: the
+first smallest margin over the samples that count decides, and the check
+passes when that margin is >= -3 * SE, so sampling noise cannot flip an
+analytically true inequality into a failure except with probability ~0.3%.
+`check_monotonicity_propagation` is stricter: it passes only when every
+grid node has E[V] >= -3 * SE.  A pass is statistical evidence on the
+sampled region, not a proof.
 """
 
 from __future__ import annotations
@@ -107,6 +111,32 @@ def _blocks(seed: int, offset: int, samples: int, clouds: int, scalars: int):
         yield cloud, scalar
 
 
+def _verdict(name: str, margins, ses, seed: int, witness, kept=None, extras=None) -> CertificationReport:
+    """The one rule of the sampled checks.  Of the samples that count (those
+    with `kept[i]` true, all when `kept` is None), the first smallest margin
+    decides, and the check passes when that margin is >= -3 * its SE;
+    `samples` is how many counted.  `witness(i)` builds the replay record of
+    sample i and is called only when the check fails."""
+    worst, worst_se, index, counted = math.inf, 0.0, None, 0
+    for i, margin in enumerate(margins):
+        if kept is not None and not kept[i]:
+            continue
+        counted += 1
+        if margin < worst:
+            worst, worst_se, index = margin, ses[i], i
+    passed = worst >= -3.0 * worst_se
+    return CertificationReport(
+        name=name,
+        passed=bool(passed),
+        margin=worst,
+        se=worst_se,
+        samples=counted,
+        seed=seed,
+        witness=None if passed else witness(index),
+        extras=extras or {},
+    )
+
+
 def check_terminal_monotonicity(
     cs: CoefficientSet,
     a: float,
@@ -131,22 +161,9 @@ def check_terminal_monotonicity(
         margin = pair.mean(axis=1) + 0.5 * (dq * a * dq) - beta0 * dpsi * dpsi
         rows.append((margin, pair.std(axis=1, ddof=1) / math.sqrt(_CLOUD_PARTICLES), q[:, 0], qp[:, 0]))
     margins, ses, q, qp = (np.concatenate(column).tolist() for column in zip(*rows))
-    worst = math.inf
-    worst_se = 0.0
-    witness = None
-    for i, margin in enumerate(margins):
-        if margin < worst:
-            worst, worst_se = margin, ses[i]
-            witness = {"sample": i, "q": [q[i]], "q_prime": [qp[i]], "margin": margin}
-    passed = worst >= -3.0 * worst_se
-    return CertificationReport(
-        name="terminal_monotonicity",
-        passed=bool(passed),
-        margin=worst,
-        se=worst_se,
-        samples=samples,
-        seed=seed,
-        witness=None if passed else witness,
+    return _verdict(
+        "terminal_monotonicity", margins, ses, seed,
+        lambda i: {"sample": i, "q": [q[i]], "q_prime": [qp[i]], "margin": margins[i]},
     )
 
 
@@ -155,20 +172,20 @@ def check_coefficient_monotonicity(
     a: float,
     samples: int = 200,
     seed: int = 0,
-    z_pairs: bool = False,
-    kappa: float | None = None,
-    slack: tuple[float, "callable"] | None = None,
+    slack: tuple[float, float, "callable"] | None = None,
 ) -> CertificationReport:
     """Joint monotonicity of the coefficient triple (G, F, a DzH).
 
-    With z_pairs=False this estimates kappa_hat, the smallest Rayleigh
-    quotient of the shared-z form; pass means kappa_hat >= -3 SE.  With
-    z_pairs=True the slack inequality with (C_M + K(|z| ^ |z'|)) |z - z'|^2
-    against kappa |dX|^2 is verified instead (`slack` = (C_M, K), `kappa`
-    required).
+    Without `slack` each sample shares one z between its two sides, and the
+    check estimates kappa_hat, the smallest Rayleigh quotient lhs / |d|^2 of
+    that form (reported in extras), where |d|^2 = |X-Y|^2 + |U-V|^2 +
+    (q-q')^2; pass means kappa_hat >= -3 SE.  With `slack` = (kappa, C_M, K)
+    each side draws its own z, and the z-pair inequality
+    lhs + (C_M + K(|z| ^ |z'|)) |z - z'|^2 >= kappa |d|^2 is checked
+    instead.  Pairs with |d|^2 < 1e-12 do not count.
     """
     _require_draws("samples", samples)
-    c_m, K = slack if slack is not None else (0.0, lambda m: 0.0)
+    z_pairs = slack is not None
     rows = []
     for (X, Y, U, V), scalar in _blocks(seed, 1_000_000, samples, 4, 4 if z_pairs else 3):
         q, qp, z = scalar[:3]
@@ -184,37 +201,24 @@ def check_coefficient_monotonicity(
         den = np.mean((X - Y) ** 2, axis=1) + np.mean((U - V) ** 2, axis=1) + dq * dq
         se = (dg + df).std(axis=1, ddof=1) / math.sqrt(_CLOUD_PARTICLES)
         if z_pairs:
+            kappa, c_m, K = slack
             # |z| as np.linalg.norm takes it of one value
             zmin = np.minimum(np.sqrt(z * z), np.sqrt(zp * zp))[:, 0].tolist()
             dz2 = ((z - zp) ** 2)[:, 0]
-            margin = lhs + np.array([c_m + K(m) for m in zmin]) * dz2 - (kappa or 0.0) * den
+            margin = lhs + np.array([c_m + K(m) for m in zmin]) * dz2 - kappa * den
         else:
             margin, se = lhs / den, se / den
         rows.append((margin, se, den, q[:, 0], qp[:, 0], z[:, 0]))
     margins, ses, den, q, qp, z = (np.concatenate(column).tolist() for column in zip(*rows))
-    worst = math.inf
-    worst_se = 0.0
-    witness = None
-    used = 0
-    for i, margin in enumerate(margins):
-        if den[i] < 1e-12:
-            continue  # degenerate pair policy
-        used += 1
-        if margin < worst:
-            worst, worst_se = margin, ses[i]
-            witness = {"sample": i, "q": [q[i]], "q_prime": [qp[i]], "z": [z[i]], "margin": margin}
-    passed = worst >= -3.0 * worst_se
-    name = "coefficient_monotonicity_zpair" if z_pairs else "coefficient_monotonicity"
-    return CertificationReport(
-        name=name,
-        passed=bool(passed),
-        margin=worst,
-        se=worst_se,
-        samples=used,
-        seed=seed,
-        witness=None if passed else witness,
-        extras={"kappa_hat": worst} if not z_pairs else {},
+    report = _verdict(
+        "coefficient_monotonicity_zpair" if z_pairs else "coefficient_monotonicity",
+        margins, ses, seed,
+        lambda i: {"sample": i, "q": [q[i]], "q_prime": [qp[i]], "z": [z[i]], "margin": margins[i]},
+        kept=[not d < 1e-12 for d in den],  # degenerate pair policy
     )
+    if not z_pairs:
+        report.extras["kappa_hat"] = report.margin
+    return report
 
 
 def _probe_control(op, rng, scale: float):
@@ -241,17 +245,14 @@ def _draw_plan(op, rng):
 
 def _pair_terms(op, a, va, b, vb):
     """(<v(a)-v(b), a-b>_T, its standard error over the scenarios,
-    ||a-b||_T^2) of one pair, or None when a and b coincide."""
+    ||a-b||_T^2) of one pair."""
     diff = a - b
-    denom = op.inner(diff, diff)
-    if denom < 1e-12:
-        return None
     dv = va - vb
     per_scen = op.grid.dt * (
         (dv.alpha_x * diff.alpha_x).mean(axis=1).sum(axis=1)
         + (dv.alpha_q * diff.alpha_q).sum(axis=1)
     )
-    return float(per_scen.mean()), float(per_scen.std(ddof=1) / math.sqrt(per_scen.size)), denom
+    return float(per_scen.mean()), float(per_scen.std(ddof=1) / math.sqrt(per_scen.size)), op.inner(diff, diff)
 
 
 def check_v_monotonicity(
@@ -262,23 +263,21 @@ def check_v_monotonicity(
     """Monotonicity of the control-space operator on random control pairs.
 
     Reports the minimum inner product <v(a)-v(b), a-b>_T and the minimum
-    Rayleigh quotient eta_hat over the sampled pairs.
+    Rayleigh quotient eta_hat over the sampled pairs; a pair whose controls
+    coincide (||a-b||_T^2 < 1e-12) does not count.
 
     The controls are drawn in pair order, a_0, b_0, a_1, b_1, ..., each by
     a one-evaluation plan that `run_lockstep` runs (thirteen a round at
     12x64x10; one at 32x500x50, through op(control)), with overflow warnings
     silenced; each draw gets the bits of its own solve, so the report does
     not depend on the stacking.  The outcomes come back in draw order, and
-    a pair is reduced when its second is in.  A failed evaluation raises the
-    package error of the first failed draw, the error a pair-by-pair loop
-    would raise.
+    a pair is reduced to its three floats when its second is in.  A failed
+    evaluation raises the package error of the first failed draw, the error
+    a pair-by-pair loop would raise.
     """
     _require_draws("pairs", pairs)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
-    worst_ip = math.inf
-    worst_se = 0.0
-    eta_hat = math.inf
-    witness = None
+    terms = []  # (inner product, se, denominator) of each pair
     first = None  # (control, value) of the pair's first draw
     for k, outcome in run_lockstep((k, op, _draw_plan(op, rng)) for k in range(2 * pairs)):
         if isinstance(outcome, MajorMinorError):
@@ -286,24 +285,15 @@ def check_v_monotonicity(
         if k % 2 == 0:
             first = outcome
             continue
-        terms = _pair_terms(op, *first, *outcome)
+        terms.append(_pair_terms(op, *first, *outcome))
         first = outcome = None  # a reduced pair is not held through the next round
-        if terms is not None:
-            ip, se, denom = terms
-            eta_hat = min(eta_hat, ip / denom)
-            if ip < worst_ip:
-                worst_ip, worst_se = ip, se
-                witness = {"pair": k // 2, "inner_product": ip, "denominator": denom}
-    passed = worst_ip >= -3.0 * worst_se
-    return CertificationReport(
-        name="v_monotonicity",
-        passed=bool(passed),
-        margin=worst_ip,
-        se=worst_se,
-        samples=pairs,
-        seed=seed,
-        witness=None if passed else witness,
-        extras={"eta_hat": eta_hat},
+    ips, ses, denoms = zip(*terms)
+    kept = [not d < 1e-12 for d in denoms]
+    return _verdict(
+        "v_monotonicity", ips, ses, seed,
+        lambda i: {"pair": i, "inner_product": ips[i], "denominator": denoms[i]},
+        kept=kept,
+        extras={"eta_hat": min((ip / d for ip, d, keep in zip(ips, denoms, kept) if keep), default=math.inf)},
     )
 
 
@@ -318,7 +308,7 @@ def check_z_bound(
     max |Zphi| <= lip_q_phi * (1 + tol_rel) + 3 * regression SE.
     """
     max_z = float(np.max(np.abs(solve.state.Zphi))) if solve.state.Zphi.size else 0.0
-    se = float(np.max(solve.diagnostics.get("se_zphi", [0.0])))
+    se = float(np.max(solve.diagnostics["se_zphi"]))
     bound = lip_q_phi * (1.0 + tol_rel) + 3.0 * se
     margin = bound - max_z
     return CertificationReport(

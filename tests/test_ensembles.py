@@ -117,7 +117,6 @@ def test_control_in_place_ops_equal_the_binary_ops_and_keep_the_layout():
     s = -0.37
     for in_place, other, binary in (
         (operator.iadd, b, a + b),
-        (operator.isub, b, a - b),
         (operator.imul, s, s * a),
     ):
         c = ControlField(a.alpha_x.copy(order="K"), a.alpha_q.copy())

@@ -87,11 +87,34 @@ def test_coefficient_monotonicity_zpair_slack():
         data.a,
         samples=100,
         seed=3,
-        z_pairs=True,
-        kappa=data.kappa,
-        slack=(data.C_M, data.K),
+        slack=(data.kappa, data.C_M, data.K),
     )
     assert rep.passed
+
+
+def test_verdict_takes_the_first_smallest_kept_margin():
+    # sample 1 holds the smallest margin but does not count; samples 2 and 4
+    # tie for the smallest kept one, and the first of them decides
+    built = []
+
+    def witness(i):
+        built.append(i)
+        return {"sample": i}
+
+    margins = [0.5, -9.0, -1.0, 2.0, -1.0]
+    kept = [True, False, True, True, True]
+    rep = verification._verdict("check", margins, [0.1, 0.1, 0.2, 0.1, 0.3], 7, witness, kept=kept, extras={"e": 1.0})
+    assert (rep.name, rep.passed, rep.margin, rep.se, rep.samples, rep.seed) == ("check", False, -1.0, 0.2, 4, 7)
+    assert rep.witness == {"sample": 2} and built == [2]
+    assert rep.extras == {"e": 1.0}
+    # -1.0 >= -3 * 0.4 passes on sample 2's se, though sample 4's would fail
+    built.clear()
+    rep = verification._verdict("check", margins, [0.1, 0.1, 0.4, 0.1, 0.3], 7, witness, kept=kept)
+    assert (rep.passed, rep.margin, rep.se, rep.samples) == (True, -1.0, 0.4, 4)
+    assert rep.witness is None and built == [] and rep.extras == {}
+    # with no `kept` every sample counts
+    rep = verification._verdict("check", margins, [0.1] * 5, 7, witness)
+    assert (rep.passed, rep.margin, rep.samples, rep.witness) == (False, -9.0, 5, {"sample": 1})
 
 
 def per_sample_terms(cs, a, samples, seed, form):
@@ -142,9 +165,8 @@ def test_batched_hypothesis_checks_report_each_samples_own_terms(params, form):
     if form == "terminal":
         rep = check_terminal_monotonicity(cs, data.a, beta0=0.05, samples=60, seed=4)
     else:
-        rep = check_coefficient_monotonicity(
-            cs, data.a, samples=60, seed=4, z_pairs=form == "zpair", kappa=data.kappa, slack=(data.C_M, data.K)
-        )
+        slack = (data.kappa, data.C_M, data.K) if form == "zpair" else None
+        rep = check_coefficient_monotonicity(cs, data.a, samples=60, seed=4, slack=slack)
     terms = per_sample_terms(cs, data.a, 60, 4, form)
     kept = [(margin, se, i) for i, (margin, se, den) in enumerate(terms) if not den < 1e-12]
     margin, se, worst = min(kept, key=lambda t: t[0])  # the first smallest
