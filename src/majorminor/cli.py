@@ -307,7 +307,10 @@ def _run_dir(config: RunConfig, out_dir: str | Path | None):
     is written with a checksum of each of them; when it fails with a package
     error, the manifest also records the error, which is then re-raised."""
     out = Path(out_dir if out_dir is not None else config["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError([f"cannot create output directory {out}: {exc.strerror}"]) from None
     manifest = RunManifest(
         config=config.data, version=__version__, seed=config.seed,
         started_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -666,7 +669,12 @@ def main(argv=None) -> int:
     parser.add_argument("--dump-ensemble", action="store_true", help="dump the full ensemble CSV")
     args = parser.parse_args(argv)
     try:
-        config = parse_config(Path(args.config).read_text(), seed=args.seed)
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            raise ConfigurationError([f"cannot read config {args.config}: {reason}"]) from None
+        config = parse_config(text, seed=args.seed)
         if args.command == "solve":
             return run_solve(config, args.out, dump_ensemble=args.dump_ensemble)
         if args.command == "verify":

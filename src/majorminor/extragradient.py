@@ -40,7 +40,8 @@ from __future__ import annotations
 import copy
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -71,6 +72,9 @@ __all__ = [
     "run_lockstep",
     "estimate_lipschitz_v",
     "solve_stacked",
+    # re-exported: bench/spans.py wraps these two bindings of this module
+    "conditional_features",
+    "regress_conditional",
 ]
 
 _PROBE_SEED = 123
@@ -299,42 +303,34 @@ class ExtragradientReport:
     on the one evaluation that met it: 2 * iterations - 1.  A `solve` whose
     Lipschitz probe failed reports no iteration and no evaluation, with
     `gamma` and `L_hat` None.
+
+    `to_json` writes `z_convention`, then the fields in their declared
+    order, so the order of the fields is the key order of `report.json`.
+    `final_alpha`, the last iterate, stays out of it.
     """
 
-    residuals: list[float]
-    seconds: list[float]
-    dist_to_reference: list[float] | None
-    lambda_hat: float | None
-    r_squared: float | None
-    diverged: bool
-    iterations: int
-    gamma: float | None
-    stop_reason: str
-    evaluations: dict
-    L_hat: float | None
-    final_alpha: object = None
-    z_convention: str = (
+    z_convention: ClassVar[str] = (
         "Zphi is the integrand of sqrt(2*sigma0) * int Zphi dW0, equal to the "
         "q-gradient of the major value field"
     )
+    gamma: float | None
+    L_hat: float | None
+    iterations: int
+    stop_reason: str
+    evaluations: dict
+    diverged: bool
+    lambda_hat: float | None
+    r_squared: float | None
+    residuals: list[float]
+    dist_to_reference: list[float] | None
+    seconds: list[float]
+    final_alpha: object = field(default=None, metadata={"json": False})
 
     def to_json(self) -> str:
         """Strict JSON (see `artifacts`): the inf residual of a run that
         stopped `non_finite` reads null."""
-        payload = {
-            "z_convention": self.z_convention,
-            "gamma": self.gamma,
-            "L_hat": self.L_hat,
-            "iterations": self.iterations,
-            "stop_reason": self.stop_reason,
-            "evaluations": self.evaluations,
-            "diverged": self.diverged,
-            "lambda_hat": self.lambda_hat,
-            "r_squared": self.r_squared,
-            "residuals": self.residuals,
-            "dist_to_reference": self.dist_to_reference,
-            "seconds": self.seconds,
-        }
+        payload = {"z_convention": self.z_convention}
+        payload.update((f.name, getattr(self, f.name)) for f in fields(self) if f.metadata.get("json", True))
         return strict_json(payload, indent=2)
 
     def iteration_rows(self):
@@ -414,17 +410,14 @@ def extragradient_plan(alpha1, config: ExtragradientConfig, op, reference_contro
                 del v_half
         except SimulationError:
             # iterates left the finite range: report divergence, not a crash
-            stop = "non_finite"
-            seconds.append(time.perf_counter() - t0)
-            residuals.append(float("inf"))
-            if dists is not None:
-                dists.append(float("nan"))
-            break
-        completed += 1
+            stop, residual, dist = "non_finite", float("inf"), float("nan")
         residuals.append(residual)
         if dists is not None:
             dists.append(dist)
         seconds.append(time.perf_counter() - t0)
+        if stop == "non_finite":
+            break
+        completed += 1
         if at_tol:
             # the iterate is the answer: its trial point is never evaluated
             stop = "tol"
@@ -474,35 +467,6 @@ def run_extragradient(
     plan = extragradient_plan(alpha1, config, op, reference_control, lipschitz_hint)
     del alpha1  # the plan drops the start control once it has stepped past it
     return _drive(plan, op)
-
-
-def recover_phi_bar(op: FbsdeOperator, solve: SolveOutput) -> np.ndarray:
-    """One auxiliary backward sweep for the major value along a solve of
-    `op`: the backward equation driven by the solve's (qf, Zphi, X), with the
-    pair inverse (theta_F, theta_H) in place of (U, qb)."""
-    primed = op.primed
-    grid = op.grid
-    n = grid.steps
-    dt = grid.dt
-    consts = primed.constants
-    sq = np.sqrt(2.0 * consts.sigma0)
-    theta_F, p = solve.theta_F, solve.theta_H
-    q, X, Zphi = solve.state.qf, solve.state.X, solve.state.Zphi
-    m = q.shape[0]
-    qmid_T = q[:, n][:, None]
-    feats_T = conditional_features(X[:, :, n])
-    phi = np.empty((m, n + 1))
-    phi[:, n] = primed.psi(qmid_T, feats_T)[:, 0]
-    basis = op.basis
-    for k in range(n - 1, -1, -1):
-        qmid = 0.5 * (q[:, k] + p[:, k])
-        feats = conditional_features(X[:, :, k], theta_F[:, :, k])
-        drv = primed.base.LH(qmid[:, None], Zphi[:, k][:, None], feats)[:, 0]
-        drv = drv + consts.discount * phi[:, k + 1]
-        target = phi[:, k + 1] + dt * drv - sq * (Zphi[:, k] * op.noise.dW0[:, k])
-        S = basis.scenario_design(qmid, X[:, :, k].mean(axis=1), theta_F[:, :, k].mean(axis=1))
-        phi[:, k] = regress_conditional(S, target, basis.ridge).fitted
-    return phi
 
 
 class LipschitzEstimate(float):

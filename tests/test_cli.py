@@ -248,6 +248,22 @@ def test_cli_main_bad_config_exit_one(tmp_path):
     assert main(["solve", "--config", str(cfg_path)]) == 1
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "out-is-a-file"])
+def test_cli_unreadable_config_or_output_is_one_error_line(tmp_path, capsys, case):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(FAST_LQ))
+    out = tmp_path / "run"
+    if case == "not-utf8":
+        cfg_path.write_bytes(b'{"seed": "\xff"}')
+    if case == "out-is-a-file":
+        out.write_text("a file, not a directory")
+    config = {"missing": tmp_path / "absent.json", "directory": tmp_path}.get(case, cfg_path)
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 1
+    error = capsys.readouterr().err
+    assert error.startswith("error: ") and error.count("\n") == 1
+    assert str(out if case == "out-is-a-file" else config) in error
+
+
 @pytest.mark.parametrize(
     "section,key,value,args,message",
     [
@@ -591,6 +607,33 @@ def test_solve_report_says_why_and_how_it_stopped(tmp_path):
     assert [{k: r[k] for k in ("stop_reason", "evaluations", "L_hat")} for r in reports[1:]] == [
         {k: report[k] for k in ("stop_reason", "evaluations", "L_hat")}
     ]
+
+
+# the keys of report.json, in their order
+REPORT_KEYS = [
+    "z_convention", "gamma", "L_hat", "iterations", "stop_reason", "evaluations", "diverged",
+    "lambda_hat", "r_squared", "residuals", "dist_to_reference", "seconds",
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # two of the runs overflow on purpose
+def test_report_json_has_its_keys_in_order(tmp_path):
+    # the probe solves of this config overflow
+    probe_fails = {**FAST_LQ, "grid": {"horizon": 1.0, "steps": 20}, "ensemble": {"scenarios": 8, "particles": 100},
+                   "extragradient": {"n_max": 5}, "seed": 0}
+    # the second iteration's trial point leaves the finite range
+    late_fail = json.loads(json.dumps(FAST_LQ))
+    late_fail["extragradient"].update(gamma=5.0, n_max=40)
+    reports = {}
+    for name, data in (("tol", FAST_LQ), ("probe", probe_fails), ("late", late_fail)):
+        run_solve(parse_config(data), tmp_path / name)
+        reports[name] = json.loads((tmp_path / name / "report.json").read_text())
+    assert reports["tol"]["stop_reason"] == "tol" and reports["probe"]["L_hat"] is None
+    for report in reports.values():
+        assert list(report) == REPORT_KEYS
+    late = reports["late"]
+    assert late["stop_reason"] == "non_finite" and late["iterations"] > 1
+    assert late["residuals"][-1] is None and None not in late["residuals"][:-1]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the failing cells overflow on purpose

@@ -20,7 +20,6 @@ from majorminor.extragradient import (
     extragradient_step,
     fit_geometric_rate,
     _instance_bytes,
-    recover_phi_bar,
     run_extragradient,
     run_lockstep,
     solve_stacked,
@@ -518,20 +517,13 @@ def test_oracle_start_residual_small_and_monotone_pairs():
         assert ip >= -3 * se
 
 
-def test_run_converges_on_lq_and_recovers_phi_bar():
+def test_run_converges_on_lq():
     op, grid, noise, init = lq_operator(m=24, p=300, n=25, seed=2)
     config = ExtragradientConfig(gamma=None, n_max=40, tol=0.0, safety=0.5)
     report = run_extragradient(op.zero(), config, op)
     assert not report.diverged
     assert report.residuals[-1] < 0.05 * report.residuals[0]
     assert report.lambda_hat is not None and report.lambda_hat < 0.98
-    solve = op.solve(report.final_alpha)
-    phi_bar = recover_phi_bar(op, solve)
-    # the auxiliary sweep along the solve at the final control tracks its
-    # major value
-    err = np.abs(phi_bar - solve.state.phi).mean()
-    scale = np.abs(solve.state.phi).mean() + 1e-12
-    assert err < 0.25 * scale + 0.05
 
 
 def test_report_serialization_round_trip():
