@@ -17,11 +17,13 @@ strict JSON: a non-finite float is written as null (see `artifacts`).
 from __future__ import annotations
 
 import argparse
+import collections
 import copy
 import difflib
 import hashlib
 import json
 import math
+import reprlib
 import sys
 import time
 from contextlib import contextmanager
@@ -51,7 +53,15 @@ from .models import (
     make_zero_model,
     split_q,
 )
-from .oracle import eval_oracle_field, oracle_induced_control, picard_solve, riccati_oracle
+from .oracle import (
+    PicardResult,
+    StateOperator,
+    eval_oracle_field,
+    oracle_induced_control,
+    picard_plan,
+    picard_solve,
+    riccati_oracle,
+)
 from .solver import MIN_PARTICLES, QUADRATIC_MIN_SCENARIOS, RegressionBasis, sample_initial
 from .verification import (
     check_coefficient_monotonicity,
@@ -62,7 +72,8 @@ from .verification import (
     compute_thresholds,
 )
 
-__all__ = ["RunConfig", "RunManifest", "parse_config", "run_solve", "run_sigma_sweep", "main"]
+# picard_solve is re-exported: bench/spans.py wraps this binding of this module
+__all__ = ["RunConfig", "RunManifest", "parse_config", "run_solve", "run_sigma_sweep", "main", "picard_solve"]
 
 
 def _real(value) -> bool:
@@ -70,9 +81,11 @@ def _real(value) -> bool:
 
 
 def _non_finite(name: str, value) -> list[str]:
-    """Violations for a non-finite real, or non-finite reals in a list."""
+    """Violations for a non-finite real, or non-finite reals in a list; the
+    entries of a nested list are not reals, which its requirement reports."""
     if isinstance(value, list):
-        return [v for i, x in enumerate(value) for v in _non_finite(f"{name}[{i}]", x)]
+        bad = [(i, x) for i, x in enumerate(value) if _real(x) and not math.isfinite(x)]
+        return [f"{name}[{i}] must be finite, got {x!r}" for i, x in bad]
     if _real(value) and not math.isfinite(value):
         return [f"{name} must be finite, got {value!r}"]
     return []
@@ -190,8 +203,25 @@ def _complete(given: dict, table: dict, prefix: str, violations: list) -> dict:
             # wrong type (2.5 for an int), so both faults are listed
             judged = value is not None and (accepted or (_real(value) and _accepts(types, 1)))
             if requirement is not None and judged and not requirement[1](value):
-                violations.append(f"{name} must be {requirement[0]}, got {value!r}")
+                # reprlib cuts the value short, so a deeply nested one is not recursed into
+                violations.append(f"{name} must be {requirement[0]}, got {reprlib.repr(value)}")
     return out
+
+
+def _size_violations(scenarios, particles, steps) -> list[str]:
+    """The violation of sizes whose particle path (M, P, N+1) at the finest
+    level a command builds, converge's 4x the particles and 4x the steps,
+    has more bytes than NumPy can address; none when a size is not a valid
+    count, which is reported on its own."""
+    limit = np.iinfo(np.intp).max
+    if not all(_accepts((int,), v) and v >= 1 for v in (scenarios, particles, steps)):
+        return []
+    if 8 * scenarios * (4 * particles) * (4 * steps + 1) <= limit:
+        return []
+    return [
+        "ensemble.scenarios x ensemble.particles x grid.steps is too large: the particle path of the finest "
+        f"level a command builds (converge's 4x the particles and the steps) needs more than {limit} bytes"
+    ]
 
 
 def parse_config(text: str | dict, seed: int | None = None) -> RunConfig:
@@ -206,6 +236,8 @@ def parse_config(text: str | dict, seed: int | None = None) -> RunConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigurationError([f"config is not valid JSON: {exc}"]) from None
+        except RecursionError:
+            raise ConfigurationError(["config is nested too deeply to parse"]) from None
     else:
         raw = text
     if not isinstance(raw, dict):
@@ -216,19 +248,23 @@ def parse_config(text: str | dict, seed: int | None = None) -> RunConfig:
     data = _complete(raw, _TABLE, "", violations)
     model = data["model"]
     if model["kind"] not in ("lq", "zero"):
-        violations.append(f"model.kind must be 'lq' or 'zero', got {model['kind']!r}")
+        violations.append(f"model.kind must be 'lq' or 'zero', got {reprlib.repr(model['kind'])}")
     # a non-object params is already reported as a wrong type
     params = model["params"] if isinstance(model["params"], dict) else {}
     for key, value in params.items():
         if key not in _LQ_KEYS:
             violations.append(f"unknown key model.params.{key}{_suggest(key, _LQ_KEYS)}")
         elif not _real(value):
-            violations.append(f"model.params.{key} must be a real number, got {value!r}")
+            violations.append(f"model.params.{key} must be a real number, got {reprlib.repr(value)}")
         else:
             violations.extend(_non_finite(f"model.params.{key}", value))
     scenarios, need = data["ensemble"]["scenarios"], QUADRATIC_MIN_SCENARIOS
     if data["basis"]["quadratic"] is True and _real(scenarios) and scenarios < need:
         violations.append(f"basis.quadratic needs ensemble.scenarios >= {need}, got {scenarios!r}")
+    violations.extend(_size_violations(scenarios, data["ensemble"]["particles"], data["grid"]["steps"]))
+    for key in ("sigma0", "horizons"):
+        if data["sweep"][key] == []:
+            violations.append(f"sweep.{key} must not be empty")
     if violations:
         raise ConfigurationError(violations)
     return RunConfig(data=data)
@@ -444,17 +480,35 @@ def _csv_text(exc: MajorMinorError) -> str:
     return str(exc).replace(",", ";")
 
 
+class _Jobs:
+    """The job source of `_sweep_rows`: the queued Picard jobs first, then
+    the EG job of the next cell.  It may run dry and be added to again, as
+    `run_lockstep` allows."""
+
+    def __init__(self, cells):
+        self.cells = cells
+        self.queued = collections.deque()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return self.queued.popleft() if self.queued else next(self.cells)
+
+
 def _sweep_rows(cells) -> list[dict]:
     """The rows of a group of sweep cells, in cell order.
 
     Each cell is built when `run_lockstep` asks for its job, so only the
-    cells live there hold their problems; its EG run is an
-    `extragradient_plan` there, and its Picard solve runs once that ends.
-    A package error ends its cell only: it is recorded and the sweep goes on.
+    cells live there hold their problems.  Its EG run is an
+    `extragradient_plan` there, and as that ends its Picard run is queued
+    there as a `picard_plan`, which then rides along the other cells' EG
+    rounds.  A package error ends its cell only: it is recorded and the
+    sweep goes on.
     """
     rows: list[dict] = []
 
-    def jobs():
+    def eg_jobs():
         for index, (base, sigma0, horizon, i, j) in enumerate(cells):
             data = json.loads(json.dumps(base))
             data["constants"]["sigma0"] = sigma0
@@ -484,26 +538,32 @@ def _sweep_rows(cells) -> list[dict]:
             key = (index, op, eg_config.tol, data["sweep"]["picard_sweeps"])
             yield key, op, extragradient_plan(op.zero, eg_config, op)
 
-    for (index, *problem), report in run_lockstep(jobs()):
-        _finish_row(rows[index], report, *problem)
+    jobs = _Jobs(eg_jobs())
+    for (index, *picard), outcome in run_lockstep(jobs):
+        row = rows[index]
+        if isinstance(outcome, MajorMinorError):
+            row["error"] = _csv_text(outcome)
+        elif isinstance(outcome, PicardResult):
+            _finish_picard(row, outcome)
+        else:
+            _finish_eg(row, outcome)
+            op, tol, sweeps = picard
+            view = StateOperator.of(op)
+            jobs.queued.append(((index,), view, picard_plan(view, tol, sweeps)))
     return rows
 
 
-def _finish_row(row: dict, report, op: FbsdeOperator, tol: float, picard_sweeps: int) -> None:
-    """Fill a cell's row from its EG outcome, then run its Picard solve."""
-    if isinstance(report, MajorMinorError):
-        row["error"] = _csv_text(report)
-        return
+def _finish_eg(row: dict, report: ExtragradientReport) -> None:
+    """Fill a cell's row from its EG run."""
     row["eg_converged"] = int(report.stop_reason == "tol")
     row["eg_residual"] = report.residuals[-1] if report.residuals else float("nan")
     row["lambda_hat"] = report.lambda_hat if report.lambda_hat is not None else float("nan")
-    try:
-        pic = picard_solve(op, tol=tol, max_iter=picard_sweeps)
-    except MajorMinorError as exc:
-        row["error"] = _csv_text(exc)
-        return
-    row["picard_converged"] = int(pic.converged)
-    row["picard_diverged"] = int(pic.diverged)
+
+
+def _finish_picard(row: dict, result: PicardResult) -> None:
+    """Fill a cell's row from its Picard run."""
+    row["picard_converged"] = int(result.converged)
+    row["picard_diverged"] = int(result.diverged)
 
 
 def run_sigma_sweep(config: RunConfig, out_dir: str | Path | None = None) -> int:

@@ -2,6 +2,8 @@
 
 Conditional laws given the common filtration are represented by the particle
 cloud of a scenario; conditional expectations are within-scenario averages.
+The law enters the model maps through one declared moment, the scenario mean
+of X (`ScenarioFeatures`): no map reads a mean of U, so none is formed.
 The inner product <a,b>^T = E \\int_0^T a_t b_t dt is discretized with equal
 particle weights and left-endpoint time sums.
 """
@@ -78,29 +80,24 @@ class ControlField:
 
 @dataclass
 class ScenarioFeatures:
-    """The declared conditional moments of (X, U): their within-scenario means.
+    """The declared conditional moment of X: its within-scenario mean, the
+    one moment the model maps read.
 
-    Arrays are shaped (M_c, 1) so they broadcast against particle clouds.
+    Shaped (M_c, 1) so it broadcasts against particle clouds.
     """
 
     mean_x: np.ndarray
-    mean_u: np.ndarray
 
 
-def conditional_features(x: np.ndarray, u: np.ndarray | None = None) -> ScenarioFeatures:
-    """Within-scenario particle means of x and u at one time slice.
-
-    x, u: (M_c, P).  When u is omitted its mean is zero.
-    """
+def conditional_features(x: np.ndarray) -> ScenarioFeatures:
+    """Within-scenario particle means of x at one time slice, x (M_c, P)."""
     if x.ndim != 2:
         raise ContractError(f"expected (M,P) slice, got shape {x.shape}")
     if x.shape[1] == 0:
         raise ConfigurationError(["conditional features need at least one particle"])
     # a sum divided by the count is np.mean without its per-call overhead,
     # which dominates on small clouds
-    p = x.shape[1]
-    mean_u = np.zeros((x.shape[0], 1)) if u is None else np.add.reduce(u, axis=1, keepdims=True) / p
-    return ScenarioFeatures(mean_x=np.add.reduce(x, axis=1, keepdims=True) / p, mean_u=mean_u)
+    return ScenarioFeatures(mean_x=np.add.reduce(x, axis=1, keepdims=True) / x.shape[1])
 
 
 def inner_product_T(a: ControlField, b: ControlField, grid: TimeGrid) -> float:

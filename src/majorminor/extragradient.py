@@ -26,11 +26,17 @@ stacked solve along a leading instance axis (`evaluate_many`), which gives
 every instance the same bits as its own solve would.  `LOCKSTEP_BYTES`
 bounds its live set: thirteen instances at 12x64x10, so that a sweep of
 twelve such cells runs as one stack from its first round, and one at the
-CLI default 32x500x50.  `run_extragradient` and `estimate_lipschitz_v` run
-their plan as a lockstep run of one, whose control `evaluate_many` hands to
-`op(control)`.  A start control may be passed as a callable (`op.zero`),
-which the plan calls once its probes are done, so no run holds its start
-through them.
+CLI default 32x500x50.  A plan is sent what its operator's `value_in`
+reads off the solve, so a plan run on an operator view is sent that view's
+value instead of v: Picard (`oracle.picard_plan`) is sent the solve's state
+through `oracle.StateOperator`, which keeps the `stack_key`, so it stacks
+with the v evaluations.  The runner asks its job source again in every
+round, so a caller may add jobs while it runs, as the sweep queues each
+cell's Picard run when the cell's EG run ends.  `run_extragradient` and
+`estimate_lipschitz_v` run their plan as a lockstep run of one, whose
+control `evaluate_many` hands to `op(control)`.  A start control may be
+passed as a callable (`op.zero`), which the plan calls once its probes are
+done, so no run holds its start through them.
 `extragradient_step` is a one-step helper outside the plans: one
 iteration's two evaluations and points.
 """
@@ -637,6 +643,11 @@ def run_lockstep(jobs):
     for.  Each round gathers one request per live plan and evaluates those
     of one `stack_key` with `evaluate_many`: the budget bounds the live set,
     so it bounds every stack too.
+
+    The source is asked again in every round, also after it ran dry: a
+    caller may add a job while the runner runs, such as one that follows a
+    job that just ended, and it is taken before the next round.  The runner
+    ends once no plan is live and the source has nothing to give.
     """
     pending = iter(jobs)
     waiting = None

@@ -10,17 +10,18 @@ vectorized evaluation:
 - conditional-law features            ScenarioFeatures with (M, 1) arrays
 - outputs: F, G, g -> (M, P); Hz, LH, psi -> (M, 1)
 
-Measure dependence is restricted to the declared moments, the scenario means
-of X and U: exact for the shipped linear-quadratic family, and O(P) to evaluate.
+Measure dependence is restricted to the declared moment, the scenario mean
+of X: exact for the shipped linear-quadratic family, and O(P) to evaluate.
 
 The maps read only their arguments: `theta(X, p, z, alpha_x, alpha_q)` takes
 no coefficient set, and the z clamp is a wrapper that `clamp_coefficients`
 puts around theta as around F, G, Hz and LH.  So two instances whose maps are
 the same objects compute the same function, whatever their constants: they
 may share a stacked solve (see `solver.stack_key`), which calls the maps once
-for all of its instances.  `make_lq_model` returns the same map objects for
-equal `LQParams` and clamp level, and `make_zero_model` the same ones every
-time.
+for all of its instances.  Their callers only read what the maps return, so
+the shipped theta returns its alpha_x argument as theta_F, without a copy.
+`make_lq_model` returns the same map objects for equal `LQParams` and clamp
+level, and `make_zero_model` the same ones every time.
 """
 
 from __future__ import annotations
@@ -247,7 +248,8 @@ def _lq_maps(params: LQParams) -> Mapping[str, Callable]:
     def psi(q, f):
         return 0.5 * p1 * (q * q) + p2 * (q * f.mean_x)
 
-    # theta_F: grad_alpha L = alpha is self-inverse.  theta_H solves
+    # theta_F: grad_alpha L = alpha is self-inverse, so theta_F is alpha_x
+    # itself, not a copy (see the module docstring).  theta_H solves
     # b*(p+qb)/2 + z = alpha_q; the b = 0 family is degenerate in q and
     # returns the forward copy.
     def theta(X, p, z, alpha_x, alpha_q):
@@ -255,7 +257,7 @@ def _lq_maps(params: LQParams) -> Mapping[str, Callable]:
             qb = np.array(np.broadcast_to(p, np.broadcast_shapes(p.shape, alpha_q.shape)), copy=True)
         else:
             qb = 2.0 * (alpha_q - z) / b - p
-        return np.array(alpha_x, copy=True), qb
+        return alpha_x, qb
 
     return MappingProxyType({
         "F": F, "G": G, "Hz": Hz, "LH": LH, "g": g, "psi": psi, "theta": theta,
@@ -304,8 +306,8 @@ def _zero_maps() -> Mapping[str, Callable]:
 
     def theta(X, p, z, ax, aq):
         # The pair map vanishes identically; only the zero target is
-        # invertible and it maps to (0, qf).
-        return np.array(ax, copy=True), np.array(np.broadcast_to(p, p.shape), copy=True)
+        # invertible and it maps to (0, qf): theta_F is the target itself.
+        return ax, np.array(np.broadcast_to(p, p.shape), copy=True)
 
     return MappingProxyType({
         "F": zero_particle, "G": zero_particle, "Hz": zero_scen, "LH": zero_scen,

@@ -1,6 +1,12 @@
 """Independent baselines: a Riccati field for the linear-quadratic family and
 a Picard fixed-point iteration on the coupled system of an operator, which
-keeps its verdict, its sweep count and its last solve.
+keeps its verdict, its sweep count and the state of its last solve.
+
+Picard is a plan, like the extragradient loop (see `extragradient`):
+`picard_plan` yields each sweep's control and is sent the state of the
+decoupled solve there through `StateOperator`, an operator view whose value
+is that state, not v.  So `run_lockstep` runs Picard in the rounds of other
+plans, stacked with them, and `picard_solve` drives it alone.
 
 The affine ansatz
     U(t, x, q, mbar)  = a(t) x + b_u(t) q + c_u(t) mbar
@@ -21,16 +27,16 @@ that gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ensembles import ControlField, ScenarioFeatures, conditional_features, norm_T
 from .errors import OracleBlowUpError, SimulationError
 from .grids import NoiseBundle, TimeGrid, path_array, run_scenario_blocks
-from .extragradient import FbsdeOperator
+from .extragradient import FbsdeOperator, _drive
 from .models import CoefficientSet, LQParams, ModelConstants
-from .solver import InitialCondition, SolveOutput, decoupled_solve
+from .solver import EnsembleState, InitialCondition, SolveOutput, decoupled_solve
 
 __all__ = [
     "RiccatiSolution",
@@ -38,7 +44,11 @@ __all__ = [
     "eval_oracle_field",
     "oracle_induced_control",
     "PicardResult",
+    "StateOperator",
+    "picard_plan",
     "picard_solve",
+    # re-exported: bench/spans.py wraps this binding of this module
+    "decoupled_solve",
 ]
 
 _BLOW_UP_LIMIT = 1e8
@@ -202,7 +212,7 @@ def oracle_induced_control(
                 np.add(u, c_u[k] * mbar, out=u)
                 z = k2[k] * qk + k12[k] * mbar
                 Zphi[rows, k] = z[:, 0]
-                feats = ScenarioFeatures(mean_x=mbar, mean_u=np.add.reduce(u, axis=1, keepdims=True) / p)
+                feats = ScenarioFeatures(mean_x=mbar)
                 alpha_x[rows, :, k] = cs.F(xk, qk, u, z, feats)
                 alpha_q[rows, k] = cs.Hz(qk, z, feats)[:, 0]
                 np.multiply(alpha_x[rows, :, k], dt, out=step)
@@ -222,59 +232,96 @@ def oracle_induced_control(
 @dataclass
 class PicardResult:
     """Outcome of the fixed-point sweep: converged, diverged-as-diagnosed, or
-    stopped at the sweep cap, after `sweeps` solves, the last one `solve`."""
+    stopped at the sweep cap, after `sweeps` solves, the last one's state
+    `state` (None when the first solve failed)."""
 
     converged: bool
     diverged: bool
     sweeps: int
-    solve: SolveOutput | None
+    state: EnsembleState | None
     reason: str = ""
 
 
-def picard_control(cs: CoefficientSet, solve: SolveOutput) -> ControlField:
-    """The next Picard control: the pair (F, DzH) along a solve, at its
-    states, midpoint major state, Zphi and conditional law.  Each map is
+@dataclass(frozen=True, eq=False)
+class StateOperator(FbsdeOperator):
+    """The view of an operator that Picard runs on: its value at a control is
+    the state of the decoupled solve there, not v.  It keeps the operator's
+    `stack_key`, so `run_lockstep` stacks its solves with v evaluations."""
+
+    @classmethod
+    def of(cls, op: FbsdeOperator) -> "StateOperator":
+        return cls(op.primed, op.grid, op.noise, op.init, op.basis, op.a)
+
+    def __call__(self, control: ControlField) -> EnsembleState:
+        return self.solve(control).state
+
+    def value_in(self, solve: SolveOutput, slot: tuple = ()) -> EnsembleState:
+        """The state of the instance at `slot` of a stacked solve, copied out
+        of it, without the control and the noise that `X` is rebuilt from:
+        `evaluate_many` drops the stack's copies of both first."""
+        st = solve.state
+        return EnsembleState(
+            X0=np.array(st.X0[slot]), U_coef=np.array(st.U_coef[(slice(None), *slot)]),
+            U_T=np.array(st.U_T[slot]), qf=np.array(st.qf[slot]), qb=np.array(st.qb[slot]),
+            phi=np.array(st.phi[slot]), Zphi=np.array(st.Zphi[slot]), control=None, noise=None,
+            primed=self.primed, grid=self.grid,
+        )
+
+
+def picard_control(cs: CoefficientSet, st: EnsembleState) -> ControlField:
+    """The next Picard control: the pair (F, DzH) along a solve's state `st`,
+    at its states, midpoint major state, Zphi and conditional law.  Each map is
     called once, on the N steps laid side by side as one (N M, P) slab; maps
     and scenario means work row by row, so each step has the bits of its own
     (M, P) call.  F's output, a new array by the model API, is the control's
     buffer, in the layout of `path_array`."""
-    st = solve.state
     n, m, p = st.U_coef.shape[0], *st.X0.shape
     X = st.X
     x = np.moveaxis(X, -1, 0)[:n].reshape(n * m, p)
     u = st.u(slice(None), X).reshape(n * m, p)
     qmid = (0.5 * (st.qf[:, :n] + st.qb[:, :n])).T.reshape(n * m, 1)
     z = st.Zphi.T.reshape(n * m, 1)
-    feats = conditional_features(x, u)
+    feats = conditional_features(x)
     alpha_x = np.moveaxis(cs.F(x, qmid, u, z, feats).reshape(n, m, p), 0, -1)
     alpha_q = np.ascontiguousarray(cs.Hz(qmid, z, feats).reshape(n, m).T)
     return ControlField(alpha_x, alpha_q)
 
 
-def picard_solve(op: FbsdeOperator, tol: float = 1e-6, max_iter: int = 40) -> PicardResult:
+def picard_plan(op: FbsdeOperator, tol: float, max_iter: int):
     """Freeze the coupling from the previous sweep and re-solve the
-    operator's problem.
+    operator's problem, as a plan (see `extragradient`) that yields each
+    sweep's control and is sent the state of the decoupled solve there (the
+    value of `StateOperator`), or has its `SimulationError` thrown in;
+    returns the `PicardResult`.
 
-    The control of sweep n+1 is `picard_control` of sweep n's decoupled
-    solve.  Stops when the successive-sweep distance in the control norm
-    drops below `tol`; reports divergence when the distance grows over
-    three consecutive sweeps.
+    The control of sweep n+1 is `picard_control` of sweep n's state.  Stops
+    when the successive-sweep distance in the control norm drops below
+    `tol`; reports divergence when the distance grows over three
+    consecutive sweeps.
     """
     control = op.zero()
     distances: list[float] = []  # the last three
-    solve = None
+    state = None
     for sweep in range(1, max_iter + 1):
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                solve = decoupled_solve(control, op.primed, op.noise, op.init, op.basis, op.grid)
+            state = yield control
         except SimulationError:
             # iterates left the finite range: no contraction at this horizon
-            return PicardResult(False, True, sweep, solve, reason="sweep produced non-finite values (no contraction)")
-        new_control = picard_control(op.primed.base, solve)
+            return PicardResult(False, True, sweep, state, reason="sweep produced non-finite values (no contraction)")
+        # X is rebuilt from the sweep's own control and noise, which a state
+        # copied out of a stacked solve comes without
+        state = replace(state, control=control, noise=op.noise)
+        new_control = picard_control(op.primed.base, state)
         distances = [*distances[-2:], norm_T(new_control - control, op.grid)]
         control = new_control
         if distances[-1] <= tol:
-            return PicardResult(True, False, sweep, solve)
+            return PicardResult(True, False, sweep, state)
         if len(distances) == 3 and distances[2] > distances[1] > distances[0]:
-            return PicardResult(False, True, sweep, solve, reason="successive-sweep distance increased over 3 sweeps")
-    return PicardResult(False, False, max_iter, solve)
+            return PicardResult(False, True, sweep, state, reason="successive-sweep distance increased over 3 sweeps")
+    return PicardResult(False, False, max_iter, state)
+
+
+def picard_solve(op: FbsdeOperator, tol: float = 1e-6, max_iter: int = 40) -> PicardResult:
+    """`picard_plan` run alone on the operator's `StateOperator`."""
+    view = StateOperator.of(op)
+    return _drive(picard_plan(view, tol, max_iter), view)

@@ -582,8 +582,8 @@ def _model_calls(primed: PrimedCoefficientSet, x, q, z, alpha_x, alpha_q, mean_x
     the control, then Gp, LHp and Hzp at it.  mean_x (M, 1) is the scenario
     mean of x, which the sweep has for every step."""
     thF, thH = theta_inverse(primed, x, q, z, alpha_x, alpha_q)
-    # the features of `conditional_features(x, thF)`, from the mean the sweep has
-    feats = ScenarioFeatures(mean_x=mean_x, mean_u=np.add.reduce(thF, axis=1, keepdims=True) / thF.shape[1])
+    # the features of `conditional_features(x)`, from the mean the sweep has
+    feats = ScenarioFeatures(mean_x=mean_x)
     return (
         thF, thH, primed.Gp(x, q, thH, thF, z, feats), primed.LHp(q, thH, z, feats), primed.Hzp(q, thH, z, feats)
     )
@@ -648,8 +648,6 @@ def solve_backward(
     # time-major views keep the per-step ([B,] M, P) slabs contiguous; they
     # copy only arrays laid out other than by `path_array`
     x = np.ascontiguousarray(_time_major(X))  # (N+1, [B,] M, P)
-    # the sweep overwrites X with gap_F, so its finiteness is taken first
-    x_finite = np.isfinite(X.sum())
     del X
     dB = np.ascontiguousarray(_time_major(noise.dB))
     axt = np.ascontiguousarray(_time_major(control.alpha_x))
@@ -707,6 +705,9 @@ def solve_backward(
 
     x_T, qf_T = side(x[n]), side(qf[..., n][..., None])
     feats_T = conditional_features(x_T)
+    # the sweep overwrites X with gap_F, so its finiteness is taken first,
+    # from the scenario sums of its slabs: a non-finite entry makes its sum so
+    x_finite = np.isfinite(sum_x.sum()) and np.isfinite(feats_T.mean_x.sum())
     U_T = pr.g(x_T, qf_T, feats_T).reshape(*lead, m, p)
     u_next = U_T
     phi[..., n] = pr.psi(qf_T, feats_T).reshape(*lead, m)

@@ -190,8 +190,8 @@ def check_coefficient_monotonicity(
     for (X, Y, U, V), scalar in _blocks(seed, 1_000_000, samples, 4, 4 if z_pairs else 3):
         q, qp, z = scalar[:3]
         zp = scalar[3] if z_pairs else z
-        fxu = conditional_features(X, U)
-        fyv = conditional_features(Y, V)
+        fxu = conditional_features(X)
+        fyv = conditional_features(Y)
         # one row per sample, each reduced along its own particles
         dg = (cs.G(X, q, U, z, fxu) - cs.G(Y, qp, V, zp, fyv)) * (X - Y)
         df = (cs.F(X, q, U, z, fxu) - cs.F(Y, qp, V, zp, fyv)) * (U - V)
@@ -476,7 +476,7 @@ def check_pontryagin_residual(
     for k in range(n):
         uk = st.u(k, X)
         theta_F = uk + solve.gap_F[:, :, k]
-        feats = conditional_features(X[:, :, k], theta_F)
+        feats = conditional_features(X[:, :, k])
         grad = cs.grad_alpha_L(X[:, :, k], st.qf[:, k][:, None], theta_F, feats)
         diff = uk - grad
         total += float(np.mean(diff * diff))

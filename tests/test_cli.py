@@ -20,7 +20,8 @@ from majorminor.cli import (
     run_solve,
 )
 from majorminor.errors import ConfigurationError, SimulationError
-from majorminor.extragradient import ExtragradientConfig
+from majorminor.extragradient import ExtragradientConfig, run_extragradient
+from majorminor.oracle import picard_solve
 
 FAST_LQ = {
     "model": {"kind": "lq", "params": {"c1": 1.0, "c3": 0.5, "g1": 1.0, "b": 1.0, "p1": 1.0}},
@@ -291,6 +292,12 @@ def test_cli_unreadable_config_or_output_is_one_error_line(tmp_path, capsys, cas
         ("sweep", "picard_sweeps", 0, [], "sweep.picard_sweeps must be >= 1, got 0"),
         ("sweep", "sigma0", ["a"], [], "sweep.sigma0 must be a list of reals >= 0, got ['a']"),
         ("sweep", "horizons", [-1], [], "sweep.horizons must be a list of positive reals, got [-1]"),
+        # an empty list would sweep no cell and write a header-only table
+        ("sweep", "sigma0", [], [], "sweep.sigma0 must not be empty"),
+        ("sweep", "horizons", [], [], "sweep.horizons must not be empty"),
+        # sizes whose particle path NumPy cannot address, rejected before any array is made
+        ("ensemble", "particles", 10**30, [], "ensemble.scenarios x ensemble.particles x grid.steps is too large"),
+        ("grid", "steps", 10**30, [], "ensemble.scenarios x ensemble.particles x grid.steps is too large"),
         ("basis", "quadratic", True, [], "basis.quadratic needs ensemble.scenarios >= 24, got 12"),
         # two particles per feature of the affine within-scenario design [1, x]
         ("ensemble", "particles", 1, [], "ensemble.particles must be >= 4, got 1"),
@@ -309,7 +316,8 @@ def test_cli_unreadable_config_or_output_is_one_error_line(tmp_path, capsys, cas
         "seed-flag", "seed-config", "ridge", "safety", "safety-zero", "n_max", "probes", "section",
         "params-object", "params-string", "params-bool", "discount", "clamp_m", "x_std", "q0_std",
         "tol-nan", "a_scale", "samples", "pairs", "region_radius", "workers", "picard_sweeps",
-        "sweep-sigma0", "sweep-horizons", "quadratic-scenarios", "particles-1", "particles-3",
+        "sweep-sigma0", "sweep-horizons", "sweep-sigma0-empty", "sweep-horizons-empty", "particles-huge",
+        "steps-huge", "quadratic-scenarios", "particles-1", "particles-3",
         "horizon-inf", "sigma-inf", "x_mean-nan", "params-nan", "ridge-inf", "sweep-sigma0-inf",
         "tol-inf", "region_radius-inf",
     ],
@@ -670,3 +678,85 @@ def test_lockstep_sweep_writes_the_serial_sweep(tmp_path, monkeypatch):
         assert any("non-finite" in r for r in rows) == (clamp_m is None)
         assert (out / "lockstep" / "sweep.csv").read_bytes() == serial
         assert (out / "pool" / "sweep.csv").read_bytes() == serial
+
+
+def test_a_config_nested_too_deeply_is_one_error_line(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["oracle", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+    error = capsys.readouterr().err
+    assert error == "error: config is nested too deeply to parse\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_deeply_nested_value_is_reported_without_recursing_into_it():
+    nested = 0.5
+    for _ in range(10_000):
+        nested = [nested]
+    with pytest.raises(ConfigurationError) as err:
+        parse_config({"sweep": {"sigma0": nested}})
+    assert err.value.violations == ["sweep.sigma0 must be a list of reals >= 0, got [[[[[[[...]]]]]]]"]
+
+
+def test_sizes_are_judged_at_the_finest_converge_level():
+    # the converge study builds 4x the particles and 4x the steps: 1 x 1e17
+    # x 2 doubles are addressable, 1 x 4e17 x 5 are not
+    doc = {"ensemble": {"scenarios": 1, "particles": 10**17}, "grid": {"steps": 1}}
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(doc)
+    assert len(err.value.violations) == 1 and "finest level a command builds" in err.value.violations[0]
+    doc["ensemble"]["particles"] = 10**16
+    assert parse_config(doc)["ensemble"]["particles"] == 10**16
+
+
+SWEEP_ROW_KEYS = ("sigma0", "horizon", "seed", "eg_converged", "eg_residual", "lambda_hat", "picard_converged",
+                  "picard_diverged", "error")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the failing cells overflow on purpose
+def test_sweep_rows_equal_serial_eg_then_picard_runs(monkeypatch):
+    # each cell's Picard run is queued as its EG run ends and shares the
+    # stacked solves of the other cells' EG runs; the rows equal those of
+    # each cell's `run_extragradient` followed by its `picard_solve`
+    data = json.loads(json.dumps(FAST_LQ))
+    data["extragradient"]["n_max"] = 6
+    data["sweep"] = {"sigma0": [0.3, 1.0], "horizons": [0.25, 1.0, 8.0], "workers": 1, "picard_sweeps": 8}
+    base = parse_config(data).data
+    sweep = base["sweep"]
+    cells = [(base, s, t, i, j) for i, s in enumerate(sweep["sigma0"]) for j, t in enumerate(sweep["horizons"])]
+    stacks = []
+    real = majorminor.extragradient.evaluate_many
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            majorminor.extragradient, "evaluate_many", lambda ops, cs: stacks.append(len(ops)) or real(ops, cs)
+        )
+        got = majorminor.cli._sweep_rows(cells)
+    assert max(stacks) == len(cells)
+    want = []
+    for _, sigma0, horizon, i, j in cells:
+        cell = json.loads(json.dumps(base))
+        cell["constants"]["sigma0"], cell["grid"]["horizon"] = sigma0, horizon
+        cell["seed"] = majorminor.cli._cell_seed(base["seed"], i, j)
+        config = majorminor.cli.RunConfig(data=cell)
+        op, eg = build_problem(config)[0], majorminor.cli._extragradient_config(config)
+        row = {"sigma0": sigma0, "horizon": horizon, "seed": cell["seed"], "eg_converged": 0, "eg_residual": math.nan,
+               "lambda_hat": math.nan, "picard_converged": 0, "picard_diverged": 0, "error": ""}
+        want.append(row)
+        try:
+            report = run_extragradient(op.zero, eg, op)
+        except SimulationError as exc:
+            row["error"] = str(exc).replace(",", ";")
+            continue
+        row.update(eg_converged=int(report.stop_reason == "tol"), eg_residual=report.residuals[-1],
+                   lambda_hat=math.nan if report.lambda_hat is None else report.lambda_hat)
+        pic = picard_solve(op, tol=eg.tol, max_iter=8)
+        row.update(picard_converged=int(pic.converged), picard_diverged=int(pic.diverged))
+
+    def table(rows):
+        return [[repr(row[k]) for k in SWEEP_ROW_KEYS] for row in rows]
+
+    assert table(got) == table(want)
+    # Picard runs converge, diverge and stop at the cap, and EG runs fail
+    assert {(row["picard_converged"], row["picard_diverged"], row["error"] != "") for row in want} == {
+        (1, 0, False), (0, 1, False), (0, 0, False), (0, 0, True)
+    }

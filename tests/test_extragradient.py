@@ -433,6 +433,54 @@ def test_lockstep_runs_any_plans_of_alike_instances_in_one_stack(monkeypatch):
         assert np.array_equal(value.alpha_q, solo["one", i].alpha_q)
 
 
+class JobQueue:
+    """A job source that runs dry and is added to again, as the sweep's is."""
+
+    def __init__(self, jobs):
+        self.jobs = list(jobs)
+        self.ran_dry = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self.jobs:
+            return self.jobs.pop(0)
+        self.ran_dry += 1
+        raise StopIteration
+
+
+def test_lockstep_admits_a_job_queued_after_its_source_ran_dry(monkeypatch):
+    # a job queued as another ends joins the next round, stacked with the
+    # run still live; one queued as the last run ends starts the runner again
+    ops = [lq_operator(m=12, p=64, n=10, seed=seed)[0] for seed in range(3)]
+    config = ExtragradientConfig(gamma=0.1, n_max=2)
+    points = {i: ops[i].random_control(np.random.default_rng(i), 0.5) for i in (1, 2)}
+
+    def one_evaluation(control):
+        return (yield control)
+
+    stacks = stack_sizes(monkeypatch)
+    source = JobQueue(
+        [(0, ops[0], extragradient_plan(ops[0].zero, config, ops[0])), (1, ops[1], one_evaluation(points[1]))]
+    )
+    got = {}
+    for key, outcome in run_lockstep(source):
+        got[key] = outcome
+        if key == 1:
+            assert source.ran_dry
+            source.jobs.append((2, ops[2], one_evaluation(points[2])))
+        elif key == 0:
+            source.jobs.append((3, ops[1], one_evaluation(points[1])))
+    assert list(got) == [1, 2, 0, 3]
+    assert stacks[:2] == [2, 2] and stacks[-1] == 1 and set(stacks[2:-1]) == {1}
+    want = run_extragradient(ops[0].zero(), config, ops[0])
+    assert (got[0].residuals, got[0].evaluations) == (want.residuals, want.evaluations)
+    for key, i in ((1, 1), (2, 2), (3, 1)):
+        assert np.array_equal(got[key].alpha_x, ops[i](points[i]).alpha_x)
+        assert np.array_equal(got[key].alpha_q, ops[i](points[i]).alpha_q)
+
+
 def test_a_full_lockstep_stack_stays_inside_the_budget():
     # numpy reports its buffers to tracemalloc.  The problems are built while
     # tracing, so their noise counts as the budget counts it.  As many

@@ -5,8 +5,9 @@ and property of its classes, is used by the package.
 
 For the imports, names listed in a module's `__all__` count as used, and so
 does everything the package `__init__` imports, since that is the package's
-public surface.  For the top-level names and the methods, neither counts: a
-function or a method that only tests call is dead code.  Methods are matched
+public surface.  For the top-level names and the methods, neither counts,
+nor does an import that only feeds `__all__`: a function or a method that
+only tests call, or that a module only re-exports, is dead code.  Methods are matched
 by name: an attribute load of that name, or a string of it passed to
 `getattr`, reads them, and a bare name of it does not; dunder methods are
 called by Python and are left out.
@@ -75,6 +76,16 @@ UNREACHED_ALLOWED = {
     # the beta*(T - s) schedule of `check_monotonicity_propagation`, wired in
     # with it (ROADMAP item 7)
     "ThresholdReport.beta_star",
+    # the reference least-squares fit that the solver's batched fits are
+    # tested against; no package path calls it, and `extragradient`
+    # re-exports it only because bench/spans.py wraps that binding (ROADMAP
+    # item 1)
+    "regress_conditional",
+    # Picard run alone: the sweep runs `picard_plan` in its lockstep, and
+    # `cli` re-exports this only because bench/spans.py wraps that binding;
+    # it goes when the benchmark counts Picard sweeps from the plan (ROADMAP
+    # item 1)
+    "picard_solve",
 }
 
 
@@ -126,11 +137,12 @@ def references(stmt: ast.stmt) -> set[str]:
     return found
 
 
-def unreached_names() -> list[str]:
+def unreached_names(allowed=UNREACHED_ALLOWED) -> list[str]:
     """Top-level names that no statement of the package reads, apart from
-    their own definitions, `__all__` and the package `__init__`, and the
-    methods and properties of package classes whose name no statement of
-    the package reads as an attribute."""
+    their own definitions, `__all__`, the package `__init__` and the imports
+    that only re-export them, and the methods and properties of package
+    classes whose name no statement of the package reads as an attribute;
+    the `allowed` ones left out."""
     defined: dict[str, str] = {}
     used: set[str] = set()
     attributes: set[str] = set()
@@ -143,13 +155,14 @@ def unreached_names() -> list[str]:
             if name is not None:
                 defined[name] = path.name
             found_methods += [f"{path.name}:{method}" for method in methods(stmt)]
-            if path.name != "__init__.py":
+            # an import is read where its module loads the name, so one that
+            # only feeds `__all__` reads nothing
+            if path.name != "__init__.py" and not isinstance(stmt, ast.ImportFrom):
                 used |= references(stmt) - {name}
                 attributes |= attribute_reads(stmt)
-    unreached = [f"{module}:{name}" for name, module in defined.items() if name not in used | UNREACHED_ALLOWED]
+    unreached = [f"{module}:{name}" for name, module in defined.items() if name not in used | allowed]
     unreached += [
-        m for m in found_methods
-        if m.rsplit(".", 1)[1] not in attributes and m.split(":", 1)[1] not in UNREACHED_ALLOWED
+        m for m in found_methods if m.rsplit(".", 1)[1] not in attributes and m.split(":", 1)[1] not in allowed
     ]
     return sorted(unreached)
 
@@ -171,6 +184,12 @@ def test_only_extragradient_reads_the_stacking_names():
 
 def test_every_top_level_name_is_reached_by_the_package():
     assert unreached_names() == []
+
+
+def test_every_allowed_name_is_defined_and_still_unreached():
+    # an entry whose name was deleted, or is read again, outlives its reason
+    unreached = {entry.split(":", 1)[1] for entry in unreached_names(allowed=frozenset())}
+    assert sorted(UNREACHED_ALLOWED - unreached) == []
 
 
 def test_a_bare_name_does_not_read_a_method():

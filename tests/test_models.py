@@ -27,7 +27,7 @@ def point(x=0.0, q=0.0, u=0.0, z=0.0, mean_x=0.0, m=1, p=1):
     us = np.full((m, p), u)
     qs = np.full((m, 1), q)
     zs = np.full((m, 1), z)
-    feats = conditional_features(np.full((m, p), mean_x), us)
+    feats = conditional_features(np.full((m, p), mean_x))
     return xs, qs, us, zs, feats
 
 
@@ -166,7 +166,7 @@ def test_theta_round_trip_random_points():
         z = rng.uniform(-4, 4, (1, 1))  # inside the clamp region
         aq = rng.standard_normal((1, 1))
         U, qb = theta_inverse(primed, X, p, z, ax, aq)
-        feats = conditional_features(X, U)
+        feats = conditional_features(X)
         rx = cs.F(X, 0.5 * (p + qb), U, z, feats) - ax
         rq = primed.Hzp(p, qb, z, feats) - aq
         worst = max(worst, float(np.max(np.abs(rx))), float(np.max(np.abs(rq))))
@@ -238,8 +238,8 @@ def test_declared_lipschitz_ratio_bound():
         ua, ub = rng.uniform(-3, 3, (2, 1, 6))
         qa, qb = rng.uniform(-3, 3, (2, 1, 1))
         za, zb = rng.uniform(-3, 3, (2, 1, 1))
-        fa = conditional_features(xa, ua)
-        fb = conditional_features(xb, ub)
+        fa = conditional_features(xa)
+        fb = conditional_features(xb)
         va = coefficients(cs, xa, qa, ua, za, fa)
         vb = coefficients(cs, xb, qb, ub, zb, fb)
         w2 = math.hypot(sorted_distance(xa, xb), sorted_distance(ua, ub))

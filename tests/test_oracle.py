@@ -5,20 +5,29 @@ import threading
 import numpy as np
 import pytest
 
+import majorminor.extragradient as extragradient_module
 from majorminor import grids
-from majorminor.ensembles import conditional_features
-from majorminor.errors import OracleBlowUpError
-from majorminor.extragradient import FbsdeOperator
+from majorminor.ensembles import conditional_features, norm_T
+from majorminor.errors import OracleBlowUpError, SimulationError
+from majorminor.extragradient import (
+    ExtragradientConfig,
+    FbsdeOperator,
+    extragradient_plan,
+    run_extragradient,
+    run_lockstep,
+)
 from majorminor.grids import build_grid, path_array, sample_noise
-from majorminor.models import LQParams, ModelConstants, make_lq_model, split_q
+from majorminor.models import LQParams, ModelConstants, make_lq_model, make_zero_model, split_q
 from majorminor.oracle import (
+    StateOperator,
     eval_oracle_field,
     oracle_induced_control,
     picard_control,
+    picard_plan,
     picard_solve,
     riccati_oracle,
 )
-from majorminor.solver import RegressionBasis, sample_initial
+from majorminor.solver import RegressionBasis, decoupled_solve, sample_initial
 
 CONE = LQParams(c1=1.0, c3=0.5, g1=1.0, b=1.0, p1=1.0)
 
@@ -151,7 +160,7 @@ def _assert_oracle_roll_matches_the_recursion():
         xk, qk = X[:, :, k], q[:, k][:, None]
         u_k, _, z_k = eval_oracle_field(sol, grid.nodes[k], xk, qk, xk.mean(axis=1, keepdims=True))
         zphi[:, k] = z_k[:, 0]
-        feats = conditional_features(xk, u_k)
+        feats = conditional_features(xk)
         alpha_x[:, :, k] = cs.F(xk, qk, u_k, z_k, feats)
         alpha_q[:, k] = cs.Hz(qk, z_k, feats)[:, 0]
         X[:, :, k + 1] = xk - alpha_x[:, :, k] * grid.dt + sx * noise.dB[:, :, k]
@@ -258,8 +267,6 @@ def test_riccati_blow_up_time_equals_numpy_rk4():
 
 
 def test_picard_zero_model_converges_one_sweep():
-    from majorminor.models import make_zero_model
-
     grid = build_grid(1.0, 5)
     noise = sample_noise(grid, 4, 8, seed=0)
     init = sample_initial(4, 8, seed=0)
@@ -282,7 +289,7 @@ def test_picard_cross_validates_oracle_short_horizon():
     res = picard_solve(FbsdeOperator(primed, grid, noise, init, RegressionBasis()), tol=1e-8, max_iter=30)
     assert res.converged
     sol = riccati_oracle(CONE, constants, grid)
-    st = res.solve.state
+    st = res.state
     mbar0 = st.X[:, :, 0].mean(axis=1)
     u_ref, phi_ref, _ = eval_oracle_field(sol, 0.0, st.X[:, :, 0], st.qf[:, 0][:, None], mbar0[:, None])
     u_err = np.abs(st.U[:, :, 0] - u_ref)
@@ -325,10 +332,10 @@ def test_picard_control_equals_the_per_step_maps(clamp):
         uk = st.u(k, X)
         qmid = 0.5 * (st.qf[:, k] + st.qb[:, k])[:, None]
         zk = st.Zphi[:, k][:, None]
-        feats = conditional_features(xk, uk)
+        feats = conditional_features(xk)
         alpha_x[:, :, k] = cs.F(xk, qmid, uk, zk, feats)
         alpha_q[:, k] = cs.Hz(qmid, zk, feats)[:, 0]
-    got = picard_control(cs, solve)
+    got = picard_control(cs, st)
     assert np.array_equal(got.alpha_x, alpha_x) and np.array_equal(got.alpha_q, alpha_q)
     assert got.alpha_x.strides == alpha_x.strides
     # U and the slice of all steps hold the bits of the u(k) slabs
@@ -336,3 +343,151 @@ def test_picard_control_equals_the_per_step_maps(clamp):
     for k in range(11):
         assert np.array_equal(U[:, :, k], st.u(k, X)), k
         assert k == 10 or np.array_equal(u_steps[k], st.u(k, X)), k
+
+
+def old_picard_loop(op, tol, max_iter):
+    """The loop `picard_solve` ran before Picard was a plan, kept as the
+    reference: (converged, diverged, sweeps, reason, last solve)."""
+    control = op.zero()
+    distances = []
+    solve = None
+    for sweep in range(1, max_iter + 1):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                solve = decoupled_solve(control, op.primed, op.noise, op.init, op.basis, op.grid)
+        except SimulationError:
+            return False, True, sweep, "sweep produced non-finite values (no contraction)", solve
+        new_control = picard_control(op.primed.base, solve.state)
+        distances = [*distances[-2:], norm_T(new_control - control, op.grid)]
+        control = new_control
+        if distances[-1] <= tol:
+            return True, False, sweep, "", solve
+        if len(distances) == 3 and distances[2] > distances[1] > distances[0]:
+            return False, True, sweep, "successive-sweep distance increased over 3 sweeps", solve
+    return False, False, max_iter, "", solve
+
+
+def picard_operator(horizon, steps, m, p, seed, params=CONE, constants=None, q0_std=0.0):
+    constants = constants or ModelConstants(sigma=0.5, sigma0=0.5)
+    grid = build_grid(horizon, steps)
+    noise = sample_noise(grid, m, p, seed=seed)
+    init = sample_initial(m, p, seed=seed, x_mean=1.0, x_std=0.3, q0=1.0, q0_std=q0_std)
+    cs = make_zero_model(constants) if params is None else make_lq_model(params, constants)
+    return FbsdeOperator(split_q(cs), grid, noise, init, RegressionBasis())
+
+
+def assert_same_last_solve(got, want):
+    """A `PicardResult`'s state against the reference's last solve: the
+    state's arrays, its X, and the bits of the control it was solved at."""
+    if want is None:
+        assert got is None
+        return
+    st = want.state
+    for name in ("X0", "U_coef", "U_T", "qf", "qb", "phi", "Zphi"):
+        assert np.array_equal(getattr(got, name), getattr(st, name)), name
+    assert np.array_equal(got.X, st.X)
+    assert np.array_equal(got.control.alpha_x, st.control.alpha_x)
+    assert np.array_equal(got.control.alpha_q, st.control.alpha_q)
+
+
+# the problems of the Picard tests above, the short horizon at a smaller
+# size, plus a clamped one whose distance grows and one stopped by the cap
+PICARD_PROBLEMS = {
+    "zero-model": (
+        lambda: picard_operator(1.0, 5, 4, 8, 0, params=None, constants=ModelConstants(sigma=0.1, sigma0=0.1)),
+        1e-9, 40,
+    ),
+    "short-horizon": (lambda: picard_operator(0.25, 20, 12, 64, 11, q0_std=0.1), 1e-8, 30),
+    "divergent-horizon": (
+        lambda: picard_operator(
+            5.0, 60, 8, 64, 3,
+            params=LQParams(c1=1.0, c2=0.8, c3=0.5, g1=1.0, g2=0.5, b=1.0, r1=0.4, r2=0.4, p1=1.0, p2=0.3),
+            constants=ModelConstants(sigma=0.2, sigma0=0.05),
+        ),
+        1e-8, 25,
+    ),
+    "late-overflow": (lambda: picard_operator(2.0, 10, 12, 64, 3), 5e-3, 25),
+    "growing-distance": (lambda: picard_operator(2.0, 10, 12, 64, 3, constants=ModelConstants(clamp_m=2.0)), 5e-3, 25),
+    "sweep-cap": (lambda: picard_operator(0.25, 20, 12, 64, 11, q0_std=0.1), 1e-8, 3),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the divergent problems overflow on purpose
+@pytest.mark.parametrize("name", list(PICARD_PROBLEMS))
+def test_picard_solve_returns_what_the_old_loop_returned(name):
+    make, tol, max_iter = PICARD_PROBLEMS[name]
+    op = make()
+    converged, diverged, sweeps, reason, solve = old_picard_loop(op, tol, max_iter)
+    res = picard_solve(op, tol=tol, max_iter=max_iter)
+    assert (res.converged, res.diverged, res.sweeps, res.reason) == (converged, diverged, sweeps, reason)
+    assert_same_last_solve(res.state, solve)
+
+
+def test_picard_problems_cover_every_outcome():
+    outcomes = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for make, tol, max_iter in PICARD_PROBLEMS.values():
+            converged, diverged, sweeps, reason, solve = old_picard_loop(make(), tol, max_iter)
+            outcomes.add((converged, diverged, reason, solve is None))
+    assert outcomes == {
+        (True, False, "", False),
+        (False, False, "", False),
+        (False, True, "sweep produced non-finite values (no contraction)", True),
+        (False, True, "sweep produced non-finite values (no contraction)", False),
+        (False, True, "successive-sweep distance increased over 3 sweeps", False),
+    }
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the failing instances overflow on purpose
+def test_a_picard_run_in_the_lockstep_returns_what_it_returns_alone(monkeypatch):
+    # Picard runs share each round's stacked solve with EG runs of alike
+    # 12x64x10 instances, one of which fails and sends that round's solves
+    # through their own: each Picard run returns what `picard_solve` does
+    ops = [picard_operator(horizon, 10, 12, 64, seed) for seed, horizon in enumerate((0.5, 1.0, 1.0, 0.25, 8.0))]
+    eg = ExtragradientConfig(gamma=0.1, n_max=3)
+    failing = ExtragradientConfig(gamma=50.0, n_max=3)
+    solo_eg = {i: run_extragradient(ops[i].zero, config, ops[i]) for i, config in ((0, eg), (1, failing))}
+    assert solo_eg[1].stop_reason == "non_finite"
+    solo_picard = {i: picard_solve(ops[i], tol=1e-6, max_iter=6) for i in (2, 3, 4)}
+    assert {solo_picard[i].reason for i in (2, 3, 4)} == {
+        "", "successive-sweep distance increased over 3 sweeps", "sweep produced non-finite values (no contraction)"
+    }
+
+    stacks = []
+    real = extragradient_module.evaluate_many
+    monkeypatch.setattr(extragradient_module, "evaluate_many", lambda o, c: stacks.append(len(o)) or real(o, c))
+    jobs = [(i, ops[i], extragradient_plan(ops[i].zero, config, ops[i])) for i, config in ((0, eg), (1, failing))]
+    views = {i: StateOperator.of(ops[i]) for i in (2, 3, 4)}
+    jobs += [(i, view, picard_plan(view, 1e-6, 6)) for i, view in views.items()]
+    got = dict(run_lockstep(jobs))
+    assert stacks[0] == 5
+    for i, want in solo_eg.items():
+        assert (got[i].residuals, got[i].stop_reason, got[i].evaluations) == (
+            want.residuals, want.stop_reason, want.evaluations
+        )
+    for i, want in solo_picard.items():
+        res = got[i]
+        assert (res.converged, res.diverged, res.sweeps, res.reason) == (
+            want.converged, want.diverged, want.sweeps, want.reason
+        )
+        if want.state is None:
+            assert res.state is None
+            continue
+        for name in ("X0", "U_coef", "U_T", "qf", "qb", "phi", "Zphi"):
+            assert np.array_equal(getattr(res.state, name), getattr(want.state, name)), name
+        assert np.array_equal(res.state.control.alpha_x, want.state.control.alpha_x)
+        assert np.array_equal(res.state.X, want.state.X)
+
+
+def test_a_stacked_state_is_the_solo_state_copied_out():
+    ops = [picard_operator(horizon, 10, 12, 64, seed) for seed, horizon in enumerate((0.5, 1.0))]
+    views = [StateOperator.of(op) for op in ops]
+    controls = [op.random_control(np.random.default_rng(i), 0.3) for i, op in enumerate(ops)]
+    states = extragradient_module.evaluate_many(views, controls)
+    for view, control, state in zip(views, controls, states):
+        solo = view(control)
+        assert state.control is None and state.noise is None
+        assert state.primed is view.primed and state.grid is view.grid
+        for name in ("X0", "U_coef", "U_T", "qf", "qb", "phi", "Zphi"):
+            assert np.array_equal(getattr(state, name), getattr(solo, name)), name
+            assert getattr(state, name).base is None, name  # a copy, not a view of the stack

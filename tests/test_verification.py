@@ -138,7 +138,7 @@ def per_sample_terms(cs, a, samples, seed, form):
         X, Y, U, V = (verification.sample_cloud(rng, 256)[None] for _ in range(4))
         q, qp, z = (rng.normal(0.0, 1.5, (1, 1)) for _ in range(3))
         zp = rng.normal(0.0, 1.5, (1, 1)) if form == "zpair" else z
-        fxu, fyv = conditional_features(X, U), conditional_features(Y, V)
+        fxu, fyv = conditional_features(X), conditional_features(Y)
         dg = ((cs.G(X, q, U, z, fxu) - cs.G(Y, qp, V, zp, fyv)) * (X - Y))[0]
         df = ((cs.F(X, q, U, z, fxu) - cs.F(Y, qp, V, zp, fyv)) * (U - V))[0]
         dq = (q - qp)[0, 0]
